@@ -67,17 +67,17 @@ impl WorkloadSpec {
         }
     }
 
-    /// Encodes key index `i` as a fixed-width key.
+    /// Encodes key index `i` as a fixed-width key (at least 16 bytes).
     pub fn key(&self, i: u64) -> Vec<u8> {
-        let mut k = format!("{i:016}").into_bytes();
-        k.resize(self.key_size.max(16), b'0');
+        let mut k = Vec::new();
+        deepnote_kv::bench::write_key(&mut k, i, self.key_size);
         k
     }
 
-    /// A deterministic value for key index `i`.
+    /// A deterministic value for key index `i` (at least 16 bytes).
     pub fn value(&self, i: u64) -> Vec<u8> {
-        let mut v = format!("v{i:015}").into_bytes();
-        v.resize(self.value_size.max(16), b'x');
+        let mut v = Vec::new();
+        deepnote_kv::bench::write_value(&mut v, i, self.value_size.max(16));
         v
     }
 }

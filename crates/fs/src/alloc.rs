@@ -31,12 +31,20 @@ impl Bitmap {
         }
     }
 
-    /// Restores a bitmap from its on-disk bytes.
+    /// Restores a bitmap from its on-disk bytes. The bytes are kept as
+    /// read; bits past `capacity` in the last byte are not counted as
+    /// allocated.
     pub fn from_bytes(capacity: u64, bytes: &[u8]) -> Self {
         let mut bm = Bitmap::new(capacity);
         let n = bm.bits.len().min(bytes.len());
         bm.bits[..n].copy_from_slice(&bytes[..n]);
-        bm.allocated = (0..capacity).filter(|&i| bm.is_set(i)).count() as u64;
+        let whole = (capacity / 8) as usize;
+        let tail_mask = (1u16 << (capacity % 8)) as u8 - 1;
+        let (full, tail) = bm.bits.split_at(whole);
+        bm.allocated = full.iter().map(|b| u64::from(b.count_ones())).sum::<u64>()
+            + tail
+                .first()
+                .map_or(0, |b| u64::from((b & tail_mask).count_ones()));
         bm
     }
 
@@ -163,6 +171,23 @@ mod tests {
         for i in 0..100 {
             assert_eq!(restored.is_set(i), bm.is_set(i), "bit {i}");
         }
+    }
+
+    #[test]
+    fn restore_ignores_bits_past_capacity() {
+        // 13 items: the second byte's top three bits are outside the map.
+        let on_disk = [0b1000_0001u8, 0b1111_0101];
+        let bm = Bitmap::from_bytes(13, &on_disk);
+        assert_eq!(bm.allocated(), 2 + 3);
+        assert_eq!(bm.free(), 13 - 5);
+        assert_eq!(bm.as_bytes(), on_disk.as_slice());
+        // A whole number of bytes has no partial tail.
+        let full = Bitmap::from_bytes(16, &on_disk);
+        assert_eq!(full.allocated(), 2 + 6);
+        // Short input leaves the rest free.
+        let short = Bitmap::from_bytes(100, &on_disk[..1]);
+        assert_eq!(short.allocated(), 2);
+        assert_eq!(short.as_bytes().len(), 13);
     }
 
     #[test]

@@ -284,16 +284,26 @@ impl<D: BlockDevice> Filesystem<D> {
 
     // ----- block/inode plumbing -------------------------------------
 
+    /// An owned copy of the current image of `fs_block`, for a caller
+    /// that modifies it.
     fn read_effective(&mut self, fs_block: u64) -> Result<Vec<u8>, FsError> {
+        self.with_block(fs_block, <[u8]>::to_vec)
+    }
+
+    /// Applies `f` to the current image of `fs_block` without copying
+    /// it: the staged journal image, else the cached page, else a device
+    /// read that fills the cache.
+    fn with_block<R>(&mut self, fs_block: u64, f: impl FnOnce(&[u8]) -> R) -> Result<R, FsError> {
         if let Some(img) = self.journal.pending_image(fs_block) {
-            return Ok(img.to_vec());
+            return Ok(f(img));
         }
         if let Some(cached) = self.cache.get(&fs_block) {
-            return Ok(cached.clone());
+            return Ok(f(cached));
         }
         let raw = read_fs_block(&mut self.dev, fs_block)?;
-        self.cache_insert(fs_block, raw.clone());
-        Ok(raw)
+        let out = f(&raw);
+        self.cache_insert(fs_block, raw);
+        Ok(out)
     }
 
     /// Inserts into the page cache, evicting oldest entries when a cache
@@ -329,19 +339,18 @@ impl<D: BlockDevice> Filesystem<D> {
     /// pages go into the cache immediately (reads see them, like a real
     /// page cache) and reach the device during the next commit, *before*
     /// the journal record.
-    fn write_data_run(&mut self, start_block: u64, buf: &[u8]) -> Result<(), FsError> {
+    fn write_data_run(&mut self, start_block: u64, buf: Vec<u8>) {
         for (i, chunk) in buf.chunks(FS_BLOCK_SIZE).enumerate() {
             self.cache_insert(start_block + i as u64, chunk.to_vec());
         }
         // Extend the previous run if contiguous (common for appends).
         if let Some((start, bytes)) = self.pending_data.last_mut() {
             if *start + (bytes.len() / FS_BLOCK_SIZE) as u64 == start_block {
-                bytes.extend_from_slice(buf);
-                return Ok(());
+                bytes.extend_from_slice(&buf);
+                return;
             }
         }
-        self.pending_data.push((start_block, buf.to_vec()));
-        Ok(())
+        self.pending_data.push((start_block, buf));
     }
 
     /// Stages a metadata image into the journal and mirrors it into the
@@ -360,8 +369,9 @@ impl<D: BlockDevice> Filesystem<D> {
 
     fn load_inode(&mut self, ino: u64) -> Result<Inode, FsError> {
         let (block, offset) = self.inode_location(ino);
-        let raw = self.read_effective(block)?;
-        Inode::from_bytes(&raw[offset..offset + INODE_DISK_SIZE])
+        self.with_block(block, |raw| {
+            Inode::from_bytes(&raw[offset..offset + INODE_DISK_SIZE])
+        })?
     }
 
     fn stage_inode(&mut self, ino: u64, inode: &Inode) -> Result<(), FsError> {
@@ -381,9 +391,9 @@ impl<D: BlockDevice> Filesystem<D> {
             self.stage_and_cache(target, ib_block);
             self.dirty_inode_bitmap = false;
         }
-        let bytes = self.block_bitmap.as_bytes().to_vec();
         for i in std::mem::take(&mut self.dirty_block_bitmap) {
             let mut block = vec![0u8; FS_BLOCK_SIZE];
+            let bytes = self.block_bitmap.as_bytes();
             let start = (i as usize) * FS_BLOCK_SIZE;
             if start < bytes.len() {
                 let n = (bytes.len() - start).min(FS_BLOCK_SIZE);
@@ -438,16 +448,20 @@ impl<D: BlockDevice> Filesystem<D> {
             inode.indirect = self.alloc_data_block()?;
             self.stage_and_cache(inode.indirect, vec![0u8; FS_BLOCK_SIZE]);
         }
-        let mut raw = self.read_effective(inode.indirect)?;
+        // Copy the indirect block only when a pointer must be added.
         let off = (ind_index as usize) * 8;
-        let ptr = raw
-            .get(off..off + 8)
-            .and_then(|s| s.try_into().ok())
-            .map(u64::from_le_bytes)
-            .ok_or(FsError::BadSuperblock)?;
-        if ptr != NO_BLOCK || !allocate {
+        let (ptr, image) = self.with_block(inode.indirect, |raw| {
+            let ptr = raw
+                .get(off..off + 8)
+                .and_then(|s| s.try_into().ok())
+                .map(u64::from_le_bytes);
+            let image = (ptr == Some(NO_BLOCK) && allocate).then(|| raw.to_vec());
+            (ptr, image)
+        })?;
+        let ptr = ptr.ok_or(FsError::BadSuperblock)?;
+        let Some(mut raw) = image else {
             return Ok(ptr);
-        }
+        };
         let new = self.alloc_data_block()?;
         raw[off..off + 8].copy_from_slice(&new.to_le_bytes());
         let target = inode.indirect;
@@ -466,8 +480,8 @@ impl<D: BlockDevice> Filesystem<D> {
             if fs_block == NO_BLOCK {
                 out[start..end].fill(0);
             } else {
-                let raw = self.read_effective(fs_block)?;
-                out[start..end].copy_from_slice(&raw[..end - start]);
+                let dst = &mut out[start..end];
+                self.with_block(fs_block, |raw| dst.copy_from_slice(&raw[..dst.len()]))?;
             }
         }
         Ok(out)
@@ -641,30 +655,34 @@ impl<D: BlockDevice> Filesystem<D> {
             let chunk_len = (in_block_end - in_block_off) as usize;
 
             let full_overwrite = in_block_off == 0 && chunk_len == FS_BLOCK_SIZE;
-            let mut img = if full_overwrite || !existed {
-                vec![0u8; FS_BLOCK_SIZE]
-            } else {
+            let old_img = if existed && !full_overwrite {
                 // Partial block: read-modify-write (page cache assisted).
-                self.read_effective(fs_block)?
+                Some(self.read_effective(fs_block)?)
+            } else {
+                None
             };
-            img[in_block_off as usize..in_block_off as usize + chunk_len]
-                .copy_from_slice(&data[written..written + chunk_len]);
-            written += chunk_len;
 
             let contiguous = !run_buf.is_empty()
                 && fs_block == run_start + (run_buf.len() / FS_BLOCK_SIZE) as u64;
-            if contiguous {
-                run_buf.extend_from_slice(&img);
-            } else {
+            if !contiguous {
                 if !run_buf.is_empty() {
-                    self.write_data_run(run_start, &run_buf)?;
+                    self.write_data_run(run_start, std::mem::take(&mut run_buf));
                 }
                 run_start = fs_block;
-                run_buf = img;
             }
+            // The block's new image goes straight into the run.
+            let img_start = run_buf.len();
+            match old_img {
+                Some(old) => run_buf.extend_from_slice(&old),
+                None => run_buf.resize(img_start + FS_BLOCK_SIZE, 0),
+            }
+            let img = &mut run_buf[img_start..];
+            img[in_block_off as usize..in_block_off as usize + chunk_len]
+                .copy_from_slice(&data[written..written + chunk_len]);
+            written += chunk_len;
         }
         if !run_buf.is_empty() {
-            self.write_data_run(run_start, &run_buf)?;
+            self.write_data_run(run_start, run_buf);
         }
         if end > inode.size {
             inode.size = end;
@@ -701,9 +719,8 @@ impl<D: BlockDevice> Filesystem<D> {
             if fs_block == NO_BLOCK {
                 out.extend(std::iter::repeat_n(0u8, take));
             } else {
-                let raw = self.read_effective(fs_block)?;
                 let off = (pos - block_start) as usize;
-                out.extend_from_slice(&raw[off..off + take]);
+                self.with_block(fs_block, |raw| out.extend_from_slice(&raw[off..off + take]))?;
             }
             pos += take as u64;
         }
@@ -842,7 +859,7 @@ impl<D: BlockDevice> Filesystem<D> {
                 let mut img = self.read_effective(fs_block)?;
                 let keep = (new_size % FS_BLOCK_SIZE as u64) as usize;
                 img[keep..].fill(0);
-                self.write_data_run(fs_block, &img)?;
+                self.write_data_run(fs_block, img);
             }
         }
         inode.size = new_size;

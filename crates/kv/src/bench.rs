@@ -43,19 +43,59 @@ impl Default for BenchSpec {
 }
 
 impl BenchSpec {
-    /// Encodes key index `i` as a fixed-width key.
+    /// Encodes key index `i` as a fixed-width key (see [`write_key`]).
     pub fn key(&self, i: u64) -> Vec<u8> {
-        let mut k = format!("{i:016}").into_bytes();
-        k.resize(self.key_size, b'0');
+        let mut k = Vec::new();
+        write_key(&mut k, i, self.key_size);
         k
     }
 
-    /// A deterministic value for key index `i`.
+    /// A deterministic value for key index `i` (see [`write_value`]).
     pub fn value(&self, i: u64) -> Vec<u8> {
-        let mut v = format!("v{i:015}").into_bytes();
-        v.resize(self.value_size, b'x');
+        let mut v = Vec::new();
+        write_value(&mut v, i, self.value_size);
         v
     }
+}
+
+/// Shortest key length that keeps every index below 10¹⁶ distinct.
+pub const MIN_KEY_LEN: usize = 16;
+
+/// Overwrites `out` with the `db_bench`-style key for index `i`: the
+/// index as 16 zero-padded decimal digits, padded with `'0'` (or cut) to
+/// `len` bytes. `len` is raised to [`MIN_KEY_LEN`] so that shorter keys
+/// do not collide.
+pub fn write_key(out: &mut Vec<u8>, i: u64, len: usize) {
+    write_index(out, b"", i, 16, len.max(MIN_KEY_LEN), b'0');
+}
+
+/// Overwrites `out` with the value for index `i`: `v` and the index as
+/// 15 zero-padded decimal digits, padded with `'x'` (or cut) to `len`
+/// bytes.
+pub fn write_value(out: &mut Vec<u8>, i: u64, len: usize) {
+    write_index(out, b"v", i, 15, len, b'x');
+}
+
+/// `format!("{prefix}{i:0digits$}")` resized to `len` bytes with `fill`,
+/// written into `out` without a temporary string.
+fn write_index(out: &mut Vec<u8>, prefix: &[u8], i: u64, digits: usize, len: usize, fill: u8) {
+    let mut buf = [b'0'; 20];
+    let mut rest = i;
+    let mut first = buf.len();
+    while first > 0 {
+        first -= 1;
+        buf[first] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    let significant = &buf[first..];
+    out.clear();
+    out.extend_from_slice(prefix);
+    out.resize(out.len() + digits.saturating_sub(significant.len()), b'0');
+    out.extend_from_slice(significant);
+    out.resize(len, fill);
 }
 
 /// The measurements `db_bench` prints.
@@ -91,8 +131,11 @@ impl BenchReport {
 ///
 /// Fatal store errors (e.g. WAL failure mid-load).
 pub fn fill_seq<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> Result<(), DbError> {
+    let (mut key, mut value) = (Vec::new(), Vec::new());
     for i in 0..spec.num_keys {
-        db.put(&spec.key(i), &spec.value(i))?;
+        write_key(&mut key, i, spec.key_size);
+        write_value(&mut value, i, spec.value_size);
+        db.put(&key, &value)?;
     }
     db.flush()?;
     Ok(())
@@ -111,12 +154,15 @@ pub fn read_while_writing<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> B
     let mut failed = 0u64;
     let mut bytes = 0u64;
     let mut crashed_at = None;
-    let payload = (spec.key_size + spec.value_size) as u64;
+    let (mut key, mut value) = (spec.key(0), spec.value(0));
+    let payload = (key.len() + value.len()) as u64;
 
     'outer: while clock.now() < deadline {
         // One writer op.
         let i = rng.below(spec.num_keys);
-        match db.put(&spec.key(i), &spec.value(i)) {
+        write_key(&mut key, i, spec.key_size);
+        write_value(&mut value, i, spec.value_size);
+        match db.put(&key, &value) {
             Ok(()) => {
                 ops += 1;
                 bytes += payload;
@@ -131,8 +177,8 @@ pub fn read_while_writing<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> B
         }
         // A batch of reader ops.
         for _ in 0..spec.readers_per_writer {
-            let i = rng.below(spec.num_keys);
-            match db.get(&spec.key(i)) {
+            write_key(&mut key, rng.below(spec.num_keys), spec.key_size);
+            match db.get(&key) {
                 Ok(_) => {
                     ops += 1;
                     bytes += payload;
@@ -219,6 +265,38 @@ mod tests {
         assert_eq!(spec.value(7).len(), 64);
         assert_eq!(spec.key(7), spec.key(7));
         assert_ne!(spec.key(7), spec.key(8));
+    }
+
+    #[test]
+    fn keys_match_the_format_they_replace() {
+        let spec = BenchSpec::default();
+        for i in [0, 7, 42, 99_999, 10u64.pow(15), 10u64.pow(16) + 3, u64::MAX] {
+            let mut key = format!("{i:016}").into_bytes();
+            key.resize(16, b'0');
+            assert_eq!(spec.key(i), key, "key {i}");
+            let mut value = format!("v{i:015}").into_bytes();
+            value.resize(64, b'x');
+            assert_eq!(spec.value(i), value, "value {i}");
+        }
+        let wide = BenchSpec {
+            key_size: 24,
+            value_size: 8,
+            ..spec
+        };
+        assert_eq!(wide.key(5), b"000000000000000500000000".to_vec());
+        assert_eq!(wide.value(5), b"v0000000".to_vec());
+    }
+
+    #[test]
+    fn short_keys_are_floored_and_stay_distinct() {
+        // Cut to 8 bytes, every index below 10^8 would be "00000000".
+        let spec = BenchSpec {
+            key_size: 8,
+            ..BenchSpec::default()
+        };
+        assert_eq!(spec.key(1).len(), MIN_KEY_LEN);
+        assert_ne!(spec.key(1), spec.key(2));
+        assert_ne!(spec.key(0), spec.key(99_999_999));
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crate::error::DbError;
 use crate::memtable::Memtable;
-use crate::record::Record;
-use crate::sstable::{merge_runs, split_into_files, SsTable};
+use crate::record::RecordRef;
+use crate::sstable::{compact, SsTable};
 use crate::wal::Wal;
 use deepnote_blockdev::BlockDevice;
 use deepnote_fs::{Filesystem, FsError, JournalConfig};
@@ -85,6 +85,37 @@ impl DbStats {
     }
 }
 
+/// One SSTable of a level: its file, and its contents once faulted in.
+#[derive(Debug)]
+struct TableSlot {
+    path: String,
+    table: Option<SsTable>,
+}
+
+impl TableSlot {
+    /// A table known from the manifest, not yet read.
+    fn on_disk(path: String) -> Self {
+        TableSlot { path, table: None }
+    }
+
+    /// A table this process just wrote.
+    fn loaded(table: SsTable) -> Self {
+        TableSlot {
+            path: table.path().to_string(),
+            table: Some(table),
+        }
+    }
+
+    /// The table, read from `fs` on first access.
+    fn load<D: BlockDevice>(&mut self, fs: &mut Filesystem<D>) -> Result<&SsTable, DbError> {
+        let table = match self.table.take() {
+            Some(table) => table,
+            None => SsTable::load(fs, self.path.as_str())?,
+        };
+        Ok(self.table.insert(table))
+    }
+}
+
 /// A RocksDB-style LSM store on the journaling filesystem.
 ///
 /// See the crate docs for an example.
@@ -95,11 +126,10 @@ pub struct Db<D: BlockDevice> {
     config: DbConfig,
     memtable: Memtable,
     wal: Wal,
-    /// L0 file paths, oldest first (lookup scans newest first).
-    level0: Vec<String>,
-    /// L1 file paths, sorted by key range, non-overlapping.
-    level1: Vec<String>,
-    table_cache: BTreeMap<String, SsTable>,
+    /// L0 tables, oldest first (lookup scans newest first).
+    level0: Vec<TableSlot>,
+    /// L1 tables, sorted by key range, non-overlapping.
+    level1: Vec<TableSlot>,
     next_file_no: u64,
     ops_since_sync: u64,
     crashed: bool,
@@ -144,7 +174,6 @@ impl<D: BlockDevice> Db<D> {
             wal: Wal::new(WAL_PATH, 0, config.wal_patience),
             level0: Vec::new(),
             level1: Vec::new(),
-            table_cache: BTreeMap::new(),
             next_file_no: 1,
             ops_since_sync: 0,
             crashed: false,
@@ -189,9 +218,8 @@ impl<D: BlockDevice> Db<D> {
             config,
             memtable,
             wal: Wal::new(WAL_PATH, durable_len, config.wal_patience),
-            level0,
-            level1,
-            table_cache: BTreeMap::new(),
+            level0: level0.into_iter().map(TableSlot::on_disk).collect(),
+            level1: level1.into_iter().map(TableSlot::on_disk).collect(),
             next_file_no,
             ops_since_sync: 0,
             crashed: false,
@@ -277,11 +305,11 @@ impl<D: BlockDevice> Db<D> {
 
     fn write_manifest(&mut self) -> Result<(), DbError> {
         let mut text = String::new();
-        for p in &self.level0 {
-            text.push_str(&format!("0 {p}\n"));
+        for slot in &self.level0 {
+            text.push_str(&format!("0 {}\n", slot.path));
         }
-        for p in &self.level1 {
-            text.push_str(&format!("1 {p}\n"));
+        for slot in &self.level1 {
+            text.push_str(&format!("1 {}\n", slot.path));
         }
         text.push_str(&format!("next {}\n", self.next_file_no));
         if self.fs.exists(MANIFEST_PATH) {
@@ -322,16 +350,6 @@ impl<D: BlockDevice> Db<D> {
         Ok((level0, level1, next))
     }
 
-    // ----- table cache ---------------------------------------------------
-
-    fn table(&mut self, path: &str) -> Result<&SsTable, DbError> {
-        if !self.table_cache.contains_key(path) {
-            let table = SsTable::load(&mut self.fs, path)?;
-            self.table_cache.insert(path.to_string(), table);
-        }
-        Ok(&self.table_cache[path])
-    }
-
     // ----- public API ---------------------------------------------------
 
     /// Inserts or overwrites a key.
@@ -341,7 +359,7 @@ impl<D: BlockDevice> Db<D> {
     /// [`DbError::WalSyncFailed`] (fatal) when the WAL cannot be
     /// persisted; [`DbError::Closed`] after a crash; size/space errors.
     pub fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), DbError> {
-        self.mutate(Record::put(key, value))?;
+        self.mutate(key, Some(value))?;
         self.stats.puts += 1;
         Ok(())
     }
@@ -352,7 +370,7 @@ impl<D: BlockDevice> Db<D> {
     ///
     /// As for [`Db::put`].
     pub fn delete(&mut self, key: &[u8]) -> Result<(), DbError> {
-        self.mutate(Record::delete(key))?;
+        self.mutate(key, None)?;
         self.stats.deletes += 1;
         Ok(())
     }
@@ -403,32 +421,17 @@ impl<D: BlockDevice> Db<D> {
     pub fn scan(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, DbError> {
         self.check_alive()?;
         self.clock.advance(self.config.cpu_op_cost);
-        let mut merged: std::collections::BTreeMap<Vec<u8>, Option<Vec<u8>>> =
-            std::collections::BTreeMap::new();
+        let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         // Oldest first so newer versions overwrite: L1, then L0 in age
         // order, then the memtable.
-        for path in self.level1.clone() {
-            for rec in self.table(&path)?.records().to_vec() {
-                if rec.key.as_slice() >= start && rec.key.as_slice() < end {
-                    merged.insert(rec.key, rec.value);
-                }
+        for slot in self.level1.iter_mut().chain(&mut self.level0) {
+            let in_range = |r: &RecordRef<'_>| r.key >= start && r.key < end;
+            for rec in slot.load(&mut self.fs)?.iter().filter(in_range) {
+                merged.insert(rec.key.to_vec(), rec.value.map(<[u8]>::to_vec));
             }
         }
-        for path in self.level0.clone() {
-            for rec in self.table(&path)?.records().to_vec() {
-                if rec.key.as_slice() >= start && rec.key.as_slice() < end {
-                    merged.insert(rec.key, rec.value);
-                }
-            }
-        }
-        let mem: Vec<Record> = {
-            let mut snapshot = self.memtable.clone();
-            snapshot.drain_sorted()
-        };
-        for rec in mem {
-            if rec.key.as_slice() >= start && rec.key.as_slice() < end {
-                merged.insert(rec.key, rec.value);
-            }
+        for (key, value) in self.memtable.range(start, end) {
+            merged.insert(key.to_vec(), value.map(<[u8]>::to_vec));
         }
         Ok(merged
             .into_iter()
@@ -436,12 +439,11 @@ impl<D: BlockDevice> Db<D> {
             .collect())
     }
 
-    fn mutate(&mut self, rec: Record) -> Result<(), DbError> {
+    fn mutate(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), DbError> {
         self.check_alive()?;
         self.clock.advance(self.config.cpu_op_cost);
-        self.stats.user_bytes += rec.payload_len() as u64;
-        self.wal.append(&rec)?;
-        self.memtable.apply(rec);
+        self.stats.user_bytes += (key.len() + value.map_or(0, <[u8]>::len)) as u64;
+        self.wal.append_encoded(self.memtable.insert(key, value)?);
         self.ops_since_sync += 1;
         if self.ops_since_sync >= self.config.wal_sync_every_ops {
             self.sync_wal()?;
@@ -487,13 +489,16 @@ impl<D: BlockDevice> Db<D> {
         if let Some(hit) = self.memtable.get(key) {
             return Ok(hit.map(|v| v.to_vec()));
         }
-        for path in self.level0.clone().iter().rev() {
-            if let Some(hit) = self.table(path)?.get(key) {
+        // Tables fault in lazily, newest L0 first, then L1 in key order
+        // up to the first table that holds the key. On a reopened store
+        // that order decides which device reads happen, and when.
+        for slot in self.level0.iter_mut().rev() {
+            if let Some(hit) = slot.load(&mut self.fs)?.get(key) {
                 return Ok(hit.map(|v| v.to_vec()));
             }
         }
-        for path in self.level1.clone() {
-            let t = self.table(&path)?;
+        for slot in &mut self.level1 {
+            let t = slot.load(&mut self.fs)?;
             if t.min_key().is_some_and(|mk| key >= mk) && t.max_key().is_some_and(|mk| key <= mk) {
                 if let Some(hit) = t.get(key) {
                     return Ok(hit.map(|v| v.to_vec()));
@@ -516,15 +521,15 @@ impl<D: BlockDevice> Db<D> {
         }
         self.sync_wal()?;
         let t0 = self.clock.now();
-        let records = self.memtable.drain_sorted();
-        let flush_bytes = records.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
+        let table = self.memtable.drain_sorted();
+        let flush_bytes = table.encoded_len() as u64;
         self.stats.flush_bytes += flush_bytes;
         let path = format!("{DB_DIR}/sst_0_{}", self.next_file_no);
         self.next_file_no += 1;
         let result: Result<(), DbError> = (|| {
-            let table = SsTable::write(&mut self.fs, path.clone(), records)?;
-            self.table_cache.insert(path.clone(), table);
-            self.level0.push(path.clone());
+            let table = table.finish(path);
+            table.write(&mut self.fs)?;
+            self.level0.push(TableSlot::loaded(table));
             self.write_manifest()?;
             self.fs.commit().map_err(DbError::from)?;
             self.wal.reset(&mut self.fs)?;
@@ -564,34 +569,34 @@ impl<D: BlockDevice> Db<D> {
     pub fn compact(&mut self) -> Result<(), DbError> {
         self.check_alive()?;
         let t0 = self.clock.now();
-        // Gather runs newest-first: L0 newest→oldest, then L1.
-        let mut runs: Vec<Vec<Record>> = Vec::new();
-        for path in self.level0.clone().iter().rev() {
-            runs.push(self.table(path)?.records().to_vec());
+        // Fault in every input, L0 newest→oldest then L1, and merge them
+        // as runs newest-first: each L0 table is a run, L1 is one run.
+        let mut runs: Vec<Vec<&SsTable>> = Vec::new();
+        for slot in self.level0.iter_mut().rev() {
+            runs.push(vec![slot.load(&mut self.fs)?]);
         }
-        for path in self.level1.clone() {
-            runs.push(self.table(&path)?.records().to_vec());
+        let mut bottom = Vec::new();
+        for slot in &mut self.level1 {
+            bottom.push(slot.load(&mut self.fs)?);
         }
-        let run_refs: Vec<&[Record]> = runs.iter().map(|r| r.as_slice()).collect();
-        // L1 is the bottom level: tombstones can be dropped.
-        let merged = merge_runs(&run_refs, false);
-        let compaction_bytes = merged.iter().map(|r| r.encoded_len() as u64).sum::<u64>();
+        runs.push(bottom);
+        // L1 is the bottom level: tombstones are dropped.
+        let files = compact(&runs);
+        let compaction_bytes = files.iter().map(|f| f.encoded_len() as u64).sum::<u64>();
         self.stats.compaction_bytes += compaction_bytes;
 
-        let old_files: Vec<String> = self.level0.drain(..).chain(self.level1.drain(..)).collect();
+        let old: Vec<TableSlot> = self.level0.drain(..).chain(self.level1.drain(..)).collect();
         let result: Result<(), DbError> = (|| {
-            for chunk in split_into_files(merged) {
-                let path = format!("{DB_DIR}/sst_1_{}", self.next_file_no);
+            for file in files {
+                let table = file.finish(format!("{DB_DIR}/sst_1_{}", self.next_file_no));
                 self.next_file_no += 1;
-                let table = SsTable::write(&mut self.fs, path.clone(), chunk)?;
-                self.table_cache.insert(path.clone(), table);
-                self.level1.push(path);
+                table.write(&mut self.fs)?;
+                self.level1.push(TableSlot::loaded(table));
             }
             self.write_manifest()?;
             self.fs.commit().map_err(DbError::from)?;
-            for old in &old_files {
-                self.table_cache.remove(old);
-                self.fs.unlink(old)?;
+            for slot in &old {
+                self.fs.unlink(&slot.path)?;
             }
             Ok(())
         })();

@@ -12,8 +12,8 @@
 //! * [`Wal`] — a checksummed write-ahead log stored as files on the
 //!   journaling filesystem, group-synced like RocksDB's group commit
 //!   ([`wal`]).
-//! * [`SsTable`] — immutable sorted runs with an in-memory table cache
-//!   ([`sstable`]).
+//! * [`SsTable`] — immutable sorted runs, held in memory as their encoded
+//!   file image once read, and merged by a k-way compaction ([`sstable`]).
 //! * [`Db`] — open/recover, `put`/`get`/`delete`, memtable flush, L0→L1
 //!   compaction, and crash semantics: when WAL persistence stays blocked
 //!   past a patience budget the database dies with

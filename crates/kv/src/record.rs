@@ -60,24 +60,7 @@ impl Record {
     ///
     /// [`DbError::TooLarge`] if key or value exceeds [`MAX_LEN`].
     pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), DbError> {
-        if self.key.len() > MAX_LEN || self.value.as_ref().is_some_and(|v| v.len() > MAX_LEN) {
-            return Err(DbError::TooLarge);
-        }
-        let vlen_tag = match &self.value {
-            Some(v) => v.len() as u32,
-            None => TOMBSTONE_TAG,
-        };
-        let body_start = out.len() + 4;
-        out.extend_from_slice(&[0u8; 4]); // checksum placeholder
-        out.extend_from_slice(&(self.key.len() as u32).to_le_bytes());
-        out.extend_from_slice(&vlen_tag.to_le_bytes());
-        out.extend_from_slice(&self.key);
-        if let Some(v) = &self.value {
-            out.extend_from_slice(v);
-        }
-        let sum = fnv1a(&out[body_start..]);
-        out[body_start - 4..body_start].copy_from_slice(&sum.to_le_bytes());
-        Ok(())
+        encode_into(&self.key, self.value.as_deref(), out)
     }
 
     /// Decodes one record from the front of `buf`, returning it and the
@@ -87,19 +70,64 @@ impl Record {
     ///
     /// [`DbError::Corruption`] on truncation or checksum mismatch.
     pub fn decode_from(buf: &[u8]) -> Result<(Record, usize), DbError> {
+        let rec = RecordRef::decode_from(buf)?;
+        Ok((rec.to_record(), rec.encoded.len()))
+    }
+}
+
+/// Appends the encoding of `key` → `value` (`None`: a tombstone) to `out`.
+///
+/// # Errors
+///
+/// [`DbError::TooLarge`] if key or value exceeds [`MAX_LEN`].
+pub(crate) fn encode_into(
+    key: &[u8],
+    value: Option<&[u8]>,
+    out: &mut Vec<u8>,
+) -> Result<(), DbError> {
+    if key.len() > MAX_LEN || value.is_some_and(|v| v.len() > MAX_LEN) {
+        return Err(DbError::TooLarge);
+    }
+    let vlen_tag = value.map_or(TOMBSTONE_TAG, |v| v.len() as u32);
+    let body_start = out.len() + 4;
+    out.extend_from_slice(&[0u8; 4]); // checksum placeholder
+    out.extend_from_slice(&(key.len() as u32).to_le_bytes());
+    out.extend_from_slice(&vlen_tag.to_le_bytes());
+    out.extend_from_slice(key);
+    if let Some(v) = value {
+        out.extend_from_slice(v);
+    }
+    let sum = fnv1a(&out[body_start..]);
+    out[body_start - 4..body_start].copy_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// A record borrowed from an encoded buffer (an SSTable file image).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordRef<'a> {
+    /// The key.
+    pub key: &'a [u8],
+    /// The value; `None` is a tombstone.
+    pub value: Option<&'a [u8]>,
+    /// The record's whole encoding: header, key and value.
+    pub encoded: &'a [u8],
+}
+
+impl<'a> RecordRef<'a> {
+    /// Decodes and verifies the record at the front of `buf`; the view's
+    /// `encoded` slice is exactly the bytes it occupies.
+    ///
+    /// # Errors
+    ///
+    /// [`DbError::Corruption`] on truncation or checksum mismatch.
+    pub fn decode_from(buf: &'a [u8]) -> Result<RecordRef<'a>, DbError> {
         let corrupt = |what: &str| DbError::Corruption { what: what.into() };
-        if buf.len() < 12 {
+        let (Some(stored_sum), Some(klen), Some(vlen_tag)) =
+            (le_u32(buf, 0), le_u32(buf, 4), le_u32(buf, 8))
+        else {
             return Err(corrupt("truncated record header"));
-        }
-        let le_u32 = |at: usize| -> Result<u32, DbError> {
-            buf.get(at..at + 4)
-                .and_then(|s| s.try_into().ok())
-                .map(u32::from_le_bytes)
-                .ok_or_else(|| corrupt("truncated record header"))
         };
-        let stored_sum = le_u32(0)?;
-        let klen = le_u32(4)? as usize;
-        let vlen_tag = le_u32(8)?;
+        let klen = klen as usize;
         if klen > MAX_LEN {
             return Err(corrupt("key length out of range"));
         }
@@ -118,29 +146,38 @@ impl Record {
         if fnv1a(&buf[4..total]) != stored_sum {
             return Err(corrupt("record checksum mismatch"));
         }
-        let key = buf[12..12 + klen].to_vec();
-        let value = if vlen_tag == TOMBSTONE_TAG {
-            None
-        } else {
-            Some(buf[12 + klen..total].to_vec())
-        };
-        Ok((Record { key, value }, total))
+        Ok(RecordRef::parse(&buf[..total]))
     }
 
-    /// Decodes a whole buffer of concatenated records.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Corruption`] on any malformed record.
-    pub fn decode_all(mut buf: &[u8]) -> Result<Vec<Record>, DbError> {
-        let mut out = Vec::new();
-        while !buf.is_empty() {
-            let (rec, used) = Record::decode_from(buf)?;
-            out.push(rec);
-            buf = &buf[used..];
+    /// Splits an already-verified encoding into key and value without
+    /// re-checking it. A malformed `encoded` yields empty or truncated
+    /// slices, never a panic.
+    pub(crate) fn parse(encoded: &'a [u8]) -> RecordRef<'a> {
+        let klen = le_u32(encoded, 4).unwrap_or(0) as usize;
+        let vlen_tag = le_u32(encoded, 8).unwrap_or(TOMBSTONE_TAG);
+        let body = encoded.get(12..).unwrap_or_default();
+        let (key, value) = body.split_at(klen.min(body.len()));
+        RecordRef {
+            key,
+            value: (vlen_tag != TOMBSTONE_TAG).then_some(value),
+            encoded,
         }
-        Ok(out)
     }
+
+    /// An owned copy.
+    pub fn to_record(&self) -> Record {
+        Record {
+            key: self.key.to_vec(),
+            value: self.value.map(<[u8]>::to_vec),
+        }
+    }
+}
+
+/// The little-endian `u32` at byte `at`, if `buf` holds one there.
+fn le_u32(buf: &[u8], at: usize) -> Option<u32> {
+    buf.get(at..at + 4)
+        .and_then(|s| s.try_into().ok())
+        .map(u32::from_le_bytes)
 }
 
 /// FNV-1a 32-bit hash.
@@ -163,10 +200,11 @@ mod tests {
         let mut buf = Vec::new();
         Record::put("alpha", "one").encode_into(&mut buf).unwrap();
         Record::delete("beta").encode_into(&mut buf).unwrap();
-        let recs = Record::decode_all(&buf).unwrap();
-        assert_eq!(recs.len(), 2);
-        assert_eq!(recs[0], Record::put("alpha", "one"));
-        assert_eq!(recs[1], Record::delete("beta"));
+        let (first, used) = Record::decode_from(&buf).unwrap();
+        let (second, rest) = Record::decode_from(&buf[used..]).unwrap();
+        assert_eq!(used + rest, buf.len());
+        assert_eq!(first, Record::put("alpha", "one"));
+        assert_eq!(second, Record::delete("beta"));
     }
 
     #[test]

@@ -64,6 +64,12 @@ impl Wal {
         Ok(())
     }
 
+    /// Appends one record that is already encoded (no I/O).
+    pub fn append_encoded(&mut self, encoded: &[u8]) {
+        self.buffer.extend_from_slice(encoded);
+        self.buffered_records += 1;
+    }
+
     /// Makes all buffered records durable: file write + filesystem commit,
     /// retried until the patience budget runs out.
     ///

@@ -101,3 +101,82 @@ fn different_seeds_change_stochastic_runs_but_not_physics() {
     let v2 = testbed.vibration_at(Frequency::from_hz(650.0), Distance::from_cm(1.0));
     assert_eq!(v1.displacement_nm(), v2.displacement_nm());
 }
+
+/// Virtual-time golden for the single-drive `Db<HddDisk>` stack: a
+/// `fillseq` load, half a second of `readwhilewriting` under a partial
+/// (15 cm) attack, a clean close, a reopen, and a batch of gets that
+/// fault SSTables back in lazily. Host-side changes to `kv` or `fs` must
+/// leave every device I/O and every virtual nanosecond where it was, so
+/// the constants below only move when the simulated behaviour does.
+#[test]
+fn single_drive_kv_stack_matches_its_virtual_time_golden() {
+    use deepnote_kv::bench::{fill_seq, read_while_writing};
+    use deepnote_kv::{Db, DbStats};
+    use deepnote_sim::SimRng;
+
+    let spec = BenchSpec {
+        num_keys: 20_000,
+        duration: SimDuration::from_millis(500),
+        seed: 7,
+        ..BenchSpec::default()
+    };
+    let clock = Clock::new();
+    let disk = HddDisk::barracuda_500gb(clock.clone());
+    let vibration = disk.vibration();
+    let mut db = Db::create(disk, clock.clone()).unwrap();
+    fill_seq(&mut db, &spec).unwrap();
+    Testbed::paper_default(Scenario::PlasticTower).mount_attack(
+        &vibration,
+        AttackParams::paper_best().at_distance(Distance::from_cm(15.0)),
+    );
+    let report = read_while_writing(&mut db, &spec);
+    let stats = db.stats();
+    let disk = db.close().unwrap();
+
+    let mut db = Db::open(disk, clock.clone()).unwrap();
+    let mut rng = SimRng::seeded(11);
+    let mut found = 0u64;
+    for _ in 0..400 {
+        if db
+            .get(&spec.key(rng.below(spec.num_keys)))
+            .unwrap()
+            .is_some()
+        {
+            found += 1;
+        }
+    }
+    let drive = db.filesystem().device().drive();
+    // Debug output prints each f64 in its shortest round-trip form, so
+    // this string pins the report bit for bit.
+    assert_eq!(
+        format!("{report:?}"),
+        "BenchReport { ops: 26150, failed_ops: 0, bytes: 2092000, \
+         elapsed_s: 0.500021996, throughput_mb_s: 4.183815945568923, \
+         ops_per_s: 52297.699319611536, crashed_at_s: None }"
+    );
+    assert_eq!(
+        stats,
+        DbStats {
+            puts: 25_230,
+            gets: 20_920,
+            deletes: 0,
+            flushes: 9,
+            compactions: 1,
+            wal_syncs: 27,
+            user_bytes: 2_018_400,
+            flush_bytes: 2_096_404,
+            compaction_bytes: 1_311_000,
+        }
+    );
+    assert_eq!(
+        db.stats(),
+        DbStats {
+            gets: 400,
+            ..DbStats::default()
+        }
+    );
+    assert_eq!(found, 400);
+    assert_eq!(clock.now().as_nanos(), 1_714_469_495);
+    assert_eq!(drive.ops_completed(), 3_467);
+    assert_eq!(drive.retries_total(), 57);
+}
