@@ -66,11 +66,32 @@ pub fn absorption_db_per_km(f: Frequency, w: &WaterConditions) -> f64 {
 
 /// Total absorption loss in dB over a path of `distance_km` kilometres.
 pub fn absorption_loss_db(f: Frequency, w: &WaterConditions, distance_km: f64) -> f64 {
-    assert!(
-        distance_km.is_finite() && distance_km >= 0.0,
-        "distance must be finite and non-negative"
-    );
-    absorption_db_per_km(f, w) * distance_km
+    Absorption::new(f, w).loss_db(distance_km)
+}
+
+/// One tone's absorption coefficient in one water, applied to paths of
+/// any length without re-evaluating [`absorption_db_per_km`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Absorption {
+    db_per_km: f64,
+}
+
+impl Absorption {
+    /// The coefficient for frequency `f` in water `w`.
+    pub(crate) fn new(f: Frequency, w: &WaterConditions) -> Self {
+        Absorption {
+            db_per_km: absorption_db_per_km(f, w),
+        }
+    }
+
+    /// Absorption loss in dB over a path of `distance_km` kilometres.
+    pub(crate) fn loss_db(self, distance_km: f64) -> f64 {
+        assert!(
+            distance_km.is_finite() && distance_km >= 0.0,
+            "distance must be finite and non-negative"
+        );
+        self.db_per_km * distance_km
+    }
 }
 
 #[cfg(test)]

@@ -20,8 +20,6 @@
 //!   underwater speaker (Clark Synthesis AQ339 preset) ([`source`]).
 //! * **Sweep** — frequency-sweep planning used by the paper's §4.1
 //!   methodology ([`sweep`]).
-//! * **Cache** — exact-key, deterministic memoization of the transfer
-//!   path for campaign hot loops ([`cache`]).
 //!
 //! # Example
 //!
@@ -36,7 +34,6 @@
 //! ```
 
 pub mod absorption;
-pub mod cache;
 pub mod directivity;
 pub mod medium;
 pub mod propagation;
@@ -46,12 +43,11 @@ pub mod sweep;
 pub mod units;
 
 pub use absorption::absorption_db_per_km;
-pub use cache::{OperatingPoint, TransferPathTable};
 pub use directivity::{half_power_beamwidth_rad, off_axis_attenuation_db, piston_directivity};
 pub use medium::{Medium, WaterConditions};
 pub use propagation::{
     lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,
-    received_spl_with, transmission_loss_db, PropagationModel,
+    received_spl_with, transmission_loss_db, PropagationModel, TonePropagation,
 };
 pub use source::{AcousticEmission, Amplifier, SignalChain, SineSource, Speaker};
 pub use spl::{Spl, SplReference};
@@ -61,14 +57,13 @@ pub use units::{Celsius, Depth, Distance, Frequency, Gain, Salinity};
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::absorption::absorption_db_per_km;
-    pub use crate::cache::{OperatingPoint, TransferPathTable};
     pub use crate::directivity::{
         half_power_beamwidth_rad, off_axis_attenuation_db, piston_directivity,
     };
     pub use crate::medium::{Medium, WaterConditions};
     pub use crate::propagation::{
         lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,
-        received_spl_with, transmission_loss_db, PropagationModel,
+        received_spl_with, transmission_loss_db, PropagationModel, TonePropagation,
     };
     pub use crate::source::{AcousticEmission, Amplifier, SignalChain, SineSource, Speaker};
     pub use crate::spl::{Spl, SplReference};

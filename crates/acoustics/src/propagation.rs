@@ -14,8 +14,12 @@
 //!
 //! [`PropagationModel`] selects spherical (default) or cylindrical
 //! spreading (for shallow-channel long-range estimates).
+//!
+//! Only spreading depends on range. [`TonePropagation`] evaluates the
+//! rest once per tone, so a sweep over many ranges pays for the
+//! emission and the absorption coefficient once.
 
-use crate::absorption::absorption_loss_db;
+use crate::absorption::Absorption;
 use crate::medium::WaterConditions;
 use crate::source::AcousticEmission;
 use crate::spl::Spl;
@@ -84,9 +88,7 @@ pub fn transmission_loss_db(
     water: &WaterConditions,
     model: PropagationModel,
 ) -> f64 {
-    let spreading = model.spreading_loss_db(range, emission.source_radius);
-    let absorption = absorption_loss_db(emission.frequency, water, range.km());
-    spreading + absorption
+    TonePropagation::new(emission, water, model).transmission_loss_db(range)
 }
 
 /// The SPL received at `range` from the emitting source, using spherical
@@ -102,9 +104,60 @@ pub fn received_spl_with(
     water: &WaterConditions,
     model: PropagationModel,
 ) -> Spl {
-    emission
-        .source_level
-        .plus_db(-transmission_loss_db(emission, range, water, model))
+    TonePropagation::new(emission, water, model).received_spl(range)
+}
+
+/// One emission propagating through one water under one spreading law:
+/// everything in the received SPL that does not depend on range.
+///
+/// # Example
+///
+/// ```
+/// use deepnote_acoustics::prelude::*;
+///
+/// let e = SignalChain::paper_setup(Frequency::from_hz(650.0)).emission();
+/// let water = WaterConditions::tank_freshwater();
+/// let tone = TonePropagation::new(&e, &water, PropagationModel::Spherical);
+/// let r = Distance::from_cm(10.0);
+/// assert_eq!(tone.received_spl(r), received_spl(&e, r, &water));
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct TonePropagation {
+    emission: AcousticEmission,
+    absorption: Absorption,
+    model: PropagationModel,
+}
+
+impl TonePropagation {
+    /// Evaluates the range-independent terms for `emission` in `water`.
+    pub fn new(
+        emission: &AcousticEmission,
+        water: &WaterConditions,
+        model: PropagationModel,
+    ) -> Self {
+        TonePropagation {
+            emission: *emission,
+            absorption: Absorption::new(emission.frequency, water),
+            model,
+        }
+    }
+
+    /// Total one-way transmission loss in dB at `range`: spreading +
+    /// absorption.
+    pub fn transmission_loss_db(&self, range: Distance) -> f64 {
+        let spreading = self
+            .model
+            .spreading_loss_db(range, self.emission.source_radius);
+        let absorption = self.absorption.loss_db(range.km());
+        spreading + absorption
+    }
+
+    /// The SPL received at `range`.
+    pub fn received_spl(&self, range: Distance) -> Spl {
+        self.emission
+            .source_level
+            .plus_db(-self.transmission_loss_db(range))
+    }
 }
 
 /// The Lloyd-mirror interference factor: the pressure ratio (linear, in

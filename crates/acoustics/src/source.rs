@@ -289,14 +289,18 @@ impl SignalChain {
 
     /// Computes the radiated emission.
     pub fn emission(&self) -> AcousticEmission {
+        self.emission_at(self.source.frequency())
+    }
+
+    /// The emission of this chain retuned to `frequency`: the same as
+    /// `self.retuned(frequency).emission()`, without copying the chain.
+    pub fn emission_at(&self, frequency: Frequency) -> AcousticEmission {
         // Drive (≤0 dBFS) through the amp, then re-referenced so that the
         // full-scale line level maps to the speaker's maximum output.
         let line_db = self.amplifier.amplify_db(self.source.drive_db()) - Self::FULL_SCALE_LINE_DB;
         AcousticEmission {
-            frequency: self.source.frequency(),
-            source_level: self
-                .speaker
-                .radiate(line_db.min(0.0), self.source.frequency()),
+            frequency,
+            source_level: self.speaker.radiate(line_db.min(0.0), frequency),
             source_radius: self.speaker.radius(),
         }
     }
@@ -323,6 +327,19 @@ mod tests {
         );
         let db = chain.emission().source_level.db();
         assert!((db - (140.0 - 6.0206)).abs() < 0.01, "db = {db}");
+    }
+
+    #[test]
+    fn emission_at_matches_a_retuned_chain() {
+        let chain = SignalChain::new(
+            SineSource::new(Frequency::from_hz(650.0)).with_drive(0.3),
+            Amplifier::toa_bg2120(),
+            Speaker::aq339_diluvio(),
+        );
+        for hz in [5.0, 650.0, 25_000.0] {
+            let f = Frequency::from_hz(hz);
+            assert_eq!(chain.emission_at(f), chain.retuned(f).emission());
+        }
     }
 
     #[test]

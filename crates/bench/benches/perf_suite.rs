@@ -6,7 +6,7 @@
 //! * the Table 1 range matrix on the experiment pool vs forced
 //!   single-thread (`DEEPNOTE_THREADS=1`),
 //! * the Figure 2 closed-form sweep,
-//! * the paper campaign with the transfer-path cache on vs off,
+//! * the separated paper campaign,
 //! * pool dispatch overhead: generic (unboxed) jobs vs the old
 //!   `Box<dyn FnOnce>` calling convention through `try_run_all`.
 //!
@@ -51,15 +51,10 @@ fn bench_matrix(c: &mut Criterion) {
     });
 }
 
-fn bench_campaign_cache(c: &mut Criterion) {
-    let cached = CampaignConfig::paper_duel(PlacementPolicy::Separated, SimDuration::from_secs(30));
-    let mut uncached = cached.clone();
-    uncached.transfer_cache = false;
-    c.bench_function("perf_suite/campaign_transfer_cache_on", |b| {
-        b.iter(|| black_box(run_campaign(&cached).expect("campaign run")))
-    });
-    c.bench_function("perf_suite/campaign_transfer_cache_off", |b| {
-        b.iter(|| black_box(run_campaign(&uncached).expect("campaign run")))
+fn bench_campaign(c: &mut Criterion) {
+    let config = CampaignConfig::paper_duel(PlacementPolicy::Separated, SimDuration::from_secs(30));
+    c.bench_function("perf_suite/campaign_separated", |b| {
+        b.iter(|| black_box(run_campaign(&config).expect("campaign run")))
     });
 }
 
@@ -88,6 +83,6 @@ fn bench_dispatch_overhead(c: &mut Criterion) {
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_matrix, bench_campaign_cache, bench_dispatch_overhead
+    targets = bench_matrix, bench_campaign, bench_dispatch_overhead
 }
 criterion_main!(benches);

@@ -7,12 +7,10 @@
 
 use crate::device::{check_request, BlockDevice, BLOCK_SIZE};
 use crate::error::IoError;
-use deepnote_acoustics::{OperatingPoint, TransferPathTable};
 use deepnote_hdd::{DiskOp, HardDiskDrive, VibrationInput};
 use deepnote_sim::{Clock, SimTime};
 use deepnote_telemetry::{Layer, Tracer, Value};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// A block device backed by the mechanical drive model.
 ///
@@ -37,11 +35,6 @@ pub struct HddDisk {
     write_errors: u64,
     tracer: Tracer,
     track: u32,
-    /// Precomputed servo residuals for steady-state tones, plus the
-    /// operating-point template (distance/water/context of this disk's
-    /// position) the lookup key is minted from. See
-    /// [`HddDisk::set_transfer_cache`].
-    transfer: Option<(Arc<TransferPathTable<f64>>, OperatingPoint)>,
 }
 
 impl HddDisk {
@@ -54,7 +47,6 @@ impl HddDisk {
             write_errors: 0,
             tracer: Tracer::disabled(),
             track: 0,
-            transfer: None,
         }
     }
 
@@ -103,31 +95,13 @@ impl HddDisk {
         self.track = track;
     }
 
-    /// Installs a precomputed servo-residual table for this disk's
-    /// position. `at` is the operating-point template (the disk's
-    /// distance, water, and context); lookups substitute the current
-    /// vibration's frequency into it. Trace annotations then answer
-    /// steady-state tones from the table instead of re-walking the
-    /// servo response per traced op — with a bit-identical fallback on
-    /// misses, so traces are unchanged either way.
-    pub fn set_transfer_cache(&mut self, table: Arc<TransferPathTable<f64>>, at: OperatingPoint) {
-        self.transfer = Some((table, at));
-    }
-
-    /// Residual off-track (nm) under the current vibration: cached for
-    /// precomputed tones, recomputed otherwise, `0.0` when quiescent.
+    /// Residual off-track (nm) under the current vibration, `0.0` when
+    /// quiescent.
     pub fn residual_offtrack_nm(&self) -> f64 {
         let Some(v) = self.drive.vibration().current() else {
             return 0.0;
         };
-        match &self.transfer {
-            Some((table, at)) => self.drive.servo().residual_offtrack_cached(
-                table,
-                &at.with_frequency(v.frequency()),
-                &v,
-            ),
-            None => self.drive.servo().residual_offtrack_nm(&v),
-        }
+        self.drive.servo().residual_offtrack_nm(&v)
     }
 
     /// One degraded or failed mechanical op, as an hdd-layer span from

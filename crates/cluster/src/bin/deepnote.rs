@@ -46,7 +46,7 @@ impl Args {
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if a == "--tsv" || a == "--quick" || a == "--no-transfer-cache" {
+            if a == "--tsv" || a == "--quick" {
                 flags.push((a[2..].to_string(), "true".to_string()));
                 continue;
             }
@@ -123,7 +123,6 @@ COMMANDS:
                [--clients N] [--shards N] [--seed S]
                [--chaos off|transient|corruption|full] [--json FILE]
                [--trace FILE] [--metrics-interval 100ms]
-               [--no-transfer-cache]
                with --chaos, each placement runs twice: full defense
                stack (checksums, scrub, read repair, resilient client)
                vs the naive one-shot quorum path; --trace writes a
@@ -284,9 +283,6 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
                 c.cluster.num_shards = args.get("shards", c.cluster.num_shards)?;
                 c.telemetry.trace = trace_path.is_some();
                 c.telemetry.metrics_interval = metrics_interval;
-                // Pure performance: byte-identical reports either way
-                // (the CI perf job proves it on the JSON artifacts).
-                c.transfer_cache = !args.has("no-transfer-cache");
                 Ok(c)
             };
             let placements = match placement.as_str() {
@@ -507,30 +503,10 @@ fn perf_campaign_configs(seconds: u64) -> Vec<CampaignConfig> {
     configs
 }
 
-/// Proves the transfer-path cache is pure performance: a campaign run
-/// with the cache on must render and serialize byte-identically to the
-/// same campaign with the cache off.
-fn verify_cache_identity(seconds: u64) -> Result<(), String> {
-    let cached =
-        CampaignConfig::paper_duel(PlacementPolicy::Separated, SimDuration::from_secs(seconds));
-    let mut uncached = cached.clone();
-    uncached.transfer_cache = false;
-    let a = run_campaign(&cached).map_err(|e| format!("cached campaign failed: {e}"))?;
-    let b = run_campaign(&uncached).map_err(|e| format!("uncached campaign failed: {e}"))?;
-    if a.render() != b.render() || a.to_json() != b.to_json() {
-        return Err(
-            "transfer-path cache changed campaign output: cache-on and cache-off \
-             reports must be byte-identical"
-                .to_string(),
-        );
-    }
-    Ok(())
-}
-
 /// The `perf` subcommand: times the canonical workloads (Table 1 range
 /// matrix, Figure 2 sweep, the chaos+telemetry campaign matrix) on the
-/// experiment pool against an in-process single-thread baseline, checks
-/// the cache byte-identity invariant, and writes `BENCH_perf.json`.
+/// experiment pool against an in-process single-thread baseline and
+/// writes `BENCH_perf.json`.
 fn run_perf(args: &Args) -> Result<(), String> {
     let quick = args.has("quick");
     let iters: usize = args.get("iters", if quick { 3 } else { 5 })?;
@@ -542,9 +518,6 @@ fn run_perf(args: &Args) -> Result<(), String> {
     let (table_secs, campaign_secs) = if quick { (2, 20) } else { (5, 60) };
 
     eprintln!("perf: {threads} pool thread(s), {iters} iteration(s) per mode");
-    eprintln!("perf: checking transfer-cache byte identity...");
-    verify_cache_identity(campaign_secs.min(20))?;
-    eprintln!("perf: cache-on and cache-off reports are byte-identical");
 
     let rows = vec![
         measure("tab1_range_matrix", iters, || {
@@ -584,7 +557,7 @@ fn run_perf(args: &Args) -> Result<(), String> {
         .join(",");
     let json = format!(
         "{{\"schema\":\"deepnote-perf/1\",\"threads\":{threads},\"iterations\":{iters},\
-         \"quick\":{quick},\"cache_identity\":\"ok\",\"workloads\":[{body}]}}\n"
+         \"quick\":{quick},\"workloads\":[{body}]}}\n"
     );
     std::fs::write(&json_path, json).map_err(|e| format!("writing {json_path}: {e}"))?;
     eprintln!("wrote perf report to {json_path}");

@@ -108,10 +108,6 @@ pub struct CampaignConfig {
     pub verify_responses: bool,
     /// Tracing, metrics scraping, and SLO alerting knobs.
     pub telemetry: TelemetryConfig,
-    /// Precompute the acoustic transfer path for every tone the
-    /// timeline can mount (on in every stock config). Pure performance:
-    /// reports are byte-identical either way, enforced by test.
-    pub transfer_cache: bool,
     /// Root RNG seed; fixes every client stream.
     pub seed: u64,
 }
@@ -136,7 +132,6 @@ impl CampaignConfig {
             scrub_batch: 8,
             verify_responses: false,
             telemetry: TelemetryConfig::default(),
-            transfer_cache: true,
             seed: deepnote_sim::rng::DEFAULT_SEED,
         }
     }
@@ -403,15 +398,6 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     let mut chaos_rng = SimRng::seeded(config.seed ^ CHAOS_SALT);
     let mut cluster = Cluster::with_chaos(config.cluster.clone(), &config.chaos, &mut chaos_rng)?;
     cluster.provision(&spec)?;
-    if config.transfer_cache {
-        // The driver only retunes at phase boundaries and heartbeats, so
-        // the set of mountable tones is finite and known up front.
-        cluster.precompute_transfer(
-            &config
-                .timeline
-                .tone_frequencies(config.cluster.health.heartbeat_every),
-        );
-    }
     // Telemetry attaches after provisioning so preload traffic (off the
     // cluster timeline) never lands in the trace.
     let tracer = if config.telemetry.trace {
@@ -698,19 +684,6 @@ mod tests {
         ]);
         assert_eq!(results.len(), 2);
         assert!(results.iter().all(|r| r.is_ok()));
-    }
-
-    #[test]
-    fn transfer_cache_reports_are_byte_identical() {
-        let cached = short_config(PlacementPolicy::CoLocated);
-        assert!(cached.transfer_cache);
-        let mut uncached = cached.clone();
-        uncached.transfer_cache = false;
-        let a = run_campaign(&cached).expect("cached campaign");
-        let b = run_campaign(&uncached).expect("uncached campaign");
-        assert_eq!(a.render(), b.render());
-        assert_eq!(a.events, b.events);
-        assert_eq!(format!("{:?}", a.metrics), format!("{:?}", b.metrics));
     }
 
     #[test]

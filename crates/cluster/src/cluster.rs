@@ -18,11 +18,10 @@ use crate::replication::{
     ReplicationConfig,
 };
 use crate::workload::WorkloadSpec;
-use deepnote_acoustics::{Distance, Frequency, OperatingPoint};
+use deepnote_acoustics::Frequency;
 use deepnote_blockdev::{ChaosEvent, ChaosStats};
 use deepnote_core::testbed::Testbed;
 use deepnote_core::threat::AttackParams;
-use deepnote_hdd::VibrationState;
 use deepnote_kv::DbConfig;
 use deepnote_sim::{SimDuration, SimRng, SimTime};
 use deepnote_structures::Scenario;
@@ -274,44 +273,6 @@ impl Cluster {
         Ok(())
     }
 
-    /// Precomputes the acoustic transfer path for every steady-state
-    /// tone in `frequencies`, at every node's position: the testbed gets
-    /// a received-SPL/displacement table (so retunes, SPL queries, and
-    /// trace annotations stop re-walking the physics chain), and every
-    /// node's drive gets a servo-residual table (so metrics probes and
-    /// degraded-I/O traces answer from a lookup). Tables store exactly
-    /// what the uncached paths compute, so campaign reports are
-    /// byte-identical with or without this call — it only changes how
-    /// fast they are produced. Call after [`Cluster::with_chaos`] /
-    /// [`Cluster::provision`], once the tone set is known.
-    pub fn precompute_transfer(&mut self, frequencies: &[Frequency]) {
-        if frequencies.is_empty() {
-            return;
-        }
-        let distances: Vec<Distance> = self.nodes.iter().map(StorageNode::position).collect();
-        self.testbed = self
-            .testbed
-            .clone()
-            .with_transfer_cache(frequencies, &distances);
-        for n in 0..self.nodes.len() {
-            let position = self.nodes[n].position();
-            // The template carries the position/water/scenario part of
-            // the key; lookups mint per-tone keys by substituting the
-            // live frequency.
-            let template = self.testbed.operating_point(frequencies[0], position);
-            let tones: Vec<(OperatingPoint, VibrationState)> = frequencies
-                .iter()
-                .map(|&f| {
-                    (
-                        self.testbed.operating_point(f, position),
-                        self.testbed.vibration_at(f, position),
-                    )
-                })
-                .collect();
-            self.nodes[n].install_transfer_cache(template, &tones);
-        }
-    }
-
     /// Retunes (or silences) the speaker at cluster time `now`: every
     /// node receives the vibration for its own distance. With a tracer
     /// attached, each node's received tone (SPL, residual off-track)
@@ -321,28 +282,22 @@ impl Cluster {
             return;
         }
         self.current_attack = frequency;
+        // One tone reaches every node: evaluate its frequency terms once.
+        let tone = frequency.map(|f| self.testbed.at_frequency(f));
         for n in 0..self.nodes.len() {
             let node = &self.nodes[n];
-            match frequency {
-                Some(f) => self.testbed.mount_attack(
-                    node.vibration(),
-                    AttackParams {
-                        frequency: f,
-                        distance: node.position(),
-                    },
-                ),
+            match &tone {
+                Some(tone) => node
+                    .vibration()
+                    .set(Some(tone.vibration_at(node.position()))),
                 None => self.testbed.stop_attack(node.vibration()),
             }
             if !self.tracer.enabled(Layer::Acoustics) {
                 continue;
             }
-            match frequency {
-                Some(f) => {
-                    let node = &self.nodes[n];
-                    let spl = self.testbed.received_spl(AttackParams {
-                        frequency: f,
-                        distance: node.position(),
-                    });
+            match &tone {
+                Some(tone) => {
+                    let spl = tone.received_spl(node.position());
                     // The vibration input is already mounted: the probe
                     // reads the servo's response to this very tone.
                     let offtrack_nm = node.probe().offtrack_nm;
@@ -353,7 +308,7 @@ impl Cluster {
                         now,
                         vec![
                             ("node", Value::U64(n as u64)),
-                            ("freq_hz", Value::F64(f.hz())),
+                            ("freq_hz", Value::F64(tone.frequency().hz())),
                             ("spl_db", Value::F64(spl.db())),
                             ("offtrack_nm", Value::F64(offtrack_nm)),
                         ],

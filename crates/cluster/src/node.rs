@@ -18,13 +18,12 @@
 
 use crate::chaos::ChaosProfile;
 use crate::error::ClusterError;
-use deepnote_acoustics::{Distance, OperatingPoint, TransferPathTable};
+use deepnote_acoustics::Distance;
 use deepnote_blockdev::{BlockDevice, ChaosEvent, ChaosInjector, ChaosPlan, ChaosStats, HddDisk};
-use deepnote_hdd::{VibrationInput, VibrationState};
+use deepnote_hdd::VibrationInput;
 use deepnote_kv::{Db, DbConfig};
 use deepnote_sim::{Clock, SimDuration, SimRng, SimTime};
 use deepnote_telemetry::Tracer;
-use std::sync::Arc;
 
 /// A node's drive: the mechanical model behind a seeded fault injector.
 pub type ChaosDisk = ChaosInjector<HddDisk>;
@@ -135,11 +134,6 @@ pub struct StorageNode {
     devices_built: u64,
     /// Shared trace sink; re-applied to the engine after every swap.
     tracer: Tracer,
-    /// Precomputed servo residuals for the campaign's steady-state
-    /// tones at this node's position, plus the operating-point template
-    /// lookup keys are minted from. Re-applied to the drive after every
-    /// swap, exactly like the tracer.
-    transfer: Option<(Arc<TransferPathTable<f64>>, OperatingPoint)>,
 }
 
 impl StorageNode {
@@ -212,7 +206,6 @@ impl StorageNode {
             retired_chaos: ChaosStats::default(),
             devices_built,
             tracer: Tracer::disabled(),
-            transfer: None,
         })
     }
 
@@ -300,50 +293,6 @@ impl StorageNode {
             Engine::Stopped(dev) => {
                 dev.set_tracer(self.tracer.clone(), track);
                 dev.inner_mut().set_tracer(self.tracer.clone(), track);
-            }
-            Engine::Swapping => {}
-        }
-    }
-
-    /// Installs a precomputed transfer-path cache: `at` is the
-    /// operating-point template for this node's position (lookup keys
-    /// substitute the live tone's frequency into it) and `tones` the
-    /// steady-state operating points the campaign will mount, paired
-    /// with the chassis vibration each one produces here. The node
-    /// builds the servo-residual table from its current drive and keeps
-    /// re-applying it across crashes and drive swaps, exactly like the
-    /// tracer. Values are whatever the uncached path computes, so
-    /// probes and traces are byte-identical with or without the cache.
-    pub fn install_transfer_cache(
-        &mut self,
-        at: OperatingPoint,
-        tones: &[(OperatingPoint, VibrationState)],
-    ) {
-        let Some(dev) = self.device() else {
-            return; // transient Swapping state; unreachable from callers
-        };
-        let table = dev
-            .inner()
-            .drive()
-            .servo()
-            .residual_table(tones.iter().copied());
-        self.transfer = Some((Arc::new(table), at));
-        self.apply_transfer_cache();
-    }
-
-    /// Pushes the transfer-path cache down to the current drive.
-    fn apply_transfer_cache(&mut self) {
-        let Some((table, at)) = &self.transfer else {
-            return;
-        };
-        let (table, at) = (table.clone(), *at);
-        match &mut self.engine {
-            Engine::Running(db) => {
-                let dev = db.filesystem_mut().device_mut();
-                dev.inner_mut().set_transfer_cache(table, at);
-            }
-            Engine::Stopped(dev) => {
-                dev.inner_mut().set_transfer_cache(table, at);
             }
             Engine::Swapping => {}
         }
@@ -624,7 +573,6 @@ impl StorageNode {
                         self.vibration = vibration;
                         self.engine = Engine::Stopped(blank);
                         self.apply_tracer();
-                        self.apply_transfer_cache();
                         self.counters.failed_restarts += 1;
                         let spent = self.clock.now().saturating_duration_since(t0);
                         self.busy_until = start + spent;
@@ -635,9 +583,8 @@ impl StorageNode {
             }
         };
         // A restart rebuilt the engine (and possibly the drive): the new
-        // stack needs the tracer and transfer cache re-attached.
+        // stack needs the tracer re-attached.
         self.apply_tracer();
-        self.apply_transfer_cache();
         let spent = self.clock.now().saturating_duration_since(t0);
         self.busy_until = start + spent;
         self.counters.restarts += 1;

@@ -128,9 +128,8 @@ impl AttackTimeline {
     /// Every frequency the campaign driver will ever mount when it
     /// re-applies this timeline at `step` granularity: the tone at each
     /// phase boundary plus at every `step` tick (the driver retunes on
-    /// phase changes and heartbeats, never in between). This is the
-    /// operating set a transfer-path cache precomputes at setup.
-    /// Deduplicated bit-exactly, first occurrence kept.
+    /// phase changes and heartbeats, never in between). Deduplicated
+    /// bit-exactly, first occurrence kept.
     pub fn tone_frequencies(&self, step: SimDuration) -> Vec<Frequency> {
         let mut bits: Vec<u64> = Vec::new();
         let mut out: Vec<Frequency> = Vec::new();

@@ -10,7 +10,8 @@ use crate::testbed::Testbed;
 use crate::threat::AttackParams;
 use deepnote_blockdev::HddDisk;
 use deepnote_fs::{Filesystem, FsError};
-use deepnote_kv::{bench::BenchSpec, Db, DbError};
+use deepnote_kv::bench::{write_key, write_value, BenchSpec};
+use deepnote_kv::{Db, DbError};
 use deepnote_os::{OsState, ServerOs};
 use deepnote_sim::{Clock, SimDuration};
 use deepnote_structures::Scenario;
@@ -149,14 +150,17 @@ pub fn rocksdb_crash(testbed: &Testbed) -> CrashRow {
     };
     deepnote_kv::bench::fill_seq(&mut db, &spec).expect("load phase");
 
-    // Warm-up traffic.
+    // Warm-up traffic. Keys and values are rewritten into two reused
+    // buffers: one put+get pair would otherwise allocate three times.
+    let (mut key, mut value) = (Vec::new(), Vec::new());
     let mut rng = deepnote_sim::SimRng::seeded(7);
     while clock.now().as_secs_f64() < WARMUP.as_secs_f64() {
         let i = rng.below(spec.num_keys);
-        db.put(&spec.key(i), &spec.value(i)).expect("healthy phase");
-        let _ = db
-            .get(&spec.key(rng.below(spec.num_keys)))
-            .expect("healthy phase");
+        write_key(&mut key, i, spec.key_size);
+        write_value(&mut value, i, spec.value_size);
+        db.put(&key, &value).expect("healthy phase");
+        write_key(&mut key, rng.below(spec.num_keys), spec.key_size);
+        let _ = db.get(&key).expect("healthy phase");
     }
     let attack_start = clock.now();
     testbed.mount_attack(&vibration, AttackParams::paper_best());
@@ -166,9 +170,14 @@ pub fn rocksdb_crash(testbed: &Testbed) -> CrashRow {
     let mut error = String::new();
     while clock.now() < deadline {
         let i = rng.below(spec.num_keys);
+        write_key(&mut key, i, spec.key_size);
+        write_value(&mut value, i, spec.value_size);
         let step: Result<(), DbError> = db
-            .put(&spec.key(i), &spec.value(i))
-            .and_then(|()| db.get(&spec.key(rng.below(spec.num_keys))).map(|_| ()))
+            .put(&key, &value)
+            .and_then(|()| {
+                write_key(&mut key, rng.below(spec.num_keys), spec.key_size);
+                db.get(&key).map(|_| ())
+            })
             .and_then(|()| db.tick());
         if let Err(e) = step {
             if e.is_fatal() {

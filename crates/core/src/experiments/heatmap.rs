@@ -13,6 +13,7 @@ use deepnote_hdd::{
     steady_state, DiskOpKind, DriveGeometry, ServoModel, TimingModel, ToleranceModel,
 };
 use serde::{Deserialize, Serialize};
+use std::fmt::Write;
 
 /// The computed surface.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -59,10 +60,16 @@ impl Heatmap {
 
     /// Renders the surface as TSV (`frequency<TAB>distance<TAB>value`).
     pub fn to_tsv(&self) -> String {
-        let mut out = String::from("# frequency_hz\tdistance_cm\twrite_mb_s\n");
+        const HEADER: &str = "# frequency_hz\tdistance_cm\twrite_mb_s\n";
+        /// Typical bytes per rendered cell, to size the buffer once.
+        const CELL_BYTES: usize = 32;
+        let cells = self.frequencies_hz.len() * self.distances_cm.len();
+        let mut out = String::with_capacity(HEADER.len() + cells * CELL_BYTES);
+        out.push_str(HEADER);
         for (r, &hz) in self.frequencies_hz.iter().enumerate() {
             for (c, &cm) in self.distances_cm.iter().enumerate() {
-                out.push_str(&format!("{hz}\t{cm}\t{:.3}\n", self.values[r][c]));
+                // Writing to a `String` cannot fail.
+                let _ = writeln!(out, "{hz}\t{cm}\t{:.3}", self.values[r][c]);
             }
         }
         out
@@ -87,10 +94,11 @@ pub fn compute(testbed: &Testbed, frequencies_hz: Vec<f64>, distances_cm: Vec<f6
     let values = frequencies_hz
         .iter()
         .map(|&hz| {
+            let tone = testbed.at_frequency(Frequency::from_hz(hz));
             distances_cm
                 .iter()
                 .map(|&cm| {
-                    let v = testbed.vibration_at(Frequency::from_hz(hz), Distance::from_cm(cm));
+                    let v = tone.vibration_at(Distance::from_cm(cm));
                     steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write)
                         .throughput_mb_s
                 })
@@ -167,6 +175,22 @@ mod tests {
         let tsv = m.to_tsv();
         assert_eq!(tsv.lines().count(), 3); // header + 2 cells
         assert!(tsv.contains("650\t1\t0.000"), "{tsv}");
+    }
+
+    #[test]
+    fn tsv_matches_per_cell_format_rendering() {
+        let m = compute(
+            &Testbed::paper_default(Scenario::PlasticTower),
+            vec![100.0, 650.0, 1_234.5],
+            vec![0.5, 1.0, 12.25, 50.0],
+        );
+        let mut expected = String::from("# frequency_hz\tdistance_cm\twrite_mb_s\n");
+        for (r, &hz) in m.frequencies_hz.iter().enumerate() {
+            for (c, &cm) in m.distances_cm.iter().enumerate() {
+                expected.push_str(&format!("{hz}\t{cm}\t{:.3}\n", m.values[r][c]));
+            }
+        }
+        assert_eq!(m.to_tsv(), expected);
     }
 
     #[test]

@@ -119,16 +119,17 @@ impl Fleet {
         let tol = ToleranceModel::typical();
         let baseline =
             steady_state(&geo, &timing, &servo, &tol, None, 8, DiskOpKind::Write).throughput_mb_s;
+        // One tone at every position: evaluate its frequency terms once.
+        let tone = self.testbed.at_frequency(params.frequency);
 
         let jobs: Vec<_> = self
             .positions
             .iter()
             .enumerate()
             .map(|(index, &pos)| {
-                let (testbed, geo, timing, servo, tol) =
-                    (&self.testbed, &geo, &timing, &servo, &tol);
+                let (tone, geo, timing, servo, tol) = (&tone, &geo, &timing, &servo, &tol);
                 move || {
-                    let v = testbed.vibration_at(params.frequency, pos);
+                    let v = tone.vibration_at(pos);
                     let ss = steady_state(geo, timing, servo, tol, Some(&v), 8, DiskOpKind::Write);
                     let impact = Impact::classify(ss.responsive(), ss.throughput_mb_s, baseline);
                     DriveImpact {

@@ -48,7 +48,7 @@ pub mod threat;
 pub use defense::{Defense, DefenseOutcome};
 pub use detect::{AttackDetector, DetectorConfig, Verdict};
 pub use fleet::{Fleet, FleetReport};
-pub use testbed::Testbed;
+pub use testbed::{Testbed, TestbedTone};
 pub use threat::{AttackObjective, AttackParams, Attacker};
 
 /// Convenience re-exports: everything needed to script an attack study.
@@ -57,7 +57,7 @@ pub mod prelude {
     pub use crate::detect::{AttackDetector, DetectorConfig, Verdict};
     pub use crate::experiments;
     pub use crate::fleet::{Fleet, FleetReport};
-    pub use crate::testbed::Testbed;
+    pub use crate::testbed::{Testbed, TestbedTone};
     pub use crate::threat::{AttackObjective, AttackParams, Attacker};
     pub use deepnote_acoustics::prelude::*;
     pub use deepnote_blockdev::{BlockDevice, HddDisk};

@@ -8,22 +8,10 @@
 
 use crate::threat::AttackParams;
 use deepnote_acoustics::{
-    received_spl_with, Distance, Frequency, OperatingPoint, PropagationModel, SignalChain, Spl,
-    TransferPathTable, WaterConditions,
+    Distance, Frequency, PropagationModel, SignalChain, Spl, TonePropagation, WaterConditions,
 };
 use deepnote_hdd::{VibrationInput, VibrationState};
-use deepnote_structures::{Scenario, VibrationPath};
-use std::sync::Arc;
-
-/// What the transfer path produces at one operating point: the received
-/// SPL at the enclosure and the chassis displacement it drives.
-#[derive(Debug, Clone, Copy)]
-pub struct CachedTone {
-    /// Received SPL at the enclosure wall.
-    pub spl: Spl,
-    /// Chassis displacement amplitude (µm) after the vibration path.
-    pub displacement_um: f64,
-}
+use deepnote_structures::{PathResponse, Scenario, VibrationPath};
 
 /// The assembled tank-scale testbed.
 #[derive(Debug, Clone)]
@@ -33,10 +21,6 @@ pub struct Testbed {
     propagation: PropagationModel,
     scenario: Scenario,
     path: VibrationPath,
-    /// Optional precomputed transfer-path table (see
-    /// [`Testbed::with_transfer_cache`]). `None` means every call walks
-    /// the full physics chain.
-    transfer: Option<Arc<TransferPathTable<CachedTone>>>,
 }
 
 impl Testbed {
@@ -49,7 +33,6 @@ impl Testbed {
             propagation: PropagationModel::TankReverberant,
             scenario,
             path: scenario.vibration_path(),
-            transfer: None,
         }
     }
 
@@ -67,7 +50,6 @@ impl Testbed {
             propagation,
             scenario,
             path,
-            transfer: None,
         }
     }
 
@@ -92,128 +74,63 @@ impl Testbed {
     }
 
     /// Returns a copy with different water (the §5 water-conditions
-    /// ablation). Drops any transfer cache — the old table's values no
-    /// longer describe this testbed; re-install it last.
+    /// ablation).
     pub fn with_water(mut self, water: WaterConditions) -> Self {
         self.water = water;
-        self.transfer = None;
         self
     }
 
     /// Returns a copy with a different signal chain (e.g. a military
-    /// projector). Drops any transfer cache.
+    /// projector).
     pub fn with_chain(mut self, chain: SignalChain) -> Self {
         self.chain = chain;
-        self.transfer = None;
         self
     }
 
     /// Returns a copy with a different propagation model (open-water
-    /// studies). Drops any transfer cache.
+    /// studies).
     pub fn with_propagation(mut self, model: PropagationModel) -> Self {
         self.propagation = model;
-        self.transfer = None;
         self
     }
 
-    /// Returns a copy with a modified vibration path (defenses). Drops
-    /// any transfer cache.
+    /// Returns a copy with a modified vibration path (defenses).
     pub fn with_vibration_path(mut self, path: VibrationPath) -> Self {
         self.path = path;
-        self.transfer = None;
         self
     }
 
-    /// Precomputes the transfer path at every `frequency` × `distance`
-    /// pair and returns a copy that answers those operating points from
-    /// the table. Lookups are bit-exact (see
-    /// [`deepnote_acoustics::cache`]); any other operating point falls
-    /// back to the full physics chain, and the table entries are
-    /// produced by that same chain, so results are byte-identical with
-    /// the cache on or off. Install this *after* the other builder
-    /// methods — they drop the table.
-    pub fn with_transfer_cache(
-        mut self,
-        frequencies: &[Frequency],
-        distances: &[Distance],
-    ) -> Self {
-        let points = frequencies
-            .iter()
-            .flat_map(|&f| distances.iter().map(move |&d| (f, d)));
-        let table =
-            TransferPathTable::precompute(points.map(|(f, d)| self.operating_point(f, d)), |p| {
-                self.compute_tone(p.frequency(), p.distance())
-            });
-        self.transfer = Some(Arc::new(table));
-        self
-    }
-
-    /// Returns a copy with no transfer cache (every call recomputes).
-    pub fn without_transfer_cache(mut self) -> Self {
-        self.transfer = None;
-        self
-    }
-
-    /// The installed transfer table, if any — share it (or derive
-    /// consumer tables from its operating points) at campaign setup.
-    pub fn transfer_cache(&self) -> Option<&Arc<TransferPathTable<CachedTone>>> {
-        self.transfer.as_ref()
-    }
-
-    /// The cache key for an attack tone against this testbed: the
-    /// acoustic coordinates plus the scenario as the context
-    /// discriminant (the vibration path is a pure function of the
-    /// scenario for the paper's testbeds).
-    pub fn operating_point(&self, frequency: Frequency, distance: Distance) -> OperatingPoint {
-        OperatingPoint::new(frequency, distance, &self.water, self.scenario as u64)
-    }
-
-    /// The transfer-path output for one tone: table hit when
-    /// precomputed, full physics chain otherwise.
-    fn tone(&self, frequency: Frequency, distance: Distance) -> CachedTone {
-        if let Some(table) = &self.transfer {
-            if let Some(tone) = table.get(&self.operating_point(frequency, distance)) {
-                return *tone;
-            }
+    /// The testbed driven at `frequency`: the transfer path with every
+    /// term that does not depend on distance already evaluated. Sweeps
+    /// over many distances at one frequency build this once.
+    pub fn at_frequency(&self, frequency: Frequency) -> TestbedTone {
+        TestbedTone {
+            frequency,
+            propagation: self.tone_propagation(frequency),
+            path: self.path.at_frequency(frequency),
         }
-        self.compute_tone(frequency, distance)
     }
 
-    /// The uncached received-SPL chain — the single source of truth
-    /// for both the precompute pass and the miss paths.
-    fn compute_spl(&self, frequency: Frequency, distance: Distance) -> Spl {
-        let emission = self.chain.retuned(frequency).emission();
-        received_spl_with(&emission, distance, &self.water, self.propagation)
-    }
-
-    /// The uncached transfer path: received SPL, then the chassis
-    /// displacement the vibration path drives from it.
-    fn compute_tone(&self, frequency: Frequency, distance: Distance) -> CachedTone {
-        let spl = self.compute_spl(frequency, distance);
-        let displacement_um = self.path.drive_displacement_um(frequency, spl);
-        CachedTone {
-            spl,
-            displacement_um,
-        }
+    /// The acoustic half of [`Self::at_frequency`].
+    fn tone_propagation(&self, frequency: Frequency) -> TonePropagation {
+        TonePropagation::new(
+            &self.chain.emission_at(frequency),
+            &self.water,
+            self.propagation,
+        )
     }
 
     /// The SPL received at the enclosure for an attack at `frequency`
     /// from `distance`.
     pub fn received_spl(&self, params: AttackParams) -> Spl {
-        if let Some(table) = &self.transfer {
-            if let Some(tone) = table.get(&self.operating_point(params.frequency, params.distance))
-            {
-                return tone.spl;
-            }
-        }
-        self.compute_spl(params.frequency, params.distance)
+        self.tone_propagation(params.frequency)
+            .received_spl(params.distance)
     }
 
     /// The chassis vibration the victim drive experiences under the given
     /// attack parameters.
     pub fn vibration_at(&self, frequency: Frequency, distance: Distance) -> VibrationState {
-        let displacement_um = self.tone(frequency, distance).displacement_um;
-        VibrationState::new(frequency, displacement_um)
+        self.at_frequency(frequency).vibration_at(distance)
     }
 
     /// Starts (or retunes) an attack on a drive's vibration input.
@@ -224,6 +141,33 @@ impl Testbed {
     /// Stops any attack on the input.
     pub fn stop_attack(&self, input: &VibrationInput) {
         input.clear();
+    }
+}
+
+/// A [`Testbed`] driven at one frequency (see [`Testbed::at_frequency`]).
+#[derive(Debug, Clone, Copy)]
+pub struct TestbedTone {
+    frequency: Frequency,
+    propagation: TonePropagation,
+    path: PathResponse,
+}
+
+impl TestbedTone {
+    /// The attack frequency.
+    pub fn frequency(&self) -> Frequency {
+        self.frequency
+    }
+
+    /// The SPL received at the enclosure from `distance`.
+    pub fn received_spl(&self, distance: Distance) -> Spl {
+        self.propagation.received_spl(distance)
+    }
+
+    /// The chassis vibration the victim drive experiences from
+    /// `distance`.
+    pub fn vibration_at(&self, distance: Distance) -> VibrationState {
+        let displacement_um = self.path.displacement_um(self.received_spl(distance));
+        VibrationState::new(self.frequency, displacement_um)
     }
 }
 
@@ -275,42 +219,25 @@ mod tests {
     }
 
     #[test]
-    fn transfer_cache_is_byte_identical_hit_or_miss() {
-        let plain = Testbed::paper_default(Scenario::PlasticTower);
-        let freqs = [Frequency::from_hz(650.0), Frequency::from_khz(1.2)];
-        let dists = [Distance::from_cm(1.0), Distance::from_cm(25.0)];
-        let cached = plain.clone().with_transfer_cache(&freqs, &dists);
-        assert_eq!(cached.transfer_cache().map(|t| t.len()), Some(4));
-
-        // Precomputed points (hits) and an unseen point (miss) must both
-        // reproduce the uncached physics to the bit.
-        let probes = [
-            (freqs[0], dists[0]),
-            (freqs[1], dists[1]),
-            (Frequency::from_hz(777.0), Distance::from_cm(7.0)),
-        ];
-        for (f, d) in probes {
-            let a = plain.vibration_at(f, d);
-            let b = cached.vibration_at(f, d);
-            assert_eq!(a.displacement_nm().to_bits(), b.displacement_nm().to_bits());
-            let params = AttackParams {
-                frequency: f,
-                distance: d,
-            };
-            assert_eq!(
-                plain.received_spl(params).db().to_bits(),
-                cached.received_spl(params).db().to_bits()
-            );
+    fn tone_rows_match_per_point_calls_bit_for_bit() {
+        let tb = Testbed::paper_default(Scenario::PlasticTower);
+        for hz in [120.0, 650.0, 1_234.5] {
+            let f = Frequency::from_hz(hz);
+            let tone = tb.at_frequency(f);
+            assert_eq!(tone.frequency().hz(), hz);
+            for cm in [0.5, 1.0, 7.0, 49.0] {
+                let d = Distance::from_cm(cm);
+                let params = AttackParams::paper_best().at_frequency(f).at_distance(d);
+                assert_eq!(
+                    tone.vibration_at(d).displacement_um().to_bits(),
+                    tb.vibration_at(f, d).displacement_um().to_bits()
+                );
+                assert_eq!(
+                    tone.received_spl(d).db().to_bits(),
+                    tb.received_spl(params).db().to_bits()
+                );
+            }
         }
-    }
-
-    #[test]
-    fn builder_methods_drop_stale_transfer_cache() {
-        let cached = Testbed::paper_default(Scenario::PlasticTower)
-            .with_transfer_cache(&[Frequency::from_hz(650.0)], &[Distance::from_cm(5.0)]);
-        assert!(cached.transfer_cache().is_some());
-        let retuned = cached.with_propagation(PropagationModel::Spherical);
-        assert!(retuned.transfer_cache().is_none());
     }
 
     #[test]

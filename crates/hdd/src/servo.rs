@@ -13,7 +13,7 @@
 //! I/O regardless of off-track margins.
 
 use crate::vibration::VibrationState;
-use deepnote_acoustics::{Frequency, OperatingPoint, TransferPathTable};
+use deepnote_acoustics::Frequency;
 use deepnote_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -171,39 +171,6 @@ impl ServoModel {
     pub fn triggers_shock_park(&self, vibration: &VibrationState) -> bool {
         vibration.acceleration_g() > self.shock_threshold_g
     }
-
-    /// Precomputes [`Self::residual_offtrack_nm`] for a set of
-    /// steady-state tones, keyed by their operating points. Campaign
-    /// setups build this once so metrics probes and trace annotations
-    /// cost a binary-search lookup instead of re-walking the servo
-    /// response per event.
-    pub fn residual_table(
-        &self,
-        tones: impl IntoIterator<Item = (OperatingPoint, VibrationState)>,
-    ) -> TransferPathTable<f64> {
-        TransferPathTable::build(
-            tones
-                .into_iter()
-                .map(|(point, v)| (point, self.residual_offtrack_nm(&v))),
-        )
-    }
-
-    /// The residual off-track amplitude (nm) for a tone, answered from
-    /// `table` when the operating point was precomputed and recomputed
-    /// from `vibration` otherwise. The table stores exactly what
-    /// [`Self::residual_offtrack_nm`] returns, so hit and miss are
-    /// bit-identical.
-    pub fn residual_offtrack_cached(
-        &self,
-        table: &TransferPathTable<f64>,
-        point: &OperatingPoint,
-        vibration: &VibrationState,
-    ) -> f64 {
-        match table.get(point) {
-            Some(&nm) => nm,
-            None => self.residual_offtrack_nm(vibration),
-        }
-    }
 }
 
 impl Default for ServoModel {
@@ -262,32 +229,6 @@ mod tests {
         // RV feed-forward (85 %) plus higher bandwidth: at least ~8x less.
         assert!(e < d / 8.0, "desktop {d} nm vs enterprise {e} nm");
         assert!((enterprise.rv_compensation() - 0.85).abs() < 1e-12);
-    }
-
-    #[test]
-    fn residual_table_hits_are_bit_identical_and_misses_fall_back() {
-        use deepnote_acoustics::{Distance, WaterConditions};
-        let servo = ServoModel::typical();
-        let water = WaterConditions::tank_freshwater();
-        let point = |hz: f64| {
-            OperatingPoint::new(Frequency::from_hz(hz), Distance::from_cm(5.0), &water, 1)
-        };
-        let tone = |hz: f64| VibrationState::new(Frequency::from_hz(hz), 0.3);
-        let table =
-            servo.residual_table([(point(650.0), tone(650.0)), (point(900.0), tone(900.0))]);
-        assert_eq!(table.len(), 2);
-        // Hit: exactly the precomputed bits.
-        let hit = servo.residual_offtrack_cached(&table, &point(650.0), &tone(650.0));
-        assert_eq!(
-            hit.to_bits(),
-            servo.residual_offtrack_nm(&tone(650.0)).to_bits()
-        );
-        // Miss: recomputed from the vibration, same bits as the direct path.
-        let miss = servo.residual_offtrack_cached(&table, &point(777.0), &tone(777.0));
-        assert_eq!(
-            miss.to_bits(),
-            servo.residual_offtrack_nm(&tone(777.0)).to_bits()
-        );
     }
 
     #[test]

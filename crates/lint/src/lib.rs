@@ -287,26 +287,27 @@ mod tests {
 
     #[test]
     fn perf_layer_modules_are_policed() {
-        // The transfer-path cache and the experiment pool exist to make
-        // the simulator fast *without* changing a single output byte,
-        // so they must sit inside the determinism regime: prove the
-        // scoping reaches them so a refactor cannot silently move the
-        // memoization or the dispatcher out of coverage.
+        // The per-frequency propagation split and the experiment pool
+        // exist to make the simulator fast *without* changing a single
+        // output byte, so they must sit inside the determinism regime:
+        // prove the scoping reaches them so a refactor cannot silently
+        // move the hoisted transfer path or the dispatcher out of
+        // coverage.
         let nondet = "use std::collections::HashMap;";
         let clocky = "pub fn f() -> std::time::Instant { std::time::Instant::now() }";
         let panicky = "pub fn f(x: Option<u32>) -> u32 { x.unwrap() }";
         for path in [
-            "crates/acoustics/src/cache.rs",
+            "crates/acoustics/src/propagation.rs",
             "crates/core/src/parallel.rs",
         ] {
             assert_eq!(run_on(path, nondet).len(), 1, "{path} nondet uncovered");
             assert_eq!(run_on(path, clocky).len(), 1, "{path} clock uncovered");
         }
-        // The cache is also serving-path library code: no panics.
+        // Propagation is also serving-path library code: no panics.
         assert_eq!(
-            run_on("crates/acoustics/src/cache.rs", panicky).len(),
+            run_on("crates/acoustics/src/propagation.rs", panicky).len(),
             1,
-            "acoustics cache panic uncovered"
+            "acoustics propagation panic uncovered"
         );
         // The perf harness lives in the `deepnote` binary, where the
         // panic rule does not apply but the determinism rules still do

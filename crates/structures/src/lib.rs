@@ -43,7 +43,7 @@ pub mod scenario;
 pub use enclosure::Enclosure;
 pub use material::Material;
 pub use mount::Mount;
-pub use path::VibrationPath;
+pub use path::{PathResponse, VibrationPath};
 pub use resonator::{Resonator, ResonatorBank};
 pub use scenario::Scenario;
 
@@ -52,7 +52,7 @@ pub mod prelude {
     pub use crate::enclosure::Enclosure;
     pub use crate::material::Material;
     pub use crate::mount::Mount;
-    pub use crate::path::VibrationPath;
+    pub use crate::path::{PathResponse, VibrationPath};
     pub use crate::resonator::{Resonator, ResonatorBank};
     pub use crate::scenario::Scenario;
 }

@@ -111,13 +111,44 @@ impl VibrationPath {
     ///
     /// Returns zero for a 0 Hz "signal" (static pressure).
     pub fn drive_displacement_um(&self, f: Frequency, incident: Spl) -> f64 {
-        if f.hz() <= 0.0 {
-            return 0.0;
+        self.at_frequency(f).displacement_um(incident)
+    }
+
+    /// The path's response at frequency `f`: every factor of
+    /// [`Self::drive_displacement_um`] except the incident pressure.
+    pub fn at_frequency(&self, f: Frequency) -> PathResponse {
+        let factors = if f.hz() <= 0.0 {
+            None
+        } else {
+            Some((
+                self.enclosure.wall_displacement_um_per_pa(f),
+                self.structural_gain(f),
+            ))
+        };
+        PathResponse {
+            factors,
+            coupling_efficiency: self.coupling_efficiency,
         }
-        let p = incident.pressure_pa();
-        p * self.enclosure.wall_displacement_um_per_pa(f)
-            * self.structural_gain(f)
-            * self.coupling_efficiency
+    }
+}
+
+/// A [`VibrationPath`] evaluated at one frequency, ready to turn any
+/// received level into chassis displacement.
+#[derive(Debug, Clone, Copy)]
+pub struct PathResponse {
+    /// Wall admittance (µm/Pa) and structural gain; `None` at 0 Hz.
+    factors: Option<(f64, f64)>,
+    coupling_efficiency: f64,
+}
+
+impl PathResponse {
+    /// Displacement amplitude (µm) induced at the drive chassis by a
+    /// received level `incident`; zero at 0 Hz.
+    pub fn displacement_um(&self, incident: Spl) -> f64 {
+        let Some((wall, gain)) = self.factors else {
+            return 0.0;
+        };
+        incident.pressure_pa() * wall * gain * self.coupling_efficiency
     }
 }
 
