@@ -26,14 +26,12 @@ use crate::report::{CampaignReport, EarlyWarning};
 use crate::timeline::AttackTimeline;
 use crate::workload::{ClientPool, WorkloadSpec};
 use deepnote_core::parallel::try_run_all;
-use deepnote_sim::{SimDuration, SimRng, SimTime};
+use deepnote_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use deepnote_telemetry::{
     BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, SloPolicy, Tracer, Value,
     CONTROL_TRACK,
 };
 use serde::{Deserialize, Serialize};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 
 /// Salt folded into the root seed for the chaos RNG tree, so adding
 /// fault injection never perturbs the client streams of a chaos-free
@@ -165,7 +163,7 @@ impl CampaignConfig {
 /// Event streams, in tie-break priority order at equal times: the phase
 /// boundary applies before the heartbeat that would probe under it, and
 /// control-plane work precedes client traffic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy)]
 enum EvKind {
     /// Enter timeline phase `i`.
     PhaseChange(usize),
@@ -186,6 +184,7 @@ enum EvKind {
 }
 
 impl EvKind {
+    /// The queue's tie-break at an equal instant: lower pops first.
     fn priority(&self) -> u8 {
         match self {
             EvKind::PhaseChange(_) => 0,
@@ -199,56 +198,9 @@ impl EvKind {
     }
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Ev {
-    at: SimTime,
-    prio: u8,
-    seq: u64,
-    kind: EvKind,
-}
-
-impl Ord for Ev {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.prio, self.seq).cmp(&(other.at, other.prio, other.seq))
-    }
-}
-
-impl PartialOrd for Ev {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-struct EventQueue {
-    heap: BinaryHeap<Reverse<Ev>>,
-    seq: u64,
-}
-
-impl EventQueue {
-    /// Pre-sizes the heap for its steady-state population: recurring
-    /// streams re-push themselves as they pop, so the live event count
-    /// stays near the number of streams for the whole campaign and the
-    /// heap never reallocates mid-loop.
-    fn with_capacity(cap: usize) -> Self {
-        EventQueue {
-            heap: BinaryHeap::with_capacity(cap),
-            seq: 0,
-        }
-    }
-
-    fn push(&mut self, at: SimTime, kind: EvKind) {
-        self.seq += 1;
-        self.heap.push(Reverse(Ev {
-            at,
-            prio: kind.priority(),
-            seq: self.seq,
-            kind,
-        }));
-    }
-
-    fn pop(&mut self) -> Option<Ev> {
-        self.heap.pop().map(|Reverse(ev)| ev)
-    }
+/// Schedules `kind` at `at` under its stream's tie-break priority.
+fn schedule(q: &mut EventQueue<EvKind>, at: SimTime, kind: EvKind) {
+    q.push(at, kind.priority(), kind);
 }
 
 /// Metric handles for one node, one per instrumented layer.
@@ -438,29 +390,33 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     let heartbeat_every = config.cluster.health.heartbeat_every;
     // Steady-state queue population: every phase change plus one slot
     // per recurring stream (heartbeat, repair, scrub, sample, scrape)
-    // and one per client.
+    // and one per client, so the heap never reallocates mid-loop.
     let mut q = EventQueue::with_capacity(config.timeline.phases().len() + 5 + pool.len());
     for i in 0..config.timeline.phases().len() {
-        q.push(config.timeline.phase_start(i), EvKind::PhaseChange(i));
+        schedule(
+            &mut q,
+            config.timeline.phase_start(i),
+            EvKind::PhaseChange(i),
+        );
     }
-    q.push(SimTime::ZERO, EvKind::Heartbeat);
-    q.push(SimTime::ZERO + config.repair_every, EvKind::Repair);
+    schedule(&mut q, SimTime::ZERO, EvKind::Heartbeat);
+    schedule(&mut q, SimTime::ZERO + config.repair_every, EvKind::Repair);
     if config.cluster.integrity.scrub && config.cluster.integrity.checksums {
-        q.push(SimTime::ZERO + config.scrub_every, EvKind::Scrub);
+        schedule(&mut q, SimTime::ZERO + config.scrub_every, EvKind::Scrub);
     }
-    q.push(SimTime::ZERO + config.sample_every, EvKind::Sample);
+    schedule(&mut q, SimTime::ZERO + config.sample_every, EvKind::Sample);
     if config.telemetry.metrics_interval.is_some() {
-        q.push(SimTime::ZERO, EvKind::Scrape);
+        schedule(&mut q, SimTime::ZERO, EvKind::Scrape);
     }
     for i in 0..pool.len() {
-        q.push(pool.first_issue(i, &spec), EvKind::Client(i));
+        schedule(&mut q, pool.first_issue(i, &spec), EvKind::Client(i));
     }
 
-    while let Some(ev) = q.pop() {
-        if ev.at >= end {
+    while let Some((at, kind)) = q.pop() {
+        if at >= end {
             break;
         }
-        match ev.kind {
+        match kind {
             EvKind::PhaseChange(i) => {
                 metrics.enter_phase(i);
                 if let Some(p) = config.timeline.phases().get(i) {
@@ -469,38 +425,38 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                             Layer::Cluster,
                             CONTROL_TRACK,
                             "phase",
-                            ev.at,
+                            at,
                             p.duration,
                             vec![("label", Value::Text(p.label.clone()))],
                         );
                     }
                 }
-                cluster.set_attack(config.timeline.frequency_at(ev.at), ev.at);
+                cluster.set_attack(config.timeline.frequency_at(at), at);
             }
             EvKind::Heartbeat => {
                 // Retune mid-sweep; a steady tone is a no-op here.
-                cluster.set_attack(config.timeline.frequency_at(ev.at), ev.at);
-                cluster.heartbeat(ev.at);
-                q.push(ev.at + heartbeat_every, EvKind::Heartbeat);
+                cluster.set_attack(config.timeline.frequency_at(at), at);
+                cluster.heartbeat(at);
+                schedule(&mut q, at + heartbeat_every, EvKind::Heartbeat);
             }
             EvKind::Repair => {
-                cluster.repair_step(ev.at, config.repair_batch);
-                q.push(ev.at + config.repair_every, EvKind::Repair);
+                cluster.repair_step(at, config.repair_batch);
+                schedule(&mut q, at + config.repair_every, EvKind::Repair);
             }
             EvKind::Scrub => {
-                cluster.scrub_step(ev.at, config.scrub_batch);
-                q.push(ev.at + config.scrub_every, EvKind::Scrub);
+                cluster.scrub_step(at, config.scrub_batch);
+                schedule(&mut q, at + config.scrub_every, EvKind::Scrub);
             }
             EvKind::Sample => {
-                metrics.sample_availability(ev.at);
-                let phase = config.timeline.phase_at(ev.at);
-                let unavailable = cluster.unavailable_shards(ev.at);
+                metrics.sample_availability(at);
+                let phase = config.timeline.phase_at(at);
+                let unavailable = cluster.unavailable_shards(at);
                 max_unavailable_by_phase[phase] = max_unavailable_by_phase[phase].max(unavailable);
                 if unavailable > 0 && first_quorum_loss.is_none() {
-                    first_quorum_loss = Some(ev.at);
+                    first_quorum_loss = Some(at);
                 }
-                burn.tick(ev.at);
-                q.push(ev.at + config.sample_every, EvKind::Sample);
+                burn.tick(at);
+                schedule(&mut q, at + config.sample_every, EvKind::Sample);
             }
             EvKind::Client(i) => {
                 let op = pool.next_op(i, &spec);
@@ -508,11 +464,11 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                 let value = spec.value(op.key_index);
                 let (ok, latency, served) = match driver.as_mut() {
                     Some(client) => {
-                        let out = client.execute(&mut cluster, op.is_read, &key, &value, ev.at);
+                        let out = client.execute(&mut cluster, op.is_read, &key, &value, at);
                         (out.ok, out.latency, out.value)
                     }
                     None => {
-                        let out = cluster.execute(op.is_read, &key, &value, ev.at);
+                        let out = cluster.execute(op.is_read, &key, &value, at);
                         (out.ok, out.latency, out.value)
                     }
                 };
@@ -525,15 +481,15 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                     }
                 }
                 metrics.record_op(op.is_read, ok, latency);
-                burn.record_op(ev.at + latency, ok);
-                q.push(ev.at + latency + spec.think_time, EvKind::Client(i));
+                burn.record_op(at + latency, ok);
+                schedule(&mut q, at + latency + spec.think_time, EvKind::Client(i));
             }
             EvKind::Scrape => {
                 if let Some(s) = scraper.as_mut() {
-                    s.scrape(&cluster, ev.at);
+                    s.scrape(&cluster, at);
                 }
                 if let Some(interval) = config.telemetry.metrics_interval {
-                    q.push(ev.at + interval, EvKind::Scrape);
+                    schedule(&mut q, at + interval, EvKind::Scrape);
                 }
             }
         }

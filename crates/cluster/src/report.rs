@@ -7,7 +7,7 @@ use crate::node::NodeCounters;
 use crate::placement::PlacementPolicy;
 use crate::replication::RepairStats;
 use deepnote_blockdev::{ChaosEvent, ChaosStats};
-use deepnote_telemetry::{MetricSeries, SloAlert, TraceLog};
+use deepnote_telemetry::{push_json_string, MetricSeries, SloAlert, TraceLog};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -505,25 +505,6 @@ fn json_str(out: &mut String, key: &str, value: &str) {
     push_json_string(out, key);
     out.push(':');
     push_json_string(out, value);
-}
-
-/// Appends a JSON string literal with escaping.
-fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// A finite `f64` as a JSON number (non-finite values become `null`).

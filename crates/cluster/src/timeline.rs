@@ -125,37 +125,6 @@ impl AttackTimeline {
         self.phases.len() - 1
     }
 
-    /// Every frequency the campaign driver will ever mount when it
-    /// re-applies this timeline at `step` granularity: the tone at each
-    /// phase boundary plus at every `step` tick (the driver retunes on
-    /// phase changes and heartbeats, never in between). Deduplicated
-    /// bit-exactly, first occurrence kept.
-    pub fn tone_frequencies(&self, step: SimDuration) -> Vec<Frequency> {
-        let mut bits: Vec<u64> = Vec::new();
-        let mut out: Vec<Frequency> = Vec::new();
-        let mut push = |f: Option<Frequency>| {
-            if let Some(f) = f {
-                let b = f.hz().to_bits();
-                if !bits.contains(&b) {
-                    bits.push(b);
-                    out.push(f);
-                }
-            }
-        };
-        for i in 0..self.phases.len() {
-            push(self.frequency_at(self.phase_start(i)));
-        }
-        if step > SimDuration::ZERO {
-            let end = SimTime::ZERO + self.total();
-            let mut t = SimTime::ZERO;
-            while t < end {
-                push(self.frequency_at(t));
-                t += step;
-            }
-        }
-        out
-    }
-
     /// The transmitted frequency at `now`, or `None` for silence.
     pub fn frequency_at(&self, now: SimTime) -> Option<Frequency> {
         let idx = self.phase_at(now);
@@ -210,34 +179,6 @@ mod tests {
         assert!((late.hz() - 650.0).abs() < 1.0, "late={}", late.hz());
         let attack = t.frequency_at(SimTime::from_secs(60)).unwrap();
         assert_eq!(attack.hz(), 650.0);
-    }
-
-    #[test]
-    fn tone_frequencies_cover_every_retune_instant() {
-        let t = AttackTimeline::paper_campaign(SimDuration::from_secs(120));
-        let step = SimDuration::from_millis(500);
-        let freqs = t.tone_frequencies(step);
-        // Every tone the driver will mount at phase starts or step
-        // ticks is present bit-exactly.
-        let end = SimTime::ZERO + t.total();
-        let mut now = SimTime::ZERO;
-        while now < end {
-            if let Some(f) = t.frequency_at(now) {
-                assert!(
-                    freqs.iter().any(|g| g.hz().to_bits() == f.hz().to_bits()),
-                    "missing tone {} Hz at t={now}",
-                    f.hz()
-                );
-            }
-            now += step;
-        }
-        // Steady tones dedup to one entry: the 650 Hz attack phase
-        // contributes a single frequency despite hundreds of ticks.
-        let at_650 = freqs
-            .iter()
-            .filter(|f| f.hz().to_bits() == 650.0f64.to_bits())
-            .count();
-        assert_eq!(at_650, 1);
     }
 
     #[test]

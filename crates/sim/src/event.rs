@@ -1,413 +1,203 @@
-//! A discrete-event scheduler.
+//! The discrete-event queue.
 //!
-//! Periodic background activities — journal commit timers, page-writeback
-//! daemons, attack schedules — register callbacks on an [`EventQueue`].
-//! Driving the queue with [`EventQueue::run_until`] fires the callbacks in
-//! timestamp order, advancing the shared [`Clock`] to each event's deadline.
+//! An event loop owns an [`EventQueue`] of typed payloads, pops the next
+//! event, handles it, and pushes whatever it schedules next (a recurring
+//! stream re-pushes itself). The queue only orders; the loop owns the
+//! clock and decides what each payload means.
 
-use crate::clock::Clock;
-use crate::time::{SimDuration, SimTime};
-use std::cmp::Reverse;
-use std::collections::BTreeSet;
+use crate::time::SimTime;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-/// Identifier of a scheduled event, usable for cancellation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct EventId(u64);
-
-/// What the scheduler should do with a periodic event after it fires.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Repeat {
-    /// Fire once and forget.
-    Once,
-    /// Re-arm after the given period.
-    Every(SimDuration),
-}
-
-type Callback<'a> = Box<dyn FnMut(&mut EventCtx) + 'a>;
-
-/// Context handed to event callbacks.
+/// One pending event. Ordered by `(at, priority, seq)` only, so the
+/// payload needs no `Ord`.
 #[derive(Debug)]
-pub struct EventCtx {
-    now: SimTime,
-    cancel_self: bool,
-}
-
-impl EventCtx {
-    /// The instant the event fired at.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// For periodic events: do not re-arm after this firing.
-    pub fn cancel(&mut self) {
-        self.cancel_self = true;
-    }
-}
-
-struct Scheduled<'a> {
+struct Entry<K> {
     at: SimTime,
+    priority: u8,
     seq: u64,
-    id: EventId,
-    repeat: Repeat,
-    callback: Callback<'a>,
+    payload: K,
 }
 
-impl PartialEq for Scheduled<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+impl<K> Entry<K> {
+    fn key(&self) -> (SimTime, u8, u64) {
+        (self.at, self.priority, self.seq)
     }
 }
-impl Eq for Scheduled<'_> {}
-impl PartialOrd for Scheduled<'_> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+
+impl<K> PartialEq for Entry<K> {
+    fn eq(&self, other: &Self) -> bool {
+        self.key() == other.key()
+    }
+}
+
+impl<K> Eq for Entry<K> {}
+
+impl<K> PartialOrd for Entry<K> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Scheduled<'_> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
+
+impl<K> Ord for Entry<K> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.key().cmp(&other.key())
     }
 }
 
-/// A deterministic discrete-event queue bound to a [`Clock`].
+/// A deterministic min-queue of events carrying payloads of type `K`.
 ///
-/// Events scheduled for the same instant fire in insertion order.
+/// Events pop in `(time, priority, insertion order)` order: the earliest
+/// time first; at an equal time the lower priority number first; at an
+/// equal time and priority the one pushed first. The caller picks the
+/// priorities, so the tie-break policy (which stream wins at an equal
+/// instant) stays with the event loop that defines the streams.
 ///
 /// # Example
 ///
 /// ```
-/// use deepnote_sim::{Clock, EventQueue, SimDuration, SimTime};
+/// use deepnote_sim::{EventQueue, SimTime};
 ///
-/// let clock = Clock::new();
-/// let mut queue = EventQueue::new(clock.clone());
-/// let mut fired = 0u32;
-/// queue.schedule_every(SimDuration::from_secs(5), |_ctx| fired += 1);
-/// queue.run_until(SimTime::from_secs(21));
-/// drop(queue);
-/// assert_eq!(fired, 4); // t = 5, 10, 15, 20
+/// let mut queue = EventQueue::with_capacity(3);
+/// queue.push(SimTime::from_secs(2), 0, "late");
+/// queue.push(SimTime::from_secs(1), 1, "second");
+/// queue.push(SimTime::from_secs(1), 0, "first");
+/// assert_eq!(queue.pop(), Some((SimTime::from_secs(1), "first")));
+/// assert_eq!(queue.pop(), Some((SimTime::from_secs(1), "second")));
+/// assert_eq!(queue.pop(), Some((SimTime::from_secs(2), "late")));
+/// assert_eq!(queue.pop(), None);
 /// ```
-pub struct EventQueue<'a> {
-    clock: Clock,
-    heap: BinaryHeap<Reverse<Scheduled<'a>>>,
-    cancelled: BTreeSet<EventId>,
-    next_seq: u64,
-    next_id: u64,
+#[derive(Debug)]
+pub struct EventQueue<K> {
+    heap: BinaryHeap<Reverse<Entry<K>>>,
+    seq: u64,
 }
 
-impl std::fmt::Debug for EventQueue<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("EventQueue")
-            .field("now", &self.clock.now())
-            .field("pending", &self.heap.len())
-            .finish()
-    }
-}
-
-impl<'a> EventQueue<'a> {
-    /// Creates an empty queue driving the given clock.
-    pub fn new(clock: Clock) -> Self {
-        Self::with_capacity(clock, 0)
-    }
-
-    /// Creates an empty queue with room for `capacity` events before the
-    /// heap reallocates. Drivers that know their steady-state event
-    /// population (one slot per recurring stream) pre-size with this so
-    /// the hot loop never grows the heap.
-    pub fn with_capacity(clock: Clock, capacity: usize) -> Self {
+impl<K> EventQueue<K> {
+    /// Creates an empty queue with room for `capacity` events. A loop
+    /// whose recurring streams re-push themselves as they pop keeps its
+    /// population near the number of streams, so sizing for that never
+    /// reallocates mid-loop.
+    pub fn with_capacity(capacity: usize) -> Self {
         EventQueue {
-            clock,
             heap: BinaryHeap::with_capacity(capacity),
-            cancelled: BTreeSet::new(),
-            next_seq: 0,
-            next_id: 0,
+            seq: 0,
         }
     }
 
-    /// Reserves room for at least `additional` more events.
-    pub fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    /// Events the queue can hold before reallocating.
-    pub fn capacity(&self) -> usize {
-        self.heap.capacity()
-    }
-
-    /// The clock this queue advances.
-    pub fn clock(&self) -> &Clock {
-        &self.clock
-    }
-
-    /// Number of pending (non-cancelled) events.
-    pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len().min(self.heap.len())
-    }
-
-    /// Returns `true` if no events are pending.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn push(&mut self, at: SimTime, repeat: Repeat, callback: Callback<'a>) -> EventId {
-        let id = EventId(self.next_id);
-        self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled {
+    /// Schedules `payload` at `at`, breaking ties at an equal time by
+    /// `priority` (lower pops first), then by insertion order.
+    pub fn push(&mut self, at: SimTime, priority: u8, payload: K) {
+        self.seq += 1;
+        self.heap.push(Reverse(Entry {
             at,
-            seq,
-            id,
-            repeat,
-            callback,
+            priority,
+            seq: self.seq,
+            payload,
         }));
-        id
     }
 
-    /// Schedules `callback` to fire once at absolute time `at`.
-    ///
-    /// If `at` is in the past it fires at the current instant on the next
-    /// run.
-    pub fn schedule_at(
-        &mut self,
-        at: SimTime,
-        callback: impl FnMut(&mut EventCtx) + 'a,
-    ) -> EventId {
-        self.push(at, Repeat::Once, Box::new(callback))
-    }
-
-    /// Schedules a batch of one-shot events, reserving heap capacity for
-    /// the whole batch up front (one allocation instead of log-many
-    /// doubling steps). Events at equal deadlines fire in batch order,
-    /// exactly as if each had been passed to [`EventQueue::schedule_at`]
-    /// in sequence. Returns the ids in batch order.
-    pub fn push_many<F>(&mut self, events: impl IntoIterator<Item = (SimTime, F)>) -> Vec<EventId>
-    where
-        F: FnMut(&mut EventCtx) + 'a,
-    {
-        let events = events.into_iter();
-        self.heap.reserve(events.size_hint().0);
-        events
-            .map(|(at, callback)| self.push(at, Repeat::Once, Box::new(callback)))
-            .collect()
-    }
-
-    /// Schedules `callback` to fire once after `delay`.
-    pub fn schedule_in(
-        &mut self,
-        delay: SimDuration,
-        callback: impl FnMut(&mut EventCtx) + 'a,
-    ) -> EventId {
-        let at = self.clock.now() + delay;
-        self.schedule_at(at, callback)
-    }
-
-    /// Schedules `callback` to fire every `period`, first firing one period
-    /// from now.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `period` is zero (the queue would livelock).
-    pub fn schedule_every(
-        &mut self,
-        period: SimDuration,
-        callback: impl FnMut(&mut EventCtx) + 'a,
-    ) -> EventId {
-        assert!(!period.is_zero(), "periodic event period must be non-zero");
-        let at = self.clock.now() + period;
-        self.push(at, Repeat::Every(period), Box::new(callback))
-    }
-
-    /// Cancels a pending event. Cancelling an already-fired or unknown event
-    /// is a no-op.
-    pub fn cancel(&mut self, id: EventId) {
-        self.cancelled.insert(id);
-    }
-
-    /// Fires all events with deadlines `<= until`, advancing the clock to
-    /// each deadline and finally to `until`. Returns the number of callbacks
-    /// fired.
-    pub fn run_until(&mut self, until: SimTime) -> usize {
-        let mut fired = 0;
-        while let Some(Reverse(head)) = self.heap.peek() {
-            if head.at > until {
-                break;
-            }
-            let Reverse(mut ev) = self.heap.pop().expect("peeked event vanished");
-            if self.cancelled.remove(&ev.id) {
-                continue;
-            }
-            self.clock.advance_to(ev.at);
-            let mut ctx = EventCtx {
-                now: self.clock.now(),
-                cancel_self: false,
-            };
-            (ev.callback)(&mut ctx);
-            fired += 1;
-            if let Repeat::Every(period) = ev.repeat {
-                if !ctx.cancel_self {
-                    ev.at += period;
-                    ev.seq = self.next_seq;
-                    self.next_seq += 1;
-                    self.heap.push(Reverse(ev));
-                }
-            }
-        }
-        self.clock.advance_to(until);
-        fired
-    }
-
-    /// Fires all events for the next `d` of virtual time.
-    pub fn run_for(&mut self, d: SimDuration) -> usize {
-        let until = self.clock.now() + d;
-        self.run_until(until)
+    /// Removes and returns the next event, or `None` when the queue is
+    /// empty.
+    pub fn pop(&mut self) -> Option<(SimTime, K)> {
+        self.heap
+            .pop()
+            .map(|Reverse(entry)| (entry.at, entry.payload))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
+    use crate::SimDuration;
+    use proptest::prelude::*;
+
+    fn drain<K>(q: &mut EventQueue<K>) -> Vec<(SimTime, K)> {
+        std::iter::from_fn(|| q.pop()).collect()
+    }
 
     #[test]
     fn one_shot_fires_in_order() {
-        let clock = Clock::new();
-        let log = RefCell::new(Vec::new());
-        let mut q = EventQueue::new(clock.clone());
-        q.schedule_at(SimTime::from_secs(2), |ctx| {
-            log.borrow_mut().push((2u64, ctx.now()));
-        });
-        q.schedule_at(SimTime::from_secs(1), |ctx| {
-            log.borrow_mut().push((1, ctx.now()));
-        });
-        let fired = q.run_until(SimTime::from_secs(3));
-        drop(q);
-        assert_eq!(fired, 2);
+        // An earlier time pops first, whatever the priorities.
+        let mut q = EventQueue::with_capacity(0);
+        q.push(SimTime::from_secs(3), 0, 'c');
+        q.push(SimTime::from_secs(1), u8::MAX, 'a');
+        q.push(SimTime::from_secs(2), 7, 'b');
+        q.push(SimTime::from_nanos(1_000_000_001), 0, 'x');
         assert_eq!(
-            log.into_inner(),
-            vec![(1, SimTime::from_secs(1)), (2, SimTime::from_secs(2))]
+            drain(&mut q),
+            vec![
+                (SimTime::from_secs(1), 'a'),
+                (SimTime::from_nanos(1_000_000_001), 'x'),
+                (SimTime::from_secs(2), 'b'),
+                (SimTime::from_secs(3), 'c'),
+            ]
         );
-        assert_eq!(clock.now(), SimTime::from_secs(3));
     }
 
     #[test]
     fn same_deadline_fires_in_insertion_order() {
-        let clock = Clock::new();
-        let log = RefCell::new(Vec::new());
-        let mut q = EventQueue::new(clock);
+        let mut q = EventQueue::with_capacity(5);
         for i in 0..5u32 {
-            let log = &log;
-            q.schedule_at(SimTime::from_secs(1), move |_| {
-                log.borrow_mut().push(i);
-            });
+            q.push(SimTime::from_secs(1), 2, i);
         }
-        q.run_until(SimTime::from_secs(1));
-        drop(q);
-        assert_eq!(log.into_inner(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn periodic_event_repeats_and_cancels() {
-        let clock = Clock::new();
-        let count = RefCell::new(0u32);
-        let mut q = EventQueue::new(clock);
-        q.schedule_every(SimDuration::from_secs(10), |ctx| {
-            let mut c = count.borrow_mut();
-            *c += 1;
-            if *c == 3 {
-                ctx.cancel();
-            }
-        });
-        q.run_until(SimTime::from_secs(100));
-        assert!(q.is_empty());
-        drop(q);
-        assert_eq!(count.into_inner(), 3);
-    }
-
-    #[test]
-    fn cancel_prevents_firing() {
-        let clock = Clock::new();
-        let fired = RefCell::new(false);
-        let mut q = EventQueue::new(clock);
-        let id = q.schedule_in(SimDuration::from_secs(1), |_| {
-            *fired.borrow_mut() = true;
-        });
-        q.cancel(id);
-        assert!(q.is_empty());
-        q.run_until(SimTime::from_secs(2));
-        drop(q);
-        assert!(!fired.into_inner());
+        let order: Vec<u32> = drain(&mut q).into_iter().map(|(_, i)| i).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4]);
     }
 
     #[test]
     fn events_scheduled_during_run_fire_if_due() {
-        let clock = Clock::new();
-        let hits = RefCell::new(Vec::new());
-        let mut q = EventQueue::new(clock);
-        // A periodic event that records; another event scheduled mid-run
-        // via interior state is covered by periodic re-arming above, so here
-        // just check run_for twice continues the timeline.
-        q.schedule_every(SimDuration::from_secs(3), |ctx| {
-            hits.borrow_mut().push(ctx.now().as_secs_f64() as u64);
-        });
-        q.run_for(SimDuration::from_secs(7)); // fires at 3, 6
-        q.run_for(SimDuration::from_secs(7)); // fires at 9, 12
-        drop(q);
-        assert_eq!(hits.into_inner(), vec![3, 6, 9, 12]);
+        // Two recurring streams re-push themselves as they pop, the way
+        // an event loop's heartbeat and sampler do; a one-shot pushed
+        // mid-drain at an instant already reached still pops in order.
+        let mut q = EventQueue::with_capacity(3);
+        q.push(SimTime::from_secs(0), 1, "beat");
+        q.push(SimTime::from_secs(0), 0, "tick");
+        let mut log = Vec::new();
+        while let Some((at, kind)) = q.pop() {
+            log.push((at.as_nanos() / 1_000_000_000, kind));
+            match kind {
+                "beat" if at < SimTime::from_secs(6) => {
+                    q.push(at + SimDuration::from_secs(3), 1, "beat")
+                }
+                "tick" if at < SimTime::from_secs(4) => {
+                    q.push(at + SimDuration::from_secs(2), 0, "tick");
+                    if at == SimTime::from_secs(2) {
+                        q.push(at, 2, "now");
+                    }
+                }
+                _ => {}
+            }
+        }
+        assert_eq!(
+            log,
+            vec![
+                (0, "tick"),
+                (0, "beat"),
+                (2, "tick"),
+                (2, "now"),
+                (3, "beat"),
+                (4, "tick"),
+                (6, "beat"),
+            ]
+        );
     }
 
-    #[test]
-    #[should_panic(expected = "non-zero")]
-    fn zero_period_panics() {
-        let mut q = EventQueue::new(Clock::new());
-        q.schedule_every(SimDuration::ZERO, |_| {});
-    }
-
-    #[test]
-    fn push_many_fires_in_time_then_batch_order() {
-        let clock = Clock::new();
-        let log = RefCell::new(Vec::new());
-        let mut q = EventQueue::new(clock);
-        let ids = q.push_many((0..6u64).map(|i| {
-            let log = &log;
-            // Two events per deadline (3 - i/2 seconds), batch order is
-            // the tie-break within a deadline.
-            (SimTime::from_secs(3 - i / 2), move |_: &mut EventCtx| {
-                log.borrow_mut().push(i);
-            })
-        }));
-        assert_eq!(ids.len(), 6);
-        assert!(q.capacity() >= 6, "capacity = {}", q.capacity());
-        q.run_until(SimTime::from_secs(3));
-        drop(q);
-        assert_eq!(log.into_inner(), vec![4, 5, 2, 3, 0, 1]);
-    }
-
-    #[test]
-    fn push_many_ids_are_cancellable() {
-        let clock = Clock::new();
-        let count = RefCell::new(0u32);
-        let mut q = EventQueue::new(clock);
-        let ids = q.push_many((0..4u64).map(|i| {
-            let count = &count;
-            (SimTime::from_secs(i), move |_: &mut EventCtx| {
-                *count.borrow_mut() += 1;
-            })
-        }));
-        q.cancel(ids[1]);
-        q.cancel(ids[3]);
-        q.run_until(SimTime::from_secs(10));
-        drop(q);
-        assert_eq!(count.into_inner(), 2);
-    }
-
-    #[test]
-    fn capacity_is_reservable_up_front() {
-        let clock = Clock::new();
-        let mut q = EventQueue::with_capacity(clock, 32);
-        assert!(q.capacity() >= 32);
-        q.reserve(64);
-        assert!(q.capacity() >= 64);
-        assert!(q.is_empty());
+    proptest! {
+        /// The pop order is a stable sort of the pushes by
+        /// `(time, priority)`, i.e. by `(time, priority, insertion index)`.
+        #[test]
+        fn pops_in_a_stable_sort_of_the_pushes(
+            pushes in proptest::collection::vec((0u64..8, 0u8..4), 0..64)
+        ) {
+            let mut q = EventQueue::with_capacity(pushes.len());
+            for (i, &(at, priority)) in pushes.iter().enumerate() {
+                q.push(SimTime::from_nanos(at), priority, i);
+            }
+            let mut want: Vec<usize> = (0..pushes.len()).collect();
+            want.sort_by_key(|&i| pushes[i]);
+            let got: Vec<usize> = drain(&mut q).into_iter().map(|(_, i)| i).collect();
+            prop_assert_eq!(got, want);
+        }
     }
 }

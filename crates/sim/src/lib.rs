@@ -12,8 +12,9 @@
 //!   timestamps and durations ([`time`]).
 //! * [`Clock`] — a cheaply cloneable handle to a shared virtual clock
 //!   ([`clock`]).
-//! * [`EventQueue`] — a discrete-event scheduler for periodic daemons such
-//!   as journal commit threads and writeback flushers ([`event`]).
+//! * [`EventQueue`] — the discrete-event queue: typed payloads popped in
+//!   `(time, priority, insertion order)` order. The campaign event loop
+//!   drives it ([`event`]).
 //! * Statistics — [`OnlineStats`], [`Histogram`], [`RateMeter`], and
 //!   [`TimeSeries`] for measuring throughput, latency, and sweeps
 //!   ([`stats`], [`series`]).
@@ -41,7 +42,7 @@ pub mod stats;
 pub mod time;
 
 pub use clock::Clock;
-pub use event::{EventId, EventQueue};
+pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::TimeSeries;
 pub use stats::{Histogram, OnlineStats, RateMeter};

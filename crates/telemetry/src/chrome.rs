@@ -129,8 +129,10 @@ fn push_value(out: &mut String, v: &Value) {
     }
 }
 
-/// Appends a JSON string literal with escaping.
-pub(crate) fn push_json_string(out: &mut String, s: &str) {
+/// Appends `s` as a JSON string literal: quotes, backslashes and
+/// control characters escaped, everything else copied as is. Shared by
+/// the trace exporter and the cluster's campaign reports.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

@@ -34,7 +34,7 @@ pub mod schema;
 pub mod slo;
 pub mod tracer;
 
-pub use chrome::export as export_chrome_trace;
+pub use chrome::{export as export_chrome_trace, push_json_string};
 pub use metrics::{MetricId, MetricKind, MetricPoint, MetricSeries, MetricsRegistry};
 pub use slo::{BurnRateMonitor, BurnWindow, SloAlert, SloPolicy};
 pub use tracer::{EventKind, Layer, TraceEvent, TraceLog, Tracer, Value, CONTROL_TRACK};

@@ -180,3 +180,60 @@ fn single_drive_kv_stack_matches_its_virtual_time_golden() {
     assert_eq!(drive.ops_completed(), 3_467);
     assert_eq!(drive.retries_total(), 57);
 }
+
+/// FNV-1a 64 over a byte string: a compact pin for a whole artifact.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// Byte golden for the campaign event loop: the JSON report, the human
+/// report and the Chrome trace of two campaigns, pinned as FNV-1a 64
+/// digests. (a) is the co-located paper duel; (b) is a separated
+/// hardened cell under the full chaos profile with tracing and a 500 ms
+/// metrics scrape, so every event stream (phase, heartbeat, repair,
+/// scrub, sample, client, scrape) interleaves. A change to the queue's
+/// ordering, or to which stream wins at an equal instant, moves these.
+#[test]
+fn cluster_campaign_matches_its_golden() {
+    let mut duel =
+        CampaignConfig::paper_duel(PlacementPolicy::CoLocated, SimDuration::from_secs(30));
+    duel.workload.num_keys = 240;
+    duel.workload.clients = 4;
+    let (mut chaos, _) = CampaignConfig::chaos_pair(
+        PlacementPolicy::Separated,
+        SimDuration::from_secs(20),
+        &ChaosProfile::parse("full").unwrap(),
+    );
+    chaos.workload.num_keys = 400;
+    chaos.telemetry.trace = true;
+    chaos.telemetry.metrics_interval = Some(SimDuration::from_millis(500));
+
+    let digests = |config: &CampaignConfig| {
+        let report = run_campaign(config).expect("campaign");
+        let trace = report.trace.as_ref().map_or(0, |log| {
+            fnv1a64(deepnote_telemetry::export_chrome_trace(&[("run", log)]).as_bytes())
+        });
+        [
+            fnv1a64(report.to_json().as_bytes()),
+            fnv1a64(report.render().as_bytes()),
+            trace,
+        ]
+    };
+    // (a) runs untraced, so it has no trace digest.
+    assert_eq!(
+        digests(&duel),
+        [0xdcd6_de14_ab45_78bd, 0x5b93_2ab9_a4fa_a098, 0],
+        "co-located duel"
+    );
+    assert_eq!(
+        digests(&chaos),
+        [
+            0x8abd_b39f_411b_4d05,
+            0xb8c1_01ea_a9fc_7b62,
+            0x52fe_98d5_fcc9_fd57
+        ],
+        "separated full-chaos cell"
+    );
+}
