@@ -1,7 +1,7 @@
 //! Block device abstraction for the Deep Note reproduction.
 //!
 //! Filesystems, databases, and benchmarks in this workspace talk to
-//! storage through the [`BlockDevice`] trait. Three implementations are
+//! storage through the [`BlockDevice`] trait. Four implementations are
 //! provided:
 //!
 //! * [`MemDisk`] — an ideal in-memory device with optional fixed latency,
@@ -9,12 +9,11 @@
 //! * [`HddDisk`] — the real thing: a sparse byte store timed and failed by
 //!   the mechanical [`deepnote_hdd`] drive model, including vibration-
 //!   induced errors and unresponsiveness ([`hdd_dev`]).
-//! * [`FaultInjector`] — a wrapper that injects deterministic scripted
-//!   failures into any device, for testing error paths without
-//!   acoustics ([`faults`]).
 //! * [`ChaosInjector`] — a wrapper that injects *seeded probabilistic*
 //!   faults (error bursts, bit flips, torn/misdirected writes, latency
-//!   inflation), optionally scaled by vibration ([`chaos`]).
+//!   inflation), optionally scaled by vibration, and the scripted
+//!   "fail every request / every write" plans that test error paths
+//!   without acoustics ([`chaos`]).
 //! * [`Raid1`] — N-way mirroring with degradation and resync, for the
 //!   redundancy experiments ([`raid`]).
 //!
@@ -35,7 +34,6 @@
 pub mod chaos;
 pub mod device;
 pub mod error;
-pub mod faults;
 pub mod hdd_dev;
 pub mod mem;
 pub mod raid;
@@ -46,7 +44,6 @@ pub use chaos::{
 };
 pub use device::{BlockDevice, BLOCK_SIZE};
 pub use error::{IoError, EIO};
-pub use faults::{FaultInjector, FaultPlan};
 pub use hdd_dev::HddDisk;
 pub use mem::MemDisk;
 pub use raid::{Raid1, RaidState};

@@ -236,13 +236,14 @@ impl<D: BlockDevice> BlockDevice for Raid1<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultInjector, FaultPlan};
+    use crate::chaos::{ChaosInjector, ChaosPlan};
     use crate::mem::MemDisk;
+    use deepnote_sim::SimRng;
 
-    fn array() -> Raid1<FaultInjector<MemDisk>> {
+    fn array() -> Raid1<ChaosInjector<MemDisk>> {
         Raid1::new(vec![
-            FaultInjector::new(MemDisk::new(256), FaultPlan::None),
-            FaultInjector::new(MemDisk::new(256), FaultPlan::None),
+            ChaosInjector::new(MemDisk::new(256), ChaosPlan::quiet(), SimRng::seeded(0)),
+            ChaosInjector::new(MemDisk::new(256), ChaosPlan::quiet(), SimRng::seeded(0)),
         ])
     }
 
@@ -264,10 +265,8 @@ mod tests {
     fn one_dead_mirror_degrades_but_serves() {
         let mut a = array();
         a.write_blocks(0, &vec![1u8; 512]).unwrap();
-        a.mirror_mut(0).set_plan(FaultPlan::FailFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
+        a.mirror_mut(0)
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         // Write marks mirror 0 failed, succeeds on mirror 1.
         a.write_blocks(1, &vec![2u8; 512]).unwrap();
         assert_eq!(a.state(), RaidState::Degraded { failed: 1 });
@@ -281,10 +280,8 @@ mod tests {
     fn all_mirrors_dead_fails_the_array() {
         let mut a = array();
         for i in 0..2 {
-            a.mirror_mut(i).set_plan(FaultPlan::FailFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            });
+            a.mirror_mut(i)
+                .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         }
         assert_eq!(
             a.write_blocks(0, &vec![0u8; 512]).unwrap_err(),
@@ -297,10 +294,8 @@ mod tests {
     fn read_falls_back_when_primary_dies() {
         let mut a = array();
         a.write_blocks(5, &vec![9u8; 512]).unwrap();
-        a.mirror_mut(0).set_plan(FaultPlan::FailFrom {
-            start: 0,
-            error: IoError::Medium { errno: 5 },
-        });
+        a.mirror_mut(0)
+            .set_plan(ChaosPlan::fail_all(IoError::Medium { errno: 5 }));
         let mut out = vec![0u8; 512];
         a.read_blocks(5, &mut out).unwrap();
         assert_eq!(out, vec![9u8; 512]);
@@ -311,14 +306,12 @@ mod tests {
     fn resync_copies_only_degraded_writes() {
         let mut a = array();
         a.write_blocks(0, &vec![1u8; 512]).unwrap();
-        a.mirror_mut(0).set_plan(FaultPlan::FailFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
+        a.mirror_mut(0)
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         a.write_blocks(1, &vec![2u8; 512]).unwrap(); // degrades + dirty {1}
         a.write_blocks(2, &vec![3u8; 512]).unwrap(); // dirty {1,2}
                                                      // Attack ends: the mirror works again.
-        a.mirror_mut(0).set_plan(FaultPlan::None);
+        a.mirror_mut(0).set_plan(ChaosPlan::quiet());
         let copied = a.resync(0).unwrap();
         assert_eq!(copied, 2);
         assert_eq!(a.state(), RaidState::Optimal);

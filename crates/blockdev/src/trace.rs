@@ -167,13 +167,14 @@ impl<D: BlockDevice> BlockDevice for TraceDevice<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::faults::{FaultInjector, FaultPlan};
+    use crate::chaos::{ChaosInjector, ChaosPlan};
     use crate::mem::MemDisk;
+    use deepnote_sim::SimRng;
 
     #[test]
     fn records_kind_lba_and_outcome() {
         let mut dev = TraceDevice::new(
-            FaultInjector::new(MemDisk::new(64), FaultPlan::None),
+            ChaosInjector::new(MemDisk::new(64), ChaosPlan::quiet(), SimRng::seeded(0)),
             Clock::new(),
             16,
         );
@@ -182,10 +183,8 @@ mod tests {
         dev.write_blocks(1, &buf).unwrap();
         dev.read_blocks(1, &mut out).unwrap();
         dev.flush().unwrap();
-        dev.inner_mut().set_plan(FaultPlan::FailFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
+        dev.inner_mut()
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         let _ = dev.write_blocks(2, &buf);
         let t = dev.trace();
         assert_eq!(t.len(), 4);

@@ -15,7 +15,6 @@
 //! deepnote cluster [--placement P] [--seconds N] [--clients N] [--shards N] [--seed S]
 //!                  [--chaos C] [--json FILE] [--trace FILE] [--metrics-interval T]
 //! deepnote trace-check [--trace FILE] [--report FILE]
-//! deepnote perf [--quick] [--iters N] [--json FILE]
 //! deepnote all
 //! ```
 
@@ -46,7 +45,7 @@ impl Args {
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if a == "--tsv" || a == "--quick" {
+            if a == "--tsv" {
                 flags.push((a[2..].to_string(), "true".to_string()));
                 continue;
             }
@@ -129,10 +128,7 @@ COMMANDS:
                Chrome/Perfetto trace of every layer, --metrics-interval
                scrapes per-node series into the JSON report
   trace-check  validate telemetry artifacts            [--trace FILE] [--report FILE]
-  perf         time canonical workloads on the experiment pool vs a
-               single-thread baseline and write BENCH_perf.json
-               [--quick] [--iters N] [--json FILE]
-  all          everything above (except TSV dumps and perf)
+  all          everything above (except TSV dumps)
 ";
 
 fn run(cmd: &str, args: &Args) -> Result<(), String> {
@@ -360,9 +356,6 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
                 );
             }
         }
-        "perf" => {
-            run_perf(args)?;
-        }
         "all" => {
             for sub in [
                 "table1",
@@ -385,182 +378,6 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         other => return Err(format!("unknown command: {other}\n\n{USAGE}")),
     }
-    Ok(())
-}
-
-/// One timed workload in the perf report.
-struct PerfRow {
-    workload: &'static str,
-    baseline_median_ms: f64,
-    baseline_min_ms: f64,
-    pool_median_ms: f64,
-    pool_min_ms: f64,
-}
-
-impl PerfRow {
-    /// Single-thread median over pool median: the headline speedup.
-    fn speedup(&self) -> f64 {
-        if self.pool_median_ms > 0.0 {
-            self.baseline_median_ms / self.pool_median_ms
-        } else {
-            f64::INFINITY
-        }
-    }
-
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"workload\":\"{}\",\"baseline_median_ms\":{:.3},\"baseline_min_ms\":{:.3},\
-             \"pool_median_ms\":{:.3},\"pool_min_ms\":{:.3},\"speedup\":{:.3}}}",
-            self.workload,
-            self.baseline_median_ms,
-            self.baseline_min_ms,
-            self.pool_median_ms,
-            self.pool_min_ms,
-            self.speedup()
-        )
-    }
-}
-
-/// Wall-clock milliseconds spent in `f`. The simulation itself runs on
-/// virtual time and never reads the host clock; the perf harness is the
-/// one place that measures real elapsed time, by design.
-fn wall_ms<T>(f: impl FnOnce() -> T) -> f64 {
-    // deepnote-lint: allow(nondet-clock): the perf harness measures wall time by design
-    let start = std::time::Instant::now();
-    std::hint::black_box(f());
-    start.elapsed().as_secs_f64() * 1e3
-}
-
-/// Runs `f` with `DEEPNOTE_THREADS` forced to `width`, restoring the
-/// previous value (or absence) afterwards. Safe here: the pool's worker
-/// threads are scoped and joined, so nothing else reads the environment
-/// concurrently.
-fn with_thread_override<T>(width: Option<&str>, f: impl FnOnce() -> T) -> T {
-    let env = deepnote_core::parallel::THREADS_ENV;
-    let prior = std::env::var(env).ok();
-    match width {
-        Some(w) => std::env::set_var(env, w),
-        None => std::env::remove_var(env),
-    }
-    let out = f();
-    match prior {
-        Some(v) => std::env::set_var(env, v),
-        None => std::env::remove_var(env),
-    }
-    out
-}
-
-/// Median of a sample set (lower middle for even counts, so the figure
-/// is always a measured value, not an interpolation).
-fn median_ms(samples: &mut [f64]) -> f64 {
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("timings are finite"));
-    samples[(samples.len() - 1) / 2]
-}
-
-fn min_ms(samples: &[f64]) -> f64 {
-    samples.iter().copied().fold(f64::INFINITY, f64::min)
-}
-
-/// Times `f` `iters` times single-threaded, then `iters` times on the
-/// pool, and reduces to one report row.
-fn measure(workload: &'static str, iters: usize, mut f: impl FnMut()) -> PerfRow {
-    eprintln!("  {workload}: {iters} baseline + {iters} pool iteration(s)...");
-    let mut baseline: Vec<f64> = Vec::with_capacity(iters);
-    with_thread_override(Some("1"), || {
-        for _ in 0..iters {
-            baseline.push(wall_ms(&mut f));
-        }
-    });
-    let mut pool: Vec<f64> = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        pool.push(wall_ms(&mut f));
-    }
-    PerfRow {
-        workload,
-        baseline_median_ms: median_ms(&mut baseline),
-        baseline_min_ms: min_ms(&baseline),
-        pool_median_ms: median_ms(&mut pool),
-        pool_min_ms: min_ms(&pool),
-    }
-}
-
-/// The campaign matrix used as the cluster perf workload: both
-/// placements, each as a hardened-vs-naive chaos duel, with tracing and
-/// metrics scraping on — the heaviest supported configuration.
-fn perf_campaign_configs(seconds: u64) -> Vec<CampaignConfig> {
-    let attack = SimDuration::from_secs(seconds);
-    let chaos = ChaosProfile::parse("full").expect("stock chaos profile");
-    let mut configs = Vec::new();
-    for p in [PlacementPolicy::Separated, PlacementPolicy::CoLocated] {
-        let (mut hardened, mut naive) = CampaignConfig::chaos_pair(p, attack, &chaos);
-        for c in [&mut hardened, &mut naive] {
-            c.telemetry.trace = true;
-            c.telemetry.metrics_interval = Some(SimDuration::from_millis(500));
-        }
-        configs.push(hardened);
-        configs.push(naive);
-    }
-    configs
-}
-
-/// The `perf` subcommand: times the canonical workloads (Table 1 range
-/// matrix, Figure 2 sweep, the chaos+telemetry campaign matrix) on the
-/// experiment pool against an in-process single-thread baseline and
-/// writes `BENCH_perf.json`.
-fn run_perf(args: &Args) -> Result<(), String> {
-    let quick = args.has("quick");
-    let iters: usize = args.get("iters", if quick { 3 } else { 5 })?;
-    if iters == 0 {
-        return Err("--iters must be at least 1".to_string());
-    }
-    let json_path = args.string("json").unwrap_or("BENCH_perf.json").to_string();
-    let threads = deepnote_core::parallel::pool_width();
-    let (table_secs, campaign_secs) = if quick { (2, 20) } else { (5, 60) };
-
-    eprintln!("perf: {threads} pool thread(s), {iters} iteration(s) per mode");
-
-    let rows = vec![
-        measure("tab1_range_matrix", iters, || {
-            drop(range::table1(table_secs));
-        }),
-        measure("fig2_sweep", iters, || {
-            drop(frequency::figure2(
-                Distance::from_cm(1.0),
-                &SweepPlan::paper_sweep(),
-            ));
-        }),
-        measure("cluster_campaign_matrix", iters, || {
-            for r in run_matrix(perf_campaign_configs(campaign_secs)) {
-                r.expect("perf campaign run");
-            }
-        }),
-    ];
-
-    println!(
-        "{:<24} {:>14} {:>14} {:>9}",
-        "workload", "1 thread (ms)", "pool (ms)", "speedup"
-    );
-    for row in &rows {
-        println!(
-            "{:<24} {:>14.1} {:>14.1} {:>8.2}x",
-            row.workload,
-            row.baseline_median_ms,
-            row.pool_median_ms,
-            row.speedup()
-        );
-    }
-
-    let body = rows
-        .iter()
-        .map(PerfRow::to_json)
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\"schema\":\"deepnote-perf/1\",\"threads\":{threads},\"iterations\":{iters},\
-         \"quick\":{quick},\"workloads\":[{body}]}}\n"
-    );
-    std::fs::write(&json_path, json).map_err(|e| format!("writing {json_path}: {e}"))?;
-    eprintln!("wrote perf report to {json_path}");
     Ok(())
 }
 

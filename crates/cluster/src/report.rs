@@ -7,7 +7,8 @@ use crate::node::NodeCounters;
 use crate::placement::PlacementPolicy;
 use crate::replication::RepairStats;
 use deepnote_blockdev::{ChaosEvent, ChaosStats};
-use deepnote_telemetry::{push_json_string, MetricSeries, SloAlert, TraceLog};
+use deepnote_telemetry::json::JsonWriter;
+use deepnote_telemetry::{MetricSeries, SloAlert, TraceLog};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
 
@@ -297,240 +298,167 @@ impl CampaignReport {
     }
 
     /// Serializes the report as a JSON object with a stable key order,
-    /// written by hand so machine consumers (CI artifacts, plotting
-    /// scripts) need no extra dependencies on our side. Identical
-    /// campaigns produce byte-identical JSON.
+    /// written through the telemetry crate's [`JsonWriter`] so machine
+    /// consumers (CI artifacts, plotting scripts) need no extra
+    /// dependencies on our side. Identical campaigns produce
+    /// byte-identical JSON.
     pub fn to_json(&self) -> String {
-        let mut j = String::with_capacity(4096);
-        j.push('{');
-        json_str(&mut j, "label", &self.label);
-        j.push(',');
-        json_str(&mut j, "placement", self.placement.label());
-        j.push(',');
-        let _ = write!(j, "\"seed\":{}", self.seed);
-        j.push(',');
-        j.push_str("\"phases\":[");
+        let mut w = JsonWriter::with_capacity(4096);
+        w.begin_obj();
+        w.key("label").str(&self.label);
+        w.key("placement").str(self.placement.label());
+        w.key("seed").u64(self.seed);
+        w.key("phases").begin_arr();
         for (i, p) in self.metrics.phases.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            j.push('{');
-            json_str(&mut j, "label", &p.label);
-            let _ = write!(
-                j,
-                ",\"goodput_ops_per_s\":{},\"success_ratio\":{},\"max_unavailable\":{},",
-                json_f64(p.goodput_ops_per_s()),
-                json_f64(p.success_ratio()),
-                self.max_unavailable_by_phase.get(i).copied().unwrap_or(0)
-            );
-            j.push_str("\"reads\":");
-            json_op_class(&mut j, &p.reads);
-            j.push_str(",\"writes\":");
-            json_op_class(&mut j, &p.writes);
-            j.push('}');
+            let unavailable = self.max_unavailable_by_phase.get(i).copied().unwrap_or(0);
+            w.begin_obj().key("label").str(&p.label);
+            w.key("goodput_ops_per_s").f64(p.goodput_ops_per_s());
+            w.key("success_ratio").f64(p.success_ratio());
+            w.key("max_unavailable").u64(unavailable as u64);
+            op_class_json(w.key("reads"), &p.reads);
+            op_class_json(w.key("writes"), &p.writes);
+            w.end_obj();
         }
-        j.push_str("],\"availability\":[");
-        for (i, s) in self.metrics.availability.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "{{\"at_s\":{},\"ratio\":{},\"attempted\":{}}}",
-                json_f64(s.at_s),
-                json_f64(s.ratio),
-                s.attempted
-            );
+        w.end_arr().key("availability").begin_arr();
+        for s in &self.metrics.availability {
+            w.begin_obj()
+                .key("at_s")
+                .f64(s.at_s)
+                .key("ratio")
+                .f64(s.ratio);
+            w.key("attempted").u64(s.attempted).end_obj();
         }
-        j.push_str("],\"nodes\":[");
-        for (i, c) in self.node_counters.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "{{\"crashes\":{},\"restarts\":{},\"failed_restarts\":{},\"injected_faults\":{},\"corrupted_writes\":{},\"corrupted_reads\":{}}}",
-                c.crashes, c.restarts, c.failed_restarts, c.injected_faults, c.corrupted_writes, c.corrupted_reads
-            );
+        w.end_arr().key("nodes").begin_arr();
+        for c in &self.node_counters {
+            w.begin_obj();
+            w.key("crashes").u64(c.crashes);
+            w.key("restarts").u64(c.restarts);
+            w.key("failed_restarts").u64(c.failed_restarts);
+            w.key("injected_faults").u64(c.injected_faults);
+            w.key("corrupted_writes").u64(c.corrupted_writes);
+            w.key("corrupted_reads").u64(c.corrupted_reads);
+            w.end_obj();
         }
-        j.push_str("],\"chaos\":[");
-        for (i, s) in self.chaos.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "{{\"burst_errors\":{},\"burst_drops\":{},\"delays\":{},\"delay_total_ms\":{},\"read_flips\":{},\"write_flips\":{},\"torn_writes\":{},\"misdirected_writes\":{}}}",
-                s.burst_errors,
-                s.burst_drops,
-                s.delays,
-                json_f64(s.delay_total.as_nanos() as f64 / 1_000_000.0),
-                s.read_flips,
-                s.write_flips,
-                s.torn_writes,
-                s.misdirected_writes
-            );
+        w.end_arr().key("chaos").begin_arr();
+        for s in &self.chaos {
+            let delay_ms = s.delay_total.as_nanos() as f64 / 1_000_000.0;
+            w.begin_obj();
+            w.key("burst_errors").u64(s.burst_errors);
+            w.key("burst_drops").u64(s.burst_drops);
+            w.key("delays").u64(s.delays);
+            w.key("delay_total_ms").f64(delay_ms);
+            w.key("read_flips").u64(s.read_flips);
+            w.key("write_flips").u64(s.write_flips);
+            w.key("torn_writes").u64(s.torn_writes);
+            w.key("misdirected_writes").u64(s.misdirected_writes);
+            w.end_obj();
         }
-        j.push_str("],\"fault_trace_lengths\":[");
-        for (i, t) in self.fault_traces.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(j, "{}", t.len());
+        w.end_arr().key("fault_trace_lengths").begin_arr();
+        for t in &self.fault_traces {
+            w.u64(t.len() as u64);
         }
-        let _ = write!(
-            j,
-            "],\"repair\":{{\"jobs_done\":{},\"keys_copied\":{},\"bytes_copied\":{},\"copy_failures\":{}}},\"pending_repairs\":{},\"failovers\":{},\"final_unavailable_shards\":{},\"worst_unavailable_shards\":{},",
-            self.repair.jobs_done,
-            self.repair.keys_copied,
-            self.repair.bytes_copied,
-            self.repair.copy_failures,
-            self.pending_repairs,
-            self.failovers,
-            self.final_unavailable_shards,
-            self.worst_unavailable_shards()
-        );
+        w.end_arr().key("repair").begin_obj();
+        w.key("jobs_done").u64(self.repair.jobs_done);
+        w.key("keys_copied").u64(self.repair.keys_copied);
+        w.key("bytes_copied").u64(self.repair.bytes_copied);
+        w.key("copy_failures").u64(self.repair.copy_failures);
+        w.end_obj();
+        w.key("pending_repairs").u64(self.pending_repairs as u64);
+        w.key("failovers").u64(self.failovers);
+        w.key("final_unavailable_shards")
+            .u64(self.final_unavailable_shards as u64);
+        w.key("worst_unavailable_shards")
+            .u64(self.worst_unavailable_shards() as u64);
         let ig = &self.integrity;
-        let _ = write!(
-            j,
-            "\"integrity\":{{\"corrupt_acks\":{},\"read_repairs\":{},\"read_repair_failures\":{},\"unserveable_reads\":{},\"oracle_checked\":{},\"oracle_wrong\":{}}},",
-            ig.corrupt_acks,
-            ig.read_repairs,
-            ig.read_repair_failures,
-            ig.unserveable_reads,
-            ig.oracle_checked,
-            ig.oracle_wrong
-        );
+        w.key("integrity").begin_obj();
+        w.key("corrupt_acks").u64(ig.corrupt_acks);
+        w.key("read_repairs").u64(ig.read_repairs);
+        w.key("read_repair_failures").u64(ig.read_repair_failures);
+        w.key("unserveable_reads").u64(ig.unserveable_reads);
+        w.key("oracle_checked").u64(ig.oracle_checked);
+        w.key("oracle_wrong").u64(ig.oracle_wrong);
+        w.end_obj();
         let sc = &self.scrub;
-        let _ = write!(
-            j,
-            "\"scrub\":{{\"keys_scanned\":{},\"replicas_read\":{},\"bytes_read\":{},\"corrupt_found\":{},\"missing_found\":{},\"repairs_enqueued\":{},\"passes\":{}}},",
-            sc.keys_scanned,
-            sc.replicas_read,
-            sc.bytes_read,
-            sc.corrupt_found,
-            sc.missing_found,
-            sc.repairs_enqueued,
-            sc.passes
-        );
+        w.key("scrub").begin_obj();
+        w.key("keys_scanned").u64(sc.keys_scanned);
+        w.key("replicas_read").u64(sc.replicas_read);
+        w.key("bytes_read").u64(sc.bytes_read);
+        w.key("corrupt_found").u64(sc.corrupt_found);
+        w.key("missing_found").u64(sc.missing_found);
+        w.key("repairs_enqueued").u64(sc.repairs_enqueued);
+        w.key("passes").u64(sc.passes);
+        w.end_obj();
+        w.key("resilience");
         match &self.resilience {
             Some(rs) => {
-                let _ = write!(
-                    j,
-                    "\"resilience\":{{\"ops\":{},\"attempts\":{},\"retries\":{},\"recovered_by_retry\":{},\"hedges\":{},\"hedges_won\":{},\"breaker_trips\":{},\"breaker_denied\":{},\"deadline_exhausted\":{}}},",
-                    rs.ops,
-                    rs.attempts,
-                    rs.retries,
-                    rs.recovered_by_retry,
-                    rs.hedges,
-                    rs.hedges_won,
-                    rs.breaker_trips,
-                    rs.breaker_denied,
-                    rs.deadline_exhausted
-                );
+                w.begin_obj();
+                w.key("ops").u64(rs.ops);
+                w.key("attempts").u64(rs.attempts);
+                w.key("retries").u64(rs.retries);
+                w.key("recovered_by_retry").u64(rs.recovered_by_retry);
+                w.key("hedges").u64(rs.hedges);
+                w.key("hedges_won").u64(rs.hedges_won);
+                w.key("breaker_trips").u64(rs.breaker_trips);
+                w.key("breaker_denied").u64(rs.breaker_denied);
+                w.key("deadline_exhausted").u64(rs.deadline_exhausted);
+                w.end_obj();
             }
-            None => j.push_str("\"resilience\":null,"),
+            None => {
+                w.null();
+            }
         }
-        j.push_str("\"alerts\":[");
-        for (i, a) in self.alerts.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
-            }
-            let _ = write!(
-                j,
-                "{{\"at_s\":{},\"window\":\"{}\",\"raised\":{},\"burn_rate\":{},\"error_ratio\":{},\"ops\":{}}}",
-                json_f64(a.at.as_secs_f64()),
-                a.window,
-                a.raised,
-                json_f64(a.burn_rate),
-                json_f64(a.error_ratio),
-                a.ops
-            );
+        w.key("alerts").begin_arr();
+        for a in &self.alerts {
+            w.begin_obj().key("at_s").f64(a.at.as_secs_f64());
+            w.key("window").str(a.window).key("raised").bool(a.raised);
+            w.key("burn_rate").f64(a.burn_rate);
+            w.key("error_ratio").f64(a.error_ratio);
+            w.key("ops").u64(a.ops).end_obj();
         }
-        j.push_str("],\"series\":[");
-        for (i, s) in self.series.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
+        w.end_arr().key("series").begin_arr();
+        for s in &self.series {
+            w.begin_obj().key("layer").str(s.layer.name());
+            w.key("name").str(&s.name).key("kind").str(s.kind.name());
+            w.key("points").begin_arr();
+            for p in &s.points {
+                w.begin_obj().key("at_s").f64(p.at.as_secs_f64());
+                w.key("value").f64(p.value).end_obj();
             }
-            j.push('{');
-            json_str(&mut j, "layer", s.layer.name());
-            j.push(',');
-            json_str(&mut j, "name", &s.name);
-            j.push(',');
-            json_str(&mut j, "kind", s.kind.name());
-            j.push_str(",\"points\":[");
-            for (k, p) in s.points.iter().enumerate() {
-                if k > 0 {
-                    j.push(',');
-                }
-                let _ = write!(
-                    j,
-                    "{{\"at_s\":{},\"value\":{}}}",
-                    json_f64(p.at.as_secs_f64()),
-                    json_f64(p.value)
-                );
-            }
-            j.push_str("]}");
+            w.end_arr().end_obj();
         }
         let ew = &self.early_warning;
-        let opt = |v: Option<f64>| v.map_or_else(|| "null".to_string(), json_f64);
-        j.push_str("],\"early_warning\":{\"first_node_down\":");
+        w.end_arr().key("early_warning").begin_obj();
+        w.key("first_node_down");
         match ew.first_node_down {
             Some((node, at_s)) => {
-                let _ = write!(j, "{{\"node\":{node},\"at_s\":{}}}", json_f64(at_s));
+                w.begin_obj().key("node").u64(node as u64);
+                w.key("at_s").f64(at_s).end_obj();
             }
-            None => j.push_str("null"),
-        }
-        let _ = write!(
-            j,
-            ",\"first_alert_s\":{},\"quorum_loss_s\":{},\"lead_time_s\":{}}},",
-            opt(ew.first_alert_s),
-            opt(ew.quorum_loss_s),
-            opt(ew.lead_time_s())
-        );
-        j.push_str("\"events\":[");
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                j.push(',');
+            None => {
+                w.null();
             }
-            push_json_string(&mut j, e);
         }
-        j.push_str("]}");
-        j
-    }
-}
-
-/// Writes `"key":"escaped value"`.
-fn json_str(out: &mut String, key: &str, value: &str) {
-    push_json_string(out, key);
-    out.push(':');
-    push_json_string(out, value);
-}
-
-/// A finite `f64` as a JSON number (non-finite values become `null`).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
+        w.key("first_alert_s").opt_f64(ew.first_alert_s);
+        w.key("quorum_loss_s").opt_f64(ew.quorum_loss_s);
+        w.key("lead_time_s").opt_f64(ew.lead_time_s());
+        w.end_obj().key("events").begin_arr();
+        for e in &self.events {
+            w.str(e);
+        }
+        w.end_arr().end_obj();
+        w.finish()
     }
 }
 
 /// One op class as a JSON object (percentiles may be `null`).
-fn json_op_class(out: &mut String, c: &OpClassMetrics) {
-    let pct = |p: f64| {
-        c.percentile_ms(p)
-            .map_or_else(|| "null".to_string(), json_f64)
-    };
-    let _ = write!(
-        out,
-        "{{\"attempted\":{},\"ok\":{},\"slo_ok\":{},\"p50_ms\":{},\"p99_ms\":{}}}",
-        c.attempted,
-        c.ok,
-        c.slo_ok,
-        pct(50.0),
-        pct(99.0)
-    );
+fn op_class_json(w: &mut JsonWriter, c: &OpClassMetrics) {
+    w.begin_obj();
+    w.key("attempted").u64(c.attempted);
+    w.key("ok").u64(c.ok);
+    w.key("slo_ok").u64(c.slo_ok);
+    w.key("p50_ms").opt_f64(c.percentile_ms(50.0));
+    w.key("p99_ms").opt_f64(c.percentile_ms(99.0));
+    w.end_obj();
 }
 
 /// Renders several runs side by side: one availability row per run, then
@@ -633,6 +561,71 @@ mod tests {
             },
             trace: None,
         }
+    }
+
+    /// `tiny_report` extended to reach every null branch of the JSON:
+    /// no resilience stats, a phase without ops (null percentiles), no
+    /// quorum loss (null lead time), a non-finite series point, and an
+    /// event that needs escaping.
+    fn null_branch_report() -> CampaignReport {
+        use deepnote_telemetry::{Layer, MetricKind, MetricPoint};
+        let mut r = tiny_report();
+        r.metrics.phases.push(PhaseMetrics::new(
+            "idle",
+            SimTime::from_secs(20),
+            SimTime::from_secs(20),
+        ));
+        r.early_warning.quorum_loss_s = None;
+        r.events.push("quote \" newline \n ctrl \u{1} end".into());
+        r.chaos[0].delay_total = SimDuration::from_micros(1_500);
+        r.series.push(MetricSeries {
+            layer: Layer::Hdd,
+            name: "node0/seek_retries".into(),
+            kind: MetricKind::Counter,
+            points: vec![
+                MetricPoint {
+                    at: SimTime::from_nanos(500_000_000),
+                    value: 3.0,
+                },
+                MetricPoint {
+                    at: SimTime::from_secs(1),
+                    value: f64::NAN,
+                },
+            ],
+        });
+        r
+    }
+
+    #[test]
+    fn json_matches_its_golden_bytes() {
+        // Captured from the hand-written serializer this one replaced.
+        let golden = concat!(
+            r#"{"label":"test","placement":"separated","seed":7,"phases":["#,
+            r#"{"label":"baseline","goodput_ops_per_s":0.1,"success_ratio":1,"max_unavailable":0,"#,
+            r#""reads":{"attempted":1,"ok":1,"slo_ok":1,"p50_ms":2.23872113856834,"p99_ms":2.23872113856834},"#,
+            r#""writes":{"attempted":0,"ok":0,"slo_ok":0,"p50_ms":null,"p99_ms":null}},"#,
+            r#"{"label":"attack","goodput_ops_per_s":0,"success_ratio":0,"max_unavailable":3,"#,
+            r#""reads":{"attempted":0,"ok":0,"slo_ok":0,"p50_ms":null,"p99_ms":null},"#,
+            r#""writes":{"attempted":1,"ok":0,"slo_ok":0,"p50_ms":251.1886431509582,"p99_ms":251.1886431509582}},"#,
+            r#"{"label":"idle","goodput_ops_per_s":0,"success_ratio":1,"max_unavailable":0,"#,
+            r#""reads":{"attempted":0,"ok":0,"slo_ok":0,"p50_ms":null,"p99_ms":null},"#,
+            r#""writes":{"attempted":0,"ok":0,"slo_ok":0,"p50_ms":null,"p99_ms":null}}],"#,
+            r#""availability":[{"at_s":20,"ratio":0.5,"attempted":2}],"#,
+            r#""nodes":[{"crashes":2,"restarts":1,"failed_restarts":3,"injected_faults":0,"corrupted_writes":0,"corrupted_reads":0},"#,
+            r#"{"crashes":0,"restarts":0,"failed_restarts":0,"injected_faults":0,"corrupted_writes":0,"corrupted_reads":0}],"#,
+            r#""chaos":[{"burst_errors":0,"burst_drops":0,"delays":0,"delay_total_ms":1.5,"read_flips":0,"write_flips":0,"torn_writes":0,"misdirected_writes":0},"#,
+            r#"{"burst_errors":0,"burst_drops":0,"delays":0,"delay_total_ms":0,"read_flips":0,"write_flips":0,"torn_writes":0,"misdirected_writes":0}],"#,
+            r#""fault_trace_lengths":[0,0],"repair":{"jobs_done":0,"keys_copied":0,"bytes_copied":0,"copy_failures":0},"#,
+            r#""pending_repairs":0,"failovers":4,"final_unavailable_shards":1,"worst_unavailable_shards":3,"#,
+            r#""integrity":{"corrupt_acks":0,"read_repairs":0,"read_repair_failures":0,"unserveable_reads":0,"oracle_checked":0,"oracle_wrong":0},"#,
+            r#""scrub":{"keys_scanned":0,"replicas_read":0,"bytes_read":0,"corrupt_found":0,"missing_found":0,"repairs_enqueued":0,"passes":0},"#,
+            r#""resilience":null,"#,
+            r#""alerts":[{"at_s":12,"window":"fast","raised":true,"burn_rate":25,"error_ratio":0.25,"ops":120}],"#,
+            r#""series":[{"layer":"hdd","name":"node0/seek_retries","kind":"counter","points":[{"at_s":0.5,"value":3},{"at_s":1,"value":null}]}],"#,
+            r#""early_warning":{"first_node_down":{"node":0,"at_s":12},"first_alert_s":12,"quorum_loss_s":null,"lead_time_s":null},"#,
+            r#""events":["t=   12.0s  node 0 crashed","quote \" newline \n ctrl \u0001 end"]}"#,
+        );
+        assert_eq!(null_branch_report().to_json(), golden);
     }
 
     #[test]

@@ -1051,8 +1051,8 @@ impl<D: BlockDevice> Filesystem<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
-    use deepnote_sim::SimDuration;
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, IoError, MemDisk};
+    use deepnote_sim::{SimDuration, SimRng};
 
     fn new_fs() -> Filesystem<MemDisk> {
         Filesystem::format(MemDisk::new(1 << 17), Clock::new()).unwrap()
@@ -1313,18 +1313,19 @@ mod tests {
     fn blocked_commit_aborts_filesystem_readonly() {
         let clock = Clock::new();
         let disk = MemDisk::new(1 << 17);
-        let mut fs =
-            Filesystem::format(FaultInjector::new(disk, FaultPlan::None), clock.clone()).unwrap();
+        let mut fs = Filesystem::format(
+            ChaosInjector::new(disk, ChaosPlan::quiet(), SimRng::seeded(0)),
+            clock.clone(),
+        )
+        .unwrap();
         fs.create_file("/victim").unwrap();
         fs.write_file("/victim", 0, b"before attack").unwrap();
         fs.commit().unwrap();
 
         // The attack begins: writes block (reads of cached metadata would
         // still be served by the page cache on a real system).
-        fs.device_mut().set_plan(FaultPlan::FailWritesFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
+        fs.device_mut()
+            .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         // Buffered writes still succeed — applications don't notice yet —
         // and the dirty page is readable (page-cache semantics) before it
         // ever reaches the device.
@@ -1341,7 +1342,7 @@ mod tests {
         // Writes now fail instantly with the JBD error; reads still work
         // (the injector is still failing, so stop it first — remount-ro
         // semantics are about the fs state, not the device).
-        fs.device_mut().set_plan(FaultPlan::None);
+        fs.device_mut().set_plan(ChaosPlan::quiet());
         assert_eq!(
             fs.create_file("/after"),
             Err(FsError::JournalAborted { errno: -5 })
@@ -1370,18 +1371,19 @@ mod tests {
     fn aborted_state_survives_remount() {
         let clock = Clock::new();
         let disk = MemDisk::new(1 << 17);
-        let mut fs =
-            Filesystem::format(FaultInjector::new(disk, FaultPlan::None), clock.clone()).unwrap();
+        let mut fs = Filesystem::format(
+            ChaosInjector::new(disk, ChaosPlan::quiet(), SimRng::seeded(0)),
+            clock.clone(),
+        )
+        .unwrap();
         fs.create_file("/f").unwrap();
-        fs.device_mut().set_plan(FaultPlan::FailFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
+        fs.device_mut()
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         // Superblock error-mark write also fails (device dead) — that is
         // fine; stop the fault before remounting to model the attack
         // ending.
         let _ = fs.commit();
-        fs.device_mut().set_plan(FaultPlan::None);
+        fs.device_mut().set_plan(ChaosPlan::quiet());
         // Mark was best-effort and failed; simulate the kernel retrying
         // the error mark once the device recovers, as ext4 does from its
         // error work queue.

@@ -439,7 +439,8 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, IoError, MemDisk};
+    use deepnote_sim::SimRng;
 
     const REGION: u64 = 1;
     const RLEN: u64 = 64;
@@ -502,12 +503,10 @@ mod tests {
     #[test]
     fn blocked_device_aborts_with_minus_5_after_patience() {
         let clock = Clock::new();
-        let mut dev = FaultInjector::new(
+        let mut dev = ChaosInjector::new(
             MemDisk::new(1 << 16),
-            FaultPlan::FailFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            },
+            ChaosPlan::fail_all(IoError::NoResponse),
+            SimRng::seeded(0),
         );
         let mut j = Journal::new(
             JournalConfig {

@@ -112,7 +112,7 @@ pub fn run_job(job: &JobSpec, device: &mut dyn BlockDevice, clock: &Clock) -> Jo
 mod tests {
     use super::*;
     use deepnote_acoustics::Frequency;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, HddDisk, IoError, MemDisk};
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, HddDisk, IoError, MemDisk};
     use deepnote_hdd::VibrationState;
     use deepnote_sim::SimDuration;
 
@@ -210,12 +210,10 @@ mod tests {
     #[test]
     fn failing_device_without_latency_still_terminates() {
         let clock = Clock::new();
-        let mut disk = FaultInjector::new(
+        let mut disk = ChaosInjector::new(
             MemDisk::new(1 << 16),
-            FaultPlan::FailFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            },
+            ChaosPlan::fail_all(IoError::NoResponse),
+            SimRng::seeded(0),
         );
         let report = run_job(
             &JobSpec::seq_write("dead")

@@ -221,7 +221,7 @@ pub fn read_while_writing<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> B
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, IoError, MemDisk};
     use deepnote_sim::Clock;
 
     fn quick_spec() -> BenchSpec {
@@ -302,7 +302,7 @@ mod tests {
     #[test]
     fn blocked_device_crashes_run_and_reports_zero_class_rates() {
         let clock = Clock::new();
-        let disk = FaultInjector::new(MemDisk::new(1 << 19), FaultPlan::None);
+        let disk = ChaosInjector::new(MemDisk::new(1 << 19), ChaosPlan::quiet(), SimRng::seeded(0));
         let mut db = Db::create(disk, clock.clone()).unwrap();
         let spec = BenchSpec {
             num_keys: 2_000,
@@ -312,10 +312,7 @@ mod tests {
         fill_seq(&mut db, &spec).unwrap();
         db.filesystem_mut()
             .device_mut()
-            .set_plan(FaultPlan::FailWritesFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            });
+            .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         let report = read_while_writing(&mut db, &spec);
         let crashed_at = report.crashed_at_s.expect("must crash");
         assert!(

@@ -643,7 +643,8 @@ impl<D: BlockDevice> Db<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, IoError, MemDisk};
+    use deepnote_sim::SimRng;
 
     fn small_config() -> DbConfig {
         DbConfig {
@@ -753,17 +754,14 @@ mod tests {
     #[test]
     fn blocked_wal_crashes_store_with_paper_signature() {
         let clock = Clock::new();
-        let disk = FaultInjector::new(MemDisk::new(1 << 18), FaultPlan::None);
+        let disk = ChaosInjector::new(MemDisk::new(1 << 18), ChaosPlan::quiet(), SimRng::seeded(0));
         let mut db = Db::create_with(disk, clock.clone(), small_config()).unwrap();
         db.put(b"before", b"attack").unwrap();
         db.sync_wal().unwrap();
 
         db.filesystem_mut()
             .device_mut()
-            .set_plan(FaultPlan::FailWritesFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            });
+            .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         let t0 = clock.now();
         let mut crash = None;
         for i in 0..10_000u32 {

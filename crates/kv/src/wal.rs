@@ -170,7 +170,8 @@ impl Wal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, IoError, MemDisk};
+    use deepnote_sim::SimRng;
 
     fn fs_with_wal() -> (Filesystem<MemDisk>, Wal, Clock) {
         let clock = Clock::new();
@@ -237,7 +238,7 @@ mod tests {
             ..Default::default()
         };
         let mut fs = Filesystem::format_with_config(
-            FaultInjector::new(MemDisk::new(1 << 17), FaultPlan::None),
+            ChaosInjector::new(MemDisk::new(1 << 17), ChaosPlan::quiet(), SimRng::seeded(0)),
             clock.clone(),
             jcfg,
         )
@@ -246,10 +247,8 @@ mod tests {
         fs.create_file("/db/wal").unwrap();
         let mut wal = Wal::new("/db/wal", 0, SimDuration::from_secs(81));
         wal.append(&Record::put("k", "v")).unwrap();
-        fs.device_mut().set_plan(FaultPlan::FailWritesFrom {
-            start: 0,
-            error: IoError::NoResponse,
-        });
+        fs.device_mut()
+            .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         let t0 = clock.now();
         assert_eq!(wal.sync(&mut fs, &clock), Err(DbError::WalSyncFailed));
         let waited = (clock.now() - t0).as_secs_f64();

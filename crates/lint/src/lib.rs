@@ -277,6 +277,7 @@ mod tests {
             "crates/telemetry/src/metrics.rs",
             "crates/telemetry/src/slo.rs",
             "crates/telemetry/src/chrome.rs",
+            "crates/telemetry/src/json.rs",
             "crates/telemetry/src/schema.rs",
         ] {
             assert_eq!(run_on(path, nondet).len(), 1, "{path} nondet uncovered");
@@ -309,9 +310,9 @@ mod tests {
             1,
             "acoustics propagation panic uncovered"
         );
-        // The perf harness lives in the `deepnote` binary, where the
-        // panic rule does not apply but the determinism rules still do
-        // — its wall-clock reads carry explicit suppressions.
+        // The `deepnote` binary sits outside the panic rule but inside
+        // the determinism rules: a host clock read there would need an
+        // explicit suppression.
         assert!(run_on("crates/cluster/src/bin/deepnote.rs", panicky).is_empty());
         assert_eq!(
             run_on("crates/cluster/src/bin/deepnote.rs", clocky).len(),

@@ -400,7 +400,8 @@ impl<D: BlockDevice> ServerOs<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_blockdev::{FaultInjector, FaultPlan, IoError, MemDisk};
+    use deepnote_blockdev::{ChaosInjector, ChaosPlan, IoError, MemDisk};
+    use deepnote_sim::SimRng;
 
     fn server() -> (ServerOs<MemDisk>, Clock) {
         let clock = Clock::new();
@@ -441,7 +442,7 @@ mod tests {
     fn blocked_storage_crashes_server_with_dmesg_trail() {
         let clock = Clock::new();
         let mut os = ServerOs::install(
-            FaultInjector::new(MemDisk::new(1 << 17), FaultPlan::None),
+            ChaosInjector::new(MemDisk::new(1 << 17), ChaosPlan::quiet(), SimRng::seeded(0)),
             clock.clone(),
         )
         .unwrap();
@@ -451,10 +452,7 @@ mod tests {
         os.tick();
         os.filesystem_mut()
             .device_mut()
-            .set_plan(FaultPlan::FailWritesFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            });
+            .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         let t0 = clock.now();
         let mut crashed_at = None;
         for _ in 0..200 {
@@ -483,7 +481,7 @@ mod tests {
     fn exec_fails_with_io_error_when_cold_read_blocked() {
         let clock = Clock::new();
         let mut os = ServerOs::install(
-            FaultInjector::new(MemDisk::new(1 << 17), FaultPlan::None),
+            ChaosInjector::new(MemDisk::new(1 << 17), ChaosPlan::quiet(), SimRng::seeded(0)),
             clock.clone(),
         )
         .unwrap();
@@ -496,7 +494,11 @@ mod tests {
             let fs = std::mem::replace(
                 os.filesystem_mut(),
                 deepnote_fs::Filesystem::format(
-                    FaultInjector::new(MemDisk::new(1 << 17), FaultPlan::None),
+                    ChaosInjector::new(
+                        MemDisk::new(1 << 17),
+                        ChaosPlan::quiet(),
+                        SimRng::seeded(0),
+                    ),
                     clock.clone(),
                 )
                 .unwrap(),
@@ -507,10 +509,7 @@ mod tests {
         *os.filesystem_mut() = fs2;
         os.filesystem_mut()
             .device_mut()
-            .set_plan(FaultPlan::FailFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            });
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         let err = os.exec("ls").unwrap_err();
         assert!(matches!(err, OsError::InputOutput { .. }), "{err:?}");
         assert_eq!(os.klog().count_containing("Input/output error"), 1);
@@ -522,7 +521,7 @@ mod tests {
         use crate::service::ServiceState;
         let clock = Clock::new();
         let mut os = ServerOs::install(
-            FaultInjector::new(MemDisk::new(1 << 17), FaultPlan::None),
+            ChaosInjector::new(MemDisk::new(1 << 17), ChaosPlan::quiet(), SimRng::seeded(0)),
             clock.clone(),
         )
         .unwrap();
@@ -539,10 +538,7 @@ mod tests {
         // The attack: all I/O (reads included — cold binary reloads) dies.
         os.filesystem_mut()
             .device_mut()
-            .set_plan(FaultPlan::FailFrom {
-                start: 0,
-                error: IoError::NoResponse,
-            });
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         let mut dead_seen = 0;
         for _ in 0..40 {
             let _ = os.write_log("under attack");

@@ -15,9 +15,8 @@
 //! * [`EventQueue`] — the discrete-event queue: typed payloads popped in
 //!   `(time, priority, insertion order)` order. The campaign event loop
 //!   drives it ([`event`]).
-//! * Statistics — [`OnlineStats`], [`Histogram`], [`RateMeter`], and
-//!   [`TimeSeries`] for measuring throughput, latency, and sweeps
-//!   ([`stats`], [`series`]).
+//! * Statistics — [`OnlineStats`], [`Histogram`], and [`TimeSeries`]
+//!   for measuring latency and sweeps ([`stats`], [`series`]).
 //!
 //! # Example
 //!
@@ -45,5 +44,5 @@ pub use clock::Clock;
 pub use event::EventQueue;
 pub use rng::SimRng;
 pub use series::TimeSeries;
-pub use stats::{Histogram, OnlineStats, RateMeter};
+pub use stats::{Histogram, OnlineStats};
 pub use time::{SimDuration, SimTime};

@@ -1,4 +1,4 @@
-//! Hand-written Chrome trace-event JSON export.
+//! Chrome trace-event JSON export.
 //!
 //! The output follows the Trace Event Format's "JSON object" flavor —
 //! `{"displayTimeUnit":"ms","traceEvents":[...]}` — using complete
@@ -10,57 +10,55 @@
 //! nanosecond remainders, written with integer arithmetic so identical
 //! logs serialize byte-identically.
 
+use crate::json::JsonWriter;
 use crate::tracer::{EventKind, TraceLog, Value, CONTROL_TRACK};
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
 
 /// Serializes `runs` (label + collected log) as one Chrome trace.
 pub fn export(runs: &[(&str, &TraceLog)]) -> String {
-    let mut out = String::with_capacity(4096);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    let mut first = true;
-    for (i, (label, log)) in runs.iter().enumerate() {
-        let pid = i + 1;
-        write_meta_process(&mut out, &mut first, pid, label, log.dropped);
+    let mut w = JsonWriter::with_capacity(4096);
+    w.begin_obj().key("displayTimeUnit").str("ms");
+    w.key("traceEvents").begin_arr();
+    for (pid, (label, log)) in (1u64..).zip(runs) {
+        meta(&mut w, pid, 0, "process_name").key("name").str(label);
+        w.key("dropped_events").u64(log.dropped).end_obj().end_obj();
         let tracks: BTreeSet<u32> = log.events.iter().map(|e| e.track).collect();
-        for track in &tracks {
-            write_meta_thread(&mut out, &mut first, pid, *track);
+        for track in tracks {
+            meta(&mut w, pid, tid(track), "thread_name").key("name");
+            if track == CONTROL_TRACK {
+                w.str("control");
+            } else {
+                w.str(&format!("node-{track}"));
+            }
+            w.end_obj().end_obj();
         }
         for ev in &log.events {
-            sep(&mut out, &mut first);
-            let _ = write!(
-                out,
-                "{{\"ph\":\"{}\",\"pid\":{pid},\"tid\":{},\"ts\":",
-                match ev.kind {
-                    EventKind::Span => 'X',
-                    EventKind::Instant => 'i',
-                },
-                tid(ev.track)
-            );
-            push_micros(&mut out, ev.at.as_nanos());
-            if ev.kind == EventKind::Span {
-                out.push_str(",\"dur\":");
-                push_micros(&mut out, ev.dur.as_nanos());
+            let span = ev.kind == EventKind::Span;
+            w.begin_obj().key("ph").str(if span { "X" } else { "i" });
+            w.key("pid").u64(pid).key("tid").u64(tid(ev.track));
+            w.key("ts").micros(ev.at.as_nanos());
+            if span {
+                w.key("dur").micros(ev.dur.as_nanos());
             } else {
-                out.push_str(",\"s\":\"t\"");
+                w.key("s").str("t");
             }
-            out.push_str(",\"cat\":");
-            push_json_string(&mut out, ev.layer.name());
-            out.push_str(",\"name\":");
-            push_json_string(&mut out, ev.name);
-            out.push_str(",\"args\":{");
-            for (k, (name, value)) in ev.args.iter().enumerate() {
-                if k > 0 {
-                    out.push(',');
-                }
-                push_json_string(&mut out, name);
-                out.push(':');
-                push_value(&mut out, value);
+            w.key("cat").str(ev.layer.name()).key("name").str(ev.name);
+            w.key("args").begin_obj();
+            for (name, value) in &ev.args {
+                w.key(name);
+                match value {
+                    Value::U64(n) => w.u64(*n),
+                    Value::F64(x) => w.f64(*x),
+                    Value::Str(s) => w.str(s),
+                    Value::Text(s) => w.str(s),
+                };
             }
-            out.push_str("}}");
+            w.end_obj().end_obj();
         }
     }
-    out.push_str("]}\n");
+    w.end_arr().end_obj();
+    let mut out = w.finish();
+    out.push('\n');
     out
 }
 
@@ -73,81 +71,15 @@ fn tid(track: u32) -> u64 {
     }
 }
 
-fn sep(out: &mut String, first: &mut bool) {
-    if *first {
-        *first = false;
-    } else {
-        out.push(',');
-    }
-}
-
-fn write_meta_process(out: &mut String, first: &mut bool, pid: usize, label: &str, dropped: u64) {
-    sep(out, first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"name\":\"process_name\",\"args\":{{\"name\":"
-    );
-    push_json_string(out, label);
-    let _ = write!(out, ",\"dropped_events\":{dropped}}}}}");
-}
-
-fn write_meta_thread(out: &mut String, first: &mut bool, pid: usize, track: u32) {
-    sep(out, first);
-    let _ = write!(
-        out,
-        "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{},\"name\":\"thread_name\",\"args\":{{\"name\":",
-        tid(track)
-    );
-    if track == CONTROL_TRACK {
-        push_json_string(out, "control");
-    } else {
-        let name = format!("node-{track}");
-        push_json_string(out, &name);
-    }
-    out.push_str("}}");
-}
-
-/// Nanoseconds as a microsecond decimal (`123.456`), integer-exact.
-fn push_micros(out: &mut String, nanos: u64) {
-    let _ = write!(out, "{}.{:03}", nanos / 1_000, nanos % 1_000);
-}
-
-fn push_value(out: &mut String, v: &Value) {
-    match v {
-        Value::U64(n) => {
-            let _ = write!(out, "{n}");
-        }
-        Value::F64(x) => {
-            if x.is_finite() {
-                let _ = write!(out, "{x}");
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::Str(s) => push_json_string(out, s),
-        Value::Text(s) => push_json_string(out, s),
-    }
-}
-
-/// Appends `s` as a JSON string literal: quotes, backslashes and
-/// control characters escaped, everything else copied as is. Shared by
-/// the trace exporter and the cluster's campaign reports.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// Opens a metadata record and its `args` object.
+fn meta<'w>(w: &'w mut JsonWriter, pid: u64, tid: u64, name: &str) -> &'w mut JsonWriter {
+    w.begin_obj().key("ph").str("M").key("pid").u64(pid);
+    w.key("tid")
+        .u64(tid)
+        .key("name")
+        .str(name)
+        .key("args")
+        .begin_obj()
 }
 
 #[cfg(test)]
@@ -181,6 +113,49 @@ mod tests {
             vec![("shard", Value::U64(7)), ("why", Value::Str("down"))],
         );
         t.take()
+    }
+
+    /// A log reaching every branch of the exporter: non-finite floats
+    /// (written as null), an owned label that needs escaping, a span on
+    /// the control track, and a ring that dropped an event.
+    fn edge_log() -> TraceLog {
+        let t = Tracer::ring(2);
+        t.instant(
+            Layer::Hdd,
+            0,
+            "odd",
+            SimTime::from_nanos(5),
+            vec![
+                ("nan", Value::F64(f64::NAN)),
+                ("inf", Value::F64(f64::INFINITY)),
+                ("phase", Value::Text("a\"b\n".into())),
+            ],
+        );
+        t.span(
+            Layer::Cluster,
+            CONTROL_TRACK,
+            "quorum",
+            SimTime::from_nanos(1_000_001),
+            SimDuration::from_nanos(999),
+            vec![("ok", Value::U64(0))],
+        );
+        t.instant(Layer::Kv, 1, "lost", SimTime::from_secs(3), Vec::new());
+        t.take()
+    }
+
+    #[test]
+    fn export_matches_its_golden_bytes() {
+        // Captured from the hand-written exporter this one replaced.
+        let golden = concat!(
+            r#"{"displayTimeUnit":"ms","traceEvents":["#,
+            r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"run \"x\"","dropped_events":1}},"#,
+            r#"{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"node-0"}},"#,
+            r#"{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"control"}},"#,
+            r#"{"ph":"i","pid":1,"tid":1,"ts":0.005,"s":"t","cat":"hdd","name":"odd","args":{"nan":null,"inf":null,"phase":"a\"b\n"}},"#,
+            r#"{"ph":"X","pid":1,"tid":0,"ts":1000.001,"dur":0.999,"cat":"cluster","name":"quorum","args":{"ok":0}}"#,
+            "]}\n",
+        );
+        assert_eq!(export(&[("run \"x\"", &edge_log())]), golden);
     }
 
     #[test]

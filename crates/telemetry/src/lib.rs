@@ -15,8 +15,8 @@
 //!   bounded ring buffer, and per-track time-offset mapping so events
 //!   emitted on a node's *private* virtual clock land on the cluster's
 //!   shared timeline.
-//! * [`chrome`] — hand-written Chrome trace-event JSON export; the file
-//!   loads in Perfetto (`ui.perfetto.dev`) and shows tone arrivals,
+//! * [`chrome`] — Chrome trace-event JSON export; the file loads in
+//!   Perfetto (`ui.perfetto.dev`) and shows tone arrivals,
 //!   servo excursions, device retries, quorum decisions, failovers, and
 //!   scrubber repairs side by side.
 //! * [`metrics`] + [`slo`] — a registry of named per-layer time series
@@ -24,17 +24,19 @@
 //!   burn-rate monitor (fast/slow burn, à la SRE) that produces the
 //!   alert timeline the paper's victims lacked.
 //!
-//! [`schema`] is the hand-rolled JSON reader the CI job (and the
-//! `deepnote trace-check` subcommand) uses to validate emitted traces
-//! and reports without any external dependency.
+//! [`json`] is the one JSON writer every artifact goes through and the
+//! one reader beside it; [`schema`] uses that reader in the CI job (and
+//! the `deepnote trace-check` subcommand) to validate emitted traces and
+//! reports without any external dependency.
 
 pub mod chrome;
+pub mod json;
 pub mod metrics;
 pub mod schema;
 pub mod slo;
 pub mod tracer;
 
-pub use chrome::{export as export_chrome_trace, push_json_string};
+pub use chrome::export as export_chrome_trace;
 pub use metrics::{MetricId, MetricKind, MetricPoint, MetricSeries, MetricsRegistry};
 pub use slo::{BurnRateMonitor, BurnWindow, SloAlert, SloPolicy};
 pub use tracer::{EventKind, Layer, TraceEvent, TraceLog, Tracer, Value, CONTROL_TRACK};
