@@ -305,6 +305,29 @@ impl<D: BlockDevice> ChaosInjector<D> {
         }
     }
 
+    /// A copy of this injector around `inner` (usually a replica of this
+    /// injector's device), drawing from `rng`. Plan, burst state, request
+    /// count, counters and fault trace carry over, so fault-trace indices
+    /// continue where this injector's left off. Clock and vibration are
+    /// shared handles and are not copied: attach the replica's own with
+    /// [`ChaosInjector::with_clock`] and
+    /// [`ChaosInjector::with_vibration`]. The tracer starts disabled.
+    pub fn replica(&self, inner: D, rng: SimRng) -> Self {
+        ChaosInjector {
+            inner,
+            plan: self.plan.clone(),
+            rng,
+            clock: None,
+            vibration: None,
+            burst_left: self.burst_left.clone(),
+            requests: self.requests,
+            stats: self.stats,
+            trace: self.trace.clone(),
+            tracer: Tracer::disabled(),
+            track: 0,
+        }
+    }
+
     /// Attaches the clock latency inflation charges time to.
     pub fn with_clock(mut self, clock: Clock) -> Self {
         self.clock = Some(clock);

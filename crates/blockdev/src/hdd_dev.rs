@@ -5,12 +5,12 @@
 //! by the drive, so anything running on top — filesystem, database,
 //! benchmark — experiences the acoustic attack exactly as the drive does.
 
-use crate::device::{check_request, BlockDevice, BLOCK_SIZE};
+use crate::device::{check_request, BlockDevice};
 use crate::error::IoError;
+use crate::store::SectorStore;
 use deepnote_hdd::{DiskOp, HardDiskDrive, VibrationInput};
 use deepnote_sim::{Clock, SimTime};
 use deepnote_telemetry::{Layer, Tracer, Value};
-use std::collections::BTreeMap;
 
 /// A block device backed by the mechanical drive model.
 ///
@@ -30,7 +30,7 @@ use std::collections::BTreeMap;
 #[derive(Debug)]
 pub struct HddDisk {
     drive: HardDiskDrive,
-    blocks: BTreeMap<u64, Box<[u8; BLOCK_SIZE]>>,
+    blocks: SectorStore,
     read_errors: u64,
     write_errors: u64,
     tracer: Tracer,
@@ -42,9 +42,24 @@ impl HddDisk {
     pub fn new(drive: HardDiskDrive) -> Self {
         HddDisk {
             drive,
-            blocks: BTreeMap::new(),
+            blocks: SectorStore::default(),
             read_errors: 0,
             write_errors: 0,
+            tracer: Tracer::disabled(),
+            track: 0,
+        }
+    }
+
+    /// A copy of this device for another node: the same stored sectors,
+    /// error counters and mechanical state (see
+    /// [`HardDiskDrive::replica`]), on `clock`, with a fresh quiescent
+    /// vibration input and no tracer.
+    pub fn replica(&self, clock: Clock) -> Self {
+        HddDisk {
+            drive: self.drive.replica(clock),
+            blocks: self.blocks.clone(),
+            read_errors: self.read_errors,
+            write_errors: self.write_errors,
             tracer: Tracer::disabled(),
             track: 0,
         }
@@ -168,13 +183,7 @@ impl BlockDevice for HddDisk {
                 return Err(io);
             }
         }
-        for i in 0..blocks {
-            let dst = &mut buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE];
-            match self.blocks.get(&(lba + i)) {
-                Some(data) => dst.copy_from_slice(&data[..]),
-                None => dst.fill(0),
-            }
-        }
+        self.blocks.read(lba, buf);
         Ok(())
     }
 
@@ -195,12 +204,9 @@ impl BlockDevice for HddDisk {
                 return Err(io);
             }
         }
-        for i in 0..blocks {
-            let src = &buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE];
-            let mut block = Box::new([0u8; BLOCK_SIZE]);
-            block.copy_from_slice(src);
-            self.blocks.insert(lba + i, block);
-        }
+        // The drive timed the request above; what is stored (zeros are
+        // not) cannot change its virtual cost.
+        self.blocks.write(lba, buf);
         Ok(())
     }
 
@@ -266,6 +272,19 @@ mod tests {
         let mut out = vec![0u8; 512];
         disk.read_blocks(5, &mut out).unwrap();
         assert_eq!(out, original);
+    }
+
+    #[test]
+    fn zero_write_costs_the_same_virtual_time() {
+        let elapsed = |fill: u8| {
+            let clock = Clock::new();
+            let mut disk = HddDisk::barracuda_500gb(clock.clone());
+            disk.write_blocks(100, &[0x5Au8; 4096]).unwrap();
+            let t0 = clock.now();
+            disk.write_blocks(100, &[fill; 4096]).unwrap();
+            clock.now() - t0
+        };
+        assert_eq!(elapsed(0), elapsed(0x5A));
     }
 
     #[test]

@@ -37,6 +37,7 @@ pub mod error;
 pub mod hdd_dev;
 pub mod mem;
 pub mod raid;
+mod store;
 pub mod trace;
 
 pub use chaos::{

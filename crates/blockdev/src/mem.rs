@@ -1,9 +1,9 @@
 //! An ideal in-memory block device.
 
-use crate::device::{check_request, BlockDevice, BLOCK_SIZE};
+use crate::device::{check_request, BlockDevice};
 use crate::error::IoError;
+use crate::store::SectorStore;
 use deepnote_sim::{Clock, SimDuration};
-use std::collections::BTreeMap;
 
 /// An in-memory device: never fails, optionally charges a fixed latency
 /// per request against a virtual clock. Unwritten blocks read as zeros;
@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 #[derive(Debug, Default)]
 pub struct MemDisk {
     num_blocks: u64,
-    blocks: BTreeMap<u64, Box<[u8; BLOCK_SIZE]>>,
+    blocks: SectorStore,
     latency: Option<(Clock, SimDuration)>,
     reads: u64,
     writes: u64,
@@ -39,7 +39,7 @@ impl MemDisk {
         assert!(num_blocks > 0, "device must have at least one block");
         MemDisk {
             num_blocks,
-            blocks: BTreeMap::new(),
+            blocks: SectorStore::default(),
             latency: None,
             reads: 0,
             writes: 0,
@@ -63,7 +63,7 @@ impl MemDisk {
         self.writes
     }
 
-    /// Number of blocks that have ever been written (sparse footprint).
+    /// Number of blocks holding non-zero data (sparse footprint).
     pub fn blocks_touched(&self) -> usize {
         self.blocks.len()
     }
@@ -81,28 +81,17 @@ impl BlockDevice for MemDisk {
     }
 
     fn read_blocks(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let blocks = check_request(self.num_blocks, lba, buf.len())?;
+        check_request(self.num_blocks, lba, buf.len())?;
         self.charge();
-        for i in 0..blocks {
-            let dst = &mut buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE];
-            match self.blocks.get(&(lba + i)) {
-                Some(data) => dst.copy_from_slice(&data[..]),
-                None => dst.fill(0),
-            }
-        }
+        self.blocks.read(lba, buf);
         self.reads += 1;
         Ok(())
     }
 
     fn write_blocks(&mut self, lba: u64, buf: &[u8]) -> Result<(), IoError> {
-        let blocks = check_request(self.num_blocks, lba, buf.len())?;
+        check_request(self.num_blocks, lba, buf.len())?;
         self.charge();
-        for i in 0..blocks {
-            let src = &buf[(i as usize) * BLOCK_SIZE..][..BLOCK_SIZE];
-            let mut block = Box::new([0u8; BLOCK_SIZE]);
-            block.copy_from_slice(src);
-            self.blocks.insert(lba + i, block);
-        }
+        self.blocks.write(lba, buf);
         self.writes += 1;
         Ok(())
     }
@@ -115,6 +104,7 @@ impl BlockDevice for MemDisk {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::BLOCK_SIZE;
     use proptest::prelude::*;
 
     #[test]
@@ -127,6 +117,20 @@ mod tests {
         assert_eq!(out, data);
         assert_eq!(d.blocks_touched(), 3);
         assert_eq!((d.reads(), d.writes()), (1, 1));
+    }
+
+    #[test]
+    fn zeros_written_over_data_read_back_as_zeros() {
+        let mut d = MemDisk::new(8);
+        d.write_blocks(3, &[0xA5; BLOCK_SIZE * 2]).unwrap();
+        let mut zeros = vec![0u8; BLOCK_SIZE * 2];
+        zeros[BLOCK_SIZE + 7] = 1; // the second block keeps one non-zero byte
+        d.write_blocks(3, &zeros).unwrap();
+        let mut out = vec![0xFFu8; BLOCK_SIZE * 2];
+        d.read_blocks(3, &mut out).unwrap();
+        assert_eq!(out, zeros);
+        // The all-zero block is no longer stored.
+        assert_eq!(d.blocks_touched(), 1);
     }
 
     #[test]

@@ -11,7 +11,7 @@ use crate::chaos::ChaosProfile;
 use crate::error::ClusterError;
 use crate::health::{HealthConfig, HealthMonitor, Transition};
 use crate::integrity::{self, IntegrityConfig, IntegrityStats, ScrubStats, Scrubber};
-use crate::node::{RestartOutcome, StorageNode};
+use crate::node::{commission, RestartOutcome, StorageNode};
 use crate::placement::{shard_of, NodeId, PlacementPolicy, RackSpec, ShardId, ShardMap, Topology};
 use crate::replication::{
     quorum_execute, OpKind, QuorumOutcome, RepairQueue, RepairReason, RepairStats,
@@ -120,20 +120,21 @@ impl Cluster {
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NodeLaunch`] if any node fails to format its
-    /// fresh drive.
+    /// [`ClusterError::NodeLaunch`] if formatting the drive image the
+    /// nodes are copied from fails.
     pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
         Self::with_chaos(config, &ChaosProfile::off(), &mut SimRng::seeded(0))
     }
 
     /// Builds and launches every node with `chaos` injected into its
     /// drive and serving path, forking one RNG stream per node off
-    /// `rng`.
+    /// `rng`. One drive image is formatted (see [`commission`]) and
+    /// every node starts as a copy of it.
     ///
     /// # Errors
     ///
-    /// [`ClusterError::NodeLaunch`] if any node fails to format its
-    /// fresh drive.
+    /// [`ClusterError::NodeLaunch`] (reported against node 0) if
+    /// formatting the drive image fails.
     pub fn with_chaos(
         config: ClusterConfig,
         chaos: &ChaosProfile,
@@ -146,18 +147,21 @@ impl Cluster {
             config.replication.replication,
             config.placement,
         );
+        // One format for the whole launch, copied into every node.
+        let image = commission(ClusterConfig::node_db_config())
+            .map_err(|source| ClusterError::NodeLaunch { node: 0, source })?;
         let nodes: Vec<StorageNode> = (0..topo.nodes())
             .map(|n| {
                 StorageNode::launch_with(
                     n,
                     topo.node_rack[n],
                     topo.node_distance[n],
-                    ClusterConfig::node_db_config(),
+                    &image,
                     chaos,
                     rng.fork(n as u64),
                 )
             })
-            .collect::<Result<_, _>>()?;
+            .collect();
         let monitor = HealthMonitor::new(nodes.len(), config.health);
         Ok(Cluster {
             testbed: Testbed::paper_default(config.scenario),

@@ -21,7 +21,7 @@ use crate::error::ClusterError;
 use deepnote_acoustics::Distance;
 use deepnote_blockdev::{BlockDevice, ChaosEvent, ChaosInjector, ChaosPlan, ChaosStats, HddDisk};
 use deepnote_hdd::VibrationInput;
-use deepnote_kv::{Db, DbConfig};
+use deepnote_kv::{Db, DbConfig, DbError};
 use deepnote_sim::{Clock, SimDuration, SimRng, SimTime};
 use deepnote_telemetry::Tracer;
 
@@ -151,62 +151,60 @@ impl StorageNode {
         position: Distance,
         db_config: DbConfig,
     ) -> Result<Self, ClusterError> {
-        Self::launch_with(
+        let image = commission(db_config)
+            .map_err(|source| ClusterError::NodeLaunch { node: id, source })?;
+        Ok(Self::launch_with(
             id,
             rack,
             position,
-            db_config,
+            &image,
             &ChaosProfile::off(),
             SimRng::seeded(id as u64),
-        )
+        ))
     }
 
-    /// Brings up a node whose drive and serving path inject the faults
-    /// `chaos` describes, drawn from `rng`.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NodeLaunch`] if formatting the fresh device fails.
+    /// Brings up a node as a copy of the commissioned `image` (see
+    /// [`commission`]), with its own clock and vibration input, whose
+    /// drive and serving path inject the faults `chaos` describes, drawn
+    /// from `rng`.
     pub fn launch_with(
         id: usize,
         rack: usize,
         position: Distance,
-        db_config: DbConfig,
+        image: &Db<ChaosDisk>,
         chaos: &ChaosProfile,
         mut rng: SimRng,
-    ) -> Result<Self, ClusterError> {
-        let clock = Clock::new();
-        let mut devices_built = 0;
-        let (dev, vibration) = build_device(&clock, chaos, &mut rng, &mut devices_built);
-        // Format the fresh drive with the chaos plan disarmed: injected
-        // faults are a serving-time phenomenon, and a commissioning
-        // burst would abort the whole campaign instead of degrading it.
-        let quiet_dev = {
-            let mut d = dev;
-            d.set_plan(ChaosPlan::quiet());
-            d
-        };
-        let mut db = Db::create_with(quiet_dev, clock.clone(), db_config)
-            .map_err(|source| ClusterError::NodeLaunch { node: id, source })?;
-        db.filesystem_mut()
-            .device_mut()
-            .set_plan(chaos.device.clone());
-        Ok(StorageNode {
+    ) -> Self {
+        let clock = Clock::starting_at(image.clock().now());
+        let image_dev = image.filesystem().device();
+        // The drive's own RNG stream, forked exactly as `build_device`
+        // forks one for a drive this node formats itself.
+        let devices_built = 1;
+        let mut dev = image_dev.replica(
+            image_dev.inner().replica(clock.clone()),
+            rng.fork(devices_built),
+        );
+        // The image was formatted with the plan disarmed: injected faults
+        // are a serving-time phenomenon, and a commissioning burst would
+        // abort the whole campaign instead of degrading it.
+        dev.set_plan(chaos.device.clone());
+        let (dev, vibration) = wire_device(dev, &clock);
+        StorageNode {
             id,
             rack,
             position,
+            engine: Engine::Running(Box::new(image.replica(dev, clock.clone()))),
             clock,
-            engine: Engine::Running(Box::new(db)),
             vibration,
             busy_until: SimTime::ZERO,
-            db_config,
+            db_config: *image.config(),
             counters: NodeCounters::default(),
             chaos: chaos.clone(),
             rng,
             retired_chaos: ChaosStats::default(),
             devices_built,
             tracer: Tracer::disabled(),
-        })
+        }
     }
 
     /// The node's id.
@@ -593,6 +591,26 @@ impl StorageNode {
     }
 }
 
+/// Formats the drive image a launch copies into every node: a fresh
+/// drive behind a quiet injector, on its own clock, holding an empty
+/// store with `db_config`. Every node of a launch would format the same
+/// bytes in the same virtual time (the plan is disarmed and a quiet
+/// drive draws no randomness), so one format serves them all. A blank
+/// swap after a crash still formats its own drive, at the node's clock.
+///
+/// # Errors
+///
+/// The store error if the format fails.
+pub fn commission(db_config: DbConfig) -> Result<Db<ChaosDisk>, DbError> {
+    let clock = Clock::new();
+    let dev = ChaosInjector::new(
+        HddDisk::barracuda_500gb(clock.clone()),
+        ChaosPlan::quiet(),
+        SimRng::seeded(0),
+    );
+    Db::create_with(dev, clock, db_config)
+}
+
 /// Builds a fresh chaos-wrapped drive on `clock`, forking a dedicated
 /// RNG stream for it, and returns it with its vibration handle.
 fn build_device(
@@ -601,10 +619,20 @@ fn build_device(
     rng: &mut SimRng,
     devices_built: &mut u64,
 ) -> (ChaosDisk, VibrationInput) {
-    let disk = HddDisk::barracuda_500gb(clock.clone());
-    let vibration = disk.vibration();
     *devices_built += 1;
-    let dev = ChaosInjector::new(disk, chaos.device.clone(), rng.fork(*devices_built))
+    let dev = ChaosInjector::new(
+        HddDisk::barracuda_500gb(clock.clone()),
+        chaos.device.clone(),
+        rng.fork(*devices_built),
+    );
+    wire_device(dev, clock)
+}
+
+/// Attaches `clock` and the drive's own vibration input to a node's
+/// injector, and returns it with that vibration handle.
+fn wire_device(dev: ChaosDisk, clock: &Clock) -> (ChaosDisk, VibrationInput) {
+    let vibration = dev.inner().vibration();
+    let dev = dev
         .with_clock(clock.clone())
         .with_vibration(vibration.clone());
     (dev, vibration)
@@ -710,19 +738,28 @@ mod tests {
         assert!(refused.done <= at + SimDuration::from_millis(1));
     }
 
-    fn corrupting_node(put_flip: f64, get_flip: f64) -> StorageNode {
-        let mut chaos = ChaosProfile::off();
-        chaos.put_flip = put_flip;
-        chaos.get_flip = get_flip;
+    /// Node 0, copied from a freshly commissioned image.
+    fn chaos_node(chaos: &ChaosProfile, seed: u64) -> StorageNode {
+        chaos_node_with(quick_config(), chaos, seed)
+    }
+
+    fn chaos_node_with(config: DbConfig, chaos: &ChaosProfile, seed: u64) -> StorageNode {
+        let image = commission(config).expect("commission");
         StorageNode::launch_with(
             0,
             0,
             Distance::from_cm(1.0),
-            quick_config(),
-            &chaos,
-            SimRng::seeded(42),
+            &image,
+            chaos,
+            SimRng::seeded(seed),
         )
-        .expect("fresh launch")
+    }
+
+    fn corrupting_node(put_flip: f64, get_flip: f64) -> StorageNode {
+        let mut chaos = ChaosProfile::off();
+        chaos.put_flip = put_flip;
+        chaos.get_flip = get_flip;
+        chaos_node(&chaos, 42)
     }
 
     #[test]
@@ -764,15 +801,7 @@ mod tests {
     fn preload_flip_corrupts_resident_data() {
         let mut chaos = ChaosProfile::off();
         chaos.preload_flip = 1.0;
-        let mut n = StorageNode::launch_with(
-            0,
-            0,
-            Distance::from_cm(1.0),
-            quick_config(),
-            &chaos,
-            SimRng::seeded(7),
-        )
-        .expect("fresh launch");
+        let mut n = chaos_node(&chaos, 7);
         n.preload([(b"k".as_slice(), b"value".as_slice())])
             .expect("preload");
         assert_eq!(n.counters().corrupted_writes, 1);
@@ -790,15 +819,7 @@ mod tests {
             per_request: 1.0,
             extra: SimDuration::from_millis(1),
         });
-        let mut n = StorageNode::launch_with(
-            0,
-            0,
-            Distance::from_cm(1.0),
-            quick_config(),
-            &chaos,
-            SimRng::seeded(3),
-        )
-        .expect("fresh launch");
+        let mut n = chaos_node(&chaos, 3);
         // Enough puts to force WAL syncs through the device (the WAL
         // buffers in memory between syncs, so one put may do no I/O).
         for i in 0..32u32 {
@@ -808,5 +829,103 @@ mod tests {
         assert!(n.counters().injected_faults > 0);
         assert_eq!(n.chaos_stats().total(), n.counters().injected_faults);
         assert!(!n.fault_trace().is_empty());
+    }
+
+    #[test]
+    fn replica_serves_like_a_self_formatted_node() {
+        use deepnote_acoustics::Frequency;
+        use deepnote_hdd::VibrationState;
+        let chaos = ChaosProfile::full();
+        // A WAL sync per op, so the sequence reaches the device often
+        // enough for the chaos plan to fire.
+        let config = DbConfig {
+            wal_sync_every_ops: 1,
+            ..quick_config()
+        };
+        let mut replica = chaos_node_with(config, &chaos, 9);
+        // The same node, but its engine formatted its own drive the way
+        // every node did before launches were commissioned from an
+        // image: same RNG, one fork for the drive, plan armed after the
+        // format.
+        let mut own = chaos_node_with(config, &chaos, 9);
+        let mut rng = SimRng::seeded(9);
+        let mut devices_built = 0;
+        let clock = Clock::new();
+        let (mut dev, vibration) = build_device(&clock, &chaos, &mut rng, &mut devices_built);
+        dev.set_plan(ChaosPlan::quiet());
+        let mut db = Db::create_with(dev, clock.clone(), config).expect("format");
+        db.filesystem_mut()
+            .device_mut()
+            .set_plan(chaos.device.clone());
+        own.engine = Engine::Running(Box::new(db));
+        own.clock = clock;
+        own.vibration = vibration;
+        assert_eq!(own.clock.now(), replica.clock.now());
+
+        let mut t = SimTime::ZERO;
+        for i in 0..200u32 {
+            if i == 100 {
+                // Mild in-band vibration: the drives retry, drawing from
+                // their copied RNGs, and chaos rates scale up.
+                for n in [&replica, &own] {
+                    n.vibration()
+                        .set(Some(VibrationState::new(Frequency::from_hz(650.0), 0.076)));
+                }
+            }
+            let key = format!("k{}", i % 40);
+            let (a, b) = if i % 3 == 2 {
+                (
+                    replica.serve_get(t, key.as_bytes()),
+                    own.serve_get(t, key.as_bytes()),
+                )
+            } else {
+                let value = format!("v{i}");
+                (
+                    replica.serve_put(t, key.as_bytes(), value.as_bytes()),
+                    own.serve_put(t, key.as_bytes(), value.as_bytes()),
+                )
+            };
+            assert_eq!(a, b, "op {i}");
+            t = a.done;
+        }
+        assert_eq!(replica.chaos_stats(), own.chaos_stats());
+        assert_eq!(replica.counters(), own.counters());
+        assert_eq!(replica.probe(), own.probe());
+        assert_eq!(replica.fault_trace(), own.fault_trace());
+        // The sequence exercised what the copies must carry over.
+        assert!(!replica.fault_trace().is_empty());
+        assert!(replica.probe().seek_retries > 0);
+    }
+
+    #[test]
+    fn replicas_of_one_image_share_no_clock_or_vibration() {
+        let image = commission(quick_config()).expect("commission");
+        let mut rng = SimRng::seeded(5);
+        let mut nodes: Vec<StorageNode> = (0..3)
+            .map(|n| {
+                StorageNode::launch_with(
+                    n,
+                    n,
+                    Distance::from_cm(1.0),
+                    &image,
+                    &ChaosProfile::full(),
+                    rng.fork(n as u64),
+                )
+            })
+            .collect();
+        let t1 = nodes[1].clock.now();
+        for i in 0..32u32 {
+            assert!(nodes[0].serve_put(SimTime::ZERO, &i.to_le_bytes(), b"v").ok);
+        }
+        assert!(nodes[0].clock.now() > t1);
+        assert_eq!(nodes[1].clock.now(), t1);
+        assert_eq!(image.clock().now(), t1);
+
+        let testbed = Testbed::paper_default(Scenario::PlasticTower);
+        testbed.mount_attack(nodes[0].vibration(), AttackParams::paper_best());
+        assert!(nodes[0].probe().offtrack_nm > 0.0);
+        for n in &nodes[1..] {
+            assert_eq!(n.probe().offtrack_nm, 0.0, "node {}", n.id());
+        }
     }
 }

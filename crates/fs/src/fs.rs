@@ -223,6 +223,29 @@ impl<D: BlockDevice> Filesystem<D> {
         ))
     }
 
+    /// A copy of this mounted filesystem over `dev` (a copy of this
+    /// filesystem's device) on `clock`: superblock, bitmaps, page cache,
+    /// pending data and journal carry over; the tracer starts disabled.
+    pub fn replica(&self, dev: D, clock: Clock) -> Self {
+        Filesystem {
+            dev,
+            clock,
+            sb: self.sb.clone(),
+            inode_bitmap: self.inode_bitmap.clone(),
+            block_bitmap: self.block_bitmap.clone(),
+            dirty_inode_bitmap: self.dirty_inode_bitmap,
+            dirty_block_bitmap: self.dirty_block_bitmap.clone(),
+            cache: self.cache.clone(),
+            cache_order: self.cache_order.clone(),
+            cache_limit: self.cache_limit,
+            pending_data: self.pending_data.clone(),
+            journal: self.journal.clone(),
+            state: self.state,
+            tracer: Tracer::disabled(),
+            track: 0,
+        }
+    }
+
     /// Commits outstanding work, marks the superblock clean, and returns
     /// the device.
     ///

@@ -77,7 +77,7 @@ fn checksum(images: &BTreeMap<u64, Vec<u8>>) -> u32 {
 }
 
 /// The journal state for a mounted filesystem.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Journal {
     config: JournalConfig,
     /// Journal region start (fs block index); block 0 of the region is

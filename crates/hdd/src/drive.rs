@@ -198,6 +198,29 @@ impl HardDiskDrive {
         }
     }
 
+    /// A copy of this drive on `clock`: same models, RNG state, head
+    /// position and op counters, so it serves the next op exactly as this
+    /// drive would. The vibration input is a fresh quiescent one: the
+    /// clock and vibration are shared handles, and a derived `Clone`
+    /// would couple two drives' virtual time and attack.
+    pub fn replica(&self, clock: Clock) -> Self {
+        HardDiskDrive {
+            geometry: self.geometry.clone(),
+            timing: self.timing.clone(),
+            servo: self.servo,
+            tolerance: self.tolerance,
+            clock,
+            vibration: VibrationInput::quiescent(),
+            rng: self.rng.clone(),
+            current_cylinder: self.current_cylinder,
+            last_lba_end: self.last_lba_end,
+            parked_until: self.parked_until,
+            ops_completed: self.ops_completed,
+            ops_failed: self.ops_failed,
+            retries_total: self.retries_total,
+        }
+    }
+
     /// The paper's victim drive with typical servo and tolerances.
     pub fn barracuda_500gb(clock: Clock) -> Self {
         HardDiskDrive::new(

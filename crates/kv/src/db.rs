@@ -86,7 +86,7 @@ impl DbStats {
 }
 
 /// One SSTable of a level: its file, and its contents once faulted in.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct TableSlot {
     path: String,
     table: Option<SsTable>,
@@ -227,6 +227,28 @@ impl<D: BlockDevice> Db<D> {
             tracer: Tracer::disabled(),
             track: 0,
         })
+    }
+
+    /// A copy of this store over `dev` (a copy of this store's device)
+    /// on `clock`: filesystem, memtable, WAL, levels and counters carry
+    /// over; the tracer starts disabled. Used to commission many nodes
+    /// from one formatted image.
+    pub fn replica(&self, dev: D, clock: Clock) -> Self {
+        Db {
+            fs: self.fs.replica(dev, clock.clone()),
+            clock,
+            config: self.config,
+            memtable: self.memtable.clone(),
+            wal: self.wal.clone(),
+            level0: self.level0.clone(),
+            level1: self.level1.clone(),
+            next_file_no: self.next_file_no,
+            ops_since_sync: self.ops_since_sync,
+            crashed: self.crashed,
+            stats: self.stats,
+            tracer: Tracer::disabled(),
+            track: 0,
+        }
     }
 
     /// Whether the store has died (WAL persistence failure).

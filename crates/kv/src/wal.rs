@@ -13,7 +13,7 @@ use deepnote_fs::{Filesystem, FsError};
 use deepnote_sim::{Clock, SimDuration};
 
 /// The write-ahead log for one database.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Wal {
     path: String,
     /// Bytes already durable in the file.
