@@ -240,6 +240,30 @@ mod tests {
             "{}",
             rows[2].error
         );
+        // The exact rows, to the virtual nanosecond: the RocksDB row's
+        // 10 s healthy warm-up (~460 k put+get pairs, ~150 flushes) is
+        // pinned here too.
+        let exact: Vec<(String, String)> = rows
+            .iter()
+            .map(|r| (format!("{:?}", r.time_to_crash_s), format!("{:?}", r.error)))
+            .collect();
+        let want = [
+            (
+                "Some(80.155309224)",
+                r#""journal has aborted (JBD error -5); filesystem read-only""#,
+            ),
+            (
+                "Some(80.255309224)",
+                r#""attempt to access beyond end of journal; root filesystem aborted (error -5)""#,
+            ),
+            (
+                "Some(81.276098194)",
+                r#""sync_without_flush failed: WAL cannot be persisted""#,
+            ),
+        ];
+        for (got, (time, error)) in exact.iter().zip(want) {
+            assert_eq!((got.0.as_str(), got.1.as_str()), (time, error));
+        }
     }
 
     #[test]

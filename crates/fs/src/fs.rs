@@ -471,25 +471,54 @@ impl<D: BlockDevice> Filesystem<D> {
             inode.indirect = self.alloc_data_block()?;
             self.stage_and_cache(inode.indirect, vec![0u8; FS_BLOCK_SIZE]);
         }
-        // Copy the indirect block only when a pointer must be added.
-        let off = (ind_index as usize) * 8;
-        let (ptr, image) = self.with_block(inode.indirect, |raw| {
+        // Copy the indirect block only for the first pointer this
+        // transaction adds to it; once staged, it is patched in place.
+        let target = inode.indirect;
+        let at = (ind_index as usize) * 8..(ind_index as usize + 1) * 8;
+        let staged = self.journal.pending_image(target).is_some();
+        let (ptr, image) = self.with_block(target, |raw| {
             let ptr = raw
-                .get(off..off + 8)
+                .get(at.clone())
                 .and_then(|s| s.try_into().ok())
                 .map(u64::from_le_bytes);
-            let image = (ptr == Some(NO_BLOCK) && allocate).then(|| raw.to_vec());
+            let image = (ptr == Some(NO_BLOCK) && allocate && !staged).then(|| raw.to_vec());
             (ptr, image)
         })?;
         let ptr = ptr.ok_or(FsError::BadSuperblock)?;
-        let Some(mut raw) = image else {
+        if ptr != NO_BLOCK || !allocate {
             return Ok(ptr);
-        };
+        }
         let new = self.alloc_data_block()?;
-        raw[off..off + 8].copy_from_slice(&new.to_le_bytes());
-        let target = inode.indirect;
-        self.stage_and_cache(target, raw);
+        let new_bytes = new.to_le_bytes();
+        match image {
+            Some(mut raw) => {
+                raw[at].copy_from_slice(&new_bytes);
+                self.stage_and_cache(target, raw);
+            }
+            None => self.patch_staged(target, at, &new_bytes),
+        }
         Ok(new)
+    }
+
+    /// Overwrites bytes `at` of a block already staged in the running
+    /// transaction, in place, and its page-cache mirror with it (a copy
+    /// of the staged image goes into the cache if the mirror was
+    /// evicted).
+    fn patch_staged(&mut self, fs_block: u64, at: std::ops::Range<usize>, bytes: &[u8]) {
+        let Some(img) = self.journal.pending_image_mut(fs_block) else {
+            return;
+        };
+        if let Some(dst) = img.get_mut(at.clone()) {
+            dst.copy_from_slice(bytes);
+        }
+        let mirror = self.cache.get_mut(&fs_block);
+        match mirror.and_then(|page| page.get_mut(at)) {
+            Some(dst) => dst.copy_from_slice(bytes),
+            None => {
+                let mirror = img.to_vec();
+                self.cache_insert(fs_block, mirror);
+            }
+        }
     }
 
     fn read_inode_data(&mut self, inode: &Inode) -> Result<Vec<u8>, FsError> {

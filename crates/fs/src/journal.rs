@@ -149,6 +149,11 @@ impl Journal {
         self.txn.get(&home_block).map(|v| v.as_slice())
     }
 
+    /// The pending image of a home block, writable in place.
+    pub(crate) fn pending_image_mut(&mut self, home_block: u64) -> Option<&mut [u8]> {
+        self.txn.get_mut(&home_block).map(Vec::as_mut_slice)
+    }
+
     /// Stages a metadata block image into the running transaction.
     ///
     /// # Panics

@@ -17,15 +17,19 @@ use std::collections::BTreeMap;
 enum Op {
     CreateFile(usize),
     Mkdir(usize),
-    Write(usize, u16, Vec<u8>),
-    Read(usize, u16, u16),
+    Write(usize, u32, Vec<u8>),
+    Read(usize, u32, u16),
     Unlink(usize),
     Rename(usize, usize),
-    Truncate(usize, u16),
+    Truncate(usize, u32),
     Commit,
 }
 
 const POOL: [&str; 6] = ["/a", "/b", "/dir/x", "/dir/y", "/dir", "/c"];
+
+/// Offsets reach past the 48 KiB the 12 direct pointers cover, so files
+/// grow, read and shrink through their indirect block.
+const SPAN: u32 = 64 << 10;
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     let path = 0..POOL.len();
@@ -34,14 +38,14 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         path.clone().prop_map(Op::Mkdir),
         (
             path.clone(),
-            0u16..5_000,
+            0..SPAN,
             proptest::collection::vec(any::<u8>(), 1..300)
         )
             .prop_map(|(p, off, data)| Op::Write(p, off, data)),
-        (path.clone(), 0u16..6_000, 1u16..500).prop_map(|(p, o, l)| Op::Read(p, o, l)),
+        (path.clone(), 0..SPAN + 1_000, 1u16..500).prop_map(|(p, o, l)| Op::Read(p, o, l)),
         path.clone().prop_map(Op::Unlink),
         (path.clone(), path.clone()).prop_map(|(a, b)| Op::Rename(a, b)),
-        (path, 0u16..6_000).prop_map(|(p, s)| Op::Truncate(p, s)),
+        (path, 0..SPAN + 1_000).prop_map(|(p, s)| Op::Truncate(p, s)),
         Just(Op::Commit),
     ]
 }

@@ -2,7 +2,7 @@
 
 use crate::error::DbError;
 use crate::memtable::Memtable;
-use crate::record::RecordRef;
+use crate::record::{check_len, Record, RecordRef};
 use crate::sstable::{compact, SsTable};
 use crate::wal::Wal;
 use deepnote_blockdev::BlockDevice;
@@ -411,19 +411,25 @@ impl<D: BlockDevice> Db<D> {
         }
         self.clock.advance(self.config.cpu_op_cost);
         let records = batch.into_records();
+        // The whole batch is checked before any record reaches the WAL
+        // buffer or the memtable: a refused batch leaves no trace.
         for rec in &records {
-            self.stats.user_bytes += rec.payload_len() as u64;
-            self.wal.append(rec)?;
+            check_len(&rec.key, rec.value.as_deref())?;
         }
-        let n = records.len() as u64;
-        for rec in records {
-            match &rec.value {
+        let encoded: usize = records.iter().map(Record::encoded_len).sum();
+        if !self.memtable.has_room(encoded) {
+            return Err(DbError::TooLarge);
+        }
+        for rec in &records {
+            self.wal
+                .append_encoded(self.memtable.insert(&rec.key, rec.value.as_deref())?);
+            self.stats.user_bytes += rec.payload_len() as u64;
+            match rec.value {
                 Some(_) => self.stats.puts += 1,
                 None => self.stats.deletes += 1,
             }
-            self.memtable.apply(rec);
         }
-        self.ops_since_sync += n;
+        self.ops_since_sync += records.len() as u64;
         if self.ops_since_sync >= self.config.wal_sync_every_ops {
             self.sync_wal()?;
         }
@@ -838,6 +844,32 @@ mod tests {
         assert_eq!(db2.get(b"pending").unwrap(), None);
         let s = db2.stats();
         assert_eq!((s.puts, s.deletes), (0, 0)); // fresh stats after open
+    }
+
+    #[test]
+    fn refused_batch_leaves_no_trace_after_crash_recovery() {
+        let clock = Clock::new();
+        let mut db = Db::create_with(MemDisk::new(1 << 18), clock.clone(), small_config()).unwrap();
+        let mut batch = crate::WriteBatch::new();
+        batch
+            .put(b"ok1", b"1")
+            .put(b"ok2", b"2")
+            .put(b"big", &vec![0u8; crate::record::MAX_LEN + 1]);
+        assert_eq!(db.write(batch), Err(DbError::TooLarge));
+        db.put(b"after", b"x").unwrap();
+        assert_eq!(db.stats().user_bytes, 6);
+        assert_eq!((db.stats().puts, db.stats().deletes), (1, 0));
+        db.sync_wal().unwrap();
+        // Crash without close.
+        let dev = {
+            let mut out = MemDisk::new(1);
+            std::mem::swap(&mut out, db.filesystem_mut().device_mut());
+            out
+        };
+        let mut db2 = Db::open_with(dev, clock, small_config()).unwrap();
+        assert_eq!(db2.get(b"ok1").unwrap(), None);
+        assert_eq!(db2.get(b"ok2").unwrap(), None);
+        assert_eq!(db2.get(b"after").unwrap(), Some(b"x".to_vec()));
     }
 
     #[test]

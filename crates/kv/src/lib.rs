@@ -7,8 +7,8 @@
 //! `sync_without_flush`-style failure (§4.4). This crate implements the
 //! LSM machinery for those behaviours to emerge:
 //!
-//! * [`Memtable`] — an ordered in-memory write buffer with tombstones
-//!   ([`memtable`]).
+//! * [`Memtable`] — an in-memory write buffer with tombstones, hash
+//!   indexed and sorted on flush ([`memtable`]).
 //! * [`Wal`] — a checksummed write-ahead log stored as files on the
 //!   journaling filesystem, group-synced like RocksDB's group commit
 //!   ([`wal`]).
@@ -41,6 +41,7 @@ pub mod batch;
 pub mod bench;
 pub mod db;
 pub mod error;
+mod index;
 pub mod memtable;
 pub mod record;
 pub mod sstable;

@@ -85,9 +85,7 @@ pub(crate) fn encode_into(
     value: Option<&[u8]>,
     out: &mut Vec<u8>,
 ) -> Result<(), DbError> {
-    if key.len() > MAX_LEN || value.is_some_and(|v| v.len() > MAX_LEN) {
-        return Err(DbError::TooLarge);
-    }
+    check_len(key, value)?;
     let vlen_tag = value.map_or(TOMBSTONE_TAG, |v| v.len() as u32);
     let body_start = out.len() + 4;
     out.extend_from_slice(&[0u8; 4]); // checksum placeholder
@@ -99,6 +97,18 @@ pub(crate) fn encode_into(
     }
     let sum = fnv1a(&out[body_start..]);
     out[body_start - 4..body_start].copy_from_slice(&sum.to_le_bytes());
+    Ok(())
+}
+
+/// Refuses a key or value longer than [`MAX_LEN`].
+///
+/// # Errors
+///
+/// [`DbError::TooLarge`] if key or value exceeds [`MAX_LEN`].
+pub(crate) fn check_len(key: &[u8], value: Option<&[u8]>) -> Result<(), DbError> {
+    if key.len() > MAX_LEN || value.is_some_and(|v| v.len() > MAX_LEN) {
+        return Err(DbError::TooLarge);
+    }
     Ok(())
 }
 
@@ -149,12 +159,19 @@ impl<'a> RecordRef<'a> {
         Ok(RecordRef::parse(&buf[..total]))
     }
 
-    /// Splits an already-verified encoding into key and value without
-    /// re-checking it. A malformed `encoded` yields empty or truncated
+    /// The already-verified record at the front of `buf`, split into key
+    /// and value without re-checking it; `encoded` ends where the header
+    /// says the record does. A malformed `buf` yields empty or truncated
     /// slices, never a panic.
-    pub(crate) fn parse(encoded: &'a [u8]) -> RecordRef<'a> {
-        let klen = le_u32(encoded, 4).unwrap_or(0) as usize;
-        let vlen_tag = le_u32(encoded, 8).unwrap_or(TOMBSTONE_TAG);
+    pub(crate) fn parse(buf: &'a [u8]) -> RecordRef<'a> {
+        let klen = le_u32(buf, 4).unwrap_or(0) as usize;
+        let vlen_tag = le_u32(buf, 8).unwrap_or(TOMBSTONE_TAG);
+        let vlen = if vlen_tag == TOMBSTONE_TAG {
+            0
+        } else {
+            vlen_tag as usize
+        };
+        let encoded = buf.get(..12 + klen + vlen).unwrap_or(buf);
         let body = encoded.get(12..).unwrap_or_default();
         let (key, value) = body.split_at(klen.min(body.len()));
         RecordRef {

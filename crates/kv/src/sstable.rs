@@ -8,11 +8,13 @@
 //! ~10⁵ ops/s on a disk that can only do ~10³.
 //!
 //! A table in memory is its file image plus the start offset of every
-//! record: lookups binary-search the keys in place, and compaction
-//! copies verified record bytes from its inputs straight into the output
-//! files without decoding them.
+//! record and a hash index over the keys: a lookup is one hash probe and
+//! one key comparison in place, and compaction copies verified record
+//! bytes from its inputs straight into the output files without decoding
+//! them.
 
 use crate::error::DbError;
+use crate::index::KeyIndex;
 use crate::record::RecordRef;
 use deepnote_blockdev::BlockDevice;
 use deepnote_fs::Filesystem;
@@ -34,6 +36,15 @@ impl TableBuilder {
     /// An empty run.
     pub fn new() -> Self {
         TableBuilder::default()
+    }
+
+    /// An empty run with room for `records` records of `bytes` encoded
+    /// bytes in all.
+    pub(crate) fn with_capacity(bytes: usize, records: usize) -> Self {
+        TableBuilder {
+            bytes: Vec::with_capacity(bytes),
+            offsets: Vec::with_capacity(records),
+        }
     }
 
     /// Appends a record that is already encoded and verified.
@@ -60,45 +71,23 @@ impl TableBuilder {
 }
 
 /// A loaded, immutable sorted run: the file image, the offset of each
-/// record in it, and a search index over the keys.
+/// record in it, and a hash index over the keys.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SsTable {
     path: String,
     bytes: Vec<u8>,
     offsets: Vec<u32>,
-    /// Length of the prefix every key in the table shares (the common
-    /// prefix of the first and last key).
-    shared: usize,
-    /// Per record, [`probe`] of its key: a dense, order-preserving array
-    /// that lookups binary-search instead of the scattered keys.
-    probes: Vec<u64>,
-}
-
-/// The 8 key bytes after the first `shared`, zero-padded, as a
-/// big-endian integer. Non-decreasing in the key among keys that share
-/// that prefix; equal probes need a full key comparison.
-fn probe(key: &[u8], shared: usize) -> u64 {
-    let mut word = [0u8; 8];
-    let tail = key.get(shared..).unwrap_or_default();
-    let n = tail.len().min(8);
-    word[..n].copy_from_slice(&tail[..n]);
-    u64::from_be_bytes(word)
+    index: KeyIndex,
 }
 
 impl SsTable {
     fn new(path: String, bytes: Vec<u8>, offsets: Vec<u32>) -> SsTable {
-        let mut table = SsTable {
+        SsTable {
+            index: KeyIndex::of_distinct(&bytes, &offsets),
             path,
             bytes,
             offsets,
-            shared: 0,
-            probes: Vec::new(),
-        };
-        if let (Some(first), Some(last)) = (table.min_key(), table.max_key()) {
-            table.shared = first.iter().zip(last).take_while(|(a, b)| a == b).count();
         }
-        table.probes = table.iter().map(|r| probe(r.key, table.shared)).collect();
-        table
     }
 
     /// Writes the table's file, replacing any file at its path. The
@@ -170,46 +159,30 @@ impl SsTable {
         self.offsets.is_empty()
     }
 
-    /// The `i`-th record in key order (empty if out of range).
-    fn record(&self, i: usize) -> RecordRef<'_> {
-        let start = self
-            .offsets
-            .get(i)
-            .map_or(self.bytes.len(), |&o| o as usize);
-        let end = self
-            .offsets
-            .get(i + 1)
-            .map_or(self.bytes.len(), |&o| o as usize);
-        RecordRef::parse(self.bytes.get(start..end).unwrap_or_default())
+    /// The record at offset `at` in the file image.
+    fn record(&self, at: u32) -> RecordRef<'_> {
+        RecordRef::parse(self.bytes.get(at as usize..).unwrap_or_default())
     }
 
     /// The records in key order.
     pub fn iter(&self) -> impl Iterator<Item = RecordRef<'_>> + '_ {
-        (0..self.len()).map(|i| self.record(i))
+        self.offsets.iter().map(|&at| self.record(at))
     }
 
     /// First key, if any.
     pub fn min_key(&self) -> Option<&[u8]> {
-        (!self.is_empty()).then(|| self.record(0).key)
+        self.offsets.first().map(|&at| self.record(at).key)
     }
 
     /// Last key, if any.
     pub fn max_key(&self) -> Option<&[u8]> {
-        self.len().checked_sub(1).map(|i| self.record(i).key)
+        self.offsets.last().map(|&at| self.record(at).key)
     }
 
-    /// Binary-searches for a key. `Some(None)` is a tombstone hit.
+    /// Looks a key up in the index. `Some(None)` is a tombstone hit.
     pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        if !key.starts_with(self.min_key()?.get(..self.shared)?) {
-            return None;
-        }
-        let want = probe(key, self.shared);
-        let first = self.probes.partition_point(|&p| p < want);
-        (first..self.len())
-            .take_while(|&i| self.probes.get(i) == Some(&want))
-            .map(|i| self.record(i))
-            .find(|r| r.key == key)
-            .map(|r| r.value)
+        let at = self.index.get(&self.bytes, key)?;
+        Some(self.record(at).value)
     }
 }
 
@@ -348,6 +321,35 @@ mod tests {
         assert_eq!(loaded.get(b"0"), None);
         assert_eq!(loaded.min_key(), Some(b"a".as_ref()));
         assert_eq!(loaded.max_key(), Some(b"c".as_ref()));
+    }
+
+    #[test]
+    fn index_finds_every_key_and_misses_near_misses() {
+        // db_bench-shaped keys: 16 zero-padded digits plus a tail, every
+        // seventh a tombstone.
+        let stored = |i: u32| format!("{:016}-{i:07}", 2 * i);
+        let records: Vec<Record> = (0..2_900)
+            .map(|i| match i % 7 {
+                0 => Record::delete(stored(i)),
+                _ => rec(&stored(i), &format!("v{i}")),
+            })
+            .collect();
+        let t = table("t", &records);
+        for r in &records {
+            assert_eq!(t.get(&r.key), Some(r.value.as_deref()), "{:?}", r.key);
+        }
+        // 1 000 absent keys: same first 16 bytes with another tail, the
+        // bare 16-byte prefix, and odd numbers never stored.
+        let mut absent = Vec::new();
+        for i in 0..400 {
+            absent.push(format!("{:016}-{:07}", 2 * i, i + 1));
+            absent.push(format!("{:016}", 2 * i));
+        }
+        absent.extend((0..200).map(|i| format!("{:016}-{i:07}", 2 * i + 1)));
+        assert_eq!(absent.len(), 1_000);
+        for k in &absent {
+            assert_eq!(t.get(k.as_bytes()), None, "{k}");
+        }
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct Wal {
     synced_len: u64,
     /// Encoded records not yet durable.
     buffer: Vec<u8>,
-    /// Records represented in `buffer` (for accounting).
-    buffered_records: u64,
     patience: SimDuration,
 }
 
@@ -33,7 +31,6 @@ impl Wal {
             path: path.into(),
             synced_len: existing_len,
             buffer: Vec::new(),
-            buffered_records: 0,
             patience,
         }
     }
@@ -53,21 +50,9 @@ impl Wal {
         self.synced_len
     }
 
-    /// Appends a record to the group buffer (no I/O).
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::TooLarge`] for oversized records.
-    pub fn append(&mut self, rec: &Record) -> Result<(), DbError> {
-        rec.encode_into(&mut self.buffer)?;
-        self.buffered_records += 1;
-        Ok(())
-    }
-
     /// Appends one record that is already encoded (no I/O).
     pub fn append_encoded(&mut self, encoded: &[u8]) {
         self.buffer.extend_from_slice(encoded);
-        self.buffered_records += 1;
     }
 
     /// Makes all buffered records durable: file write + filesystem commit,
@@ -118,7 +103,6 @@ impl Wal {
         }
         self.synced_len += self.buffer.len() as u64;
         self.buffer.clear();
-        self.buffered_records = 0;
         Ok(())
     }
 
@@ -135,7 +119,6 @@ impl Wal {
         fs.create_file(&self.path)?;
         self.synced_len = 0;
         self.buffer.clear();
-        self.buffered_records = 0;
         Ok(())
     }
 
@@ -185,11 +168,17 @@ mod tests {
         )
     }
 
+    fn append(wal: &mut Wal, rec: &Record) {
+        let mut encoded = Vec::new();
+        rec.encode_into(&mut encoded).unwrap();
+        wal.append_encoded(&encoded);
+    }
+
     #[test]
     fn append_sync_load_roundtrip() {
         let (mut fs, mut wal, clock) = fs_with_wal();
-        wal.append(&Record::put("k1", "v1")).unwrap();
-        wal.append(&Record::delete("k2")).unwrap();
+        append(&mut wal, &Record::put("k1", "v1"));
+        append(&mut wal, &Record::delete("k2"));
         assert!(wal.unsynced_bytes() > 0);
         wal.sync(&mut fs, &clock).unwrap();
         assert_eq!(wal.unsynced_bytes(), 0);
@@ -209,7 +198,7 @@ mod tests {
     #[test]
     fn reset_truncates() {
         let (mut fs, mut wal, clock) = fs_with_wal();
-        wal.append(&Record::put("k", "v")).unwrap();
+        append(&mut wal, &Record::put("k", "v"));
         wal.sync(&mut fs, &clock).unwrap();
         wal.reset(&mut fs).unwrap();
         assert_eq!(wal.synced_len(), 0);
@@ -220,7 +209,7 @@ mod tests {
     #[test]
     fn torn_tail_is_ignored_on_load() {
         let (mut fs, mut wal, clock) = fs_with_wal();
-        wal.append(&Record::put("good", "record")).unwrap();
+        append(&mut wal, &Record::put("good", "record"));
         wal.sync(&mut fs, &clock).unwrap();
         // Simulate a torn append: garbage bytes after the good record.
         fs.write_file("/db/wal", wal.synced_len(), &[0xFF, 0x00, 0x13])
@@ -246,7 +235,7 @@ mod tests {
         fs.create("/db").unwrap();
         fs.create_file("/db/wal").unwrap();
         let mut wal = Wal::new("/db/wal", 0, SimDuration::from_secs(81));
-        wal.append(&Record::put("k", "v")).unwrap();
+        append(&mut wal, &Record::put("k", "v"));
         fs.device_mut()
             .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         let t0 = clock.now();
