@@ -80,11 +80,6 @@ impl HddDisk {
         &self.drive
     }
 
-    /// Mutable access to the underlying drive (e.g. to swap the servo).
-    pub fn drive_mut(&mut self) -> &mut HardDiskDrive {
-        &mut self.drive
-    }
-
     /// The drive's vibration input — clone this to mount the attack.
     pub fn vibration(&self) -> VibrationInput {
         self.drive.vibration().clone()

@@ -12,6 +12,8 @@
 //! deepnote stealth
 //! deepnote redundancy
 //! deepnote fleet [--drives N] [--spacing-cm S]
+//! deepnote heatmap [--tsv]
+//! deepnote covert
 //! deepnote cluster [--placement P] [--seconds N] [--clients N] [--shards N] [--seed S]
 //!                  [--chaos C] [--json FILE] [--trace FILE] [--metrics-interval T]
 //! deepnote trace-check [--trace FILE] [--report FILE]
@@ -69,6 +71,19 @@ impl Args {
         }
     }
 
+    /// [`Args::get`] for counts and durations that must not be zero.
+    fn nonzero<T: std::str::FromStr + Default + PartialEq>(
+        &self,
+        name: &str,
+        default: T,
+    ) -> Result<T, String> {
+        let v = self.get(name, default)?;
+        if v == T::default() {
+            return Err(format!("bad value for --{name}: 0"));
+        }
+        Ok(v)
+    }
+
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
@@ -82,8 +97,9 @@ impl Args {
 }
 
 /// Parses an interval flag: a bare number means seconds, and `s`, `ms`,
-/// and `us` suffixes are accepted (`100ms`, `2s`, `500us`).
-fn parse_interval(v: &str) -> Result<SimDuration, String> {
+/// and `us` suffixes are accepted (`100ms`, `2s`, `500us`). A zero
+/// interval is rejected: it would re-arm the same instant forever.
+fn parse_interval(v: &str) -> Option<SimDuration> {
     let (num, nanos_per_unit) = if let Some(n) = v.strip_suffix("ms") {
         (n, 1_000_000u64)
     } else if let Some(n) = v.strip_suffix("us") {
@@ -93,10 +109,8 @@ fn parse_interval(v: &str) -> Result<SimDuration, String> {
     } else {
         (v, 1_000_000_000u64)
     };
-    let n: u64 = num
-        .parse()
-        .map_err(|_| format!("bad interval: {v} (try 100ms, 2s, 500us)"))?;
-    Ok(SimDuration::from_nanos(n.saturating_mul(nanos_per_unit)))
+    let n: u64 = num.parse().ok().filter(|&n| n > 0)?;
+    Some(SimDuration::from_nanos(n.saturating_mul(nanos_per_unit)))
 }
 
 const USAGE: &str = "\
@@ -135,12 +149,12 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     match cmd {
         "table1" => {
-            let seconds = args.get("seconds", 5u64)?;
+            let seconds = args.nonzero("seconds", 5u64)?;
             print!("{}", report::render_table1(&range::table1(seconds)));
         }
         "table2" => {
             let spec = BenchSpec {
-                num_keys: args.get("keys", 20_000u64)?,
+                num_keys: args.nonzero("keys", 20_000u64)?,
                 duration: SimDuration::from_secs(args.get("seconds", 10u64)?),
                 ..BenchSpec::default()
             };
@@ -161,7 +175,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "sweep" => {
             let distance = Distance::from_cm(args.get("distance-cm", 1.0f64)?);
-            let requests = args.get("requests", 6u32)?;
+            let requests = args.nonzero("requests", 6u32)?;
             let d = adaptive::remote_frequency_discovery(
                 &testbed,
                 distance,
@@ -225,7 +239,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             print!("{}", redundancy::render(&redundancy::mirror_study()));
         }
         "fleet" => {
-            let drives = args.get("drives", 10usize)?;
+            let drives = args.nonzero("drives", 10usize)?;
             let spacing = Distance::from_cm(args.get("spacing-cm", 4.0f64)?);
             let fleet = Fleet::new(testbed, Distance::from_cm(1.0), spacing, drives);
             let report = fleet.assess(AttackParams::paper_best());
@@ -263,20 +277,22 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "cluster" => {
             let placement = args.get("placement", "both".to_string())?;
-            let attack = SimDuration::from_secs(args.get("seconds", 120u64)?);
+            let attack = SimDuration::from_secs(args.nonzero("seconds", 120u64)?);
             let chaos_name = args.get("chaos", "off".to_string())?;
             let chaos = ChaosProfile::parse(&chaos_name).ok_or_else(|| {
                 format!("bad value for --chaos: {chaos_name} (off|transient|corruption|full)")
             })?;
             let trace_path = args.string("trace").map(str::to_string);
             let metrics_interval = match args.string("metrics-interval") {
-                Some(v) => Some(parse_interval(v)?),
+                Some(v) => Some(parse_interval(v).ok_or_else(|| {
+                    format!("bad value for --metrics-interval: {v} (try 100ms, 2s, 500us)")
+                })?),
                 None => None,
             };
             let tune = |mut c: CampaignConfig| -> Result<CampaignConfig, String> {
                 c.seed = args.get("seed", c.seed)?;
-                c.workload.clients = args.get("clients", c.workload.clients)?;
-                c.cluster.num_shards = args.get("shards", c.cluster.num_shards)?;
+                c.workload.clients = args.nonzero("clients", c.workload.clients)?;
+                c.cluster.num_shards = args.nonzero("shards", c.cluster.num_shards)?;
                 c.telemetry.trace = trace_path.is_some();
                 c.telemetry.metrics_interval = metrics_interval;
                 Ok(c)

@@ -42,34 +42,37 @@ const CHAOS_SALT: u64 = 0xC4A0_5EED_D15C_0DE5;
 /// (backoff jitter), independent of both workload and chaos streams.
 const CLIENT_SALT: u64 = 0xBAC0_FF5A_17ED_B175;
 
+/// Latency bound counted as an SLO pass.
+const SLO_LATENCY: SimDuration = SimDuration::from_millis(50);
+
+/// Availability sampling window.
+const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(5);
+
+/// Interval between background repair steps.
+const REPAIR_EVERY: SimDuration = SimDuration::from_millis(200);
+
+/// Interval between background scrub steps (only scheduled when the
+/// cluster's integrity config enables scrubbing).
+const SCRUB_EVERY: SimDuration = SimDuration::from_millis(200);
+
+/// Ring-buffer capacity for trace events; when full, the earliest
+/// window is kept and later events are counted as dropped.
+const TRACE_CAP: usize = 1 << 16;
+
 /// Observability settings for one campaign run. Everything here is a
 /// pure observer: enabling tracing or metrics scraping never changes
 /// what the campaign does, only what it records.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
 pub struct TelemetryConfig {
     /// Record a cross-layer trace (spans and instants from every
     /// instrumented layer, exportable as Chrome trace-event JSON).
     pub trace: bool,
-    /// Ring-buffer capacity for trace events; when full, the earliest
-    /// window is kept and later events are counted as dropped.
-    pub trace_cap: usize,
     /// Scrape the unified metrics registry at this fixed interval
     /// (`None` disables scraping; the report's series come out empty).
     pub metrics_interval: Option<SimDuration>,
     /// Burn-rate alerting policy for the SLO monitor (always on — the
     /// monitor only observes op outcomes the campaign already records).
     pub slo: SloPolicy,
-}
-
-impl Default for TelemetryConfig {
-    fn default() -> Self {
-        TelemetryConfig {
-            trace: false,
-            trace_cap: 1 << 16,
-            metrics_interval: None,
-            slo: SloPolicy::default(),
-        }
-    }
 }
 
 /// Everything one campaign run needs.
@@ -83,12 +86,6 @@ pub struct CampaignConfig {
     pub workload: WorkloadSpec,
     /// What the adversary transmits, and when.
     pub timeline: AttackTimeline,
-    /// Latency bound counted as an SLO pass.
-    pub slo_latency: SimDuration,
-    /// Availability sampling window.
-    pub sample_every: SimDuration,
-    /// Interval between background repair steps.
-    pub repair_every: SimDuration,
     /// Keys moved per repair step.
     pub repair_batch: usize,
     /// Seeded fault injection applied to every node.
@@ -96,9 +93,6 @@ pub struct CampaignConfig {
     /// Route operations through the resilient client (`None` keeps the
     /// raw one-shot quorum path).
     pub client: Option<ClientPolicy>,
-    /// Interval between background scrub steps (only runs when the
-    /// cluster's integrity config enables scrubbing).
-    pub scrub_every: SimDuration,
     /// Keys examined per scrub step.
     pub scrub_batch: usize,
     /// Check every successful read against the workload oracle and
@@ -120,13 +114,9 @@ impl CampaignConfig {
             cluster: ClusterConfig::three_racks(placement),
             workload: WorkloadSpec::default(),
             timeline: AttackTimeline::paper_campaign(attack),
-            slo_latency: SimDuration::from_millis(50),
-            sample_every: SimDuration::from_secs(5),
-            repair_every: SimDuration::from_millis(200),
             repair_batch: 32,
             chaos: ChaosProfile::off(),
             client: None,
-            scrub_every: SimDuration::from_millis(200),
             scrub_batch: 8,
             verify_responses: false,
             telemetry: TelemetryConfig::default(),
@@ -353,7 +343,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     // Telemetry attaches after provisioning so preload traffic (off the
     // cluster timeline) never lands in the trace.
     let tracer = if config.telemetry.trace {
-        Tracer::ring(config.telemetry.trace_cap)
+        Tracer::ring(TRACE_CAP)
     } else {
         Tracer::disabled()
     };
@@ -383,7 +373,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             PhaseMetrics::new(p.label.clone(), start, start + p.duration)
         })
         .collect();
-    let mut metrics = ClusterMetrics::new(phase_records, config.slo_latency);
+    let mut metrics = ClusterMetrics::new(phase_records, SLO_LATENCY);
     let mut max_unavailable_by_phase = vec![0usize; config.timeline.phases().len()];
 
     let end = SimTime::ZERO + config.timeline.total();
@@ -400,11 +390,11 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         );
     }
     schedule(&mut q, SimTime::ZERO, EvKind::Heartbeat);
-    schedule(&mut q, SimTime::ZERO + config.repair_every, EvKind::Repair);
+    schedule(&mut q, SimTime::ZERO + REPAIR_EVERY, EvKind::Repair);
     if config.cluster.integrity.scrub && config.cluster.integrity.checksums {
-        schedule(&mut q, SimTime::ZERO + config.scrub_every, EvKind::Scrub);
+        schedule(&mut q, SimTime::ZERO + SCRUB_EVERY, EvKind::Scrub);
     }
-    schedule(&mut q, SimTime::ZERO + config.sample_every, EvKind::Sample);
+    schedule(&mut q, SimTime::ZERO + SAMPLE_EVERY, EvKind::Sample);
     if config.telemetry.metrics_interval.is_some() {
         schedule(&mut q, SimTime::ZERO, EvKind::Scrape);
     }
@@ -441,11 +431,11 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             }
             EvKind::Repair => {
                 cluster.repair_step(at, config.repair_batch);
-                schedule(&mut q, at + config.repair_every, EvKind::Repair);
+                schedule(&mut q, at + REPAIR_EVERY, EvKind::Repair);
             }
             EvKind::Scrub => {
                 cluster.scrub_step(at, config.scrub_batch);
-                schedule(&mut q, at + config.scrub_every, EvKind::Scrub);
+                schedule(&mut q, at + SCRUB_EVERY, EvKind::Scrub);
             }
             EvKind::Sample => {
                 metrics.sample_availability(at);
@@ -456,7 +446,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                     first_quorum_loss = Some(at);
                 }
                 burn.tick(at);
-                schedule(&mut q, at + config.sample_every, EvKind::Sample);
+                schedule(&mut q, at + SAMPLE_EVERY, EvKind::Sample);
             }
             EvKind::Client(i) => {
                 let op = pool.next_op(i, &spec);

@@ -218,11 +218,6 @@ impl Cluster {
         &self.nodes
     }
 
-    /// The shard map (report access).
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
-    }
-
     /// The health monitor's current beliefs.
     pub fn monitor(&self) -> &HealthMonitor {
         &self.monitor

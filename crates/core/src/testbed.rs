@@ -80,13 +80,6 @@ impl Testbed {
         self
     }
 
-    /// Returns a copy with a different signal chain (e.g. a military
-    /// projector).
-    pub fn with_chain(mut self, chain: SignalChain) -> Self {
-        self.chain = chain;
-        self
-    }
-
     /// Returns a copy with a different propagation model (open-water
     /// studies).
     pub fn with_propagation(mut self, model: PropagationModel) -> Self {

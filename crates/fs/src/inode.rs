@@ -123,11 +123,6 @@ impl Inode {
             indirect,
         })
     }
-
-    /// Whether byte offset `offset` is addressable by this inode layout.
-    pub fn offset_in_range(offset: u64) -> bool {
-        offset <= MAX_FILE_SIZE
-    }
 }
 
 #[cfg(test)]

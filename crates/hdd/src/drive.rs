@@ -263,11 +263,6 @@ impl HardDiskDrive {
         &self.servo
     }
 
-    /// Replaces the servo (e.g. the augmented-controller defense).
-    pub fn set_servo(&mut self, servo: ServoModel) {
-        self.servo = servo;
-    }
-
     /// Tolerance model.
     pub fn tolerance(&self) -> &ToleranceModel {
         &self.tolerance
@@ -363,10 +358,11 @@ impl HardDiskDrive {
 
         // Mechanical positioning. Contiguous sequential access uses the
         // drive's zero-latency track/head switching: no seek or rotation
-        // charge even across a cylinder boundary. Writes acknowledged from
-        // the drive's write cache don't charge the host for positioning
-        // either (the media write still happens and can still fail).
-        let sequential = self.last_lba_end == Some(op.lba) || (!read && self.timing.write_cache());
+        // charge even across a cylinder boundary. Writes are acknowledged
+        // from the drive's write cache, so they don't charge the host for
+        // positioning either (the media write still happens and can still
+        // fail: the cache hides latency, not errors).
+        let sequential = self.last_lba_end == Some(op.lba) || !read;
         let target_cyl = self.geometry.cylinder_of(op.lba);
         if !sequential {
             let seek_s = self

@@ -56,7 +56,6 @@ pub struct TimingModel {
     retry_delay_read_s: f64,
     retry_delay_write_s: f64,
     max_retries: u32,
-    write_cache: bool,
 }
 
 impl TimingModel {
@@ -89,23 +88,7 @@ impl TimingModel {
             retry_delay_read_s: p.retry_delay_read_s,
             retry_delay_write_s: p.retry_delay_write_s,
             max_retries: p.max_retries,
-            write_cache: true,
         }
-    }
-
-    /// Whether the drive acknowledges writes from its cache (desktop
-    /// default). Cached writes do not charge the host for positioning;
-    /// the media write still happens (and can still fail under
-    /// vibration) — the cache hides latency, not errors.
-    pub fn write_cache(&self) -> bool {
-        self.write_cache
-    }
-
-    /// Returns a copy with write caching disabled (enterprise
-    /// write-through configuration).
-    pub fn with_write_cache_disabled(mut self) -> Self {
-        self.write_cache = false;
-        self
     }
 
     /// Timing calibrated for the paper's Barracuda under 4 KiB sync FIO:

@@ -3,8 +3,8 @@
 //! A [`TimeSeries`] stores `(x, y)` points — either virtual time vs. a
 //! metric, or an independent sweep variable (frequency, distance) vs. a
 //! metric — and offers the small set of queries the experiment harnesses
-//! need: extremes, crossings, and contiguous regions below a threshold
-//! (e.g. "the frequency band where throughput is zero").
+//! need: the sample nearest an `x`, and contiguous regions below a
+//! threshold (e.g. "the frequency band where throughput is zero").
 
 use serde::{Deserialize, Serialize};
 
@@ -53,16 +53,6 @@ impl TimeSeries {
         &self.name
     }
 
-    /// Unit label of the independent variable.
-    pub fn x_unit(&self) -> &str {
-        &self.x_unit
-    }
-
-    /// Unit label of the dependent variable.
-    pub fn y_unit(&self) -> &str {
-        &self.y_unit
-    }
-
     /// Appends a point.
     ///
     /// # Panics
@@ -93,30 +83,6 @@ impl TimeSeries {
     /// Returns `true` if the series has no points.
     pub fn is_empty(&self) -> bool {
         self.points.is_empty()
-    }
-
-    /// The minimum `y` value and its `x`, or `None` if empty.
-    pub fn min_point(&self) -> Option<(f64, f64)> {
-        self.points
-            .iter()
-            .copied()
-            .min_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// The maximum `y` value and its `x`, or `None` if empty.
-    pub fn max_point(&self) -> Option<(f64, f64)> {
-        self.points
-            .iter()
-            .copied()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-    }
-
-    /// Mean of `y` values, or 0 if empty.
-    pub fn mean_y(&self) -> f64 {
-        if self.points.is_empty() {
-            return 0.0;
-        }
-        self.points.iter().map(|p| p.1).sum::<f64>() / self.points.len() as f64
     }
 
     /// `y` at the sample closest to `x`, or `None` if empty.
@@ -183,15 +149,6 @@ mod tests {
             s.push(x, y);
         }
         s
-    }
-
-    #[test]
-    fn extremes_and_mean() {
-        let s = sample_series();
-        assert_eq!(s.min_point(), Some((650.0, 0.0)));
-        // Two points tie at y = 20.0; max_by keeps the last one.
-        assert_eq!(s.max_point(), Some((4000.0, 20.0)));
-        assert!((s.mean_y() - (20.0 + 0.5 + 0.0 + 0.2 + 19.0 + 20.0) / 6.0).abs() < 1e-12);
     }
 
     #[test]

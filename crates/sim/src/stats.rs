@@ -79,11 +79,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
     /// Smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
