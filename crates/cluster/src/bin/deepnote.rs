@@ -84,6 +84,17 @@ impl Args {
         Ok(v)
     }
 
+    /// [`Args::get`] for a length in centimetres: finite and not
+    /// negative.
+    fn distance_cm(&self, name: &str, default: f64) -> Result<Distance, String> {
+        let cm = self.get(name, default)?;
+        if !(cm.is_finite() && cm >= 0.0) {
+            let shown = self.string(name).unwrap_or_default();
+            return Err(format!("bad value for --{name}: {shown}"));
+        }
+        Ok(Distance::from_cm(cm))
+    }
+
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
@@ -174,7 +185,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             }
         }
         "sweep" => {
-            let distance = Distance::from_cm(args.get("distance-cm", 1.0f64)?);
+            let distance = args.distance_cm("distance-cm", 1.0)?;
             let requests = args.nonzero("requests", 6u32)?;
             let d = adaptive::remote_frequency_discovery(
                 &testbed,
@@ -240,7 +251,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "fleet" => {
             let drives = args.nonzero("drives", 10usize)?;
-            let spacing = Distance::from_cm(args.get("spacing-cm", 4.0f64)?);
+            let spacing = args.distance_cm("spacing-cm", 4.0)?;
             let fleet = Fleet::new(testbed, Distance::from_cm(1.0), spacing, drives);
             let report = fleet.assess(AttackParams::paper_best());
             println!(

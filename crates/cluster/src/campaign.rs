@@ -24,12 +24,11 @@ use crate::metrics::{ClusterMetrics, PhaseMetrics};
 use crate::placement::PlacementPolicy;
 use crate::report::{CampaignReport, EarlyWarning};
 use crate::timeline::AttackTimeline;
-use crate::workload::{ClientPool, WorkloadSpec};
+use crate::workload::{ClientPool, WorkloadSpec, THINK_TIME};
 use deepnote_core::parallel::try_run_all;
 use deepnote_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use deepnote_telemetry::{
-    BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, SloPolicy, Tracer, Value,
-    CONTROL_TRACK,
+    BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, Tracer, Value, CONTROL_TRACK,
 };
 use serde::{Deserialize, Serialize};
 
@@ -42,8 +41,8 @@ const CHAOS_SALT: u64 = 0xC4A0_5EED_D15C_0DE5;
 /// (backoff jitter), independent of both workload and chaos streams.
 const CLIENT_SALT: u64 = 0xBAC0_FF5A_17ED_B175;
 
-/// Latency bound counted as an SLO pass.
-const SLO_LATENCY: SimDuration = SimDuration::from_millis(50);
+/// Interval between heartbeat rounds (probes, restarts, failover).
+const HEARTBEAT_EVERY: SimDuration = SimDuration::from_millis(500);
 
 /// Availability sampling window.
 const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(5);
@@ -52,7 +51,7 @@ const SAMPLE_EVERY: SimDuration = SimDuration::from_secs(5);
 const REPAIR_EVERY: SimDuration = SimDuration::from_millis(200);
 
 /// Interval between background scrub steps (only scheduled when the
-/// cluster's integrity config enables scrubbing).
+/// cluster runs with integrity on).
 const SCRUB_EVERY: SimDuration = SimDuration::from_millis(200);
 
 /// Ring-buffer capacity for trace events; when full, the earliest
@@ -70,9 +69,6 @@ pub struct TelemetryConfig {
     /// Scrape the unified metrics registry at this fixed interval
     /// (`None` disables scraping; the report's series come out empty).
     pub metrics_interval: Option<SimDuration>,
-    /// Burn-rate alerting policy for the SLO monitor (always on — the
-    /// monitor only observes op outcomes the campaign already records).
-    pub slo: SloPolicy,
 }
 
 /// Everything one campaign run needs.
@@ -98,7 +94,7 @@ pub struct CampaignConfig {
     /// Check every successful read against the workload oracle and
     /// count wrong answers in the integrity stats.
     pub verify_responses: bool,
-    /// Tracing, metrics scraping, and SLO alerting knobs.
+    /// Tracing and metrics scraping.
     pub telemetry: TelemetryConfig,
     /// Root RNG seed; fixes every client stream.
     pub seed: u64,
@@ -348,7 +344,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         Tracer::disabled()
     };
     cluster.set_tracer(tracer.clone());
-    let mut burn = BurnRateMonitor::new(config.telemetry.slo);
+    let mut burn = BurnRateMonitor::default();
     let mut scraper = config.telemetry.metrics_interval.map(|_| {
         let n = cluster.nodes().len();
         Scraper::new(n)
@@ -357,9 +353,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     let mut rng = SimRng::seeded(config.seed);
     let mut pool = ClientPool::new(&spec, &mut rng);
     let num_nodes = cluster.nodes().len();
-    let mut driver = config.client.map(|policy| {
-        ResilientClient::new(num_nodes, policy, SimRng::seeded(config.seed ^ CLIENT_SALT))
-    });
+    let mut driver = config
+        .client
+        .map(|_| ResilientClient::new(num_nodes, SimRng::seeded(config.seed ^ CLIENT_SALT)));
     let mut oracle_checked = 0u64;
     let mut oracle_wrong = 0u64;
 
@@ -373,11 +369,10 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             PhaseMetrics::new(p.label.clone(), start, start + p.duration)
         })
         .collect();
-    let mut metrics = ClusterMetrics::new(phase_records, SLO_LATENCY);
+    let mut metrics = ClusterMetrics::new(phase_records);
     let mut max_unavailable_by_phase = vec![0usize; config.timeline.phases().len()];
 
     let end = SimTime::ZERO + config.timeline.total();
-    let heartbeat_every = config.cluster.health.heartbeat_every;
     // Steady-state queue population: every phase change plus one slot
     // per recurring stream (heartbeat, repair, scrub, sample, scrape)
     // and one per client, so the heap never reallocates mid-loop.
@@ -391,7 +386,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
     }
     schedule(&mut q, SimTime::ZERO, EvKind::Heartbeat);
     schedule(&mut q, SimTime::ZERO + REPAIR_EVERY, EvKind::Repair);
-    if config.cluster.integrity.scrub && config.cluster.integrity.checksums {
+    if config.cluster.integrity.enabled {
         schedule(&mut q, SimTime::ZERO + SCRUB_EVERY, EvKind::Scrub);
     }
     schedule(&mut q, SimTime::ZERO + SAMPLE_EVERY, EvKind::Sample);
@@ -399,7 +394,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         schedule(&mut q, SimTime::ZERO, EvKind::Scrape);
     }
     for i in 0..pool.len() {
-        schedule(&mut q, pool.first_issue(i, &spec), EvKind::Client(i));
+        schedule(&mut q, pool.first_issue(i), EvKind::Client(i));
     }
 
     while let Some((at, kind)) = q.pop() {
@@ -427,7 +422,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                 // Retune mid-sweep; a steady tone is a no-op here.
                 cluster.set_attack(config.timeline.frequency_at(at), at);
                 cluster.heartbeat(at);
-                schedule(&mut q, at + heartbeat_every, EvKind::Heartbeat);
+                schedule(&mut q, at + HEARTBEAT_EVERY, EvKind::Heartbeat);
             }
             EvKind::Repair => {
                 cluster.repair_step(at, config.repair_batch);
@@ -472,7 +467,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                 }
                 metrics.record_op(op.is_read, ok, latency);
                 burn.record_op(at + latency, ok);
-                schedule(&mut q, at + latency + spec.think_time, EvKind::Client(i));
+                schedule(&mut q, at + latency + THINK_TIME, EvKind::Client(i));
             }
             EvKind::Scrape => {
                 if let Some(s) = scraper.as_mut() {

@@ -24,26 +24,37 @@ use crate::metrics::ResilienceStats;
 use deepnote_sim::{Histogram, SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// Per-node circuit-breaker tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BreakerConfig {
-    /// Consecutive failures that trip the breaker open.
-    pub failure_threshold: u32,
-    /// How long an open breaker refuses dispatches.
-    pub open_for: SimDuration,
-    /// Successes required in half-open before closing again.
-    pub half_open_trials: u32,
-}
+/// Consecutive failures that trip a breaker open.
+const FAILURE_THRESHOLD: u32 = 4;
 
-impl Default for BreakerConfig {
-    fn default() -> Self {
-        BreakerConfig {
-            failure_threshold: 4,
-            open_for: SimDuration::from_secs(2),
-            half_open_trials: 2,
-        }
-    }
-}
+/// How long an open breaker refuses dispatches.
+const OPEN_FOR: SimDuration = SimDuration::from_secs(2);
+
+/// Successes required in half-open before a breaker closes again.
+const HALF_OPEN_TRIALS: u32 = 2;
+
+/// Total per-request budget: attempts, backoffs, and hedges must all
+/// fit inside it.
+const DEADLINE: SimDuration = SimDuration::from_secs(2);
+
+/// Retries after the first attempt.
+const MAX_RETRIES: u32 = 3;
+
+/// First backoff delay; doubles per retry.
+const BACKOFF_BASE: SimDuration = SimDuration::from_millis(20);
+
+/// Backoff ceiling.
+const BACKOFF_CAP: SimDuration = SimDuration::from_millis(200);
+
+/// Jitter fraction: each backoff delay is scaled by a seeded factor
+/// drawn from `[1 - JITTER, 1]`.
+const JITTER: f64 = 0.5;
+
+/// Observed read latencies needed before hedging activates.
+const HEDGE_AFTER_SAMPLES: u64 = 64;
+
+/// Floor for the p99-derived hedge delay.
+const HEDGE_MIN: SimDuration = SimDuration::from_millis(10);
 
 /// A circuit breaker's state.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,21 +79,21 @@ pub enum BreakerState {
 /// The classic closed → open → half-open state machine, per node.
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
-    config: BreakerConfig,
     state: BreakerState,
     trips: u64,
 }
 
-impl CircuitBreaker {
+impl Default for CircuitBreaker {
     /// A closed breaker.
-    pub fn new(config: BreakerConfig) -> Self {
+    fn default() -> Self {
         CircuitBreaker {
-            config,
             state: BreakerState::Closed { failures: 0 },
             trips: 0,
         }
     }
+}
 
+impl CircuitBreaker {
     /// Current state.
     pub fn state(&self) -> BreakerState {
         self.state
@@ -117,7 +128,7 @@ impl CircuitBreaker {
             }
             (BreakerState::Closed { failures }, false) => {
                 *failures += 1;
-                if *failures >= self.config.failure_threshold {
+                if *failures >= FAILURE_THRESHOLD {
                     self.trip(now);
                     true
                 } else {
@@ -126,7 +137,7 @@ impl CircuitBreaker {
             }
             (BreakerState::HalfOpen { oks }, true) => {
                 *oks += 1;
-                if *oks >= self.config.half_open_trials {
+                if *oks >= HALF_OPEN_TRIALS {
                     self.state = BreakerState::Closed { failures: 0 };
                 }
                 false
@@ -142,67 +153,31 @@ impl CircuitBreaker {
 
     fn trip(&mut self, now: SimTime) {
         self.state = BreakerState::Open {
-            until: now + self.config.open_for,
+            until: now + OPEN_FOR,
         };
         self.trips += 1;
     }
 }
 
-/// Client-side resilience policy.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ClientPolicy {
-    /// Total per-request budget (attempts, backoffs, and hedges must
-    /// all fit inside it).
-    pub deadline: SimDuration,
-    /// Retries after the first attempt.
-    pub max_retries: u32,
-    /// First backoff delay; doubles per retry.
-    pub backoff_base: SimDuration,
-    /// Backoff ceiling.
-    pub backoff_cap: SimDuration,
-    /// Jitter fraction in `[0, 1]`: each delay is scaled by a seeded
-    /// factor drawn from `[1 - jitter, 1]`.
-    pub jitter: f64,
-    /// Hedge slow reads with a second request.
-    pub hedge: bool,
-    /// Observed read latencies needed before hedging activates.
-    pub hedge_after_samples: u64,
-    /// Floor for the p99-derived hedge delay.
-    pub hedge_min: SimDuration,
-    /// Per-node circuit breakers (`None` disables them).
-    pub breakers: Option<BreakerConfig>,
-}
+/// Selects the resilient client path for a campaign. The policy itself
+/// (deadline, retries, backoff, hedging, breakers) is fixed: the
+/// constants at the top of this module.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct ClientPolicy;
 
 impl ClientPolicy {
     /// The standard production-shaped policy.
     pub fn standard() -> Self {
-        ClientPolicy {
-            deadline: SimDuration::from_secs(2),
-            max_retries: 3,
-            backoff_base: SimDuration::from_millis(20),
-            backoff_cap: SimDuration::from_millis(200),
-            jitter: 0.5,
-            hedge: true,
-            hedge_after_samples: 64,
-            hedge_min: SimDuration::from_millis(10),
-            breakers: Some(BreakerConfig::default()),
-        }
+        ClientPolicy
     }
 }
 
 /// The seeded backoff delay before retry number `attempt` (1-based):
-/// exponential from `base`, capped, scaled by a jitter factor drawn
-/// from `[1 - jitter, 1]`.
-pub fn backoff_delay(policy: &ClientPolicy, attempt: u32, rng: &mut SimRng) -> SimDuration {
-    let exp = policy
-        .backoff_base
-        .mul_f64(f64::from(1u32 << (attempt - 1).min(20)));
-    let capped = exp.min(policy.backoff_cap);
-    let jitter = policy.jitter.clamp(0.0, 1.0);
-    if jitter <= 0.0 {
-        return capped;
-    }
-    capped.mul_f64(1.0 - jitter * rng.unit_f64())
+/// exponential from `BACKOFF_BASE`, capped at `BACKOFF_CAP`, scaled
+/// by a jitter factor drawn from `[1 - JITTER, 1]`.
+pub fn backoff_delay(attempt: u32, rng: &mut SimRng) -> SimDuration {
+    let exp = BACKOFF_BASE.mul_f64(f64::from(1u32 << (attempt - 1).min(20)));
+    exp.min(BACKOFF_CAP).mul_f64(1.0 - JITTER * rng.unit_f64())
 }
 
 /// What the resilient path reports for one client operation.
@@ -221,7 +196,6 @@ pub struct ClientOutcome {
 /// The resilient driver: one per campaign, fronting every client.
 #[derive(Debug)]
 pub struct ResilientClient {
-    policy: ClientPolicy,
     breakers: Vec<CircuitBreaker>,
     read_latency_us: Histogram,
     rng: SimRng,
@@ -230,23 +204,13 @@ pub struct ResilientClient {
 
 impl ResilientClient {
     /// A driver for a cluster of `nodes` nodes.
-    pub fn new(nodes: usize, policy: ClientPolicy, rng: SimRng) -> Self {
-        let breakers = policy
-            .breakers
-            .map(|cfg| vec![CircuitBreaker::new(cfg); nodes])
-            .unwrap_or_default();
+    pub fn new(nodes: usize, rng: SimRng) -> Self {
         ResilientClient {
-            policy,
-            breakers,
+            breakers: vec![CircuitBreaker::default(); nodes],
             read_latency_us: Histogram::new_latency(),
             rng,
             stats: ResilienceStats::default(),
         }
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> &ClientPolicy {
-        &self.policy
     }
 
     /// Resilience counters so far.
@@ -255,22 +219,19 @@ impl ResilientClient {
     }
 
     /// The hedge delay once enough read latencies are banked: the
-    /// observed p99, floored at the policy minimum.
+    /// observed p99, floored at `HEDGE_MIN`.
     fn hedge_delay(&self) -> Option<SimDuration> {
-        if !self.policy.hedge || self.read_latency_us.count() < self.policy.hedge_after_samples {
+        if self.read_latency_us.count() < HEDGE_AFTER_SAMPLES {
             return None;
         }
         let p99_us = self.read_latency_us.percentile(99.0)?;
         let delay = SimDuration::from_millis_f64(p99_us / 1_000.0);
-        Some(delay.max(self.policy.hedge_min))
+        Some(delay.max(HEDGE_MIN))
     }
 
-    /// The deny mask breakers impose at `t` (`None` when disabled or
-    /// nothing is denied).
+    /// The deny mask breakers impose at `t` (`None` when nothing is
+    /// denied).
     fn denied_mask(&mut self, t: SimTime) -> Option<Vec<bool>> {
-        if self.breakers.is_empty() {
-            return None;
-        }
         let mask: Vec<bool> = self.breakers.iter_mut().map(|b| !b.allows(t)).collect();
         let denied = mask.iter().filter(|&&d| d).count() as u64;
         if denied == 0 {
@@ -287,9 +248,6 @@ impl ResilientClient {
         cluster: &mut Cluster,
         outcome: &crate::replication::QuorumOutcome,
     ) {
-        if self.breakers.is_empty() {
-            return;
-        }
         for r in &outcome.replies {
             if self.breakers[r.node].record(r.ok, r.done) {
                 self.stats.breaker_trips += 1;
@@ -308,7 +266,7 @@ impl ResilientClient {
         at: SimTime,
     ) -> ClientOutcome {
         self.stats.ops += 1;
-        let deadline = at + self.policy.deadline;
+        let deadline = at + DEADLINE;
         let mut attempt: u32 = 0;
         let mut t = at;
         let mut failed_once = false;
@@ -363,10 +321,10 @@ impl ResilientClient {
             }
             failed_once = true;
             attempt += 1;
-            if attempt > self.policy.max_retries {
+            if attempt > MAX_RETRIES {
                 return self.give_up(at, done, attempt - 1);
             }
-            let next = done + backoff_delay(&self.policy, attempt, &mut self.rng);
+            let next = done + backoff_delay(attempt, &mut self.rng);
             if next >= deadline {
                 self.stats.deadline_exhausted += 1;
                 return self.give_up(at, done, attempt - 1);
@@ -390,35 +348,13 @@ impl ResilientClient {
 mod tests {
     use super::*;
 
-    fn policy() -> ClientPolicy {
-        ClientPolicy::standard()
-    }
-
-    #[test]
-    fn backoff_doubles_and_caps_without_jitter() {
-        let mut p = policy();
-        p.jitter = 0.0;
-        let mut rng = SimRng::seeded(1);
-        let d1 = backoff_delay(&p, 1, &mut rng);
-        let d2 = backoff_delay(&p, 2, &mut rng);
-        let d3 = backoff_delay(&p, 3, &mut rng);
-        let d5 = backoff_delay(&p, 5, &mut rng);
-        assert_eq!(d1, SimDuration::from_millis(20));
-        assert_eq!(d2, SimDuration::from_millis(40));
-        assert_eq!(d3, SimDuration::from_millis(80));
-        assert_eq!(d5, p.backoff_cap, "delay must cap at the ceiling");
-    }
-
     #[test]
     fn backoff_jitter_stays_in_band_and_is_seeded() {
-        let p = policy(); // jitter 0.5
         let mut rng = SimRng::seeded(9);
-        for attempt in 1..=4 {
-            let exp = p
-                .backoff_base
-                .mul_f64(f64::from(1u32 << (attempt - 1)))
-                .min(p.backoff_cap);
-            let d = backoff_delay(&p, attempt, &mut rng);
+        // Doubling from 20 ms; attempt 5's 320 ms is capped at 200 ms.
+        for (attempt, ms) in (1..=5).zip([20, 40, 80, 160, 200]) {
+            let exp = SimDuration::from_millis(ms);
+            let d = backoff_delay(attempt, &mut rng);
             assert!(d <= exp, "attempt {attempt}: {d:?} above nominal {exp:?}");
             assert!(
                 d >= exp.mul_f64(0.5),
@@ -428,33 +364,29 @@ mod tests {
         // Same seed, same schedule.
         let a: Vec<_> = {
             let mut r = SimRng::seeded(77);
-            (1..=4).map(|i| backoff_delay(&p, i, &mut r)).collect()
+            (1..=4).map(|i| backoff_delay(i, &mut r)).collect()
         };
         let b: Vec<_> = {
             let mut r = SimRng::seeded(77);
-            (1..=4).map(|i| backoff_delay(&p, i, &mut r)).collect()
+            (1..=4).map(|i| backoff_delay(i, &mut r)).collect()
         };
         assert_eq!(a, b);
     }
 
     #[test]
     fn breaker_trips_after_threshold_and_cools_down() {
-        let cfg = BreakerConfig {
-            failure_threshold: 3,
-            open_for: SimDuration::from_secs(1),
-            half_open_trials: 2,
-        };
-        let mut b = CircuitBreaker::new(cfg);
+        let mut b = CircuitBreaker::default();
         let t = SimTime::from_secs(10);
         assert!(b.allows(t));
-        assert!(!b.record(false, t));
-        assert!(!b.record(false, t));
-        assert!(b.record(false, t), "third failure must trip");
+        for _ in 0..3 {
+            assert!(!b.record(false, t));
+        }
+        assert!(b.record(false, t), "fourth failure must trip");
         assert_eq!(b.trips(), 1);
-        // Open: refuses until the cooldown expires.
-        assert!(!b.allows(t + SimDuration::from_millis(500)));
+        // Open: refuses until the 2 s cooldown expires.
+        assert!(!b.allows(t + SimDuration::from_millis(1_500)));
         // Cooldown over: half-open lets a trial through.
-        let t2 = t + SimDuration::from_secs(1);
+        let t2 = t + SimDuration::from_secs(2);
         assert!(b.allows(t2));
         assert_eq!(b.state(), BreakerState::HalfOpen { oks: 0 });
         // Two successes close it.
@@ -465,15 +397,13 @@ mod tests {
 
     #[test]
     fn half_open_failure_reopens_immediately() {
-        let cfg = BreakerConfig {
-            failure_threshold: 1,
-            open_for: SimDuration::from_secs(1),
-            half_open_trials: 1,
-        };
-        let mut b = CircuitBreaker::new(cfg);
+        let mut b = CircuitBreaker::default();
         let t = SimTime::from_secs(5);
+        for _ in 0..3 {
+            b.record(false, t);
+        }
         assert!(b.record(false, t));
-        let t2 = t + SimDuration::from_secs(1);
+        let t2 = t + SimDuration::from_secs(2);
         assert!(b.allows(t2));
         assert!(b.record(false, t2), "half-open failure must re-trip");
         assert_eq!(b.trips(), 2);
@@ -482,7 +412,7 @@ mod tests {
 
     #[test]
     fn closed_breaker_success_resets_the_failure_streak() {
-        let mut b = CircuitBreaker::new(BreakerConfig::default());
+        let mut b = CircuitBreaker::default();
         let t = SimTime::ZERO;
         for _ in 0..3 {
             b.record(false, t);

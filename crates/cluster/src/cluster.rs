@@ -9,7 +9,7 @@
 
 use crate::chaos::ChaosProfile;
 use crate::error::ClusterError;
-use crate::health::{HealthConfig, HealthMonitor, Transition};
+use crate::health::{HealthMonitor, Transition, PROBE_TIMEOUT};
 use crate::integrity::{self, IntegrityConfig, IntegrityStats, ScrubStats, Scrubber};
 use crate::node::{commission, RestartOutcome, StorageNode};
 use crate::placement::{shard_of, NodeId, PlacementPolicy, RackSpec, ShardId, ShardMap, Topology};
@@ -41,8 +41,6 @@ pub struct ClusterConfig {
     pub placement: PlacementPolicy,
     /// Quorum settings.
     pub replication: ReplicationConfig,
-    /// Failure-detection settings.
-    pub health: HealthConfig,
     /// End-to-end integrity machinery (off by default).
     pub integrity: IntegrityConfig,
 }
@@ -74,7 +72,6 @@ impl ClusterConfig {
             num_shards: 12,
             placement,
             replication: ReplicationConfig::majority(3),
-            health: HealthConfig::default(),
             integrity: IntegrityConfig::off(),
         }
     }
@@ -114,6 +111,9 @@ pub struct Cluster {
 
 /// Health probes read this key; it never collides with workload keys.
 const PROBE_KEY: &[u8] = b"__health_probe__";
+
+/// Down-time after which a node's replica slots are failed over.
+const FAILOVER_AFTER: SimDuration = SimDuration::from_secs(10);
 
 impl Cluster {
     /// Builds and launches every node, healthy and silent.
@@ -162,7 +162,7 @@ impl Cluster {
                 )
             })
             .collect();
-        let monitor = HealthMonitor::new(nodes.len(), config.health);
+        let monitor = HealthMonitor::new(nodes.len());
         Ok(Cluster {
             testbed: Testbed::paper_default(config.scenario),
             topo,
@@ -255,7 +255,7 @@ impl Cluster {
         let mut per_node: Vec<Vec<(Vec<u8>, Vec<u8>)>> = vec![Vec::new(); self.nodes.len()];
         for i in 0..spec.num_keys {
             let key = spec.key(i);
-            let value = if self.config.integrity.checksums {
+            let value = if self.config.integrity.enabled {
                 integrity::seal(&key, &spec.value(i))
             } else {
                 spec.value(i)
@@ -357,10 +357,10 @@ impl Cluster {
 
     /// [`Cluster::execute`] with an optional client-side deny mask
     /// (circuit breakers): `denied[n]` suppresses dispatch to node `n`
-    /// on top of the health monitor's belief. With checksums on, writes
+    /// on top of the health monitor's belief. With integrity on, writes
     /// are sealed and every read ack is verified end-to-end; corrupt
-    /// acks are never served and (with read-repair on) are rewritten
-    /// inline from the earliest verified copy.
+    /// acks are never served and are rewritten inline from the earliest
+    /// verified copy.
     pub fn execute_masked(
         &mut self,
         is_read: bool,
@@ -380,7 +380,7 @@ impl Cluster {
         }
         let kind = if is_read { OpKind::Read } else { OpKind::Write };
         let sealed;
-        let payload = if !is_read && self.config.integrity.checksums {
+        let payload = if !is_read && self.config.integrity.enabled {
             sealed = integrity::seal(key, value);
             sealed.as_slice()
         } else {
@@ -399,7 +399,7 @@ impl Cluster {
         for &n in &outcome.fatalities.clone() {
             self.note_fatal(n, now);
         }
-        if is_read && self.config.integrity.checksums {
+        if is_read && self.config.integrity.enabled {
             self.verify_read(key, now, &mut outcome);
         }
         if !outcome.ok && self.tracer.enabled(Layer::Cluster) {
@@ -433,8 +433,8 @@ impl Cluster {
     }
 
     /// End-to-end verification of a quorum read: serve only the
-    /// earliest verified copy, count corrupt acks, and (optionally)
-    /// rewrite them inline. A read that acked a quorum but produced no
+    /// earliest verified copy, count corrupt acks, and rewrite them
+    /// inline. A read that acked a quorum but produced no
     /// verifiable value is downgraded to a failure — serving bytes the
     /// checksum rejects is exactly what this layer exists to prevent.
     fn verify_read(&mut self, key: &[u8], now: SimTime, outcome: &mut QuorumOutcome) {
@@ -462,16 +462,14 @@ impl Cluster {
         match healthy {
             Some(sealed_copy) => {
                 outcome.value = integrity::unseal(key, &sealed_copy).map(<[u8]>::to_vec);
-                if self.config.integrity.read_repair {
-                    for n in corrupt {
-                        let w = self.nodes[n].serve_put(now, key, &sealed_copy);
-                        if w.ok {
-                            self.integrity.read_repairs += 1;
-                        } else {
-                            self.integrity.read_repair_failures += 1;
-                            if w.fatal {
-                                self.note_fatal(n, now);
-                            }
+                for n in corrupt {
+                    let w = self.nodes[n].serve_put(now, key, &sealed_copy);
+                    if w.ok {
+                        self.integrity.read_repairs += 1;
+                    } else {
+                        self.integrity.read_repair_failures += 1;
+                        if w.fatal {
+                            self.note_fatal(n, now);
                         }
                     }
                 }
@@ -495,7 +493,7 @@ impl Cluster {
     /// trip is fed to the monitor as a missed probe, so persistent
     /// tripping marks the node down without waiting for heartbeats.
     pub fn report_breaker_trip(&mut self, node: NodeId, now: SimTime) {
-        let miss = self.monitor.config().probe_timeout + SimDuration::from_millis(1);
+        let miss = PROBE_TIMEOUT + SimDuration::from_millis(1);
         if self.monitor.observe_probe(node, now, miss, false) == Transition::WentDown {
             self.note(now, format!("node {node} marked down (circuit breaker)"));
             self.mark_first_down(node, now);
@@ -607,9 +605,8 @@ impl Cluster {
     }
 
     fn attempt_failovers(&mut self, now: SimTime) {
-        let failover_after = self.monitor.config().failover_after;
         for n in 0..self.nodes.len() {
-            if self.monitor.down_for(n, now) < failover_after {
+            if self.monitor.down_for(n, now) < FAILOVER_AFTER {
                 continue;
             }
             let up = self.monitor.up_mask();
@@ -666,7 +663,7 @@ impl Cluster {
             batch,
             now,
             &self.config.replication,
-            self.config.integrity.checksums,
+            self.config.integrity.enabled,
         )
     }
 
@@ -680,9 +677,9 @@ impl Cluster {
     /// (bandwidth is paid and accounted), corrupt or missing copies are
     /// classified against a verified sibling, and repair jobs are
     /// enqueued for the damage. Returns keys examined. No-op unless the
-    /// cluster runs checksums with scrubbing enabled.
+    /// cluster runs with integrity on.
     pub fn scrub_step(&mut self, now: SimTime, budget: usize) -> u64 {
-        if !self.config.integrity.scrub || !self.config.integrity.checksums {
+        if !self.config.integrity.enabled {
             return 0;
         }
         let total_keys: usize = self.shard_keys.iter().map(Vec::len).sum();

@@ -8,34 +8,15 @@
 //! immediately, which marks it down too.
 
 use deepnote_sim::{SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 
-/// Health-monitor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct HealthConfig {
-    /// Interval between heartbeat rounds.
-    pub heartbeat_every: SimDuration,
-    /// A probe slower than this is a miss.
-    pub probe_timeout: SimDuration,
-    /// Consecutive misses before a node is marked down.
-    pub miss_threshold: u32,
-    /// Down-time after which a node's replica slots are failed over.
-    pub failover_after: SimDuration,
-    /// Minimum spacing between restart attempts on a crashed node.
-    pub restart_backoff: SimDuration,
-}
+/// A probe slower than this is a miss.
+pub(crate) const PROBE_TIMEOUT: SimDuration = SimDuration::from_millis(250);
 
-impl Default for HealthConfig {
-    fn default() -> Self {
-        HealthConfig {
-            heartbeat_every: SimDuration::from_millis(500),
-            probe_timeout: SimDuration::from_millis(250),
-            miss_threshold: 2,
-            failover_after: SimDuration::from_secs(10),
-            restart_backoff: SimDuration::from_secs(5),
-        }
-    }
-}
+/// Consecutive misses before a node is marked down.
+const MISS_THRESHOLD: u32 = 2;
+
+/// Minimum spacing between restart attempts on a crashed node.
+const RESTART_BACKOFF: SimDuration = SimDuration::from_secs(5);
 
 /// The monitor's belief about one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -68,24 +49,17 @@ pub enum Transition {
 /// Tracks probe history and health per node.
 #[derive(Debug, Clone)]
 pub struct HealthMonitor {
-    config: HealthConfig,
     states: Vec<NodeHealth>,
     last_restart_attempt: Vec<Option<SimTime>>,
 }
 
 impl HealthMonitor {
     /// A monitor that believes all `nodes` are up.
-    pub fn new(nodes: usize, config: HealthConfig) -> Self {
+    pub fn new(nodes: usize) -> Self {
         HealthMonitor {
-            config,
             states: vec![NodeHealth::Up; nodes],
             last_restart_attempt: vec![None; nodes],
         }
-    }
-
-    /// The tuning in effect.
-    pub fn config(&self) -> &HealthConfig {
-        &self.config
     }
 
     /// Current belief about `node`.
@@ -113,26 +87,18 @@ impl HealthMonitor {
         rtt: SimDuration,
         ok: bool,
     ) -> Transition {
-        let missed = !ok || rtt > self.config.probe_timeout;
+        let missed = !ok || rtt > PROBE_TIMEOUT;
         let state = &mut self.states[node];
         if missed {
             match *state {
                 NodeHealth::Down { .. } => Transition::None,
                 NodeHealth::Up => {
-                    *state = if self.config.miss_threshold <= 1 {
-                        NodeHealth::Down { since: now }
-                    } else {
-                        NodeHealth::Suspect { misses: 1 }
-                    };
-                    if matches!(*state, NodeHealth::Down { .. }) {
-                        Transition::WentDown
-                    } else {
-                        Transition::None
-                    }
+                    *state = NodeHealth::Suspect { misses: 1 };
+                    Transition::None
                 }
                 NodeHealth::Suspect { misses } => {
                     let misses = misses + 1;
-                    if misses >= self.config.miss_threshold {
+                    if misses >= MISS_THRESHOLD {
                         *state = NodeHealth::Down { since: now };
                         Transition::WentDown
                     } else {
@@ -183,8 +149,8 @@ impl HealthMonitor {
             return false;
         }
         let due = match self.last_restart_attempt[node] {
-            None => self.down_for(node, now) >= self.config.restart_backoff,
-            Some(last) => now.saturating_duration_since(last) >= self.config.restart_backoff,
+            None => self.down_for(node, now) >= RESTART_BACKOFF,
+            Some(last) => now.saturating_duration_since(last) >= RESTART_BACKOFF,
         };
         if due {
             self.last_restart_attempt[node] = Some(now);
@@ -198,7 +164,7 @@ mod tests {
     use super::*;
 
     fn monitor() -> HealthMonitor {
-        HealthMonitor::new(3, HealthConfig::default())
+        HealthMonitor::new(3)
     }
 
     #[test]

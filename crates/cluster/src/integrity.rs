@@ -59,15 +59,13 @@ pub fn verify(key: &[u8], sealed: &[u8]) -> bool {
     unseal(key, sealed).is_some()
 }
 
-/// Which integrity machinery a cluster runs.
+/// Whether a cluster runs the end-to-end integrity machinery.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct IntegrityConfig {
-    /// Seal values on write and verify every replica ack on read.
-    pub checksums: bool,
-    /// On a corrupt ack, rewrite the replica from a healthy copy inline.
-    pub read_repair: bool,
-    /// Run the background scrubber (requires `checksums`).
-    pub scrub: bool,
+    /// Seal values on write, verify every replica ack on read, rewrite
+    /// a corrupt replica inline from a healthy copy, and run the
+    /// background scrubber.
+    pub enabled: bool,
 }
 
 impl IntegrityConfig {
@@ -78,11 +76,7 @@ impl IntegrityConfig {
 
     /// Checksums, read-repair, and scrubbing all on.
     pub fn full() -> Self {
-        IntegrityConfig {
-            checksums: true,
-            read_repair: true,
-            scrub: true,
-        }
+        IntegrityConfig { enabled: true }
     }
 }
 

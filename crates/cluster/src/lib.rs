@@ -69,12 +69,11 @@ pub mod prelude {
     pub use crate::client::{ClientPolicy, ResilientClient};
     pub use crate::cluster::{Cluster, ClusterConfig};
     pub use crate::error::ClusterError;
-    pub use crate::health::HealthConfig;
     pub use crate::integrity::IntegrityConfig;
     pub use crate::metrics::{ClusterMetrics, ResilienceStats};
     pub use crate::placement::{PlacementPolicy, RackSpec};
     pub use crate::replication::ReplicationConfig;
     pub use crate::report::{render_duel, CampaignReport, EarlyWarning};
     pub use crate::timeline::{AttackLoad, AttackTimeline, Phase};
-    pub use crate::workload::{KeyDistribution, WorkloadSpec};
+    pub use crate::workload::WorkloadSpec;
 }

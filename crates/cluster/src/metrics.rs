@@ -9,6 +9,9 @@
 use deepnote_sim::{Histogram, SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Latency bound counted as an SLO pass.
+const SLO_LATENCY: SimDuration = SimDuration::from_millis(50);
+
 /// Counters and latency for one operation class (reads or writes).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct OpClassMetrics {
@@ -16,7 +19,7 @@ pub struct OpClassMetrics {
     pub attempted: u64,
     /// Operations that reached quorum in time.
     pub ok: u64,
-    /// Operations meeting the SLO (success within the latency bound).
+    /// Operations meeting the SLO (success within the 50 ms bound).
     pub slo_ok: u64,
     /// Latency of every operation, microseconds.
     pub latency_us: Histogram,
@@ -38,11 +41,11 @@ impl OpClassMetrics {
     /// the latency bound, so `slo_ok <= ok <= attempted` always holds —
     /// a failed operation can never count toward the SLO, no matter how
     /// quickly it failed.
-    pub fn record(&mut self, ok: bool, latency: SimDuration, slo: SimDuration) {
+    pub fn record(&mut self, ok: bool, latency: SimDuration) {
         self.attempted += 1;
         if ok {
             self.ok += 1;
-            self.slo_ok += u64::from(latency <= slo);
+            self.slo_ok += u64::from(latency <= SLO_LATENCY);
         }
         self.latency_us.record(latency.as_nanos() as f64 / 1_000.0);
     }
@@ -161,8 +164,6 @@ pub struct ClusterMetrics {
     pub phases: Vec<PhaseMetrics>,
     /// Success ratio per sampling window.
     pub availability: Vec<AvailabilitySample>,
-    /// Latency SLO used for `slo_ok`.
-    pub slo_latency: SimDuration,
     window_ok: u64,
     window_attempted: u64,
     current_phase: usize,
@@ -170,12 +171,11 @@ pub struct ClusterMetrics {
 
 impl ClusterMetrics {
     /// A sink with one record per timeline phase.
-    pub fn new(phases: Vec<PhaseMetrics>, slo_latency: SimDuration) -> Self {
+    pub fn new(phases: Vec<PhaseMetrics>) -> Self {
         assert!(!phases.is_empty(), "campaign needs at least one phase");
         ClusterMetrics {
             phases,
             availability: Vec::new(),
-            slo_latency,
             window_ok: 0,
             window_attempted: 0,
             current_phase: 0,
@@ -195,12 +195,11 @@ impl ClusterMetrics {
 
     /// Records one client operation into the current phase.
     pub fn record_op(&mut self, is_read: bool, ok: bool, latency: SimDuration) {
-        let slo = self.slo_latency;
         let phase = &mut self.phases[self.current_phase];
         if is_read {
-            phase.reads.record(ok, latency, slo);
+            phase.reads.record(ok, latency);
         } else {
-            phase.writes.record(ok, latency, slo);
+            phase.writes.record(ok, latency);
         }
         self.window_attempted += 1;
         if ok {
@@ -244,13 +243,10 @@ mod tests {
     use super::*;
 
     fn two_phases() -> ClusterMetrics {
-        ClusterMetrics::new(
-            vec![
-                PhaseMetrics::new("baseline", SimTime::ZERO, SimTime::from_secs(10)),
-                PhaseMetrics::new("attack", SimTime::from_secs(10), SimTime::from_secs(20)),
-            ],
-            SimDuration::from_millis(100),
-        )
+        ClusterMetrics::new(vec![
+            PhaseMetrics::new("baseline", SimTime::ZERO, SimTime::from_secs(10)),
+            PhaseMetrics::new("attack", SimTime::from_secs(10), SimTime::from_secs(20)),
+        ])
     }
 
     #[test]
@@ -267,10 +263,9 @@ mod tests {
     #[test]
     fn slo_requires_success_and_speed() {
         let mut c = OpClassMetrics::default();
-        let slo = SimDuration::from_millis(100);
-        c.record(true, SimDuration::from_millis(10), slo);
-        c.record(true, SimDuration::from_millis(200), slo); // slow success
-        c.record(false, SimDuration::from_millis(1), slo); // fast failure
+        c.record(true, SimDuration::from_millis(10));
+        c.record(true, SimDuration::from_millis(200)); // slow success
+        c.record(false, SimDuration::from_millis(1)); // fast failure
         assert_eq!(c.attempted, 3);
         assert_eq!(c.ok, 2);
         assert_eq!(c.slo_ok, 1);
@@ -283,11 +278,10 @@ mod tests {
         // Regression: a fast failure must not count toward the SLO, so
         // `slo_ok <= ok <= attempted` holds after any op sequence.
         let mut c = OpClassMetrics::default();
-        let slo = SimDuration::from_millis(50);
         for i in 0..200u64 {
             let ok = i % 3 != 0;
             let latency = SimDuration::from_millis((i * 7) % 120);
-            c.record(ok, latency, slo);
+            c.record(ok, latency);
             assert!(
                 c.slo_ok <= c.ok && c.ok <= c.attempted,
                 "after op {i}: slo_ok={} ok={} attempted={}",
@@ -303,9 +297,8 @@ mod tests {
     #[test]
     fn percentiles_come_from_the_histogram() {
         let mut c = OpClassMetrics::default();
-        let slo = SimDuration::from_millis(100);
         for ms in 1..=100u64 {
-            c.record(true, SimDuration::from_millis(ms), slo);
+            c.record(true, SimDuration::from_millis(ms));
         }
         let p50 = c.percentile_ms(50.0).unwrap();
         let p99 = c.percentile_ms(99.0).unwrap();

@@ -509,13 +509,10 @@ mod tests {
     use deepnote_sim::{SimDuration, SimTime};
 
     fn tiny_report() -> CampaignReport {
-        let mut metrics = ClusterMetrics::new(
-            vec![
-                PhaseMetrics::new("baseline", SimTime::ZERO, SimTime::from_secs(10)),
-                PhaseMetrics::new("attack", SimTime::from_secs(10), SimTime::from_secs(20)),
-            ],
-            SimDuration::from_millis(50),
-        );
+        let mut metrics = ClusterMetrics::new(vec![
+            PhaseMetrics::new("baseline", SimTime::ZERO, SimTime::from_secs(10)),
+            PhaseMetrics::new("attack", SimTime::from_secs(10), SimTime::from_secs(20)),
+        ]);
         metrics.record_op(true, true, SimDuration::from_millis(2));
         metrics.enter_phase(1);
         metrics.record_op(false, false, SimDuration::from_millis(250));

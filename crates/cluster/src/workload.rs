@@ -3,71 +3,56 @@
 //! `clients` independent clients each run issue → wait-for-reply → think
 //! → repeat on the cluster timeline, so offered load self-throttles when
 //! the cluster slows down (goodput and latency degrade together, as they
-//! do for real closed-loop benchmarks). Key choice is uniform or
-//! YCSB-style Zipf; the read/write mix is a Bernoulli draw per
-//! operation. Every client owns a forked [`SimRng`] stream, so the whole
-//! population is deterministic for a fixed seed.
+//! do for real closed-loop benchmarks). Keys are drawn uniformly; the
+//! read/write mix is a fair Bernoulli draw per operation. Every client
+//! owns a forked [`SimRng`] stream, so the whole population is
+//! deterministic for a fixed seed.
 
 use deepnote_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
-/// How clients pick keys.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum KeyDistribution {
-    /// Uniform over the keyspace.
-    Uniform,
-    /// Zipf-skewed with the given exponent in `(0, 1)`.
-    Zipf {
-        /// Skew exponent (YCSB's theta).
-        theta: f64,
-    },
-}
+/// Fraction of operations that are reads.
+const READ_FRACTION: f64 = 0.5;
+
+/// Key size in bytes.
+const KEY_SIZE: usize = 16;
+
+/// Value size in bytes.
+const VALUE_SIZE: usize = 96;
+
+/// Think time between a reply and the client's next request.
+pub(crate) const THINK_TIME: SimDuration = SimDuration::from_millis(100);
 
 /// Client population parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct WorkloadSpec {
     /// Number of closed-loop clients.
     pub clients: usize,
-    /// Fraction of operations that are reads, in `[0, 1]`.
-    pub read_fraction: f64,
     /// Distinct keys in the keyspace.
     pub num_keys: u64,
-    /// Key size in bytes.
-    pub key_size: usize,
-    /// Value size in bytes.
-    pub value_size: usize,
-    /// Think time between a reply and the client's next request.
-    pub think_time: SimDuration,
-    /// Key popularity model.
-    pub distribution: KeyDistribution,
 }
 
 impl Default for WorkloadSpec {
     fn default() -> Self {
         WorkloadSpec {
             clients: 6,
-            read_fraction: 0.5,
             num_keys: 1_200,
-            key_size: 16,
-            value_size: 96,
-            think_time: SimDuration::from_millis(100),
-            distribution: KeyDistribution::Uniform,
         }
     }
 }
 
 impl WorkloadSpec {
-    /// Encodes key index `i` as a fixed-width key (at least 16 bytes).
+    /// Encodes key index `i` as a fixed-width 16-byte key.
     pub fn key(&self, i: u64) -> Vec<u8> {
         let mut k = Vec::new();
-        deepnote_kv::bench::write_key(&mut k, i, self.key_size);
+        deepnote_kv::bench::write_key(&mut k, i, KEY_SIZE);
         k
     }
 
-    /// A deterministic value for key index `i` (at least 16 bytes).
+    /// A deterministic 96-byte value for key index `i`.
     pub fn value(&self, i: u64) -> Vec<u8> {
         let mut v = Vec::new();
-        deepnote_kv::bench::write_value(&mut v, i, self.value_size.max(16));
+        deepnote_kv::bench::write_value(&mut v, i, VALUE_SIZE);
         v
     }
 }
@@ -90,11 +75,8 @@ pub struct Client {
 impl Client {
     /// Draws the client's next operation.
     pub fn next_op(&mut self, spec: &WorkloadSpec) -> ClientOp {
-        let is_read = self.rng.chance(spec.read_fraction);
-        let key_index = match spec.distribution {
-            KeyDistribution::Uniform => self.rng.below(spec.num_keys),
-            KeyDistribution::Zipf { theta } => self.rng.zipf(spec.num_keys, theta),
-        };
+        let is_read = self.rng.chance(READ_FRACTION);
+        let key_index = self.rng.below(spec.num_keys);
         ClientOp { key_index, is_read }
     }
 }
@@ -110,10 +92,6 @@ impl ClientPool {
     pub fn new(spec: &WorkloadSpec, root: &mut SimRng) -> Self {
         assert!(spec.clients > 0, "workload needs at least one client");
         assert!(spec.num_keys > 0, "workload needs a non-empty keyspace");
-        assert!(
-            (0.0..=1.0).contains(&spec.read_fraction),
-            "read fraction must be in [0, 1]"
-        );
         ClientPool {
             clients: (0..spec.clients)
                 .map(|i| Client {
@@ -141,8 +119,8 @@ impl ClientPool {
     /// Staggered first-issue time for client `i`, spreading the
     /// population over one think interval so requests do not arrive in
     /// lockstep.
-    pub fn first_issue(&self, i: usize, spec: &WorkloadSpec) -> SimTime {
-        let step = spec.think_time.as_nanos() / self.clients.len().max(1) as u64;
+    pub fn first_issue(&self, i: usize) -> SimTime {
+        let step = THINK_TIME.as_nanos() / self.clients.len().max(1) as u64;
         SimTime::ZERO + SimDuration::from_nanos(step * i as u64)
     }
 }
@@ -183,39 +161,21 @@ mod tests {
 
     #[test]
     fn read_fraction_is_respected() {
-        let spec = WorkloadSpec {
-            read_fraction: 0.8,
-            ..WorkloadSpec::default()
-        };
+        let spec = WorkloadSpec::default();
         let mut pool = ClientPool::new(&spec, &mut SimRng::seeded(4));
         let reads = (0..2000).filter(|_| pool.next_op(0, &spec).is_read).count();
-        assert!((1_450..1_750).contains(&reads), "reads={reads}");
+        assert!((850..1_150).contains(&reads), "reads={reads}");
     }
 
     #[test]
     fn first_issues_are_staggered_within_one_think_time() {
         let spec = WorkloadSpec::default();
         let pool = ClientPool::new(&spec, &mut SimRng::seeded(1));
-        let times: Vec<_> = (0..spec.clients)
-            .map(|i| pool.first_issue(i, &spec))
-            .collect();
+        let times: Vec<_> = (0..spec.clients).map(|i| pool.first_issue(i)).collect();
         assert_eq!(times[0], SimTime::ZERO);
         for w in times.windows(2) {
             assert!(w[0] < w[1]);
         }
-        assert!(*times.last().unwrap() < SimTime::ZERO + spec.think_time);
-    }
-
-    #[test]
-    fn zipf_skews_toward_hot_keys() {
-        let spec = WorkloadSpec {
-            distribution: KeyDistribution::Zipf { theta: 0.9 },
-            ..WorkloadSpec::default()
-        };
-        let mut pool = ClientPool::new(&spec, &mut SimRng::seeded(5));
-        let low = (0..2000)
-            .filter(|_| pool.next_op(0, &spec).key_index < spec.num_keys / 10)
-            .count();
-        assert!(low > 1000, "low-decile draws = {low}");
+        assert!(*times.last().unwrap() < SimTime::ZERO + THINK_TIME);
     }
 }

@@ -1,6 +1,6 @@
 //! CLI contract of `deepnote`: the regenerators exit 0, and a zero
-//! count or duration is a usage error (exit 1, one `error:` line), never
-//! a panic or a hang.
+//! count or duration, or a negative or non-finite distance, is a usage
+//! error (exit 1, one `error:` line), never a panic or a hang.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -72,7 +72,7 @@ fn regenerators_exit_zero() {
 }
 
 #[test]
-fn zero_flags_are_usage_errors() {
+fn bad_flags_are_usage_errors() {
     for (cmd, flag, value) in [
         ("cluster", "seconds", "0"),
         ("cluster", "shards", "0"),
@@ -83,6 +83,11 @@ fn zero_flags_are_usage_errors() {
         ("table2", "keys", "0"),
         ("fleet", "drives", "0"),
         ("sweep", "requests", "0"),
+        ("sweep", "distance-cm", "-1"),
+        ("sweep", "distance-cm", "nan"),
+        ("sweep", "distance-cm", "inf"),
+        ("fleet", "spacing-cm", "-3"),
+        ("fleet", "spacing-cm", "nan"),
     ] {
         let run = deepnote(&[cmd, &format!("--{flag}"), value]);
         let shown = format!("{cmd} --{flag} {value}");

@@ -11,29 +11,17 @@ use deepnote_sim::OnlineStats;
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
-/// Detector tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct DetectorConfig {
-    /// Samples used to learn the healthy baseline.
-    pub calibration_samples: usize,
-    /// Sliding-window length (requests).
-    pub window: usize,
-    /// Latency multiple (vs baseline mean) considered anomalous.
-    pub latency_factor: f64,
-    /// Fraction of the window that must be anomalous to alarm.
-    pub alarm_fraction: f64,
-}
+/// Samples used to learn the healthy baseline.
+pub(crate) const CALIBRATION_SAMPLES: usize = 64;
 
-impl Default for DetectorConfig {
-    fn default() -> Self {
-        DetectorConfig {
-            calibration_samples: 64,
-            window: 32,
-            latency_factor: 8.0,
-            alarm_fraction: 0.5,
-        }
-    }
-}
+/// Sliding-window length (requests).
+const WINDOW: usize = 32;
+
+/// Latency multiple (vs baseline mean) considered anomalous.
+const LATENCY_FACTOR: f64 = 8.0;
+
+/// Fraction of the window that must be anomalous to alarm.
+const ALARM_FRACTION: f64 = 0.5;
 
 /// Detector verdict after each observation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -48,14 +36,15 @@ pub enum Verdict {
     UnderAttack,
 }
 
-/// A sliding-window latency/error anomaly detector.
+/// A sliding-window latency/error anomaly detector; `default()` has
+/// seen no traffic yet.
 ///
 /// # Example
 ///
 /// ```
 /// use deepnote_core::detect::{AttackDetector, Verdict};
 ///
-/// let mut d = AttackDetector::with_defaults();
+/// let mut d = AttackDetector::default();
 /// for _ in 0..64 {
 ///     d.observe(Some(0.2)); // healthy 0.2 ms requests
 /// }
@@ -67,9 +56,8 @@ pub enum Verdict {
 /// }
 /// assert_eq!(verdict, Verdict::UnderAttack);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AttackDetector {
-    config: DetectorConfig,
     baseline: OnlineStats,
     window: VecDeque<bool>,
     anomalies_in_window: usize,
@@ -77,38 +65,9 @@ pub struct AttackDetector {
 }
 
 impl AttackDetector {
-    /// Creates a detector.
-    ///
-    /// # Panics
-    ///
-    /// Panics on nonsensical configuration (zero windows, factors ≤ 1,
-    /// fractions outside (0, 1]).
-    pub fn new(config: DetectorConfig) -> Self {
-        assert!(config.calibration_samples > 0, "need calibration samples");
-        assert!(config.window > 0, "window must be non-empty");
-        assert!(config.latency_factor > 1.0, "latency factor must exceed 1");
-        assert!(
-            config.alarm_fraction > 0.0 && config.alarm_fraction <= 1.0,
-            "alarm fraction must be in (0, 1]"
-        );
-        AttackDetector {
-            config,
-            baseline: OnlineStats::new(),
-            window: VecDeque::with_capacity(config.window),
-            anomalies_in_window: 0,
-            alarms: 0,
-        }
-    }
-
-    /// A detector with [`DetectorConfig::default`].
-    pub fn with_defaults() -> Self {
-        Self::new(DetectorConfig::default())
-    }
-
     /// The learned healthy mean latency (ms), once calibrated.
     pub fn baseline_ms(&self) -> Option<f64> {
-        (self.baseline.count() >= self.config.calibration_samples as u64)
-            .then(|| self.baseline.mean())
+        (self.baseline.count() >= CALIBRATION_SAMPLES as u64).then(|| self.baseline.mean())
     }
 
     /// Alarms raised so far.
@@ -120,18 +79,18 @@ impl AttackDetector {
     /// request, `None` for a timeout/error. Returns the current verdict.
     pub fn observe(&mut self, latency_ms: Option<f64>) -> Verdict {
         // Calibration phase: learn from completed requests only.
-        if self.baseline.count() < self.config.calibration_samples as u64 {
+        if self.baseline.count() < CALIBRATION_SAMPLES as u64 {
             if let Some(ms) = latency_ms {
                 self.baseline.record(ms);
             }
             return Verdict::Calibrating;
         }
-        let threshold = self.baseline.mean() * self.config.latency_factor;
+        let threshold = self.baseline.mean() * LATENCY_FACTOR;
         let anomalous = match latency_ms {
             None => true,
             Some(ms) => ms > threshold,
         };
-        if self.window.len() == self.config.window && self.window.pop_front() == Some(true) {
+        if self.window.len() == WINDOW && self.window.pop_front() == Some(true) {
             self.anomalies_in_window -= 1;
         }
         self.window.push_back(anomalous);
@@ -139,8 +98,8 @@ impl AttackDetector {
             self.anomalies_in_window += 1;
         }
 
-        let frac = self.anomalies_in_window as f64 / self.config.window as f64;
-        if frac >= self.config.alarm_fraction && self.window.len() == self.config.window {
+        let frac = self.anomalies_in_window as f64 / WINDOW as f64;
+        if frac >= ALARM_FRACTION && self.window.len() == WINDOW {
             self.alarms += 1;
             Verdict::UnderAttack
         } else if self.anomalies_in_window > 0 {
@@ -162,7 +121,7 @@ mod tests {
 
     #[test]
     fn calibrates_then_reports_normal() {
-        let mut d = AttackDetector::with_defaults();
+        let mut d = AttackDetector::default();
         for _ in 0..63 {
             assert_eq!(d.observe(Some(0.2)), Verdict::Calibrating);
         }
@@ -173,7 +132,7 @@ mod tests {
 
     #[test]
     fn healthy_jitter_does_not_alarm() {
-        let mut d = AttackDetector::with_defaults();
+        let mut d = AttackDetector::default();
         let mut rng = SimRng::seeded(11);
         for _ in 0..64 {
             d.observe(Some(0.18 + 0.06 * rng.unit_f64()));
@@ -191,7 +150,7 @@ mod tests {
 
     #[test]
     fn single_glitch_is_only_suspicious() {
-        let mut d = AttackDetector::with_defaults();
+        let mut d = AttackDetector::default();
         for _ in 0..64 {
             d.observe(Some(0.2));
         }
@@ -212,7 +171,7 @@ mod tests {
         let clock = Clock::new();
         let mut disk = HddDisk::barracuda_500gb(clock.clone());
         let vibration = disk.vibration();
-        let mut d = AttackDetector::with_defaults();
+        let mut d = AttackDetector::default();
 
         let request = |disk: &mut HddDisk, cursor: &mut u64| -> Option<f64> {
             let start = disk.drive().clock().now();
@@ -241,14 +200,5 @@ mod tests {
         // Alarm within one window of requests (32 × ~200 ms of burned
         // time ≈ seconds of virtual time — long before the 81 s crash).
         assert!(n <= 32, "detected after {n} requests");
-    }
-
-    #[test]
-    #[should_panic(expected = "latency factor")]
-    fn bad_config_rejected() {
-        AttackDetector::new(DetectorConfig {
-            latency_factor: 0.5,
-            ..DetectorConfig::default()
-        });
     }
 }

@@ -1,4 +1,4 @@
-//! The second acoustic threat class the paper cites (§1/§2.1, ref. [18]
+//! The second acoustic threat class the paper cites (§1/§2.1, ref. \[18\]
 //! *DiskFiltration*): the drive as a **transmitter**. Seeks make noise;
 //! malware on an air-gapped (here: water-gapped) node can modulate data
 //! into seek patterns, and a hydrophone outside the vessel can decode it.

@@ -10,7 +10,7 @@ use crate::testbed::Testbed;
 use crate::threat::AttackParams;
 use deepnote_blockdev::HddDisk;
 use deepnote_fs::{Filesystem, FsError};
-use deepnote_kv::bench::{write_key, write_value, BenchSpec};
+use deepnote_kv::bench::{write_key, write_value, BenchSpec, KEY_SIZE, VALUE_SIZE};
 use deepnote_kv::{Db, DbError};
 use deepnote_os::{OsState, ServerOs};
 use deepnote_sim::{Clock, SimDuration};
@@ -156,10 +156,10 @@ pub fn rocksdb_crash(testbed: &Testbed) -> CrashRow {
     let mut rng = deepnote_sim::SimRng::seeded(7);
     while clock.now().as_secs_f64() < WARMUP.as_secs_f64() {
         let i = rng.below(spec.num_keys);
-        write_key(&mut key, i, spec.key_size);
-        write_value(&mut value, i, spec.value_size);
+        write_key(&mut key, i, KEY_SIZE);
+        write_value(&mut value, i, VALUE_SIZE);
         db.put(&key, &value).expect("healthy phase");
-        write_key(&mut key, rng.below(spec.num_keys), spec.key_size);
+        write_key(&mut key, rng.below(spec.num_keys), KEY_SIZE);
         let _ = db.get(&key).expect("healthy phase");
     }
     let attack_start = clock.now();
@@ -170,12 +170,12 @@ pub fn rocksdb_crash(testbed: &Testbed) -> CrashRow {
     let mut error = String::new();
     while clock.now() < deadline {
         let i = rng.below(spec.num_keys);
-        write_key(&mut key, i, spec.key_size);
-        write_value(&mut value, i, spec.value_size);
+        write_key(&mut key, i, KEY_SIZE);
+        write_value(&mut value, i, VALUE_SIZE);
         let step: Result<(), DbError> = db
             .put(&key, &value)
             .and_then(|()| {
-                write_key(&mut key, rng.below(spec.num_keys), spec.key_size);
+                write_key(&mut key, rng.below(spec.num_keys), KEY_SIZE);
                 db.get(&key).map(|_| ())
             })
             .and_then(|()| db.tick());

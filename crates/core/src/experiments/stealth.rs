@@ -7,7 +7,7 @@
 //! experiment sweeps the duty cycle and reports both sides: throughput
 //! stolen vs. whether (and when) the defender's alarm fires.
 
-use crate::detect::{AttackDetector, DetectorConfig, Verdict};
+use crate::detect::{AttackDetector, Verdict, CALIBRATION_SAMPLES};
 use crate::testbed::Testbed;
 use crate::threat::AttackParams;
 use deepnote_blockdev::{BlockDevice, HddDisk};
@@ -40,7 +40,6 @@ pub fn pulsed_attack(
     burst: SimDuration,
     period: SimDuration,
     total: SimDuration,
-    detector_config: DetectorConfig,
 ) -> StealthRow {
     assert!(
         burst.as_nanos() <= period.as_nanos(),
@@ -49,7 +48,7 @@ pub fn pulsed_attack(
     let clock = Clock::new();
     let mut disk = HddDisk::barracuda_500gb(clock.clone());
     let vibration = disk.vibration();
-    let mut detector = AttackDetector::new(detector_config);
+    let mut detector = AttackDetector::default();
 
     // Calibrate the detector on healthy traffic.
     let mut cursor = 0u64;
@@ -62,7 +61,7 @@ pub fn pulsed_attack(
         let end = disk.drive().clock().now();
         ok.then(|| (end - start).as_millis_f64())
     };
-    for _ in 0..detector_config.calibration_samples + 4 {
+    for _ in 0..CALIBRATION_SAMPLES + 4 {
         detector.observe(request(&mut disk, &mut cursor));
     }
 
@@ -116,14 +115,7 @@ pub fn duty_cycle_sweep(testbed: &Testbed) -> Vec<StealthRow> {
         .iter()
         .map(|&duty| {
             let burst = period.mul_f64(duty);
-            pulsed_attack(
-                testbed,
-                params,
-                burst,
-                period,
-                total,
-                DetectorConfig::default(),
-            )
+            pulsed_attack(testbed, params, burst, period, total)
         })
         .collect()
 }

@@ -46,7 +46,7 @@ pub mod testbed;
 pub mod threat;
 
 pub use defense::{Defense, DefenseOutcome};
-pub use detect::{AttackDetector, DetectorConfig, Verdict};
+pub use detect::{AttackDetector, Verdict};
 pub use fleet::{Fleet, FleetReport};
 pub use testbed::{Testbed, TestbedTone};
 pub use threat::{AttackObjective, AttackParams, Attacker};
@@ -54,7 +54,7 @@ pub use threat::{AttackObjective, AttackParams, Attacker};
 /// Convenience re-exports: everything needed to script an attack study.
 pub mod prelude {
     pub use crate::defense::{Defense, DefenseOutcome};
-    pub use crate::detect::{AttackDetector, DetectorConfig, Verdict};
+    pub use crate::detect::{AttackDetector, Verdict};
     pub use crate::experiments;
     pub use crate::fleet::{Fleet, FleetReport};
     pub use crate::testbed::{Testbed, TestbedTone};

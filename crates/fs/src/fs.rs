@@ -9,14 +9,19 @@ use crate::alloc::Bitmap;
 use crate::dir::{decode_entries, encode_entries, split_path, DirEntry};
 use crate::error::FsError;
 use crate::inode::{Inode, InodeKind, DIRECT_POINTERS, INDIRECT_POINTERS, MAX_FILE_SIZE, NO_BLOCK};
-use crate::journal::{read_fs_block, write_fs_block, Journal, JournalConfig};
+use crate::journal::{read_fs_block, write_fs_block, Journal};
 use crate::layout::{
     SbState, Superblock, FS_BLOCK_SIZE, INODES_PER_BLOCK, INODE_DISK_SIZE, ROOT_INO,
 };
 use deepnote_blockdev::BlockDevice;
-use deepnote_sim::{Clock, SimTime};
+use deepnote_sim::{Clock, SimDuration, SimTime};
 use deepnote_telemetry::{Layer, Tracer, Value};
 use serde::{Deserialize, Serialize};
+
+/// How long commit-path I/O is retried before the journal aborts, for
+/// [`Filesystem::format`] and [`Filesystem::mount`]: the kernel block
+/// layer's timeout/retry stack.
+const PATIENCE: SimDuration = SimDuration::from_secs(75);
 
 /// Whether the filesystem is serving writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -84,27 +89,27 @@ impl<D: BlockDevice> Filesystem<D> {
     /// # Errors
     ///
     /// [`FsError::NoSpace`] for tiny devices; device errors otherwise.
-    pub fn format(mut dev: D, clock: Clock) -> Result<Self, FsError> {
-        Self::format_with(&mut dev, &clock, JournalConfig::default())?;
-        Self::mount_with(dev, clock, JournalConfig::default()).map(|(fs, _)| fs)
+    pub fn format(dev: D, clock: Clock) -> Result<Self, FsError> {
+        Self::format_with_patience(dev, clock, PATIENCE)
     }
 
-    /// Formats and mounts with an explicit journal configuration.
+    /// Formats and mounts with an explicit journal patience: how long
+    /// commit-path I/O is retried before the journal aborts.
     ///
     /// # Errors
     ///
     /// As for [`Filesystem::format`].
-    pub fn format_with_config(
+    pub fn format_with_patience(
         mut dev: D,
         clock: Clock,
-        cfg: JournalConfig,
+        patience: SimDuration,
     ) -> Result<Self, FsError> {
-        Self::format_with(&mut dev, &clock, cfg)?;
-        Self::mount_with(dev, clock, cfg).map(|(fs, _)| fs)
+        Self::write_format(&mut dev)?;
+        Self::mount_with_patience(dev, clock, patience).map(|(fs, _)| fs)
     }
 
     /// Formats without mounting (shared by [`Filesystem::format`]).
-    fn format_with(dev: &mut D, clock: &Clock, _cfg: JournalConfig) -> Result<(), FsError> {
+    fn write_format(dev: &mut D) -> Result<(), FsError> {
         let mut sb = Superblock::plan(dev.num_blocks())?;
         sb.state = SbState::Clean;
 
@@ -142,7 +147,6 @@ impl<D: BlockDevice> Filesystem<D> {
         }
 
         write_fs_block(dev, 0, &sb.to_block())?;
-        let _ = clock;
         Ok(())
     }
 
@@ -154,24 +158,24 @@ impl<D: BlockDevice> Filesystem<D> {
     /// [`FsError::BadSuperblock`] if `dev` is not formatted; device errors
     /// otherwise.
     pub fn mount(dev: D, clock: Clock) -> Result<(Self, usize), FsError> {
-        Self::mount_with(dev, clock, JournalConfig::default())
+        Self::mount_with_patience(dev, clock, PATIENCE)
     }
 
-    /// Mounts with an explicit journal configuration.
+    /// Mounts with an explicit journal patience.
     ///
     /// # Errors
     ///
     /// As for [`Filesystem::mount`].
-    pub fn mount_with(
+    pub fn mount_with_patience(
         mut dev: D,
         clock: Clock,
-        cfg: JournalConfig,
+        patience: SimDuration,
     ) -> Result<(Self, usize), FsError> {
         let raw = read_fs_block(&mut dev, 0)?;
         let mut sb = Superblock::from_block(&raw)?;
 
         let (journal, replayed) = Journal::recover(
-            cfg,
+            patience,
             &mut dev,
             sb.journal_start,
             sb.journal_blocks,

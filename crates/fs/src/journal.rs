@@ -19,31 +19,14 @@ use crate::error::FsError;
 use crate::layout::{Reader, Writer, FS_BLOCK_SIZE, SECTORS_PER_FS_BLOCK};
 use deepnote_blockdev::BlockDevice;
 use deepnote_sim::{Clock, SimDuration, SimTime};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 const JSB_MAGIC: u32 = 0x4A53_4231; // "JSB1"
 const JDESC_MAGIC: u32 = 0x4A44_5343; // "JDSC"
 const JCOMMIT_MAGIC: u32 = 0x4A43_4D54; // "JCMT"
 
-/// Journal tuning knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct JournalConfig {
-    /// How often the running transaction is committed (ext4 default: 5 s).
-    pub commit_interval: SimDuration,
-    /// How long commit-path I/O is retried before the journal aborts.
-    /// Models the kernel block layer's timeout/retry stack.
-    pub patience: SimDuration,
-}
-
-impl Default for JournalConfig {
-    fn default() -> Self {
-        JournalConfig {
-            commit_interval: SimDuration::from_secs(5),
-            patience: SimDuration::from_secs(75),
-        }
-    }
-}
+/// How often the running transaction is committed (ext4 default: 5 s).
+const COMMIT_INTERVAL: SimDuration = SimDuration::from_secs(5);
 
 /// Reads one filesystem block.
 pub(crate) fn read_fs_block(dev: &mut dyn BlockDevice, fs_block: u64) -> Result<Vec<u8>, FsError> {
@@ -79,7 +62,9 @@ fn checksum(images: &BTreeMap<u64, Vec<u8>>) -> u32 {
 /// The journal state for a mounted filesystem.
 #[derive(Debug, Clone)]
 pub struct Journal {
-    config: JournalConfig,
+    /// How long commit-path I/O is retried before the journal aborts.
+    /// Models the kernel block layer's timeout/retry stack.
+    patience: SimDuration,
     /// Journal region start (fs block index); block 0 of the region is
     /// the journal superblock.
     region_start: u64,
@@ -99,11 +84,12 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Creates a fresh (formatted) journal.
-    pub fn new(config: JournalConfig, region_start: u64, region_blocks: u64, now: SimTime) -> Self {
+    /// Creates a fresh (formatted) journal whose commit-path I/O is
+    /// retried for `patience` before it aborts.
+    pub fn new(patience: SimDuration, region_start: u64, region_blocks: u64, now: SimTime) -> Self {
         assert!(region_blocks >= 8, "journal region too small");
         Journal {
-            config,
+            patience,
             region_start,
             region_blocks,
             seq: 1,
@@ -115,11 +101,6 @@ impl Journal {
             commits: 0,
             write_failures: 0,
         }
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &JournalConfig {
-        &self.config
     }
 
     /// Whether the journal has aborted, and with what errno.
@@ -177,7 +158,7 @@ impl Journal {
     /// work (ordered-mode dirty data) as a reason to commit.
     pub fn commit_due(&self, now: SimTime, extra_work: bool) -> bool {
         (!self.txn.is_empty() || extra_work)
-            && now.saturating_duration_since(self.last_commit) >= self.config.commit_interval
+            && now.saturating_duration_since(self.last_commit) >= COMMIT_INTERVAL
     }
 
     fn serialize_jsb(&self) -> Vec<u8> {
@@ -253,7 +234,7 @@ impl Journal {
             self.last_commit = clock.now();
             return Ok(());
         }
-        let deadline = clock.now() + self.config.patience;
+        let deadline = clock.now() + self.patience;
 
         // Ordered mode: file data reaches disk before the metadata that
         // references it becomes durable.
@@ -336,7 +317,7 @@ impl Journal {
     /// Propagates device errors encountered while reading the journal or
     /// applying images.
     pub fn recover(
-        config: JournalConfig,
+        patience: SimDuration,
         dev: &mut dyn BlockDevice,
         region_start: u64,
         region_blocks: u64,
@@ -405,7 +386,7 @@ impl Journal {
             applied += 1;
         }
 
-        let mut journal = Journal::new(config, region_start, region_blocks, now);
+        let mut journal = Journal::new(patience, region_start, region_blocks, now);
         journal.seq = max_seq + 1;
         journal.clean_seq = max_seq;
         // Mark everything clean.
@@ -449,6 +430,7 @@ mod tests {
 
     const REGION: u64 = 1;
     const RLEN: u64 = 64;
+    const PATIENCE: SimDuration = SimDuration::from_secs(75);
 
     fn image(fill: u8) -> Vec<u8> {
         vec![fill; FS_BLOCK_SIZE]
@@ -456,7 +438,7 @@ mod tests {
 
     fn fresh(dev: &mut dyn BlockDevice, clock: &Clock) -> Journal {
         Journal::format(dev, REGION, RLEN).unwrap();
-        Journal::new(JournalConfig::default(), REGION, RLEN, clock.now())
+        Journal::new(PATIENCE, REGION, RLEN, clock.now())
     }
 
     #[test]
@@ -513,15 +495,7 @@ mod tests {
             ChaosPlan::fail_all(IoError::NoResponse),
             SimRng::seeded(0),
         );
-        let mut j = Journal::new(
-            JournalConfig {
-                commit_interval: SimDuration::from_secs(5),
-                patience: SimDuration::from_secs(75),
-            },
-            REGION,
-            RLEN,
-            clock.now(),
-        );
+        let mut j = Journal::new(PATIENCE, REGION, RLEN, clock.now());
         j.stage(100, image(9));
         let t0 = clock.now();
         let err = j.commit(&mut dev, &clock, &[]).unwrap_err();
@@ -560,14 +534,8 @@ mod tests {
         };
         write_fs_block(&mut dev, REGION, &stale_jsb).unwrap();
 
-        let (j2, applied) = Journal::recover(
-            JournalConfig::default(),
-            &mut dev,
-            REGION,
-            RLEN,
-            clock.now(),
-        )
-        .unwrap();
+        let (j2, applied) =
+            Journal::recover(PATIENCE, &mut dev, REGION, RLEN, clock.now()).unwrap();
         assert_eq!(applied, 1);
         assert_eq!(read_fs_block(&mut dev, 200).unwrap(), image(0x11));
         assert_eq!(read_fs_block(&mut dev, 201).unwrap(), image(0x22));
@@ -585,14 +553,7 @@ mod tests {
         // in-place update happened) and recover: the clean transaction
         // must NOT be re-applied over the newer data.
         write_fs_block(&mut dev, 300, &image(0x99)).unwrap();
-        let (_, applied) = Journal::recover(
-            JournalConfig::default(),
-            &mut dev,
-            REGION,
-            RLEN,
-            clock.now(),
-        )
-        .unwrap();
+        let (_, applied) = Journal::recover(PATIENCE, &mut dev, REGION, RLEN, clock.now()).unwrap();
         assert_eq!(applied, 0);
         assert_eq!(read_fs_block(&mut dev, 300).unwrap(), image(0x99));
     }
@@ -618,14 +579,7 @@ mod tests {
             buf
         };
         write_fs_block(&mut dev, REGION, &stale_jsb).unwrap();
-        let (_, applied) = Journal::recover(
-            JournalConfig::default(),
-            &mut dev,
-            REGION,
-            RLEN,
-            clock.now(),
-        )
-        .unwrap();
+        let (_, applied) = Journal::recover(PATIENCE, &mut dev, REGION, RLEN, clock.now()).unwrap();
         assert_eq!(applied, 0);
         assert_eq!(read_fs_block(&mut dev, 400).unwrap(), image(0));
     }

@@ -49,5 +49,5 @@ pub mod layout;
 pub use error::FsError;
 pub use fs::{Filesystem, FsState, FsStats};
 pub use inode::{Inode, InodeKind};
-pub use journal::{Journal, JournalConfig};
+pub use journal::Journal;
 pub use layout::{Superblock, FS_BLOCK_SIZE};

@@ -12,17 +12,20 @@ use deepnote_blockdev::BlockDevice;
 use deepnote_sim::{SimDuration, SimRng, SimTime};
 use serde::{Deserialize, Serialize};
 
+/// Key size in bytes (`db_bench --key_size`).
+pub const KEY_SIZE: usize = 16;
+
+/// Value size in bytes (`db_bench --value_size`).
+pub const VALUE_SIZE: usize = 64;
+
+/// Reader ops issued per writer op (`readwhilewriting` ratio).
+const READERS_PER_WRITER: u32 = 4;
+
 /// Workload parameters, mirroring `db_bench` flags.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct BenchSpec {
     /// Number of distinct keys (`--num`).
     pub num_keys: u64,
-    /// Key size in bytes (`--key_size`).
-    pub key_size: usize,
-    /// Value size in bytes (`--value_size`).
-    pub value_size: usize,
-    /// Reader ops issued per writer op (`readwhilewriting` ratio).
-    pub readers_per_writer: u32,
     /// Virtual duration of the measured phase.
     pub duration: SimDuration,
     /// RNG seed.
@@ -33,9 +36,6 @@ impl Default for BenchSpec {
     fn default() -> Self {
         BenchSpec {
             num_keys: 100_000,
-            key_size: 16,
-            value_size: 64,
-            readers_per_writer: 4,
             duration: SimDuration::from_secs(10),
             seed: 42,
         }
@@ -46,14 +46,14 @@ impl BenchSpec {
     /// Encodes key index `i` as a fixed-width key (see [`write_key`]).
     pub fn key(&self, i: u64) -> Vec<u8> {
         let mut k = Vec::new();
-        write_key(&mut k, i, self.key_size);
+        write_key(&mut k, i, KEY_SIZE);
         k
     }
 
     /// A deterministic value for key index `i` (see [`write_value`]).
     pub fn value(&self, i: u64) -> Vec<u8> {
         let mut v = Vec::new();
-        write_value(&mut v, i, self.value_size);
+        write_value(&mut v, i, VALUE_SIZE);
         v
     }
 }
@@ -133,8 +133,8 @@ impl BenchReport {
 pub fn fill_seq<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> Result<(), DbError> {
     let (mut key, mut value) = (Vec::new(), Vec::new());
     for i in 0..spec.num_keys {
-        write_key(&mut key, i, spec.key_size);
-        write_value(&mut value, i, spec.value_size);
+        write_key(&mut key, i, KEY_SIZE);
+        write_value(&mut value, i, VALUE_SIZE);
         db.put(&key, &value)?;
     }
     db.flush()?;
@@ -142,7 +142,7 @@ pub fn fill_seq<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> Result<(), 
 }
 
 /// Runs the `readwhilewriting` phase: one writer op (overwrite of a random
-/// key) per `readers_per_writer` random reads, until `spec.duration` of
+/// key) per four random reads, until `spec.duration` of
 /// virtual time elapses or the store crashes.
 pub fn read_while_writing<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> BenchReport {
     let clock = db.clock().clone();
@@ -160,8 +160,8 @@ pub fn read_while_writing<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> B
     'outer: while clock.now() < deadline {
         // One writer op.
         let i = rng.below(spec.num_keys);
-        write_key(&mut key, i, spec.key_size);
-        write_value(&mut value, i, spec.value_size);
+        write_key(&mut key, i, KEY_SIZE);
+        write_value(&mut value, i, VALUE_SIZE);
         match db.put(&key, &value) {
             Ok(()) => {
                 ops += 1;
@@ -176,8 +176,8 @@ pub fn read_while_writing<D: BlockDevice>(db: &mut Db<D>, spec: &BenchSpec) -> B
             }
         }
         // A batch of reader ops.
-        for _ in 0..spec.readers_per_writer {
-            write_key(&mut key, rng.below(spec.num_keys), spec.key_size);
+        for _ in 0..READERS_PER_WRITER {
+            write_key(&mut key, rng.below(spec.num_keys), KEY_SIZE);
             match db.get(&key) {
                 Ok(_) => {
                     ops += 1;
@@ -278,25 +278,24 @@ mod tests {
             value.resize(64, b'x');
             assert_eq!(spec.value(i), value, "value {i}");
         }
-        let wide = BenchSpec {
-            key_size: 24,
-            value_size: 8,
-            ..spec
-        };
-        assert_eq!(wide.key(5), b"000000000000000500000000".to_vec());
-        assert_eq!(wide.value(5), b"v0000000".to_vec());
+        let (mut key, mut value) = (Vec::new(), Vec::new());
+        write_key(&mut key, 5, 24);
+        write_value(&mut value, 5, 8);
+        assert_eq!(key, b"000000000000000500000000".to_vec());
+        assert_eq!(value, b"v0000000".to_vec());
     }
 
     #[test]
     fn short_keys_are_floored_and_stay_distinct() {
         // Cut to 8 bytes, every index below 10^8 would be "00000000".
-        let spec = BenchSpec {
-            key_size: 8,
-            ..BenchSpec::default()
+        let key = |i| {
+            let mut k = Vec::new();
+            write_key(&mut k, i, 8);
+            k
         };
-        assert_eq!(spec.key(1).len(), MIN_KEY_LEN);
-        assert_ne!(spec.key(1), spec.key(2));
-        assert_ne!(spec.key(0), spec.key(99_999_999));
+        assert_eq!(key(1).len(), MIN_KEY_LEN);
+        assert_ne!(key(1), key(2));
+        assert_ne!(key(0), key(99_999_999));
     }
 
     #[test]

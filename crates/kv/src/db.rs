@@ -6,7 +6,7 @@ use crate::record::{check_len, Record, RecordRef};
 use crate::sstable::{compact, SsTable};
 use crate::wal::Wal;
 use deepnote_blockdev::BlockDevice;
-use deepnote_fs::{Filesystem, FsError, JournalConfig};
+use deepnote_fs::{Filesystem, FsError};
 use deepnote_sim::{Clock, SimDuration};
 use deepnote_telemetry::{Layer, Tracer, Value};
 use serde::{Deserialize, Serialize};
@@ -157,11 +157,7 @@ impl<D: BlockDevice> Db<D> {
         // The store's availability is bounded by how long its WAL can
         // stay unpersisted, so the filesystem journal inherits the WAL
         // patience budget.
-        let jcfg = JournalConfig {
-            patience: config.wal_patience,
-            ..JournalConfig::default()
-        };
-        let mut fs = Filesystem::format_with_config(dev, clock.clone(), jcfg)?;
+        let mut fs = Filesystem::format_with_patience(dev, clock.clone(), config.wal_patience)?;
         fs.create(DB_DIR)?;
         fs.create_file(WAL_PATH)?;
         fs.create_file(MANIFEST_PATH)?;
@@ -201,11 +197,8 @@ impl<D: BlockDevice> Db<D> {
     ///
     /// As for [`Db::open`].
     pub fn open_with(dev: D, clock: Clock, config: DbConfig) -> Result<Self, DbError> {
-        let jcfg = JournalConfig {
-            patience: config.wal_patience,
-            ..JournalConfig::default()
-        };
-        let (mut fs, _replayed) = Filesystem::mount_with(dev, clock.clone(), jcfg)?;
+        let (mut fs, _replayed) =
+            Filesystem::mount_with_patience(dev, clock.clone(), config.wal_patience)?;
         let (level0, level1, next_file_no) = Self::read_manifest(&mut fs)?;
         let (records, durable_len) = Wal::load(WAL_PATH, &mut fs)?;
         let mut memtable = Memtable::new();

@@ -222,14 +222,10 @@ mod tests {
     #[test]
     fn blocked_sync_crashes_after_patience() {
         let clock = Clock::new();
-        let jcfg = deepnote_fs::JournalConfig {
-            patience: SimDuration::from_secs(81),
-            ..Default::default()
-        };
-        let mut fs = Filesystem::format_with_config(
+        let mut fs = Filesystem::format_with_patience(
             ChaosInjector::new(MemDisk::new(1 << 17), ChaosPlan::quiet(), SimRng::seeded(0)),
             clock.clone(),
-            jcfg,
+            SimDuration::from_secs(81),
         )
         .unwrap();
         fs.create("/db").unwrap();

@@ -14,7 +14,7 @@ pub const DEFAULT_SEED: u64 = 0x5EED_D339; // "AQ339", the paper's speaker.
 /// A deterministic, seedable random number generator.
 ///
 /// Wraps [`rand::rngs::StdRng`] and adds helpers used across the
-/// reproduction (Zipf-ish skew for key-value workloads, Bernoulli trials for
+/// reproduction (uniform draws over a range, Bernoulli trials for
 /// per-operation success).
 ///
 /// # Example
@@ -91,26 +91,6 @@ impl SimRng {
     /// relative to sector windows.
     pub fn phase(&mut self) -> f64 {
         self.inner.gen::<f64>() * std::f64::consts::TAU
-    }
-
-    /// A sample from an approximate Zipf distribution over `[0, n)` with
-    /// exponent `theta` in `(0, 1)`, matching the skew used by key-value
-    /// store benchmarks (YCSB-style).
-    ///
-    /// Uses the inverse-CDF approximation `floor(n * u^(1/(1-theta)))`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero or `theta` is outside `(0, 1)`.
-    pub fn zipf(&mut self, n: u64, theta: f64) -> u64 {
-        assert!(n > 0, "zipf over empty domain");
-        assert!(
-            (0.0..1.0).contains(&theta) && theta > 0.0,
-            "zipf exponent must be in (0, 1), got {theta}"
-        );
-        let u = self.inner.gen::<f64>();
-        let x = (u.powf(1.0 / (1.0 - theta)) * n as f64).floor() as u64;
-        x.min(n - 1)
     }
 
     /// Samples from an arbitrary `rand` distribution.
@@ -191,17 +171,6 @@ mod tests {
         let mut r = SimRng::seeded(5);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2_700..3_300).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn zipf_is_skewed_toward_low_indices() {
-        let mut r = SimRng::seeded(6);
-        let n = 1_000;
-        let samples: Vec<u64> = (0..10_000).map(|_| r.zipf(n, 0.9)).collect();
-        assert!(samples.iter().all(|&s| s < n));
-        let low = samples.iter().filter(|&&s| s < n / 10).count();
-        // Strong skew: far more than the uniform 10% in the lowest decile.
-        assert!(low > 5_000, "low-decile hits = {low}");
     }
 
     #[test]

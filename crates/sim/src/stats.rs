@@ -6,7 +6,7 @@
 
 use serde::{Deserialize, Serialize};
 
-/// Running count/mean/variance/min/max via Welford's algorithm.
+/// Running count/mean/min/max.
 ///
 /// # Example
 ///
@@ -24,7 +24,6 @@ use serde::{Deserialize, Serialize};
 pub struct OnlineStats {
     count: u64,
     mean: f64,
-    m2: f64,
     min: f64,
     max: f64,
 }
@@ -35,7 +34,6 @@ impl OnlineStats {
         OnlineStats {
             count: 0,
             mean: 0.0,
-            m2: 0.0,
             min: f64::INFINITY,
             max: f64::NEG_INFINITY,
         }
@@ -49,9 +47,7 @@ impl OnlineStats {
     pub fn record(&mut self, x: f64) {
         assert!(!x.is_nan(), "cannot record NaN sample");
         self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
+        self.mean += (x - self.mean) / self.count as f64;
         self.min = self.min.min(x);
         self.max = self.max.max(x);
     }
@@ -70,15 +66,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population variance, or 0 if fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
     /// Smallest sample, or `None` if empty.
     pub fn min(&self) -> Option<f64> {
         (self.count > 0).then_some(self.min)
@@ -87,26 +74,6 @@ impl OnlineStats {
     /// Largest sample, or `None` if empty.
     pub fn max(&self) -> Option<f64> {
         (self.count > 0).then_some(self.max)
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -238,29 +205,6 @@ impl Histogram {
         }
         self.min_max().map(|(_, max)| max)
     }
-
-    /// Merges another histogram with identical geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics if geometries differ.
-    pub fn merge(&mut self, other: &Histogram) {
-        assert_eq!(
-            self.min_value, other.min_value,
-            "histogram geometry mismatch"
-        );
-        assert_eq!(
-            self.counts.len(),
-            other.counts.len(),
-            "histogram geometry mismatch"
-        );
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            *a += b;
-        }
-        self.underflow += other.underflow;
-        self.total += other.total;
-        self.stats.merge(&other.stats);
-    }
 }
 
 impl Default for Histogram {
@@ -281,7 +225,6 @@ mod tests {
         }
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
-        assert!((s.variance() - 4.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
     }
@@ -290,30 +233,8 @@ mod tests {
     fn online_stats_empty() {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.variance(), 0.0);
         assert_eq!(s.min(), None);
         assert_eq!(s.max(), None);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i * i % 37) as f64).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &xs {
-            whole.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..33] {
-            a.record(x);
-        }
-        for &x in &xs[33..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
     }
 
     #[test]
@@ -383,16 +304,5 @@ mod tests {
             let v = h.percentile(p).unwrap();
             assert!((250.0..300.0).contains(&v), "p{p}={v}");
         }
-    }
-
-    #[test]
-    fn histogram_merge_accumulates() {
-        let mut a = Histogram::new_latency();
-        let mut b = Histogram::new_latency();
-        a.record(10.0);
-        b.record(1000.0);
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.min_max(), Some((10.0, 1000.0)));
     }
 }

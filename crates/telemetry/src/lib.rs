@@ -38,5 +38,5 @@ pub mod tracer;
 
 pub use chrome::export as export_chrome_trace;
 pub use metrics::{MetricId, MetricKind, MetricPoint, MetricSeries, MetricsRegistry};
-pub use slo::{BurnRateMonitor, BurnWindow, SloAlert, SloPolicy};
+pub use slo::{BurnRateMonitor, SloAlert};
 pub use tracer::{EventKind, Layer, TraceEvent, TraceLog, Tracer, Value, CONTROL_TRACK};

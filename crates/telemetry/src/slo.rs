@@ -17,50 +17,30 @@
 
 use deepnote_sim::{SimDuration, SimTime};
 
-/// One trailing window and its paging threshold.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct BurnWindow {
-    /// Trailing window length.
-    pub window: SimDuration,
-    /// Burn rate at or above which the window raises.
-    pub threshold: f64,
-}
+// 99% availability, 10 s fast window paging at 10× burn, 40 s slow
+// window paging at 2× burn — scaled to campaign timelines the way the
+// canonical 5 m/1 h/6 h windows scale to a 30-day budget.
 
-/// The monitor's configuration.
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
-pub struct SloPolicy {
-    /// Availability objective in `(0, 1)`; the budget is `1 − objective`.
-    pub objective: f64,
-    /// The fast-burn window (short, high threshold).
-    pub fast: BurnWindow,
-    /// The slow-burn window (long, low threshold).
-    pub slow: BurnWindow,
-    /// Bucket width for the trailing aggregation.
-    pub bucket: SimDuration,
-    /// Minimum operations in a window before it may raise (noise gate).
-    pub min_ops: u64,
-}
+/// Availability objective; the error budget is `1 − OBJECTIVE`.
+const OBJECTIVE: f64 = 0.99;
 
-impl Default for SloPolicy {
-    /// 99% availability, 10 s fast window paging at 10× burn, 40 s slow
-    /// window paging at 2× burn — scaled to campaign timelines the way
-    /// the canonical 5 m/1 h/6 h windows scale to a 30-day budget.
-    fn default() -> Self {
-        SloPolicy {
-            objective: 0.99,
-            fast: BurnWindow {
-                window: SimDuration::from_secs(10),
-                threshold: 10.0,
-            },
-            slow: BurnWindow {
-                window: SimDuration::from_secs(40),
-                threshold: 2.0,
-            },
-            bucket: SimDuration::from_secs(1),
-            min_ops: 20,
-        }
-    }
-}
+/// The fast-burn window (short, high threshold).
+const FAST_WINDOW: SimDuration = SimDuration::from_secs(10);
+
+/// Burn rate at or above which the fast window raises.
+const FAST_THRESHOLD: f64 = 10.0;
+
+/// The slow-burn window (long, low threshold).
+const SLOW_WINDOW: SimDuration = SimDuration::from_secs(40);
+
+/// Burn rate at or above which the slow window raises.
+const SLOW_THRESHOLD: f64 = 2.0;
+
+/// Bucket width for the trailing aggregation, in nanoseconds.
+const BUCKET_NANOS: u64 = SimDuration::from_secs(1).as_nanos();
+
+/// Minimum operations in a window before it may raise (noise gate).
+const MIN_OPS: u64 = 20;
 
 /// One transition of a window's raised/cleared state.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,12 +66,12 @@ struct Bucket {
     err: u64,
 }
 
-/// The online monitor. Feed every operation outcome through
-/// [`record_op`](Self::record_op) and call [`tick`](Self::tick) at a
-/// fixed cadence; transitions accumulate in the alert timeline.
-#[derive(Debug, Clone)]
+/// The online monitor; `default()` has no history. Feed every operation
+/// outcome through [`record_op`](Self::record_op) and call
+/// [`tick`](Self::tick) at a fixed cadence; transitions accumulate in
+/// the alert timeline.
+#[derive(Debug, Clone, Default)]
 pub struct BurnRateMonitor {
-    policy: SloPolicy,
     buckets: Vec<Bucket>,
     alerts: Vec<SloAlert>,
     fast_raised: bool,
@@ -99,29 +79,9 @@ pub struct BurnRateMonitor {
 }
 
 impl BurnRateMonitor {
-    /// A monitor with no history.
-    pub fn new(policy: SloPolicy) -> Self {
-        BurnRateMonitor {
-            policy,
-            buckets: Vec::new(),
-            alerts: Vec::new(),
-            fast_raised: false,
-            slow_raised: false,
-        }
-    }
-
-    /// The policy in effect.
-    pub fn policy(&self) -> &SloPolicy {
-        &self.policy
-    }
-
-    fn bucket_nanos(&self) -> u64 {
-        self.policy.bucket.as_nanos().max(1)
-    }
-
     /// Folds one operation outcome into the trailing buckets.
     pub fn record_op(&mut self, at: SimTime, ok: bool) {
-        let index = at.as_nanos() / self.bucket_nanos();
+        let index = at.as_nanos() / BUCKET_NANOS;
         // The campaign feeds time-ordered events; scan from the back so
         // the common case is O(1) and stragglers still land correctly.
         let pos = self.buckets.iter().rposition(|b| b.index <= index);
@@ -146,9 +106,8 @@ impl BurnRateMonitor {
     }
 
     fn window_totals(&self, now: SimTime, window: SimDuration) -> (u64, u64) {
-        let bucket = self.bucket_nanos();
-        let now_index = now.as_nanos() / bucket;
-        let span = (window.as_nanos() / bucket).max(1);
+        let now_index = now.as_nanos() / BUCKET_NANOS;
+        let span = window.as_nanos() / BUCKET_NANOS;
         let floor = now_index.saturating_sub(span - 1);
         self.buckets
             .iter()
@@ -159,17 +118,8 @@ impl BurnRateMonitor {
     /// Evaluates both windows at `now`, appending any transitions to
     /// the timeline, and prunes buckets older than the slow window.
     pub fn tick(&mut self, now: SimTime) {
-        let policy = self.policy;
-        let fast = Self::evaluate(
-            &policy,
-            self.window_totals(now, policy.fast.window),
-            policy.fast.threshold,
-        );
-        let slow = Self::evaluate(
-            &policy,
-            self.window_totals(now, policy.slow.window),
-            policy.slow.threshold,
-        );
+        let fast = Self::evaluate(self.window_totals(now, FAST_WINDOW), FAST_THRESHOLD);
+        let slow = Self::evaluate(self.window_totals(now, SLOW_WINDOW), SLOW_THRESHOLD);
         let mut fast_raised = self.fast_raised;
         let mut slow_raised = self.slow_raised;
         Self::transition(&mut self.alerts, now, "fast", &mut fast_raised, fast);
@@ -177,26 +127,20 @@ impl BurnRateMonitor {
         self.fast_raised = fast_raised;
         self.slow_raised = slow_raised;
         // Retention: the slow window plus one bucket of slack.
-        let bucket = self.bucket_nanos();
-        let keep = (policy.slow.window.as_nanos() / bucket).max(1) + 1;
-        let floor = (now.as_nanos() / bucket).saturating_sub(keep);
+        let keep = SLOW_WINDOW.as_nanos() / BUCKET_NANOS + 1;
+        let floor = (now.as_nanos() / BUCKET_NANOS).saturating_sub(keep);
         self.buckets.retain(|b| b.index >= floor);
     }
 
     /// `(raise?, burn, error_ratio, ops)` for one window's totals.
-    fn evaluate(
-        policy: &SloPolicy,
-        (ok, err): (u64, u64),
-        threshold: f64,
-    ) -> (bool, f64, f64, u64) {
+    fn evaluate((ok, err): (u64, u64), threshold: f64) -> (bool, f64, f64, u64) {
         let ops = ok + err;
         if ops == 0 {
             return (false, 0.0, 0.0, 0);
         }
         let error_ratio = err as f64 / ops as f64;
-        let budget = (1.0 - policy.objective).max(1e-9);
-        let burn = error_ratio / budget;
-        let raise = burn >= threshold && ops >= policy.min_ops;
+        let burn = error_ratio / (1.0 - OBJECTIVE);
+        let raise = burn >= threshold && ops >= MIN_OPS;
         (raise, burn, error_ratio, ops)
     }
 
@@ -246,7 +190,7 @@ mod tests {
 
     #[test]
     fn healthy_traffic_never_alerts() {
-        let mut m = BurnRateMonitor::new(SloPolicy::default());
+        let mut m = BurnRateMonitor::default();
         feed(&mut m, 0, 60, 20, true);
         for s in (0..60).step_by(5) {
             m.tick(SimTime::from_secs(s));
@@ -256,7 +200,7 @@ mod tests {
 
     #[test]
     fn outage_raises_fast_then_clears_after_recovery() {
-        let mut m = BurnRateMonitor::new(SloPolicy::default());
+        let mut m = BurnRateMonitor::default();
         feed(&mut m, 0, 20, 20, true);
         m.tick(SimTime::from_secs(20));
         assert!(m.alerts().is_empty(), "{:?}", m.alerts());
@@ -281,7 +225,7 @@ mod tests {
 
     #[test]
     fn slow_window_catches_a_simmering_burn_the_fast_window_forgives() {
-        let mut m = BurnRateMonitor::new(SloPolicy::default());
+        let mut m = BurnRateMonitor::default();
         // 5% errors: burn 5 — under the fast threshold (10), over the
         // slow one (2).
         for s in 0..60u64 {
@@ -297,7 +241,7 @@ mod tests {
 
     #[test]
     fn thin_traffic_is_gated_by_min_ops() {
-        let mut m = BurnRateMonitor::new(SloPolicy::default());
+        let mut m = BurnRateMonitor::default();
         // Five failures in ten seconds: a 100% error ratio, but far too
         // few samples to page on.
         for s in 0..5u64 {
@@ -309,7 +253,7 @@ mod tests {
 
     #[test]
     fn out_of_order_records_still_land() {
-        let mut m = BurnRateMonitor::new(SloPolicy::default());
+        let mut m = BurnRateMonitor::default();
         m.record_op(SimTime::from_secs(5), false);
         m.record_op(SimTime::from_secs(3), false);
         m.record_op(SimTime::from_secs(5), false);

@@ -20,7 +20,7 @@ fn main() {
     let clock = Clock::new();
     let mut disk = HddDisk::barracuda_500gb(clock.clone());
     let vibration = disk.vibration();
-    let mut detector = AttackDetector::with_defaults();
+    let mut detector = AttackDetector::default();
     let mut cursor = 0u64;
     let mut request = |disk: &mut HddDisk| {
         let start = disk.drive().clock().now();

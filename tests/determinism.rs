@@ -5,7 +5,7 @@
 
 use deepnote_acoustics::{Distance, SweepPlan};
 use deepnote_cluster::prelude::*;
-use deepnote_core::experiments::{crash, frequency, range};
+use deepnote_core::experiments::{crash, frequency, range, stealth};
 use deepnote_core::prelude::*;
 use deepnote_kv::bench::BenchSpec;
 use deepnote_sim::SimDuration;
@@ -118,7 +118,6 @@ fn single_drive_kv_stack_matches_its_virtual_time_golden() {
         num_keys: 20_000,
         duration: SimDuration::from_millis(500),
         seed: 7,
-        ..BenchSpec::default()
     };
     let clock = Clock::new();
     let disk = HddDisk::barracuda_500gb(clock.clone());
@@ -235,5 +234,38 @@ fn cluster_campaign_matches_its_golden() {
             0x52fe_98d5_fcc9_fd57
         ],
         "separated full-chaos cell"
+    );
+}
+
+/// Byte golden for the two artifacts the defender-side and client-side
+/// constants feed: the `deepnote stealth` duty-cycle table (the attack
+/// detector's calibration, window and alarm thresholds) and both JSON
+/// reports of a co-located hardened-vs-naive duel under the `transient`
+/// chaos profile (the resilient client's deadlines, backoff, hedging and
+/// breakers, and the health monitor's timings). Pinned as FNV-1a 64
+/// digests; a change to any of those values moves them.
+#[test]
+fn stealth_and_transient_duel_match_their_golden() {
+    let sweep = stealth::duty_cycle_sweep(&Testbed::paper_default(Scenario::PlasticTower));
+    assert_eq!(
+        fnv1a64(stealth::render(&sweep).as_bytes()),
+        0x81f1_85ab_9f68_9487,
+        "stealth table"
+    );
+
+    let (mut hardened, mut naive) = CampaignConfig::chaos_pair(
+        PlacementPolicy::CoLocated,
+        SimDuration::from_secs(20),
+        &ChaosProfile::transient(),
+    );
+    hardened.workload.num_keys = 400;
+    naive.workload.num_keys = 400;
+    let json = |config: &CampaignConfig| {
+        fnv1a64(run_campaign(config).expect("campaign").to_json().as_bytes())
+    };
+    assert_eq!(
+        [json(&hardened), json(&naive)],
+        [0x3de5_f7f3_94b6_18e8, 0xe209_3a0a_3523_2258],
+        "co-located transient duel"
     );
 }
