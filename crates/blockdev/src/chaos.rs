@@ -597,6 +597,11 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
         }
         self.inner.flush()
     }
+
+    fn discard(&mut self, lba: u64, blocks: u64) {
+        // Not a request: no fault draw, no count, no trace entry.
+        self.inner.discard(lba, blocks);
+    }
 }
 
 #[cfg(test)]
@@ -649,6 +654,50 @@ mod tests {
         assert_eq!(out, buf);
         assert_eq!(d.stats().total(), 0);
         assert_eq!(d.into_inner().writes(), 1);
+    }
+
+    #[test]
+    fn discards_leave_the_fault_stream_unchanged() {
+        // The campaign's `full` device plan, with its torn and misdirect
+        // rates raised so every fault kind fires in a short run.
+        let plan = ChaosPlan {
+            bursts: vec![medium_burst(0.004, 12, FaultScope::Reads)],
+            delay: Some(DelayPlan {
+                per_request: 0.03,
+                extra: SimDuration::from_millis(400),
+            }),
+            torn_write_per_request: 0.02,
+            misdirect_per_request: 0.01,
+            vibration_boost: 1.0,
+            ..ChaosPlan::quiet()
+        };
+        let run = |discard: bool| {
+            let clock = Clock::new();
+            let mut d = ChaosInjector::new(MemDisk::new(64), plan.clone(), SimRng::seeded(13))
+                .with_clock(clock.clone());
+            let buf = vec![0xEE; 512 * 2];
+            let mut out = vec![0u8; 512 * 2];
+            for i in 0..2_000u64 {
+                let lba = i % 32;
+                let _ = d.write_blocks(lba, &buf);
+                if discard {
+                    d.discard((lba + 7) % 32, 3);
+                }
+                let _ = d.read_blocks(lba, &mut out);
+            }
+            let medium = (d.inner().reads(), d.inner().writes());
+            (d.stats(), d.trace().to_vec(), clock.now(), medium)
+        };
+        let with = run(true);
+        let stats = with.0;
+        assert!(
+            stats.burst_errors > 0
+                && stats.delays > 0
+                && stats.torn_writes > 0
+                && stats.misdirected_writes > 0,
+            "{stats:?}"
+        );
+        assert_eq!(with, run(false));
     }
 
     #[test]

@@ -9,7 +9,9 @@ pub const BLOCK_SIZE: usize = 512;
 ///
 /// Implementations advance their shared [`deepnote_sim::Clock`] by each
 /// request's service time. Buffers must be a non-zero multiple of
-/// [`BLOCK_SIZE`].
+/// [`BLOCK_SIZE`]. [`BlockDevice::discard`] is not a request but a
+/// host-side hint that lets a device forget blocks nobody will read, so
+/// the simulator holds only live bytes.
 ///
 /// The trait is object-safe; storage stacks typically hold a
 /// `Box<dyn BlockDevice>`.
@@ -40,10 +42,30 @@ pub trait BlockDevice {
     /// [`IoError`] if the device cannot complete the flush.
     fn flush(&mut self) -> Result<(), IoError>;
 
+    /// Hints that the `blocks` blocks from `lba` on hold nothing the host
+    /// will read again, so a device may forget them; a range past the end
+    /// is clipped to the device.
+    ///
+    /// The hint is host-side only, never a request: it costs no virtual
+    /// time, draws no RNG, is counted by no statistic and is never traced.
+    /// A device that forgets discarded blocks reads them back as zeros;
+    /// the default forgets nothing. The filesystem issues it only for
+    /// blocks freed by a committed transaction, so a crash at any point
+    /// still finds every block the last committed state references.
+    fn discard(&mut self, lba: u64, blocks: u64) {
+        let _ = (lba, blocks);
+    }
+
     /// Capacity in bytes.
     fn capacity_bytes(&self) -> u64 {
         self.num_blocks() * BLOCK_SIZE as u64
     }
+}
+
+/// The number of blocks of a `blocks`-block discard from `lba` that lie
+/// on a device of `num_blocks` blocks.
+pub(crate) fn clip(num_blocks: u64, lba: u64, blocks: u64) -> u64 {
+    blocks.min(num_blocks.saturating_sub(lba))
 }
 
 /// Validates a request's buffer and range; shared by implementations.

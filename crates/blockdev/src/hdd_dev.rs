@@ -5,7 +5,7 @@
 //! by the drive, so anything running on top — filesystem, database,
 //! benchmark — experiences the acoustic attack exactly as the drive does.
 
-use crate::device::{check_request, BlockDevice};
+use crate::device::{check_request, clip, BlockDevice};
 use crate::error::IoError;
 use crate::store::SectorStore;
 use deepnote_hdd::{DiskOp, HardDiskDrive, VibrationInput};
@@ -209,6 +209,12 @@ impl BlockDevice for HddDisk {
         // The model writes through; a flush is a (fast) no-op command.
         Ok(())
     }
+
+    fn discard(&mut self, lba: u64, blocks: u64) {
+        // Host-side only: the drive never sees it, so no mechanical time.
+        self.blocks
+            .discard(lba, clip(self.num_blocks(), lba, blocks));
+    }
 }
 
 #[cfg(test)]
@@ -229,6 +235,19 @@ mod tests {
         // Both ops paid command overhead (~0.2 ms each) plus a seek for
         // the first op's positioning.
         assert!(clock.now().as_millis_f64() >= 0.3, "t = {}", clock.now());
+    }
+
+    #[test]
+    fn discard_forgets_sectors_at_no_cost() {
+        let clock = Clock::new();
+        let mut disk = HddDisk::barracuda_500gb(clock.clone());
+        disk.write_blocks(100, &[0x5A; 4096]).unwrap();
+        let t = clock.now();
+        disk.discard(100, 8);
+        assert_eq!(clock.now(), t);
+        let mut out = vec![0xFFu8; 4096];
+        disk.read_blocks(100, &mut out).unwrap();
+        assert!(out.iter().all(|&b| b == 0));
     }
 
     #[test]

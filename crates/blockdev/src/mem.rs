@@ -1,6 +1,6 @@
 //! An ideal in-memory block device.
 
-use crate::device::{check_request, BlockDevice};
+use crate::device::{check_request, clip, BlockDevice};
 use crate::error::IoError;
 use crate::store::SectorStore;
 use deepnote_sim::{Clock, SimDuration};
@@ -98,6 +98,10 @@ impl BlockDevice for MemDisk {
 
     fn flush(&mut self) -> Result<(), IoError> {
         Ok(())
+    }
+
+    fn discard(&mut self, lba: u64, blocks: u64) {
+        self.blocks.discard(lba, clip(self.num_blocks, lba, blocks));
     }
 }
 

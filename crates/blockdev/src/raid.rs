@@ -231,6 +231,15 @@ impl<D: BlockDevice> BlockDevice for Raid1<D> {
             Err(IoError::NoResponse)
         }
     }
+
+    fn discard(&mut self, lba: u64, blocks: u64) {
+        // Every mirror, failed ones too: a resync copies only blocks
+        // written while degraded, so a failed mirror must not keep a
+        // discarded block that the healthy mirrors have forgotten.
+        for mirror in &mut self.mirrors {
+            mirror.discard(lba, blocks);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -321,6 +330,20 @@ mod tests {
         assert_eq!(out, vec![3u8; 512]);
         // Resync of a healthy mirror is a no-op.
         assert_eq!(a.resync(1).unwrap(), 0);
+    }
+
+    #[test]
+    fn discard_reaches_every_mirror_failed_ones_too() {
+        let mut a = array();
+        a.write_blocks(4, &[5u8; 1024]).unwrap();
+        a.mirror_mut(0)
+            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
+        a.write_blocks(9, &[6u8; 512]).unwrap(); // marks mirror 0 failed
+        assert!(a.mirror_failed(0));
+        a.discard(4, 6);
+        for i in 0..2 {
+            assert_eq!(a.mirror(i).inner().blocks_touched(), 0, "mirror {i}");
+        }
     }
 
     #[test]

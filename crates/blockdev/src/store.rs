@@ -2,16 +2,62 @@
 //! [`crate::HddDisk`].
 
 use crate::device::BLOCK_SIZE;
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::hash::{BuildHasherDefault, Hasher};
 
-/// Sector contents keyed by LBA. Only sectors holding non-zero data are
-/// stored: a sector with no entry reads as zeros, so writing zeros
-/// removes the entry instead of boxing a zeroed copy. Formatting a
-/// filesystem (whose inode table is written as zeros) therefore stores
-/// a handful of sectors, and copying a drive image stays cheap.
+/// One stored sector: a single byte when every byte of it is equal,
+/// else a boxed copy.
+#[derive(Debug, Clone)]
+enum Sector {
+    /// Every byte of the sector holds this (non-zero) value.
+    Fill(u8),
+    /// Mixed contents.
+    Data(Box<[u8; BLOCK_SIZE]>),
+}
+
+/// Sector contents keyed by LBA, holding only live bytes:
+///
+/// * a sector with no entry reads as zeros, so writing zeros removes the
+///   entry instead of boxing a zeroed copy (formatting a filesystem,
+///   whose inode table is written as zeros, stores a handful of sectors,
+///   and copying a drive image stays cheap);
+/// * a sector whose bytes are all equal is one byte ([`Sector::Fill`]),
+///   so a benchmark's constant write buffer costs no boxes;
+/// * [`SectorStore::discard`] drops sectors the host no longer needs.
+///
+/// The map is a `HashMap` under a fixed, unseeded multiplicative hash of
+/// the LBA. Nothing iterates it — every access is a point lookup by
+/// LBA — so its key order is unobservable and runs stay identical per
+/// seed.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct SectorStore {
-    sectors: BTreeMap<u64, Box<[u8; BLOCK_SIZE]>>,
+    // deepnote-lint: allow(nondet-collection): point lookups only, never iterated; unseeded hash
+    sectors: std::collections::HashMap<u64, Sector, BuildHasherDefault<LbaHasher>>,
+}
+
+/// Fibonacci hashing of a `u64` LBA: one multiply by 2^64 / φ. The low
+/// bits of the product (the bucket index) are a bijection of the LBA's
+/// low bits, so consecutive LBAs land in distinct buckets, and the high
+/// bits (the probe tag) mix the whole LBA.
+#[derive(Debug, Default, Clone, Copy)]
+struct LbaHasher(u64);
+
+const FIBONACCI: u64 = 0x9E37_79B9_7F4A_7C15;
+
+impl Hasher for LbaHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0.rotate_left(8) ^ u64::from(b)).wrapping_mul(FIBONACCI);
+        }
+    }
+
+    fn write_u64(&mut self, lba: u64) {
+        self.0 = lba.wrapping_mul(FIBONACCI);
+    }
 }
 
 impl SectorStore {
@@ -25,7 +71,8 @@ impl SectorStore {
     pub(crate) fn read(&self, lba: u64, buf: &mut [u8]) {
         for (dst, at) in buf.chunks_exact_mut(BLOCK_SIZE).zip(lba..) {
             match self.sectors.get(&at) {
-                Some(data) => dst.copy_from_slice(&data[..]),
+                Some(Sector::Fill(byte)) => dst.fill(*byte),
+                Some(Sector::Data(data)) => dst.copy_from_slice(&data[..]),
                 None => dst.fill(0),
             }
         }
@@ -34,14 +81,102 @@ impl SectorStore {
     /// Stores `buf` (a whole number of sectors) from `lba` on.
     pub(crate) fn write(&mut self, lba: u64, buf: &[u8]) {
         for (src, at) in buf.chunks_exact(BLOCK_SIZE).zip(lba..) {
-            if src.iter().all(|&b| b == 0) {
+            let first = src[0];
+            let uniform = src.iter().all(|&b| b == first);
+            if uniform && first == 0 {
                 self.sectors.remove(&at);
-            } else {
-                self.sectors
-                    .entry(at)
-                    .or_insert_with(|| Box::new([0; BLOCK_SIZE]))
-                    .copy_from_slice(src);
+                continue;
+            }
+            match self.sectors.entry(at) {
+                Entry::Occupied(mut slot) => match (slot.get_mut(), uniform) {
+                    (Sector::Data(data), false) => data.copy_from_slice(src),
+                    (sector, _) => *sector = Sector::new(src, uniform),
+                },
+                Entry::Vacant(slot) => {
+                    slot.insert(Sector::new(src, uniform));
+                }
             }
         }
+    }
+
+    /// Forgets `blocks` sectors from `lba` on (a range already clamped
+    /// to the device): they read as zeros again.
+    pub(crate) fn discard(&mut self, lba: u64, blocks: u64) {
+        for at in lba..lba + blocks {
+            self.sectors.remove(&at);
+        }
+    }
+}
+
+impl Sector {
+    /// The stored form of `src`, one sector whose bytes are all equal
+    /// when `uniform`.
+    fn new(src: &[u8], uniform: bool) -> Self {
+        if uniform {
+            return Sector::Fill(src[0]);
+        }
+        let mut data = Box::new([0; BLOCK_SIZE]);
+        data.copy_from_slice(src);
+        Sector::Data(data)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn read(store: &SectorStore, lba: u64) -> Vec<u8> {
+        let mut out = vec![0xFF; BLOCK_SIZE];
+        store.read(lba, &mut out);
+        out
+    }
+
+    #[test]
+    fn fill_sector_reads_back_and_overwrites_cleanly() {
+        let mut store = SectorStore::default();
+        store.write(4, &[0xD5; BLOCK_SIZE]);
+        assert!(matches!(store.sectors.get(&4), Some(Sector::Fill(0xD5))));
+        assert_eq!(read(&store, 4), vec![0xD5; BLOCK_SIZE]);
+
+        let mixed: Vec<u8> = (0..BLOCK_SIZE).map(|i| (i % 251) as u8).collect();
+        store.write(4, &mixed);
+        assert!(matches!(store.sectors.get(&4), Some(Sector::Data(_))));
+        assert_eq!(read(&store, 4), mixed);
+
+        store.write(4, &[0; BLOCK_SIZE]);
+        assert_eq!(read(&store, 4), vec![0; BLOCK_SIZE]);
+        assert_eq!(store.len(), 0);
+    }
+
+    #[test]
+    fn mixed_then_fill_then_mixed() {
+        let mut store = SectorStore::default();
+        let mut mixed = vec![7u8; BLOCK_SIZE];
+        mixed[BLOCK_SIZE - 1] = 8;
+        store.write(0, &mixed);
+        store.write(0, &[9; BLOCK_SIZE]);
+        assert_eq!(read(&store, 0), vec![9; BLOCK_SIZE]);
+        store.write(0, &mixed);
+        assert_eq!(read(&store, 0), mixed);
+        assert_eq!(store.len(), 1);
+    }
+
+    #[test]
+    fn discard_forgets_only_its_range() {
+        let mut store = SectorStore::default();
+        let data: Vec<u8> = (0..BLOCK_SIZE * 6).map(|i| (i % 13) as u8 + 1).collect();
+        store.write(10, &data);
+        store.discard(11, 3);
+        assert_eq!(store.len(), 3);
+        for lba in 11..14 {
+            assert_eq!(read(&store, lba), vec![0; BLOCK_SIZE]);
+        }
+        for lba in [10u64, 14, 15] {
+            let at = (lba - 10) as usize * BLOCK_SIZE;
+            assert_eq!(read(&store, lba), data[at..at + BLOCK_SIZE]);
+        }
+        // Discarding what was never written is a no-op.
+        store.discard(1_000, 8);
+        assert_eq!(store.len(), 3);
     }
 }

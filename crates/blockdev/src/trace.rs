@@ -162,6 +162,11 @@ impl<D: BlockDevice> BlockDevice for TraceDevice<D> {
         self.record(TraceKind::Flush, 0, 0, result.err());
         result
     }
+
+    fn discard(&mut self, lba: u64, blocks: u64) {
+        // A host-side hint, not a request: nothing is recorded.
+        self.inner.discard(lba, blocks);
+    }
 }
 
 #[cfg(test)]
@@ -192,6 +197,17 @@ mod tests {
         assert_eq!(t[1].kind, TraceKind::Read);
         assert_eq!(t[2].kind, TraceKind::Flush);
         assert_eq!(t[3].error, Some(IoError::NoResponse));
+    }
+
+    #[test]
+    fn discard_is_not_recorded() {
+        let mut dev = TraceDevice::new(MemDisk::new(64), Clock::new(), 16);
+        dev.write_blocks(1, &[0x42; 1024]).unwrap();
+        dev.discard(1, 2);
+        assert_eq!(dev.trace().len(), 1);
+        assert_eq!(dev.dropped(), 0);
+        // ... yet it reached the device.
+        assert_eq!(dev.inner().blocks_touched(), 0);
     }
 
     #[test]

@@ -37,6 +37,11 @@ use deepnote_structures::Scenario;
 use deepnote_telemetry::{export_chrome_trace, schema, TraceLog};
 use std::process::ExitCode;
 
+/// The longest distance flag accepted, in centimetres (1 km): far past
+/// where the attack fades, and short enough that every level along the
+/// path stays finite.
+const MAX_DISTANCE_CM: f64 = 100_000.0;
+
 /// Minimal flag parsing: `--name value` pairs after the subcommand.
 struct Args {
     flags: Vec<(String, String)>,
@@ -84,13 +89,15 @@ impl Args {
         Ok(v)
     }
 
-    /// [`Args::get`] for a length in centimetres: finite and not
-    /// negative.
+    /// [`Args::get`] for a length in centimetres, from 0 to
+    /// [`MAX_DISTANCE_CM`].
     fn distance_cm(&self, name: &str, default: f64) -> Result<Distance, String> {
         let cm = self.get(name, default)?;
-        if !(cm.is_finite() && cm >= 0.0) {
+        if !(0.0..=MAX_DISTANCE_CM).contains(&cm) {
             let shown = self.string(name).unwrap_or_default();
-            return Err(format!("bad value for --{name}: {shown}"));
+            return Err(format!(
+                "bad value for --{name}: {shown} (a distance from 0 to {MAX_DISTANCE_CM} cm)"
+            ));
         }
         Ok(Distance::from_cm(cm))
     }

@@ -88,6 +88,8 @@ fn bad_flags_are_usage_errors() {
         ("sweep", "distance-cm", "inf"),
         ("fleet", "spacing-cm", "-3"),
         ("fleet", "spacing-cm", "nan"),
+        ("fleet", "spacing-cm", "1e308"),
+        ("sweep", "distance-cm", "1e308"),
     ] {
         let run = deepnote(&[cmd, &format!("--{flag}"), value]);
         let shown = format!("{cmd} --{flag} {value}");

@@ -12,6 +12,7 @@ use crate::inode::{Inode, InodeKind, DIRECT_POINTERS, INDIRECT_POINTERS, MAX_FIL
 use crate::journal::{read_fs_block, write_fs_block, Journal};
 use crate::layout::{
     SbState, Superblock, FS_BLOCK_SIZE, INODES_PER_BLOCK, INODE_DISK_SIZE, ROOT_INO,
+    SECTORS_PER_FS_BLOCK,
 };
 use deepnote_blockdev::BlockDevice;
 use deepnote_sim::{Clock, SimDuration, SimTime};
@@ -65,6 +66,10 @@ pub struct Filesystem<D: BlockDevice> {
     /// they were last staged are journaled again.
     dirty_inode_bitmap: bool,
     dirty_block_bitmap: std::collections::BTreeSet<u64>,
+    /// Data blocks freed by the running transaction. Once it commits,
+    /// those still free are discarded on the device (and dropped from an
+    /// unbounded page cache): nothing committed references them.
+    freed: Vec<u64>,
     /// In-memory block cache standing in for the OS page cache: reads of
     /// previously seen blocks cost no device time, which is what lets
     /// metadata-heavy workloads run at memory speed on a slow disk.
@@ -214,6 +219,7 @@ impl<D: BlockDevice> Filesystem<D> {
                 block_bitmap,
                 dirty_inode_bitmap: false,
                 dirty_block_bitmap: std::collections::BTreeSet::new(),
+                freed: Vec::new(),
                 cache: std::collections::BTreeMap::new(),
                 cache_order: std::collections::VecDeque::new(),
                 cache_limit: None,
@@ -239,6 +245,7 @@ impl<D: BlockDevice> Filesystem<D> {
             block_bitmap: self.block_bitmap.clone(),
             dirty_inode_bitmap: self.dirty_inode_bitmap,
             dirty_block_bitmap: self.dirty_block_bitmap.clone(),
+            freed: self.freed.clone(),
             cache: self.cache.clone(),
             cache_order: self.cache_order.clone(),
             cache_limit: self.cache_limit,
@@ -446,6 +453,34 @@ impl<D: BlockDevice> Filesystem<D> {
         let idx = fs_block - self.sb.data_start;
         self.block_bitmap.free_item(idx);
         self.mark_block_bit_dirty(idx);
+        self.freed.push(fs_block);
+    }
+
+    /// Forgets the blocks `freed` by a transaction that has just
+    /// committed, those still free: the device discards them, and an
+    /// unbounded page cache drops them. A capped cache keeps them, so its
+    /// FIFO order — which decides cold reads, and so virtual time — is
+    /// exactly what it would be without discards.
+    fn discard_freed(&mut self, freed: Vec<u64>) {
+        for fs_block in freed {
+            if self.block_bitmap.is_set(fs_block - self.sb.data_start) {
+                continue; // reallocated by the same transaction
+            }
+            self.dev
+                .discard(fs_block * SECTORS_PER_FS_BLOCK, SECTORS_PER_FS_BLOCK);
+            if self.cache_limit.is_none() {
+                self.cache.remove(&fs_block);
+            }
+        }
+        // The unbounded cache's FIFO list is read only if a limit is set
+        // later; drop its dead and repeated entries once it has grown to
+        // twice the cache, keeping each block's first position.
+        if self.cache_limit.is_none() && self.cache_order.len() > 2 * self.cache.len() + 64 {
+            let mut seen = std::collections::BTreeSet::new();
+            let cache = &self.cache;
+            self.cache_order
+                .retain(|b| cache.contains_key(b) && seen.insert(*b));
+        }
     }
 
     /// The `index`-th data block of an inode, allocating it (and the
@@ -1010,6 +1045,7 @@ impl<D: BlockDevice> Filesystem<D> {
     pub fn commit(&mut self) -> Result<(), FsError> {
         self.check_writable()?;
         let data_runs = std::mem::take(&mut self.pending_data);
+        let freed = std::mem::take(&mut self.freed);
         let t0 = self.clock.now();
         let commits_before = self.journal.commits();
         let result = self.journal.commit(&mut self.dev, &self.clock, &data_runs);
@@ -1032,7 +1068,10 @@ impl<D: BlockDevice> Filesystem<D> {
             );
         }
         match result {
-            Ok(()) => Ok(()),
+            Ok(()) => {
+                self.discard_freed(freed);
+                Ok(())
+            }
             Err(FsError::JournalAborted { errno }) => {
                 self.state = FsState::Aborted { errno };
                 // Best-effort error mark on the superblock (may itself
@@ -1445,6 +1484,71 @@ mod tests {
         // error work queue.
         let _ = fs.commit(); // still aborted, returns error
         assert_eq!(fs.state(), FsState::Aborted { errno: -5 });
+    }
+
+    /// One footprint cycle: create, write 64 KiB (through the indirect
+    /// block), commit, unlink, commit. Returns the device footprint
+    /// between the unlink and its commit.
+    fn churn(fs: &mut Filesystem<MemDisk>, data: &[u8], disable_discards: bool) -> usize {
+        fs.create_file("/churn").unwrap();
+        fs.write_file("/churn", 0, data).unwrap();
+        if disable_discards {
+            fs.freed.clear();
+        }
+        fs.commit().unwrap();
+        let before = fs.dev.blocks_touched();
+        fs.unlink("/churn").unwrap();
+        // Freed, not yet committed: a crash now must still find the file.
+        assert_eq!(fs.dev.blocks_touched(), before, "discarded before commit");
+        if disable_discards {
+            fs.freed.clear();
+        }
+        fs.commit().unwrap();
+        before
+    }
+
+    fn churn_data() -> Vec<u8> {
+        (0..64u32 << 10).map(|i| (i % 251) as u8 + 1).collect()
+    }
+
+    #[test]
+    fn freed_blocks_leave_the_device_and_the_cache() {
+        let mut fs = new_fs();
+        let data = churn_data();
+        // The journal region plus a few metadata blocks: without discards
+        // the device grows by the file's 136 sectors every cycle.
+        let bound = (fs.sb.journal_blocks + 64) * SECTORS_PER_FS_BLOCK;
+        for _ in 0..200 {
+            let live = churn(&mut fs, &data, false);
+            // The file's 17 blocks (136 sectors) are on the device while
+            // it exists ...
+            assert!(live >= 136, "{live}");
+            // ... and gone once its unlink commits.
+            let touched = fs.dev.blocks_touched() as u64;
+            assert!(touched <= bound, "{touched} sectors stored");
+            assert!(fs.cache.len() < 64, "{} pages cached", fs.cache.len());
+            assert!(fs.cache_order.len() <= 2 * fs.cache.len() + 64);
+        }
+    }
+
+    #[test]
+    fn capped_cache_keeps_freed_blocks_in_fifo_order() {
+        let run = |disable_discards: bool| {
+            let clock = Clock::new();
+            let dev = MemDisk::with_latency(1 << 17, clock.clone(), SimDuration::from_micros(100));
+            let mut fs = Filesystem::format(dev, clock.clone()).unwrap();
+            fs.set_cache_limit(Some(8));
+            let data = churn_data();
+            let mut states = Vec::new();
+            for _ in 0..20 {
+                churn(&mut fs, &data, disable_discards);
+                fs.create_file("/keep").ok();
+                fs.read_file("/keep", 0, 1).unwrap();
+                states.push((fs.cache.clone(), fs.cache_order.clone(), clock.now()));
+            }
+            states
+        };
+        assert_eq!(run(false), run(true));
     }
 
     #[test]

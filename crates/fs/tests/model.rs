@@ -1,7 +1,8 @@
 //! Model-based property testing: arbitrary operation sequences applied to
 //! the real filesystem and to a trivial in-memory model must agree — on
 //! every intermediate result and on the final state, including across a
-//! commit + remount cycle.
+//! crash (remount without a final commit: the last committed state) and
+//! a commit + remount cycle.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -311,20 +312,38 @@ fn check_final_state(fs: &mut Filesystem<MemDisk>, model: &Model) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random op sequences: the filesystem and the model never disagree,
-    /// and the final state survives a commit + remount.
+    /// Random op sequences: the filesystem and the model never disagree;
+    /// a crash recovers exactly the state of the last commit, and the
+    /// final state survives a commit + remount.
     #[test]
     fn filesystem_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let clock = Clock::new();
         let mut fs = Filesystem::format(MemDisk::new(1 << 17), clock.clone()).unwrap();
         let mut model = Model::new();
-        for op in &ops {
+        let mut committed = (model.clone(), 0);
+        for (i, op) in ops.iter().enumerate() {
             apply(&mut fs, &mut model, op);
+            if matches!(op, Op::Commit) {
+                committed = (model.clone(), i + 1);
+            }
         }
         check_final_state(&mut fs, &model);
 
-        // Remount: committed state must equal the model exactly (we
+        // Crash: steal the device without a final commit. The remount
+        // must find the last committed state exactly, so no block freed
+        // since then may have been forgotten.
+        let (mut model, tail) = committed;
+        let dev = std::mem::replace(fs.device_mut(), MemDisk::new(1));
+        drop(fs);
+        let (mut fs, _) = Filesystem::mount(dev, clock.clone()).unwrap();
+        check_final_state(&mut fs, &model);
+
+        // Redo the uncommitted tail on the recovered filesystem, then
+        // remount: committed state must equal the model exactly (we
         // commit first, so nothing is lost).
+        for op in &ops[tail..] {
+            apply(&mut fs, &mut model, op);
+        }
         fs.commit().unwrap();
         let dev = fs.unmount().unwrap();
         let (mut fs2, _) = Filesystem::mount(dev, clock).unwrap();

@@ -49,6 +49,27 @@ fn committed_data_survives_an_attack_crash() {
 }
 
 #[test]
+fn unlinked_but_uncommitted_file_survives_a_crash() {
+    let clock = Clock::new();
+    let disk = HddDisk::barracuda_500gb(clock.clone());
+    let mut fs = Filesystem::format(disk, clock.clone()).unwrap();
+    // 100 KiB: twelve direct blocks plus the indirect block and its data.
+    let body: Vec<u8> = (0..100u32 << 10).map(|i| (i % 251) as u8).collect();
+    fs.create_file("/kept").unwrap();
+    fs.write_file("/kept", 0, &body).unwrap();
+    fs.commit().unwrap();
+
+    // The unlink frees every block of the file, but never commits.
+    fs.unlink("/kept").unwrap();
+    assert!(!fs.exists("/kept"));
+
+    let dev = crash_fs(fs);
+    let (mut fs2, _) = Filesystem::mount(dev, clock).unwrap();
+    assert_eq!(fs2.read_file("/kept", 0, body.len() + 1).unwrap(), body);
+    assert_eq!(fs2.fsck().unwrap(), Vec::<String>::new());
+}
+
+#[test]
 fn database_reopens_consistently_after_attack_crash() {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     let clock = Clock::new();
