@@ -64,11 +64,6 @@ pub fn absorption_db_per_km(f: Frequency, w: &WaterConditions) -> f64 {
     boric + mgso4 + water
 }
 
-/// Total absorption loss in dB over a path of `distance_km` kilometres.
-pub fn absorption_loss_db(f: Frequency, w: &WaterConditions, distance_km: f64) -> f64 {
-    Absorption::new(f, w).loss_db(distance_km)
-}
-
 /// One tone's absorption coefficient in one water, applied to paths of
 /// any length without re-evaluating [`absorption_db_per_km`].
 #[derive(Debug, Clone, Copy)]
@@ -146,10 +141,11 @@ mod tests {
     fn loss_scales_with_distance() {
         let w = seawater();
         let f = Frequency::from_khz(10.0);
-        let l1 = absorption_loss_db(f, &w, 1.0);
-        let l5 = absorption_loss_db(f, &w, 5.0);
+        let absorption = Absorption::new(f, &w);
+        let l1 = absorption.loss_db(1.0);
+        let l5 = absorption.loss_db(5.0);
         assert!((l5 - 5.0 * l1).abs() < 1e-9);
-        assert_eq!(absorption_loss_db(f, &w, 0.0), 0.0);
+        assert_eq!(absorption.loss_db(0.0), 0.0);
     }
 
     proptest! {

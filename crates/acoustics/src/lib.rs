@@ -34,7 +34,6 @@
 //! ```
 
 pub mod absorption;
-pub mod directivity;
 pub mod medium;
 pub mod propagation;
 pub mod source;
@@ -43,7 +42,6 @@ pub mod sweep;
 pub mod units;
 
 pub use absorption::absorption_db_per_km;
-pub use directivity::{half_power_beamwidth_rad, off_axis_attenuation_db, piston_directivity};
 pub use medium::{Medium, WaterConditions};
 pub use propagation::{
     lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,
@@ -57,9 +55,6 @@ pub use units::{Celsius, Depth, Distance, Frequency, Gain, Salinity};
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::absorption::absorption_db_per_km;
-    pub use crate::directivity::{
-        half_power_beamwidth_rad, off_axis_attenuation_db, piston_directivity,
-    };
     pub use crate::medium::{Medium, WaterConditions};
     pub use crate::propagation::{
         lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,

@@ -13,10 +13,9 @@
 use crate::units::{Celsius, Depth, Salinity};
 use serde::{Deserialize, Serialize};
 
-/// A bulk propagation medium with density and sound speed.
+/// A bulk propagation medium: an enclosure's fill gas, or water.
 ///
-/// Used for characteristic impedance (`ρc`) at material interfaces and for
-/// the air/water speed comparison in the paper's §2.2.
+/// Used for the air/water speed comparison in the paper's §2.2.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum Medium {
     /// Air at room temperature.
@@ -28,15 +27,6 @@ pub enum Medium {
 }
 
 impl Medium {
-    /// Density in kg/m³.
-    pub fn density_kg_m3(&self) -> f64 {
-        match self {
-            Medium::Air => 1.204,
-            Medium::Nitrogen => 1.165,
-            Medium::Water(w) => w.density_kg_m3(),
-        }
-    }
-
     /// Sound speed in m/s.
     pub fn sound_speed_m_s(&self) -> f64 {
         match self {
@@ -44,11 +34,6 @@ impl Medium {
             Medium::Nitrogen => 349.0,
             Medium::Water(w) => w.sound_speed_m_s(),
         }
-    }
-
-    /// Characteristic acoustic impedance ρc in rayl (Pa·s/m).
-    pub fn impedance_rayl(&self) -> f64 {
-        self.density_kg_m3() * self.sound_speed_m_s()
     }
 }
 
@@ -124,24 +109,6 @@ impl WaterConditions {
         self.depth
     }
 
-    /// Returns a copy with a different temperature.
-    pub fn with_temperature(mut self, t: Celsius) -> Self {
-        self.temperature = t;
-        self
-    }
-
-    /// Returns a copy with a different salinity.
-    pub fn with_salinity(mut self, s: Salinity) -> Self {
-        self.salinity = s;
-        self
-    }
-
-    /// Returns a copy with a different depth.
-    pub fn with_depth(mut self, d: Depth) -> Self {
-        self.depth = d;
-        self
-    }
-
     /// Sound speed via Medwin (1975), m/s.
     pub fn sound_speed_m_s(&self) -> f64 {
         let t = self.temperature.deg_c();
@@ -151,18 +118,6 @@ impl WaterConditions {
             + 0.00029 * t * t * t
             + (1.34 - 0.010 * t) * (s - 35.0)
             + 0.016 * z
-    }
-
-    /// Approximate density, kg/m³: fresh 998, plus ~0.78 kg/m³ per PSU,
-    /// plus weak compression with depth.
-    pub fn density_kg_m3(&self) -> f64 {
-        998.0 + 0.78 * self.salinity.psu() + 0.0045 * self.depth.m()
-    }
-
-    /// Hydrostatic pressure at depth, in atmospheres (used by absorption
-    /// formulas), including the 1 atm surface pressure.
-    pub fn pressure_atm(&self) -> f64 {
-        1.0 + self.depth.m() / 10.06
     }
 }
 
@@ -180,7 +135,7 @@ mod tests {
     #[test]
     fn medwin_reference_value() {
         // T = 10 °C, S = 35 PSU, z = 0: published value ≈ 1490 m/s.
-        let w = WaterConditions::new(Celsius::new(10.0), Salinity::OCEAN, Depth::SURFACE);
+        let w = WaterConditions::new(Celsius::new(10.0), Salinity::OCEAN, Depth::from_m(0.0));
         let c = w.sound_speed_m_s();
         assert!((1489.0..1492.0).contains(&c), "c = {c}");
     }
@@ -195,36 +150,12 @@ mod tests {
     }
 
     #[test]
-    fn impedance_ordering() {
-        let air = Medium::Air.impedance_rayl();
-        let water = Medium::Water(WaterConditions::tank_freshwater()).impedance_rayl();
-        assert!(
-            water / air > 3_000.0,
-            "water/air impedance = {}",
-            water / air
-        );
-        let n2 = Medium::Nitrogen.impedance_rayl();
-        assert!((n2 - air).abs() / air < 0.1);
-    }
-
-    #[test]
     fn presets_are_distinct() {
         let tank = WaterConditions::tank_freshwater();
         let natick = WaterConditions::natick_seawater();
         assert_ne!(tank, natick);
-        assert!(natick.pressure_atm() > tank.pressure_atm());
-        assert!(natick.density_kg_m3() > tank.density_kg_m3());
-    }
-
-    #[test]
-    fn with_builders_replace_fields() {
-        let w = WaterConditions::tank_freshwater()
-            .with_temperature(Celsius::new(30.0))
-            .with_salinity(Salinity::from_psu(10.0))
-            .with_depth(Depth::from_m(100.0));
-        assert_eq!(w.temperature().deg_c(), 30.0);
-        assert_eq!(w.salinity().psu(), 10.0);
-        assert_eq!(w.depth().m(), 100.0);
+        assert!(natick.depth().m() > tank.depth().m());
+        assert!(natick.salinity().psu() > tank.salinity().psu());
     }
 
     proptest! {
@@ -234,7 +165,7 @@ mod tests {
         #[test]
         fn speed_increases_with_temperature(t in -2.0f64..35.0, s in 0.0f64..45.0, z in 0.0f64..1000.0) {
             let base = WaterConditions::new(Celsius::new(t), Salinity::from_psu(s), Depth::from_m(z));
-            let hotter = base.with_temperature(Celsius::new(t + 2.0_f64.min(35.0 - t).max(0.5)));
+            let hotter = WaterConditions::new(Celsius::new(t + 2.0_f64.min(35.0 - t).max(0.5)), Salinity::from_psu(s), Depth::from_m(z));
             prop_assert!(hotter.sound_speed_m_s() > base.sound_speed_m_s());
         }
 
@@ -242,7 +173,7 @@ mod tests {
         #[test]
         fn speed_increases_with_salinity(t in -2.0f64..40.0, s in 0.0f64..40.0, z in 0.0f64..1000.0) {
             let base = WaterConditions::new(Celsius::new(t), Salinity::from_psu(s), Depth::from_m(z));
-            let saltier = base.with_salinity(Salinity::from_psu(s + 5.0));
+            let saltier = WaterConditions::new(Celsius::new(t), Salinity::from_psu(s + 5.0), Depth::from_m(z));
             prop_assert!(saltier.sound_speed_m_s() > base.sound_speed_m_s());
         }
 
@@ -250,7 +181,7 @@ mod tests {
         #[test]
         fn speed_increases_with_depth(t in -2.0f64..40.0, s in 0.0f64..45.0, z in 0.0f64..5000.0) {
             let base = WaterConditions::new(Celsius::new(t), Salinity::from_psu(s), Depth::from_m(z));
-            let deeper = base.with_depth(Depth::from_m(z + 100.0));
+            let deeper = WaterConditions::new(Celsius::new(t), Salinity::from_psu(s), Depth::from_m(z + 100.0));
             prop_assert!(deeper.sound_speed_m_s() > base.sound_speed_m_s());
         }
 

@@ -373,14 +373,14 @@ mod tests {
         let shallow = lloyd_mirror_factor(
             f,
             &w,
-            Distance::from_km(10.0),
+            Distance::from_m(10_000.0),
             Depth::from_m(2.0),
             Depth::from_m(36.0),
         );
         let deep = lloyd_mirror_factor(
             f,
             &w,
-            Distance::from_km(10.0),
+            Distance::from_m(10_000.0),
             Depth::from_m(30.0),
             Depth::from_m(36.0),
         );
@@ -430,7 +430,7 @@ mod tests {
         let mirrored = received_spl_lloyd(
             &e,
             &w,
-            Distance::from_km(10.0),
+            Distance::from_m(10_000.0),
             Depth::from_m(2.0),
             Depth::from_m(36.0),
         );

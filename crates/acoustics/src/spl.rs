@@ -7,9 +7,8 @@
 //! SPL_water = SPL_air + 20·log10(20 µPa / 1 µPa) = SPL_air + 26 dB
 //! ```
 //!
-//! (the additional +35.5 dB impedance correction for equal *intensity* is
-//! exposed as [`Spl::to_water_equal_intensity`]). [`Spl`] carries its
-//! reference in the type state so the two scales cannot be mixed silently.
+//! [`Spl`] carries its reference in the type state so the two scales
+//! cannot be mixed silently.
 
 use core::fmt;
 use serde::{Deserialize, Serialize};
@@ -55,22 +54,14 @@ impl fmt::Display for SplReference {
 /// // 140 dB re 1 µPa is exactly 10 Pa RMS.
 /// assert!((attack.pressure_pa() - 10.0).abs() < 1e-9);
 /// // The same pressure expressed on the in-air scale is ~26 dB lower.
-/// assert!((attack.to_air_reference().db() - 114.0).abs() < 0.05);
+/// let in_air = Spl::from_pressure_pa(attack.pressure_pa(), SplReference::Air20uPa);
+/// assert!((in_air.db() - 114.0).abs() < 0.05);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Spl {
     db: f64,
     reference: SplReference,
 }
-
-/// The dB offset between the air and water reference scales:
-/// `20·log10(20 µPa / 1 µPa) ≈ 26 dB` (§2.2 of the paper).
-pub const AIR_TO_WATER_REFERENCE_DB: f64 = 26.020599913279625;
-
-/// Additional offset for equal acoustic *intensity* (not just equal
-/// reference) between air and water, from the impedance ratio
-/// `10·log10(ρc_water / ρc_air) ≈ 35.5 dB`.
-pub const AIR_TO_WATER_INTENSITY_DB: f64 = 35.5;
 
 impl Spl {
     /// Creates an SPL with an explicit reference.
@@ -86,11 +77,6 @@ impl Spl {
     /// An underwater SPL (dB re 1 µPa).
     pub fn water_db(db: f64) -> Self {
         Spl::new(db, SplReference::Water1uPa)
-    }
-
-    /// An in-air SPL (dB re 20 µPa).
-    pub fn air_db(db: f64) -> Self {
-        Spl::new(db, SplReference::Air20uPa)
     }
 
     /// The level in decibels (relative to [`Spl::reference`]).
@@ -121,41 +107,6 @@ impl Spl {
         Spl::new(20.0 * (pa / reference.pressure_pa()).log10(), reference)
     }
 
-    /// Re-expresses this level on the underwater (re 1 µPa) scale. The
-    /// physical pressure is unchanged.
-    pub fn to_water_reference(self) -> Spl {
-        match self.reference {
-            SplReference::Water1uPa => self,
-            SplReference::Air20uPa => Spl::water_db(self.db + AIR_TO_WATER_REFERENCE_DB),
-        }
-    }
-
-    /// Re-expresses this level on the in-air (re 20 µPa) scale. The
-    /// physical pressure is unchanged.
-    pub fn to_air_reference(self) -> Spl {
-        match self.reference {
-            SplReference::Air20uPa => self,
-            SplReference::Water1uPa => Spl::air_db(self.db - AIR_TO_WATER_REFERENCE_DB),
-        }
-    }
-
-    /// The underwater SPL that carries the same acoustic *intensity* as
-    /// this in-air SPL (reference shift + impedance correction). Matches
-    /// the convention used when comparing "140 dB in air" attacks with
-    /// underwater sources.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` is already a water-referenced level.
-    pub fn to_water_equal_intensity(self) -> Spl {
-        assert_eq!(
-            self.reference,
-            SplReference::Air20uPa,
-            "to_water_equal_intensity expects an air-referenced level"
-        );
-        Spl::water_db(self.db + AIR_TO_WATER_REFERENCE_DB + AIR_TO_WATER_INTENSITY_DB)
-    }
-
     /// Adds a gain (or attenuation, if negative) in dB on the same
     /// reference scale.
     pub fn plus_db(self, gain_db: f64) -> Spl {
@@ -175,9 +126,15 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    /// The dB offset between the air and water reference scales:
+    /// `20·log10(20 µPa / 1 µPa) ≈ 26 dB` (§2.2 of the paper).
+    const AIR_TO_WATER_REFERENCE_DB: f64 = 26.020599913279625;
+
     #[test]
     fn paper_conversion_constant() {
         // §2.2: SPL_water = SPL_air + 26 dB.
+        let ratio = SplReference::Air20uPa.pressure_pa() / SplReference::Water1uPa.pressure_pa();
+        assert!((20.0 * ratio.log10() - AIR_TO_WATER_REFERENCE_DB).abs() < 1e-9);
         assert!((AIR_TO_WATER_REFERENCE_DB - 26.0).abs() < 0.1);
     }
 
@@ -197,26 +154,12 @@ mod tests {
 
     #[test]
     fn reference_roundtrip_preserves_pressure() {
-        let air = Spl::air_db(94.0); // 1 Pa in air scale.
+        let air = Spl::new(94.0, SplReference::Air20uPa); // 1 Pa in air scale.
         assert!((air.pressure_pa() - 1.0).abs() < 0.02);
-        let water = air.to_water_reference();
+        let water = Spl::from_pressure_pa(air.pressure_pa(), SplReference::Water1uPa);
         assert!((water.pressure_pa() - air.pressure_pa()).abs() < 1e-12);
-        let back = water.to_air_reference();
+        let back = Spl::from_pressure_pa(water.pressure_pa(), SplReference::Air20uPa);
         assert!((back.db() - 94.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn equal_intensity_larger_than_equal_reference() {
-        let air = Spl::air_db(140.0);
-        let same_pressure = air.to_water_reference();
-        let same_intensity = air.to_water_equal_intensity();
-        assert!(same_intensity.db() > same_pressure.db());
-    }
-
-    #[test]
-    #[should_panic(expected = "air-referenced")]
-    fn equal_intensity_rejects_water_input() {
-        Spl::water_db(140.0).to_water_equal_intensity();
     }
 
     #[test]
@@ -229,7 +172,10 @@ mod tests {
     #[test]
     fn display_shows_reference() {
         assert_eq!(Spl::water_db(140.0).to_string(), "140.0dB SPL re 1µPa");
-        assert_eq!(Spl::air_db(94.0).to_string(), "94.0dB SPL re 20µPa");
+        assert_eq!(
+            Spl::new(94.0, SplReference::Air20uPa).to_string(),
+            "94.0dB SPL re 20µPa"
+        );
     }
 
     proptest! {
@@ -254,7 +200,7 @@ mod tests {
         #[test]
         fn reference_offset_constant(db in 0.0f64..200.0) {
             let w = Spl::water_db(db);
-            let a = w.to_air_reference();
+            let a = Spl::from_pressure_pa(w.pressure_pa(), SplReference::Air20uPa);
             prop_assert!((w.db() - a.db() - AIR_TO_WATER_REFERENCE_DB).abs() < 1e-9);
         }
     }

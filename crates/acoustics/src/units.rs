@@ -61,34 +61,9 @@ impl Frequency {
         self.hz / 1_000.0
     }
 
-    /// The period of one cycle in seconds. Infinite for 0 Hz.
-    pub fn period_s(self) -> f64 {
-        // deepnote-lint: allow(float-eq): 0.0 is an exact sentinel (DC), not a computed value
-        if self.hz == 0.0 {
-            f64::INFINITY
-        } else {
-            1.0 / self.hz
-        }
-    }
-
     /// Angular frequency ω = 2πf in rad/s.
     pub fn angular(self) -> f64 {
         std::f64::consts::TAU * self.hz
-    }
-
-    /// Acoustic wavelength in a medium with the given sound speed (m/s).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `sound_speed_m_s` is not positive.
-    pub fn wavelength_m(self, sound_speed_m_s: f64) -> f64 {
-        assert!(sound_speed_m_s > 0.0, "sound speed must be positive");
-        // deepnote-lint: allow(float-eq): 0.0 is an exact sentinel (DC), not a computed value
-        if self.hz == 0.0 {
-            f64::INFINITY
-        } else {
-            sound_speed_m_s / self.hz
-        }
     }
 }
 
@@ -135,11 +110,6 @@ impl Distance {
     /// Creates a distance from centimetres.
     pub fn from_cm(cm: f64) -> Self {
         Self::from_m(cm / 100.0)
-    }
-
-    /// Creates a distance from kilometres.
-    pub fn from_km(km: f64) -> Self {
-        Self::from_m(km * 1_000.0)
     }
 
     /// Metres.
@@ -206,9 +176,6 @@ impl fmt::Display for Distance {
 pub struct Gain(f64);
 
 impl Gain {
-    /// Unity gain (0 dB).
-    pub const UNITY: Gain = Gain(0.0);
-
     /// Creates a gain from decibels.
     ///
     /// # Panics
@@ -304,9 +271,6 @@ impl fmt::Display for Salinity {
 pub struct Depth(f64);
 
 impl Depth {
-    /// The surface.
-    pub const SURFACE: Depth = Depth(0.0);
-
     /// Creates a depth in metres.
     ///
     /// # Panics
@@ -341,15 +305,7 @@ mod tests {
     fn frequency_conversions() {
         let f = Frequency::from_khz(16.9);
         assert!((f.hz() - 16_900.0).abs() < 1e-9);
-        assert!((Frequency::from_hz(650.0).period_s() - 1.0 / 650.0).abs() < 1e-12);
-        assert_eq!(Frequency::from_hz(0.0).period_s(), f64::INFINITY);
-    }
-
-    #[test]
-    fn frequency_wavelength() {
-        // 1500 m/s water, 1500 Hz → 1 m wavelength.
-        let f = Frequency::from_hz(1500.0);
-        assert!((f.wavelength_m(1500.0) - 1.0).abs() < 1e-12);
+        assert!((f.khz() - 16.9).abs() < 1e-12);
     }
 
     #[test]
@@ -362,7 +318,6 @@ mod tests {
     fn distance_conversions_and_arithmetic() {
         let d = Distance::from_cm(150.0);
         assert!((d.m() - 1.5).abs() < 1e-12);
-        assert!((Distance::from_km(2.0).m() - 2_000.0).abs() < 1e-9);
         assert_eq!((d + Distance::from_cm(50.0)).m(), 2.0);
         assert_eq!((d * 2.0).m(), 3.0);
         assert_eq!((d / 3.0).cm(), 50.0);
@@ -376,7 +331,7 @@ mod tests {
         assert_eq!(Frequency::from_khz(1.3).to_string(), "1.300kHz");
         assert_eq!(Distance::from_cm(25.0).to_string(), "25.0cm");
         assert_eq!(Distance::from_m(36.0).to_string(), "36.00m");
-        assert_eq!(Distance::from_km(1.0).to_string(), "1.000km");
+        assert_eq!(Distance::from_m(1_000.0).to_string(), "1.000km");
     }
 
     #[test]

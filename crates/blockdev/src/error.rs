@@ -29,26 +29,6 @@ pub enum IoError {
     InvalidRequest,
 }
 
-impl IoError {
-    /// The conventional kernel error code (negative), e.g. −5 for EIO.
-    /// `NoResponse` also surfaces as −5: a timed-out request is failed
-    /// with EIO by the kernel block layer.
-    pub fn kernel_code(&self) -> i32 {
-        match self {
-            IoError::Medium { errno } => -errno,
-            IoError::NoResponse => -EIO,
-            IoError::OutOfRange => -5,
-            IoError::InvalidRequest => -22, // -EINVAL
-        }
-    }
-
-    /// Whether this failure means the device is (temporarily) not serving
-    /// requests at all, as opposed to failing a specific sector.
-    pub fn is_unresponsive(&self) -> bool {
-        matches!(self, IoError::NoResponse)
-    }
-}
-
 impl fmt::Display for IoError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -77,13 +57,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kernel_codes_match_linux_convention() {
-        assert_eq!(IoError::Medium { errno: EIO }.kernel_code(), -5);
-        assert_eq!(IoError::NoResponse.kernel_code(), -5);
-        assert_eq!(IoError::InvalidRequest.kernel_code(), -22);
-    }
-
-    #[test]
     fn drive_errors_map_to_io_errors() {
         assert_eq!(
             IoError::from(DriveError::Unresponsive { after_ms_x1000: 1 }),
@@ -92,12 +65,6 @@ mod tests {
         assert_eq!(IoError::from(DriveError::HeadsParked), IoError::NoResponse);
         assert_eq!(IoError::from(DriveError::OutOfRange), IoError::OutOfRange);
         assert_eq!(IoError::from(DriveError::EmptyOp), IoError::InvalidRequest);
-    }
-
-    #[test]
-    fn unresponsive_flag() {
-        assert!(IoError::NoResponse.is_unresponsive());
-        assert!(!IoError::Medium { errno: EIO }.is_unresponsive());
     }
 
     #[test]

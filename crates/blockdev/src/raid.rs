@@ -103,15 +103,6 @@ impl<D: BlockDevice> Raid1<D> {
         &self.mirrors[idx]
     }
 
-    /// Mutable access to a mirror.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn mirror_mut(&mut self, idx: usize) -> &mut D {
-        &mut self.mirrors[idx]
-    }
-
     /// Writes performed while the array was degraded.
     pub fn writes_while_degraded(&self) -> u64 {
         self.writes_while_degraded
@@ -248,6 +239,13 @@ mod tests {
     use crate::chaos::{ChaosInjector, ChaosPlan};
     use crate::mem::MemDisk;
     use deepnote_sim::SimRng;
+
+    impl<D: BlockDevice> Raid1<D> {
+        /// Mutable access to a mirror, to fault it behind the array's back.
+        fn mirror_mut(&mut self, idx: usize) -> &mut D {
+            &mut self.mirrors[idx]
+        }
+    }
 
     fn array() -> Raid1<ChaosInjector<MemDisk>> {
         Raid1::new(vec![

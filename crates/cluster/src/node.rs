@@ -137,32 +137,6 @@ pub struct StorageNode {
 }
 
 impl StorageNode {
-    /// Brings up a node with a freshly formatted drive and no chaos
-    /// (the legacy clean-failure node).
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NodeLaunch`] if formatting the fresh device fails
-    /// (it cannot, absent an attack mounted before the node exists, but
-    /// a launch failure must surface as an error, not a crash).
-    pub fn launch(
-        id: usize,
-        rack: usize,
-        position: Distance,
-        db_config: DbConfig,
-    ) -> Result<Self, ClusterError> {
-        let image = commission(db_config)
-            .map_err(|source| ClusterError::NodeLaunch { node: id, source })?;
-        Ok(Self::launch_with(
-            id,
-            rack,
-            position,
-            &image,
-            &ChaosProfile::off(),
-            SimRng::seeded(id as u64),
-        ))
-    }
-
     /// Brings up a node as a copy of the commissioned `image` (see
     /// [`commission`]), with its own clock and vibration input, whose
     /// drive and serving path inject the faults `chaos` describes, drawn
@@ -647,6 +621,27 @@ mod tests {
     use deepnote_core::testbed::Testbed;
     use deepnote_core::threat::AttackParams;
     use deepnote_structures::Scenario;
+
+    impl StorageNode {
+        /// Brings up a node with a freshly formatted drive and no chaos.
+        pub(crate) fn launch(
+            id: usize,
+            rack: usize,
+            position: Distance,
+            db_config: DbConfig,
+        ) -> Result<Self, ClusterError> {
+            let image = commission(db_config)
+                .map_err(|source| ClusterError::NodeLaunch { node: id, source })?;
+            Ok(Self::launch_with(
+                id,
+                rack,
+                position,
+                &image,
+                &ChaosProfile::off(),
+                SimRng::seeded(id as u64),
+            ))
+        }
+    }
 
     fn quick_config() -> DbConfig {
         DbConfig {

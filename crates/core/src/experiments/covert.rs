@@ -15,9 +15,8 @@
 use deepnote_acoustics::{
     received_spl, AcousticEmission, Distance, Frequency, Spl, WaterConditions,
 };
-use deepnote_blockdev::BlockDevice;
 use deepnote_blockdev::HddDisk;
-use deepnote_sim::{Clock, SimDuration, SimTime};
+use deepnote_sim::Clock;
 use serde::{Deserialize, Serialize};
 
 /// Source level at the enclosure wall for one full-stroke seek burst.
@@ -33,51 +32,14 @@ pub const SEEKS_PER_BIT: u32 = 8;
 #[derive(Debug)]
 pub struct CovertTransmitter {
     disk: HddDisk,
-    clock: Clock,
-    /// Timestamped emission log: (seek time, level at the wall).
-    emissions: Vec<SimTime>,
 }
 
 impl CovertTransmitter {
     /// Creates a transmitter on a fresh victim drive.
     pub fn new(clock: Clock) -> Self {
         CovertTransmitter {
-            disk: HddDisk::barracuda_500gb(clock.clone()),
-            clock,
-            emissions: Vec::new(),
+            disk: HddDisk::barracuda_500gb(clock),
         }
-    }
-
-    /// Transmits `bits`, returning the virtual duration of the message.
-    /// Each `1` is [`SEEKS_PER_BIT`] alternating full-stroke reads; each
-    /// `0` is the same wall-clock period of silence. Bits are padded to
-    /// the fixed [`CovertTransmitter::bit_period_s`].
-    pub fn transmit(&mut self, bits: &[bool]) -> SimDuration {
-        let start = self.clock.now();
-        let far_lba = self.disk.num_blocks() - 8;
-        let mut buf = vec![0u8; 4096];
-        let bit_period = SimDuration::from_secs_f64(self.bit_period_s());
-        let mut at_far = false;
-
-        for &bit in bits {
-            let bit_start = self.clock.now();
-            if bit {
-                for _ in 0..SEEKS_PER_BIT {
-                    let target = if at_far { 0 } else { far_lba };
-                    at_far = !at_far;
-                    let _ = self.disk.read_blocks(target, &mut buf);
-                    self.emissions.push(self.clock.now());
-                }
-            }
-            // Pad (or idle) to the fixed bit period.
-            let elapsed = self.clock.now() - bit_start;
-            assert!(
-                elapsed <= bit_period,
-                "bit overran its period: {elapsed} > {bit_period}"
-            );
-            self.clock.advance(bit_period - elapsed);
-        }
-        self.clock.now() - start
     }
 
     /// The fixed bit period in seconds: [`SEEKS_PER_BIT`] full-stroke
@@ -89,11 +51,6 @@ impl CovertTransmitter {
             + timing.rotational_latency_s(geo)
             + timing.sequential_op_s(geo, 8, true);
         per_seek * SEEKS_PER_BIT as f64 * 1.05
-    }
-
-    /// The emission timeline.
-    pub fn emissions(&self) -> &[SimTime] {
-        &self.emissions
     }
 }
 
@@ -136,24 +93,6 @@ pub fn channel_budget(range_m: f64, water: &WaterConditions, bit_period_s: f64) 
         decodable,
         bitrate_bps: if decodable { 1.0 / bit_period_s } else { 0.0 },
     }
-}
-
-/// The ideal receiver: thresholds the emission timeline per bit period.
-/// Returns the decoded bits (correct whenever the budget says decodable —
-/// this is the noiseless-timing bound).
-pub fn decode(
-    emissions: &[SimTime],
-    start: SimTime,
-    bit_period: SimDuration,
-    bits: usize,
-) -> Vec<bool> {
-    (0..bits)
-        .map(|i| {
-            let lo = start + bit_period * i as u64;
-            let hi = lo + bit_period;
-            emissions.iter().any(|&t| t > lo && t <= hi)
-        })
-        .collect()
 }
 
 /// One row of the covert-channel study.
@@ -208,6 +147,63 @@ pub fn render(rows: &[CovertRow]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use deepnote_blockdev::BlockDevice;
+    use deepnote_sim::{SimDuration, SimTime};
+
+    impl CovertTransmitter {
+        /// Transmits `bits`, returning the message's virtual duration and
+        /// the time of every seek. Each `1` is [`SEEKS_PER_BIT`]
+        /// alternating full-stroke reads; each `0` is the same period of
+        /// silence. Bits are padded to the fixed
+        /// [`CovertTransmitter::bit_period_s`].
+        fn transmit(&mut self, bits: &[bool]) -> (SimDuration, Vec<SimTime>) {
+            let clock = self.disk.drive().clock().clone();
+            let start = clock.now();
+            let far_lba = self.disk.num_blocks() - 8;
+            let mut buf = vec![0u8; 4096];
+            let bit_period = SimDuration::from_secs_f64(self.bit_period_s());
+            let mut at_far = false;
+            let mut emissions = Vec::new();
+
+            for &bit in bits {
+                let bit_start = clock.now();
+                if bit {
+                    for _ in 0..SEEKS_PER_BIT {
+                        let target = if at_far { 0 } else { far_lba };
+                        at_far = !at_far;
+                        let _ = self.disk.read_blocks(target, &mut buf);
+                        emissions.push(clock.now());
+                    }
+                }
+                // Pad (or idle) to the fixed bit period.
+                let elapsed = clock.now() - bit_start;
+                assert!(
+                    elapsed <= bit_period,
+                    "bit overran its period: {elapsed} > {bit_period}"
+                );
+                clock.advance(bit_period - elapsed);
+            }
+            (clock.now() - start, emissions)
+        }
+    }
+
+    /// The ideal receiver: thresholds the seek timeline per bit period.
+    /// Returns the decoded bits (correct whenever the budget says
+    /// decodable — this is the noiseless-timing bound).
+    fn decode(
+        emissions: &[SimTime],
+        start: SimTime,
+        bit_period: SimDuration,
+        bits: usize,
+    ) -> Vec<bool> {
+        (0..bits)
+            .map(|i| {
+                let lo = start + bit_period * i as u64;
+                let hi = lo + bit_period;
+                emissions.iter().any(|&t| t > lo && t <= hi)
+            })
+            .collect()
+    }
 
     #[test]
     fn end_to_end_transmission_decodes() {
@@ -216,9 +212,9 @@ mod tests {
         let message = [true, false, true, true, false, false, true, false];
         let bit_period = SimDuration::from_secs_f64(tx.bit_period_s());
         let start = clock.now();
-        let total = tx.transmit(&message);
+        let (total, emissions) = tx.transmit(&message);
         assert_eq!(total, bit_period * message.len() as u64);
-        let decoded = decode(tx.emissions(), start, bit_period, message.len());
+        let decoded = decode(&emissions, start, bit_period, message.len());
         assert_eq!(decoded, message);
     }
 

@@ -32,6 +32,3 @@ pub mod heatmap;
 pub mod range;
 pub mod redundancy;
 pub mod stealth;
-
-/// Default per-point measurement window for throughput experiments.
-pub const MEASURE_SECS: u64 = 5;

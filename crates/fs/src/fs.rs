@@ -1002,40 +1002,6 @@ impl<D: BlockDevice> Filesystem<D> {
         Ok(())
     }
 
-    /// Walks the tree depth-first from `path`, returning every entry's
-    /// absolute path and inode, directories before their children.
-    ///
-    /// # Errors
-    ///
-    /// Lookup and device errors.
-    pub fn walk(&mut self, path: &str) -> Result<Vec<(String, Inode)>, FsError> {
-        let (_, inode) = self.resolve(path)?;
-        let root = if path == "/" {
-            String::new()
-        } else {
-            path.trim_end_matches('/').to_string()
-        };
-        let mut out = Vec::new();
-        let mut stack = vec![(root, inode)];
-        while let Some((prefix, inode)) = stack.pop() {
-            if inode.kind == InodeKind::Directory {
-                let data = self.read_inode_data(&inode)?;
-                let mut entries = decode_entries(&data)?;
-                // Reverse so the stack pops in directory order.
-                entries.reverse();
-                for e in entries {
-                    let child = self.load_inode(e.ino)?;
-                    let child_path = format!("{prefix}/{}", e.name);
-                    out.push((child_path.clone(), child.clone()));
-                    if child.kind == InodeKind::Directory {
-                        stack.push((child_path, child));
-                    }
-                }
-            }
-        }
-        Ok(out)
-    }
-
     /// Forces a journal commit (fsync semantics).
     ///
     /// # Errors
@@ -1232,25 +1198,6 @@ mod tests {
             fs.write_file("/big", MAX_FILE_SIZE, b"x"),
             Err(FsError::FileTooLarge)
         );
-    }
-
-    #[test]
-    fn walk_lists_whole_tree() {
-        let mut fs = new_fs();
-        fs.create("/a").unwrap();
-        fs.create("/a/b").unwrap();
-        fs.create_file("/a/b/f").unwrap();
-        fs.create_file("/top").unwrap();
-        let paths: Vec<String> = fs.walk("/").unwrap().into_iter().map(|(p, _)| p).collect();
-        assert!(paths.contains(&"/a".to_string()), "{paths:?}");
-        assert!(paths.contains(&"/a/b".to_string()), "{paths:?}");
-        assert!(paths.contains(&"/a/b/f".to_string()), "{paths:?}");
-        assert!(paths.contains(&"/top".to_string()), "{paths:?}");
-        // Subtree walk.
-        let sub: Vec<String> = fs.walk("/a").unwrap().into_iter().map(|(p, _)| p).collect();
-        assert_eq!(sub, vec!["/a/b".to_string(), "/a/b/f".to_string()]);
-        // Walking a file yields nothing.
-        assert!(fs.walk("/top").unwrap().is_empty());
     }
 
     #[test]

@@ -120,11 +120,6 @@ impl Journal {
         self.write_failures
     }
 
-    /// Number of metadata blocks in the running transaction.
-    pub fn pending_blocks(&self) -> usize {
-        self.txn.len()
-    }
-
     /// The pending image of a home block, if this transaction dirtied it.
     pub fn pending_image(&self, home_block: u64) -> Option<&[u8]> {
         self.txn.get(&home_block).map(|v| v.as_slice())
@@ -149,13 +144,8 @@ impl Journal {
         self.txn.insert(home_block, image);
     }
 
-    /// Whether the commit interval has elapsed with work pending.
-    pub fn should_commit(&self, now: SimTime) -> bool {
-        self.commit_due(now, false)
-    }
-
-    /// Like [`Journal::should_commit`], also treating caller-side pending
-    /// work (ordered-mode dirty data) as a reason to commit.
+    /// Whether the commit interval has elapsed with work pending: staged
+    /// metadata, or caller-side `extra_work` (ordered-mode dirty data).
     pub fn commit_due(&self, now: SimTime, extra_work: bool) -> bool {
         (!self.txn.is_empty() || extra_work)
             && now.saturating_duration_since(self.last_commit) >= COMMIT_INTERVAL
@@ -448,9 +438,9 @@ mod tests {
         let mut j = fresh(&mut dev, &clock);
         j.stage(100, image(0xAA));
         j.stage(101, image(0xBB));
-        assert_eq!(j.pending_blocks(), 2);
+        assert!(j.pending_image(100).is_some() && j.pending_image(101).is_some());
         j.commit(&mut dev, &clock, &[]).unwrap();
-        assert_eq!(j.pending_blocks(), 0);
+        assert!(j.pending_image(100).is_none() && j.pending_image(101).is_none());
         assert_eq!(j.commits(), 1);
         assert_eq!(read_fs_block(&mut dev, 100).unwrap(), image(0xAA));
         assert_eq!(read_fs_block(&mut dev, 101).unwrap(), image(0xBB));
@@ -470,11 +460,11 @@ mod tests {
         let clock = Clock::new();
         let mut dev = MemDisk::new(1 << 16);
         let mut j = fresh(&mut dev, &clock);
-        assert!(!j.should_commit(clock.now()));
+        assert!(!j.commit_due(clock.now(), false));
         j.stage(50, image(1));
-        assert!(!j.should_commit(clock.now()));
+        assert!(!j.commit_due(clock.now(), false));
         let later = clock.now() + SimDuration::from_secs(5);
-        assert!(j.should_commit(later));
+        assert!(j.commit_due(later, false));
     }
 
     #[test]

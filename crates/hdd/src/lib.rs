@@ -26,12 +26,12 @@
 //!
 //! ```
 //! use deepnote_hdd::prelude::*;
-//! use deepnote_sim::Clock;
+//! use deepnote_sim::{Clock, SimDuration};
 //!
 //! let clock = Clock::new();
 //! let mut drive = HardDiskDrive::barracuda_500gb(clock.clone());
 //! let report = drive.execute(DiskOp::read(0, 8)).unwrap();
-//! assert!(report.duration.as_micros() > 0);
+//! assert!(report.duration > SimDuration::ZERO);
 //! ```
 
 pub mod drive;

@@ -179,13 +179,6 @@ impl TimingModel {
         self.max_retries
     }
 
-    /// Worst-case op duration (all retries exhausted), used as the
-    /// timeout horizon.
-    pub fn timeout_s(&self, geo: &DriveGeometry, sectors: u64, read: bool) -> f64 {
-        self.sequential_op_s(geo, sectors, read)
-            + self.max_retries as f64 * self.retry_delay_s(read)
-    }
-
     /// Convenience: a [`SimDuration`] from fractional seconds.
     pub fn duration(s: f64) -> SimDuration {
         SimDuration::from_secs_f64(s)
@@ -255,15 +248,6 @@ mod tests {
     fn write_retry_costlier_than_read_retry() {
         let (_, t) = setup();
         assert!(t.retry_delay_s(false) > 4.0 * t.retry_delay_s(true));
-    }
-
-    #[test]
-    fn timeout_includes_all_retries() {
-        let (geo, t) = setup();
-        let to = t.timeout_s(&geo, 8, false);
-        assert!(
-            (to - (t.sequential_op_s(&geo, 8, false) + 24.0 * geo.revolution_s())).abs() < 1e-9
-        );
     }
 
     proptest! {

@@ -124,11 +124,6 @@ impl VibrationInput {
     pub fn current(&self) -> Option<VibrationState> {
         *self.state.read()
     }
-
-    /// Returns `true` if `other` shares the same underlying state.
-    pub fn same_input(&self, other: &VibrationInput) -> bool {
-        Arc::ptr_eq(&self.state, &other.state)
-    }
 }
 
 /// Read/write off-track tolerance thresholds, as fractions of the track
@@ -233,12 +228,10 @@ mod tests {
     fn input_shares_state_between_clones() {
         let a = VibrationInput::quiescent();
         let b = a.clone();
-        assert!(a.same_input(&b));
         a.set(Some(VibrationState::new(Frequency::from_hz(650.0), 0.2)));
         assert_eq!(b.current().unwrap().displacement_um(), 0.2);
         b.clear();
         assert!(a.current().is_none());
-        assert!(!a.same_input(&VibrationInput::quiescent()));
     }
 
     #[test]

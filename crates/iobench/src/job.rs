@@ -21,27 +21,6 @@ pub enum AccessPattern {
     },
 }
 
-impl AccessPattern {
-    /// Whether ops in this pattern address sequentially.
-    pub fn is_sequential(self) -> bool {
-        matches!(
-            self,
-            AccessPattern::SeqRead | AccessPattern::SeqWrite | AccessPattern::Mixed { .. }
-        )
-    }
-
-    /// fio-style name.
-    pub fn fio_name(self) -> &'static str {
-        match self {
-            AccessPattern::SeqRead => "read",
-            AccessPattern::SeqWrite => "write",
-            AccessPattern::RandRead => "randread",
-            AccessPattern::RandWrite => "randwrite",
-            AccessPattern::Mixed { .. } => "rw",
-        }
-    }
-}
-
 /// A declarative benchmark job, built fluently.
 ///
 /// Defaults match the paper's methodology: 4 KiB blocks, 10 virtual
@@ -218,14 +197,7 @@ mod tests {
         assert_eq!(j.span_units(), 128);
         assert_eq!(j.start_offset_bytes(), 8192);
         assert_eq!(j.seed(), 42);
-        assert!(!j.pattern().is_sequential());
-    }
-
-    #[test]
-    fn fio_names() {
-        assert_eq!(AccessPattern::SeqRead.fio_name(), "read");
-        assert_eq!(AccessPattern::RandWrite.fio_name(), "randwrite");
-        assert_eq!(AccessPattern::Mixed { read_percent: 50 }.fio_name(), "rw");
+        assert_eq!(j.pattern(), AccessPattern::RandWrite);
     }
 
     #[test]

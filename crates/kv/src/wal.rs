@@ -40,11 +40,6 @@ impl Wal {
         &self.path
     }
 
-    /// Bytes buffered but not yet durable.
-    pub fn unsynced_bytes(&self) -> usize {
-        self.buffer.len()
-    }
-
     /// Durable length of the log file.
     pub fn synced_len(&self) -> u64 {
         self.synced_len
@@ -179,9 +174,9 @@ mod tests {
         let (mut fs, mut wal, clock) = fs_with_wal();
         append(&mut wal, &Record::put("k1", "v1"));
         append(&mut wal, &Record::delete("k2"));
-        assert!(wal.unsynced_bytes() > 0);
+        assert_eq!(wal.synced_len(), 0);
         wal.sync(&mut fs, &clock).unwrap();
-        assert_eq!(wal.unsynced_bytes(), 0);
+        assert!(wal.synced_len() > 0);
         let (records, len) = Wal::load("/db/wal", &mut fs).unwrap();
         assert_eq!(records, vec![Record::put("k1", "v1"), Record::delete("k2")]);
         assert_eq!(len, wal.synced_len());

@@ -16,6 +16,11 @@
 //! | `panic-unwrap`       | `unwrap`/`expect`/`panic!`/`todo!` in serving-path library code |
 //! | `raw-f64-params`     | ≥2 adjacent raw `f64` params on pub physics fns   |
 //! | `float-eq`           | exact `==`/`!=` against floats                    |
+//! | `dead-pub`           | `pub` items in library code that nothing calls    |
+//!
+//! `dead-pub` is a workspace pass: it indexes every identifier in the
+//! workspace (and `perfbench/src`) before judging any definition; see
+//! `rules::DeadPub` for the caller policy.
 //!
 //! Suppress a finding inline with
 //! `// deepnote-lint: allow(<rule>): <justification>` on the same line
@@ -117,8 +122,8 @@ impl Report {
     }
 }
 
-/// Analyses one already-parsed file with the given rules, applying
-/// suppressions and reporting stale ones.
+/// Analyses one already-parsed file with the per-file rules, applying
+/// its suppressions.
 pub fn check_file(file: &SourceFile, rules: &[Box<dyn Rule>]) -> Vec<Finding> {
     let mut raw = Vec::new();
     for rule in rules {
@@ -126,44 +131,68 @@ pub fn check_file(file: &SourceFile, rules: &[Box<dyn Rule>]) -> Vec<Finding> {
             rule.check(file, &mut raw);
         }
     }
-    let mut findings: Vec<Finding> = raw
-        .into_iter()
+    raw.into_iter()
         .filter(|f| !file.suppressed(&f.rule, f.line))
-        .collect();
-    // Stale suppressions: a directive that matched nothing is either a
-    // fixed violation (delete it) or a typo'd rule id (fix it).
-    for s in &file.suppressions {
-        if !s.used.get() {
-            findings.push(Finding {
-                rule: "unused-suppression".to_string(),
-                severity: Severity::Warning,
-                path: file.rel_path.clone(),
-                line: s.line,
-                message: format!(
-                    "suppression `allow({})` matched no finding; remove or fix it",
-                    s.rules.join(", ")
-                ),
-            });
-        }
+        .collect()
+}
+
+/// Reports `file`'s suppression directives that matched no finding:
+/// each is either a fixed violation (delete it) or a typo'd rule id
+/// (fix it). Only meaningful once every pass has run.
+pub fn unused_suppressions(file: &SourceFile) -> Vec<Finding> {
+    file.suppressions
+        .iter()
+        .filter(|s| !s.used.get())
+        .map(|s| Finding {
+            rule: "unused-suppression".to_string(),
+            severity: Severity::Warning,
+            path: file.rel_path.clone(),
+            line: s.line,
+            message: format!(
+                "suppression `allow({})` matched no finding; remove or fix it",
+                s.rules.join(", ")
+            ),
+        })
+        .collect()
+}
+
+/// Analyses a set of parsed files: each file's own pass, then the
+/// workspace passes, then stale suppressions — last, so a directive
+/// that silences a workspace finding counts as used. Findings come
+/// back sorted by (path, line, rule).
+pub fn check_files(files: &[SourceFile], rules: &[Box<dyn Rule>]) -> Vec<Finding> {
+    let mut findings: Vec<Finding> = files.iter().flat_map(|f| check_file(f, rules)).collect();
+    let mut raw = Vec::new();
+    for rule in rules {
+        rule.check_workspace(files, &mut raw);
     }
+    findings.extend(raw.into_iter().filter(|f| {
+        !files
+            .iter()
+            .any(|file| file.rel_path == f.path && file.suppressed(&f.rule, f.line))
+    }));
+    findings.extend(files.iter().flat_map(unused_suppressions));
+    findings.sort_by(|a, b| {
+        (a.path.as_str(), a.line, a.rule.as_str()).cmp(&(b.path.as_str(), b.line, b.rule.as_str()))
+    });
     findings
 }
 
 /// Analyses every `.rs` file under `root` (the workspace directory)
-/// with the full rule set.
+/// with the full rule set. `perfbench/src` is read too: no rule polices
+/// it, but its calls keep `dead-pub` items alive. Finding no Rust
+/// source at all is an error, so a mistyped root cannot pass.
 pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
-    let rules = rules::all_rules();
-    let mut files = Vec::new();
-    for dir in ["crates", "xtests", "tests", "examples"] {
+    let mut paths = Vec::new();
+    for dir in ["crates", "xtests", "tests", "examples", "perfbench/src"] {
         let p = root.join(dir);
         if p.is_dir() {
-            collect_rs_files(&p, &mut files)?;
+            collect_rs_files(&p, &mut paths)?;
         }
     }
-    files.sort();
-    let mut findings = Vec::new();
-    let mut scanned = 0usize;
-    for path in &files {
+    paths.sort();
+    let mut files = Vec::new();
+    for path in &paths {
         let rel = path
             .strip_prefix(root)
             .unwrap_or(path)
@@ -175,16 +204,17 @@ pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
             continue;
         }
         let src = std::fs::read_to_string(path)?;
-        let file = SourceFile::parse(&rel, &src);
-        findings.extend(check_file(&file, &rules));
-        scanned += 1;
+        files.push(SourceFile::parse(&rel, &src));
     }
-    findings.sort_by(|a, b| {
-        (a.path.as_str(), a.line, a.rule.as_str()).cmp(&(b.path.as_str(), b.line, b.rule.as_str()))
-    });
+    if files.is_empty() {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            "no .rs files under crates/, xtests/, tests/, examples/ or perfbench/src/",
+        ));
+    }
     Ok(Report {
-        findings,
-        files_scanned: scanned,
+        findings: check_files(&files, &rules::all_rules()),
+        files_scanned: files.len(),
     })
 }
 
@@ -212,9 +242,12 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 mod tests {
     use super::*;
 
+    /// Per-file rules plus the stale-suppression check on one file.
     fn run_on(path: &str, src: &str) -> Vec<Finding> {
         let file = SourceFile::parse(path, src);
-        check_file(&file, &rules::all_rules())
+        let mut findings = check_file(&file, &rules::all_rules());
+        findings.extend(unused_suppressions(&file));
+        findings
     }
 
     #[test]

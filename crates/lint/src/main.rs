@@ -6,7 +6,7 @@
 //! ```
 //!
 //! Exit codes: 0 clean (warnings allowed), 1 error-severity findings,
-//! 2 usage or I/O error.
+//! 2 usage or I/O error, or no Rust sources under the root.
 
 use deepnote_lint::{check_workspace, json, rules, Severity};
 use std::path::PathBuf;

@@ -1,9 +1,11 @@
 //! The rule registry and crate-scoping tables.
 //!
-//! Every rule is a pure pass over one file's token stream; scoping —
-//! which crates a rule polices, and whether test code is exempt — is
-//! decided here so individual rules stay small.
+//! Most rules are pure passes over one file's token stream; `dead-pub`
+//! is a workspace pass over every file at once. Scoping — which crates
+//! a rule polices, and whether test code is exempt — is decided here so
+//! individual rules stay small.
 
+mod dead_pub;
 mod float_eq;
 mod nondet_clock;
 mod nondet_collection;
@@ -11,6 +13,7 @@ mod nondet_rng;
 mod panic_unwrap;
 mod raw_f64_params;
 
+pub use dead_pub::DeadPub;
 pub use float_eq::FloatEq;
 pub use nondet_clock::NondetClock;
 pub use nondet_collection::NondetCollection;
@@ -69,7 +72,10 @@ pub trait Rule {
     fn applies(&self, file: &SourceFile) -> bool;
     /// Emits findings for `file` (suppressions are applied by the
     /// engine, not here).
-    fn check(&self, file: &SourceFile, out: &mut Vec<Finding>);
+    fn check(&self, _file: &SourceFile, _out: &mut Vec<Finding>) {}
+    /// Emits findings that need the whole workspace; runs once, after
+    /// every file's `check`, over every scanned file.
+    fn check_workspace(&self, _files: &[SourceFile], _out: &mut Vec<Finding>) {}
 }
 
 /// All rules, in reporting order.
@@ -81,5 +87,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(PanicUnwrap),
         Box::new(RawF64Params),
         Box::new(FloatEq),
+        Box::new(DeadPub),
     ]
 }

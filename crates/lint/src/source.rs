@@ -54,8 +54,8 @@ impl Suppression {
 pub struct SourceFile {
     /// Workspace-relative path with `/` separators.
     pub rel_path: String,
-    /// Crate the file belongs to (`fs`, `cluster`, …; `workspace` for
-    /// root-level `tests/` and `examples/`).
+    /// Crate the file belongs to (`fs`, `cluster`, …, `xtests`,
+    /// `perfbench`; `workspace` for root-level `tests/` and `examples/`).
     pub crate_name: String,
     /// Role of the file.
     pub kind: FileKind,
@@ -113,6 +113,7 @@ fn classify(rel_path: &str) -> (String, FileKind) {
     let (crate_name, rest): (String, &[&str]) = match parts.as_slice() {
         ["crates", name, rest @ ..] => ((*name).to_string(), rest),
         ["xtests", rest @ ..] => ("xtests".to_string(), rest),
+        ["perfbench", rest @ ..] => ("perfbench".to_string(), rest),
         rest => ("workspace".to_string(), rest),
     };
     let kind = match rest {
@@ -320,6 +321,10 @@ mod tests {
         assert_eq!(
             classify("xtests/src/lib.rs"),
             ("xtests".to_string(), FileKind::Test)
+        );
+        assert_eq!(
+            classify("perfbench/src/main.rs"),
+            ("perfbench".to_string(), FileKind::Bin)
         );
     }
 

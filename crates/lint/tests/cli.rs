@@ -33,7 +33,11 @@ fn seeded_violations_exit_one() {
         "{stdout}"
     );
     assert!(
-        stdout.contains("deepnote-lint: 4 files, 7 errors, 0 warnings"),
+        stdout.contains("error: crates/kv/src/store.rs:8: [dead-pub]"),
+        "{stdout}"
+    );
+    assert!(
+        stdout.contains("deepnote-lint: 4 files, 8 errors, 0 warnings"),
         "{stdout}"
     );
 }
@@ -43,7 +47,7 @@ fn clean_tree_exits_zero() {
     let out = lint(&["check", "--root", &fixture("clean")]);
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("1 files, 0 errors, 0 warnings"), "{stdout}");
+    assert!(stdout.contains("2 files, 0 errors, 0 warnings"), "{stdout}");
 }
 
 #[test]
@@ -63,7 +67,7 @@ fn json_mode_emits_schema() {
     assert!(stdout.starts_with("{\n"), "{stdout}");
     assert!(stdout.contains("\"version\": 1"), "{stdout}");
     assert!(
-        stdout.contains("\"summary\": { \"errors\": 7, \"warnings\": 0 }"),
+        stdout.contains("\"summary\": { \"errors\": 8, \"warnings\": 0 }"),
         "{stdout}"
     );
 }
@@ -80,6 +84,7 @@ fn rules_subcommand_lists_every_rule() {
         "panic-unwrap",
         "raw-f64-params",
         "float-eq",
+        "dead-pub",
     ] {
         assert!(stdout.contains(rule), "missing {rule} in:\n{stdout}");
     }
@@ -94,11 +99,15 @@ fn usage_errors_exit_two() {
 }
 
 #[test]
-fn empty_root_scans_nothing_and_passes() {
-    // A root with none of crates/, tests/, xtests/, examples/ simply has
-    // nothing to check; that is a pass, not an I/O error.
-    let out = lint(&["check", "--root", &fixture("does-not-exist")]);
-    assert_eq!(out.status.code(), Some(0));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("0 files, 0 errors, 0 warnings"), "{stdout}");
+fn root_without_rust_sources_is_a_usage_error() {
+    // A mistyped root must not pass CI by checking nothing: a missing
+    // directory, or one with none of crates/, xtests/, tests/,
+    // examples/ or perfbench/src/, exits 2 and names the root.
+    for root in [fixture("does-not-exist"), fixture("")] {
+        let out = lint(&["check", "--root", &root]);
+        assert_eq!(out.status.code(), Some(2), "{root}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.contains(&root), "{stderr}");
+        assert!(stderr.contains("no .rs files"), "{stderr}");
+    }
 }

@@ -19,7 +19,7 @@ fn fixture(name: &str) -> PathBuf {
 fn bad_fixture_triggers_every_rule() {
     let report = check_workspace(&fixture("bad")).expect("scan fixture");
     assert_eq!(report.files_scanned, 4);
-    assert_eq!(report.errors(), 7, "{:#?}", report.findings);
+    assert_eq!(report.errors(), 8, "{:#?}", report.findings);
     assert_eq!(report.warnings(), 0);
     let hits: Vec<(&str, &str, u32)> = report
         .findings
@@ -32,6 +32,7 @@ fn bad_fixture_triggers_every_rule() {
         ("nondet-clock", "crates/sim/src/lib.rs", 13),
         ("nondet-rng", "crates/sim/src/lib.rs", 17),
         ("panic-unwrap", "crates/kv/src/store.rs", 4),
+        ("dead-pub", "crates/kv/src/store.rs", 8),
         ("raw-f64-params", "crates/acoustics/src/field.rs", 3),
         ("float-eq", "crates/acoustics/src/field.rs", 4),
     ] {
@@ -76,7 +77,7 @@ fn suppression_silences_finding_and_stale_directive_warns() {
 fn clean_fixture_reports_nothing() {
     let report = check_workspace(&fixture("clean")).expect("scan fixture");
     assert!(report.findings.is_empty(), "{:#?}", report.findings);
-    assert_eq!(report.files_scanned, 1);
+    assert_eq!(report.files_scanned, 2);
 }
 
 #[test]
@@ -88,13 +89,14 @@ fn json_output_carries_schema_and_findings() {
     for needle in [
         "\"version\": 1",
         "\"files_scanned\": 4",
-        "\"summary\": { \"errors\": 7, \"warnings\": 0 }",
+        "\"summary\": { \"errors\": 8, \"warnings\": 0 }",
         "\"rule\": \"nondet-collection\"",
         "\"rule\": \"nondet-clock\"",
         "\"rule\": \"nondet-rng\"",
         "\"rule\": \"panic-unwrap\"",
         "\"rule\": \"raw-f64-params\"",
         "\"rule\": \"float-eq\"",
+        "\"rule\": \"dead-pub\"",
         "\"severity\": \"error\"",
         "\"path\": \"crates/sim/src/lib.rs\"",
         "\"line\": 13",

@@ -115,11 +115,6 @@ impl KernelLog {
             .count()
     }
 
-    /// The most recent entry at `level` or worse, if any.
-    pub fn last_at_least(&self, level: LogLevel) -> Option<&LogEntry> {
-        self.entries.iter().rev().find(|e| e.level >= level)
-    }
-
     /// Renders the log like `dmesg`.
     pub fn dmesg(&self) -> String {
         let mut out = String::new();
@@ -155,10 +150,6 @@ mod tests {
         );
         assert_eq!(log.len(), 3);
         assert_eq!(log.count_containing("Buffer I/O error"), 2);
-        assert_eq!(
-            log.last_at_least(LogLevel::Error).unwrap().at,
-            SimTime::from_secs(2)
-        );
     }
 
     #[test]

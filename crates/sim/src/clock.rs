@@ -75,17 +75,6 @@ impl Clock {
         }
         SimTime::from_nanos(cur)
     }
-
-    /// Returns `true` if `other` is a handle to the same underlying clock.
-    pub fn same_clock(&self, other: &Clock) -> bool {
-        Arc::ptr_eq(&self.nanos, &other.nanos)
-    }
-
-    /// Elapsed virtual time since `earlier` (zero if `earlier` is in the
-    /// future).
-    pub fn elapsed_since(&self, earlier: SimTime) -> SimDuration {
-        self.now().saturating_duration_since(earlier)
-    }
 }
 
 #[cfg(test)]
@@ -98,8 +87,8 @@ mod tests {
         let b = a.clone();
         a.advance(SimDuration::from_millis(7));
         assert_eq!(b.now(), SimTime::from_nanos(7_000_000));
-        assert!(a.same_clock(&b));
-        assert!(!a.same_clock(&Clock::new()));
+        // A new clock is its own timeline.
+        assert_eq!(Clock::new().now(), SimTime::ZERO);
     }
 
     #[test]
@@ -125,9 +114,8 @@ mod tests {
         let c = Clock::starting_at(SimTime::from_secs(100));
         assert_eq!(c.now(), SimTime::from_secs(100));
         assert_eq!(
-            c.elapsed_since(SimTime::from_secs(40)),
-            SimDuration::from_secs(60)
+            c.advance(SimDuration::from_secs(1)),
+            SimTime::from_secs(101)
         );
-        assert_eq!(c.elapsed_since(SimTime::from_secs(400)), SimDuration::ZERO);
     }
 }

@@ -77,11 +77,11 @@ impl OnlineStats {
     }
 }
 
-/// A log-bucketed histogram for positive values (latencies, sizes).
+/// A log-bucketed histogram for latencies in microseconds, 1 µs to 1000 s.
 ///
-/// Buckets grow geometrically from `min_value` with `buckets_per_decade`
-/// buckets per factor of ten, giving bounded relative quantile error across
-/// many orders of magnitude — the same trick HdrHistogram and fio use.
+/// Buckets grow geometrically from 1 µs with 20 buckets per factor of
+/// ten, giving bounded relative quantile error across many orders of
+/// magnitude — the same trick HdrHistogram and fio use.
 ///
 /// # Example
 ///
@@ -97,8 +97,6 @@ impl OnlineStats {
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Histogram {
-    min_value: f64,
-    buckets_per_decade: usize,
     counts: Vec<u64>,
     underflow: u64,
     total: u64,
@@ -106,41 +104,35 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Creates a histogram covering `[min_value, min_value * 10^decades)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `min_value <= 0`, `decades == 0`, or
-    /// `buckets_per_decade == 0`.
-    pub fn new(min_value: f64, decades: usize, buckets_per_decade: usize) -> Self {
-        assert!(min_value > 0.0, "min_value must be positive");
-        assert!(decades > 0 && buckets_per_decade > 0);
+    /// The smallest bucketed value (1 µs); the top bucket starts at
+    /// `MIN_VALUE * 10^DECADES` (1000 s).
+    const MIN_VALUE: f64 = 1.0;
+    /// Factors of ten covered above `MIN_VALUE`.
+    const DECADES: usize = 9;
+    /// Buckets per factor of ten (~12 % relative quantile error).
+    const BUCKETS_PER_DECADE: usize = 20;
+
+    /// An empty histogram.
+    pub fn new_latency() -> Self {
         Histogram {
-            min_value,
-            buckets_per_decade,
-            counts: vec![0; decades * buckets_per_decade + 1],
+            counts: vec![0; Self::DECADES * Self::BUCKETS_PER_DECADE + 1],
             underflow: 0,
             total: 0,
             stats: OnlineStats::new(),
         }
     }
 
-    /// A histogram suitable for latencies in microseconds: 1 µs to 1000 s.
-    pub fn new_latency() -> Self {
-        Self::new(1.0, 9, 20)
-    }
-
     fn bucket_of(&self, x: f64) -> Option<usize> {
-        if x < self.min_value {
+        if x < Self::MIN_VALUE {
             return None;
         }
-        let pos = (x / self.min_value).log10() * self.buckets_per_decade as f64;
+        let pos = (x / Self::MIN_VALUE).log10() * Self::BUCKETS_PER_DECADE as f64;
         Some((pos as usize).min(self.counts.len() - 1))
     }
 
-    /// Records one sample. Values below `min_value` are counted in an
-    /// underflow bin and treated as `min_value` for quantiles; values above
-    /// the top are clamped into the last bucket.
+    /// Records one sample. Values below `MIN_VALUE` (1 µs) are counted
+    /// in an underflow bin and treated as `MIN_VALUE` for
+    /// quantiles; values above the top are clamped into the last bucket.
     ///
     /// # Panics
     ///
@@ -192,24 +184,18 @@ impl Histogram {
         let rank = ((p / 100.0) * self.total as f64).ceil() as u64;
         let mut seen = self.underflow;
         if seen >= rank {
-            return Some(self.min_value);
+            return Some(Self::MIN_VALUE);
         }
         for (i, &c) in self.counts.iter().enumerate() {
             seen += c;
             if seen >= rank {
                 // Upper edge of bucket i.
-                let edge =
-                    self.min_value * 10f64.powf((i as f64 + 1.0) / self.buckets_per_decade as f64);
+                let edge = Self::MIN_VALUE
+                    * 10f64.powf((i as f64 + 1.0) / Self::BUCKETS_PER_DECADE as f64);
                 return Some(edge);
             }
         }
         self.min_max().map(|(_, max)| max)
-    }
-}
-
-impl Default for Histogram {
-    fn default() -> Self {
-        Self::new_latency()
     }
 }
 
@@ -259,12 +245,12 @@ mod tests {
 
     #[test]
     fn histogram_underflow_and_clamp() {
-        let mut h = Histogram::new(1.0, 2, 10); // covers [1, 100)
+        let mut h = Histogram::new_latency(); // buckets [1 µs, 1000 s)
         h.record(0.5); // underflow
-        h.record(1e9); // clamped into top bucket
+        h.record(1e12); // clamped into the top bucket
         assert_eq!(h.count(), 2);
-        assert_eq!(h.percentile(25.0), Some(1.0));
-        assert!(h.percentile(100.0).unwrap() >= 100.0);
+        assert_eq!(h.percentile(25.0), Some(Histogram::MIN_VALUE));
+        assert!(h.percentile(100.0).unwrap() >= 1e9);
     }
 
     #[test]

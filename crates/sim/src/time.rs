@@ -27,7 +27,7 @@ pub const NANOS_PER_SEC: u64 = 1_000_000_000;
 /// use deepnote_sim::SimDuration;
 ///
 /// let d = SimDuration::from_millis(2) + SimDuration::from_micros(500);
-/// assert_eq!(d.as_micros(), 2_500);
+/// assert_eq!(d, SimDuration::from_micros(2_500));
 /// assert_eq!(d.as_secs_f64(), 0.0025);
 /// ```
 #[derive(
@@ -101,16 +101,6 @@ impl SimDuration {
     /// Whole nanoseconds in this duration.
     pub const fn as_nanos(self) -> u64 {
         self.nanos
-    }
-
-    /// Whole microseconds in this duration (truncating).
-    pub const fn as_micros(self) -> u64 {
-        self.nanos / NANOS_PER_MICRO
-    }
-
-    /// Whole milliseconds in this duration (truncating).
-    pub const fn as_millis(self) -> u64 {
-        self.nanos / NANOS_PER_MILLI
     }
 
     /// Whole seconds in this duration (truncating).
@@ -378,17 +368,17 @@ mod tests {
         assert_eq!(d.as_nanos(), 1_250_000_000);
         assert!((d.as_secs_f64() - 1.25).abs() < 1e-12);
         let m = SimDuration::from_millis_f64(0.2);
-        assert_eq!(m.as_micros(), 200);
+        assert_eq!(m, SimDuration::from_micros(200));
     }
 
     #[test]
     fn duration_arithmetic() {
         let a = SimDuration::from_millis(3);
         let b = SimDuration::from_millis(2);
-        assert_eq!((a + b).as_millis(), 5);
-        assert_eq!((a - b).as_millis(), 1);
-        assert_eq!((a * 4).as_millis(), 12);
-        assert_eq!((a / 3).as_millis(), 1);
+        assert_eq!(a + b, SimDuration::from_millis(5));
+        assert_eq!(a - b, SimDuration::from_millis(1));
+        assert_eq!(a * 4, SimDuration::from_millis(12));
+        assert_eq!(a / 3, SimDuration::from_millis(1));
         assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
     }
 
@@ -408,7 +398,7 @@ mod tests {
     fn time_arithmetic() {
         let t = SimTime::from_secs(10);
         let later = t + SimDuration::from_millis(500);
-        assert_eq!(later.duration_since(t).as_millis(), 500);
+        assert_eq!(later.duration_since(t), SimDuration::from_millis(500));
         assert_eq!(later - t, SimDuration::from_millis(500));
         assert_eq!(later - SimDuration::from_millis(500), t);
         assert_eq!(t.saturating_duration_since(later), SimDuration::ZERO);

@@ -69,11 +69,6 @@ impl Enclosure {
         Enclosure::new(Material::aluminum(), 0.003, Medium::Air)
     }
 
-    /// A Project Natick-style vessel: thick steel, nitrogen filled (§5).
-    pub fn natick_steel() -> Self {
-        Enclosure::new(Material::steel(), 0.025, Medium::Nitrogen)
-    }
-
     /// Wall material.
     pub fn material(&self) -> &Material {
         &self.material
@@ -105,28 +100,11 @@ impl Enclosure {
         let omega = f.angular();
         1e6 / (omega * omega * self.surface_mass_kg_m2())
     }
-
-    /// Mass-law transmission loss (dB) into the internal gas for a wave
-    /// arriving through water: `TL = 10·log10(1 + (π f m_s / ρc)²)` plus
-    /// the water→gas interface mismatch. Provided for §5 analysis; the
-    /// attack path does not go through the gas.
-    pub fn acoustic_transmission_loss_db(&self, f: Frequency, outside_impedance_rayl: f64) -> f64 {
-        assert!(outside_impedance_rayl > 0.0, "impedance must be positive");
-        let x = std::f64::consts::PI * f.hz() * self.surface_mass_kg_m2() / outside_impedance_rayl;
-        let mass_law = (1.0 + x * x).log10() * 10.0;
-        // Pressure transmission across a severe impedance drop
-        // (water → gas): |T| = 2 Z2 / (Z1 + Z2).
-        let z1 = outside_impedance_rayl;
-        let z2 = self.internal.impedance_rayl();
-        let t = 2.0 * z2 / (z1 + z2);
-        mass_law - 20.0 * t.log10()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use deepnote_acoustics::WaterConditions;
     use proptest::prelude::*;
 
     #[test]
@@ -147,26 +125,10 @@ mod tests {
     fn heavier_wall_moves_less() {
         let f = Frequency::from_hz(650.0);
         let plastic = Enclosure::paper_plastic().wall_displacement_um_per_pa(f);
-        let steel = Enclosure::natick_steel().wall_displacement_um_per_pa(f);
+        // A Project Natick-style vessel: thick steel, nitrogen filled (§5).
+        let steel = Enclosure::new(Material::steel(), 0.025, Medium::Nitrogen)
+            .wall_displacement_um_per_pa(f);
         assert!(steel < plastic / 20.0);
-    }
-
-    #[test]
-    fn acoustic_tl_dominated_by_interface_at_low_f() {
-        let water = Medium::Water(WaterConditions::tank_freshwater());
-        let encl = Enclosure::paper_plastic();
-        let tl =
-            encl.acoustic_transmission_loss_db(Frequency::from_hz(650.0), water.impedance_rayl());
-        // Water→air interface alone is ~66 dB of pressure loss... the wall
-        // adds almost nothing at 650 Hz. Yet the *structural* path has no
-        // such barrier — the point of the paper.
-        assert!(tl > 50.0, "tl = {tl}");
-        let mass_only = {
-            let x =
-                std::f64::consts::PI * 650.0 * encl.surface_mass_kg_m2() / water.impedance_rayl();
-            (1.0 + x * x).log10() * 10.0
-        };
-        assert!(mass_only < 0.1, "mass_only = {mass_only}");
     }
 
     #[test]
@@ -189,19 +151,6 @@ mod tests {
             let d1 = e.wall_displacement_um_per_pa(Frequency::from_hz(f));
             let d2 = e.wall_displacement_um_per_pa(Frequency::from_hz(2.0 * f));
             prop_assert!((d1 / d2 - 4.0).abs() < 1e-6);
-        }
-
-        /// Transmission loss grows with wall thickness.
-        #[test]
-        fn tl_grows_with_thickness(t1 in 0.001f64..0.1, scale in 1.1f64..4.0) {
-            let water = Medium::Water(WaterConditions::tank_freshwater());
-            let thin = Enclosure::new(Material::steel(), t1, Medium::Air);
-            let thick = Enclosure::new(Material::steel(), (t1 * scale).min(0.5), Medium::Air);
-            let f = Frequency::from_khz(5.0);
-            prop_assert!(
-                thick.acoustic_transmission_loss_db(f, water.impedance_rayl())
-                    >= thin.acoustic_transmission_loss_db(f, water.impedance_rayl())
-            );
         }
     }
 }

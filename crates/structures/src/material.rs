@@ -69,12 +69,6 @@ impl Material {
         Material::new("steel", 7_850.0, 0.008, 200.0)
     }
 
-    /// An acoustically absorbing polymer liner (§5 "In-air Defenses",
-    /// paper refs. \[27\]\[41\]): light and very lossy.
-    pub fn polymer_liner() -> Self {
-        Material::new("viscoelastic polymer liner", 1_100.0, 0.40, 0.05)
-    }
-
     /// Material name.
     pub fn name(&self) -> &str {
         &self.name
@@ -114,14 +108,6 @@ mod tests {
         assert!(al.density_kg_m3() < steel.density_kg_m3());
         // Stiff metals carry sound faster than plastic.
         assert!(al.sound_speed_m_s() > 3.0 * plastic.sound_speed_m_s());
-    }
-
-    #[test]
-    fn liner_is_lossy() {
-        assert!(
-            Material::polymer_liner().damping_ratio()
-                > 5.0 * Material::hard_plastic().damping_ratio()
-        );
     }
 
     #[test]

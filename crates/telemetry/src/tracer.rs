@@ -305,18 +305,6 @@ impl Tracer {
             dropped: std::mem::replace(&mut ring.dropped, 0),
         }
     }
-
-    /// A copy of the collected log without draining it.
-    pub fn snapshot(&self) -> TraceLog {
-        let Some(inner) = &self.inner else {
-            return TraceLog::default();
-        };
-        let ring = Self::lock(inner);
-        TraceLog {
-            events: ring.events.clone(),
-            dropped: ring.dropped,
-        }
-    }
 }
 
 #[cfg(test)]
