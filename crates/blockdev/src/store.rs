@@ -81,9 +81,8 @@ impl SectorStore {
     /// Stores `buf` (a whole number of sectors) from `lba` on.
     pub(crate) fn write(&mut self, lba: u64, buf: &[u8]) {
         for (src, at) in buf.chunks_exact(BLOCK_SIZE).zip(lba..) {
-            let first = src[0];
-            let uniform = src.iter().all(|&b| b == first);
-            if uniform && first == 0 {
+            let uniform = is_uniform(src);
+            if uniform && src[0] == 0 {
                 self.sectors.remove(&at);
                 continue;
             }
@@ -106,6 +105,20 @@ impl SectorStore {
             self.sectors.remove(&at);
         }
     }
+}
+
+/// Bytes [`is_uniform`] tests without an early exit.
+const UNIFORM_CHUNK: usize = 64;
+const _: () = assert!(BLOCK_SIZE.is_multiple_of(UNIFORM_CHUNK));
+
+/// Whether every byte of the sector `src` equals its first. Each
+/// 64-byte chunk is tested whole (an OR of XORs, no early exit inside
+/// it), which the compiler turns into a few vector instructions; the
+/// scan stops after the first chunk that differs.
+fn is_uniform(src: &[u8]) -> bool {
+    let first = src[0];
+    src.chunks_exact(UNIFORM_CHUNK)
+        .all(|chunk| chunk.iter().fold(0, |diff, &b| diff | (b ^ first)) == 0)
 }
 
 impl Sector {
@@ -146,6 +159,40 @@ mod tests {
         store.write(4, &[0; BLOCK_SIZE]);
         assert_eq!(read(&store, 4), vec![0; BLOCK_SIZE]);
         assert_eq!(store.len(), 0);
+    }
+
+    #[test]
+    fn one_odd_byte_anywhere_makes_a_data_sector() {
+        let mut store = SectorStore::default();
+        for at in 0..BLOCK_SIZE {
+            let mut sector = vec![0xD5; BLOCK_SIZE];
+            sector[at] = 0xD4;
+            store.write(7, &sector);
+            assert!(
+                matches!(store.sectors.get(&7), Some(Sector::Data(_))),
+                "odd byte at {at}"
+            );
+            assert_eq!(read(&store, 7), sector);
+        }
+        store.write(7, &[0; BLOCK_SIZE]);
+        assert_eq!(store.len(), 0);
+        store.write(7, &[0xFF; BLOCK_SIZE]);
+        assert!(matches!(store.sectors.get(&7), Some(Sector::Fill(0xFF))));
+    }
+
+    #[test]
+    fn one_write_of_zero_fill_and_data_sectors() {
+        let mut store = SectorStore::default();
+        let mut buf = vec![0u8; BLOCK_SIZE * 3];
+        buf[BLOCK_SIZE..2 * BLOCK_SIZE].fill(0xFF);
+        buf[2 * BLOCK_SIZE + 100] = 1;
+        store.write(20, &buf);
+        assert!(!store.sectors.contains_key(&20));
+        assert!(matches!(store.sectors.get(&21), Some(Sector::Fill(0xFF))));
+        assert!(matches!(store.sectors.get(&22), Some(Sector::Data(_))));
+        let mut back = vec![0xAA; buf.len()];
+        store.read(20, &mut back);
+        assert_eq!(back, buf);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 use crate::testbed::Testbed;
 use crate::threat::{AttackObjective, AttackParams, Attacker};
 use deepnote_acoustics::propagation::{max_effective_range_m, received_spl_lloyd};
-use deepnote_acoustics::Medium;
 use deepnote_acoustics::{
     Celsius, Depth, Distance, Frequency, PropagationModel, Salinity, Spl, WaterConditions,
 };
@@ -157,7 +156,7 @@ pub fn materials() -> Vec<MaterialRow> {
     cases
         .into_iter()
         .map(|(label, material, thickness)| {
-            let enclosure = Enclosure::new(material, thickness, Medium::Nitrogen);
+            let enclosure = Enclosure::new(material, thickness);
             let surface_mass = enclosure.surface_mass_kg_m2();
             let base = Scenario::PlasticTower;
             let path = VibrationPath::new(

@@ -13,17 +13,16 @@
 //!   rack and drive.
 
 use crate::material::Material;
-use deepnote_acoustics::{Frequency, Medium};
+use deepnote_acoustics::Frequency;
 use serde::{Deserialize, Serialize};
 
-/// A submerged container with walls of a given material and thickness,
-/// filled with a gas.
+/// A submerged container with walls of a given material and thickness.
 ///
 /// # Example
 ///
 /// ```
 /// use deepnote_structures::{Enclosure, Material};
-/// use deepnote_acoustics::{Frequency, Medium};
+/// use deepnote_acoustics::Frequency;
 ///
 /// let plastic = Enclosure::paper_plastic();
 /// let metal = Enclosure::paper_aluminum();
@@ -35,7 +34,6 @@ use serde::{Deserialize, Serialize};
 pub struct Enclosure {
     material: Material,
     wall_thickness_m: f64,
-    internal: Medium,
 }
 
 impl Enclosure {
@@ -45,7 +43,7 @@ impl Enclosure {
     ///
     /// Panics if the wall thickness is not positive or implausibly thick
     /// (> 0.5 m).
-    pub fn new(material: Material, wall_thickness_m: f64, internal: Medium) -> Self {
+    pub fn new(material: Material, wall_thickness_m: f64) -> Self {
         assert!(
             wall_thickness_m > 0.0 && wall_thickness_m <= 0.5,
             "wall thickness must be in (0, 0.5] m, got {wall_thickness_m}"
@@ -53,20 +51,19 @@ impl Enclosure {
         Enclosure {
             material,
             wall_thickness_m,
-            internal,
         }
     }
 
     /// The paper's hard-plastic container (Scenarios 1 and 2): ~5 mm wall,
     /// air filled.
     pub fn paper_plastic() -> Self {
-        Enclosure::new(Material::hard_plastic(), 0.005, Medium::Air)
+        Enclosure::new(Material::hard_plastic(), 0.005)
     }
 
     /// The paper's aluminum container (Scenario 3): ~3 mm wall, air
     /// filled.
     pub fn paper_aluminum() -> Self {
-        Enclosure::new(Material::aluminum(), 0.003, Medium::Air)
+        Enclosure::new(Material::aluminum(), 0.003)
     }
 
     /// Wall material.
@@ -77,11 +74,6 @@ impl Enclosure {
     /// Wall thickness in metres.
     pub fn wall_thickness_m(&self) -> f64 {
         self.wall_thickness_m
-    }
-
-    /// Internal fill gas.
-    pub fn internal(&self) -> Medium {
-        self.internal
     }
 
     /// Wall surface mass `m_s = ρ·t` in kg/m².
@@ -126,8 +118,7 @@ mod tests {
         let f = Frequency::from_hz(650.0);
         let plastic = Enclosure::paper_plastic().wall_displacement_um_per_pa(f);
         // A Project Natick-style vessel: thick steel, nitrogen filled (§5).
-        let steel = Enclosure::new(Material::steel(), 0.025, Medium::Nitrogen)
-            .wall_displacement_um_per_pa(f);
+        let steel = Enclosure::new(Material::steel(), 0.025).wall_displacement_um_per_pa(f);
         assert!(steel < plastic / 20.0);
     }
 
@@ -140,7 +131,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "thickness")]
     fn silly_thickness_rejected() {
-        Enclosure::new(Material::steel(), 2.0, Medium::Air);
+        Enclosure::new(Material::steel(), 2.0);
     }
 
     proptest! {

@@ -10,8 +10,7 @@
 //! * [`Material`] — wall/structure materials with density and damping
 //!   ([`material`]).
 //! * [`Enclosure`] — a submerged container: wall surface mass sets how
-//!   much the wall moves per pascal of incident pressure, and the classic
-//!   mass-law transmission loss is exposed too ([`enclosure`]).
+//!   much the wall moves per pascal of incident pressure ([`enclosure`]).
 //! * [`Resonator`] / [`ResonatorBank`] — second-order modal responses that
 //!   give the container + rack + drive assembly its band-pass character
 //!   ([`resonator`]).

@@ -157,7 +157,6 @@ mod tests {
     use super::*;
     use crate::material::Material;
     use crate::resonator::Resonator;
-    use deepnote_acoustics::Medium;
     use proptest::prelude::*;
 
     fn simple_path() -> VibrationPath {
@@ -219,7 +218,7 @@ mod tests {
     fn heavier_enclosure_attenuates() {
         let plastic = simple_path();
         let steel = VibrationPath::new(
-            Enclosure::new(Material::steel(), 0.025, Medium::Nitrogen),
+            Enclosure::new(Material::steel(), 0.025),
             plastic.container_modes().clone(),
             plastic.mount().clone(),
             1.0,
