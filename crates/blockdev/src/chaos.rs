@@ -13,20 +13,23 @@
 //! [`ChaosInjector::set_plan`] switches plans mid-run.
 //!
 //! Fault taxonomy (one injected fault per request, checked in this
-//! precedence order; see [`ChaosFault`]):
+//! precedence order; each kind's traced `fault` name in italics):
 //!
 //! 1. **Error bursts** ([`ErrorBurst`]) — the request fails with the
 //!    burst's [`IoError`]; once entered, a burst persists for a seeded
-//!    number of requests (mean [`ErrorBurst::mean_burst`]).
+//!    number of requests (mean [`ErrorBurst::mean_burst`]). *burst_error*,
+//!    or *burst_drop* for [`IoError::NoResponse`].
 //! 2. **Latency inflation** ([`DelayPlan`]) — the device clock is
 //!    advanced by `extra` before serving; combines with faults below.
+//!    *delay*.
 //! 3. **Misdirected write** — the payload lands at a nearby wrong LBA
-//!    and the request reports success.
+//!    and the request reports success. *misdirected_write*.
 //! 4. **Torn write** — only a prefix of the blocks is written; success
-//!    is reported.
+//!    is reported. *torn_write*.
 //! 5. **Bit flips** — per-block probability of one flipped bit, on the
 //!    read path (transient: the medium is fine, the transfer lied) or
 //!    the write path (persistent: wrong bits hit the platter).
+//!    *read_flip*, *write_flip*.
 //!
 //! All probabilities can be scaled by the wrapped drive's current
 //! vibration level ([`ChaosPlan::vibration_boost`]), tying fault rates
@@ -151,51 +154,6 @@ impl ChaosPlan {
     }
 }
 
-/// The kind of an injected fault, for traces and reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum ChaosFault {
-    /// A burst failed the request with a medium error.
-    BurstError,
-    /// A burst failed the request with no response at all.
-    BurstDrop,
-    /// Service time was inflated.
-    Delay,
-    /// A read returned flipped bits.
-    ReadFlip,
-    /// A write put flipped bits on the medium.
-    WriteFlip,
-    /// A write landed only partially.
-    TornWrite,
-    /// A write landed at the wrong LBA.
-    MisdirectedWrite,
-}
-
-impl ChaosFault {
-    /// Stable name for traces and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            ChaosFault::BurstError => "burst_error",
-            ChaosFault::BurstDrop => "burst_drop",
-            ChaosFault::Delay => "delay",
-            ChaosFault::ReadFlip => "read_flip",
-            ChaosFault::WriteFlip => "write_flip",
-            ChaosFault::TornWrite => "torn_write",
-            ChaosFault::MisdirectedWrite => "misdirected_write",
-        }
-    }
-}
-
-/// One injected fault, in request order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ChaosEvent {
-    /// 0-based request index (reads, writes, and flushes).
-    pub request: u64,
-    /// What was injected.
-    pub fault: ChaosFault,
-    /// The LBA the request targeted (0 for flushes).
-    pub lba: u64,
-}
-
 /// Per-kind injection counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub struct ChaosStats {
@@ -243,10 +201,6 @@ impl ChaosStats {
     }
 }
 
-/// Fault-trace events kept per device (the tail is dropped, counters
-/// keep counting).
-pub const MAX_TRACE_EVENTS: usize = 256;
-
 /// A [`BlockDevice`] wrapper injecting seeded probabilistic faults.
 ///
 /// # Example
@@ -281,9 +235,7 @@ pub struct ChaosInjector<D> {
     burst_left: Vec<u64>,
     requests: u64,
     stats: ChaosStats,
-    trace: Vec<ChaosEvent>,
     tracer: Tracer,
-    track: u32,
 }
 
 impl<D: BlockDevice> ChaosInjector<D> {
@@ -299,17 +251,16 @@ impl<D: BlockDevice> ChaosInjector<D> {
             burst_left: vec![0; bursts],
             requests: 0,
             stats: ChaosStats::default(),
-            trace: Vec::new(),
             tracer: Tracer::disabled(),
-            track: 0,
         }
     }
 
     /// A copy of this injector around `inner` (usually a replica of this
     /// injector's device), drawing from `rng`. Plan, burst state, request
-    /// count, counters and fault trace carry over, so fault-trace indices
-    /// continue where this injector's left off. Clock and vibration are
-    /// shared handles and are not copied: attach the replica's own with
+    /// count and counters carry over, so the `request` index of traced
+    /// faults continues where this injector's left off. Clock and
+    /// vibration are shared handles and are not copied: attach the
+    /// replica's own with
     /// [`ChaosInjector::with_clock`] and
     /// [`ChaosInjector::with_vibration`]. The tracer starts disabled.
     pub fn replica(&self, inner: D, rng: SimRng) -> Self {
@@ -322,9 +273,7 @@ impl<D: BlockDevice> ChaosInjector<D> {
             burst_left: self.burst_left.clone(),
             requests: self.requests,
             stats: self.stats,
-            trace: self.trace.clone(),
             tracer: Tracer::disabled(),
-            track: 0,
         }
     }
 
@@ -362,12 +311,6 @@ impl<D: BlockDevice> ChaosInjector<D> {
         self.stats.total()
     }
 
-    /// The fault trace, in request order (capped at
-    /// [`MAX_TRACE_EVENTS`]).
-    pub fn trace(&self) -> &[ChaosEvent] {
-        &self.trace
-    }
-
     /// The wrapped device.
     pub fn inner(&self) -> &D {
         &self.inner
@@ -398,31 +341,24 @@ impl<D: BlockDevice> ChaosInjector<D> {
     }
 
     /// Attaches a tracer; every injected fault becomes a blockdev-layer
-    /// instant on `track`, timestamped by the attached clock (the same
-    /// clock latency inflation charges), so fault injection and its
-    /// mechanical consequences line up on one timeline.
-    pub fn set_tracer(&mut self, tracer: Tracer, track: u32) {
+    /// `chaos_fault` instant (fault, LBA, request index) on the tracer's
+    /// track, timestamped by the attached clock (the same clock latency
+    /// inflation charges), so fault injection and its mechanical
+    /// consequences line up on one timeline.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self.track = track;
     }
 
-    fn record(&mut self, fault: ChaosFault, lba: u64) {
-        if self.trace.len() < MAX_TRACE_EVENTS {
-            self.trace.push(ChaosEvent {
-                request: self.requests,
-                fault,
-                lba,
-            });
-        }
-        if self.tracer.enabled(Layer::Blockdev) {
+    /// Traces one injected fault of kind `fault` at `lba`.
+    fn record(&self, fault: &'static str, lba: u64) {
+        if self.tracer.is_enabled() {
             let at = self.clock.as_ref().map(Clock::now).unwrap_or(SimTime::ZERO);
             self.tracer.instant(
                 Layer::Blockdev,
-                self.track,
                 "chaos_fault",
                 at,
                 vec![
-                    ("fault", Value::Str(fault.name())),
+                    ("fault", Value::Str(fault)),
                     ("lba", Value::U64(lba)),
                     ("request", Value::U64(self.requests)),
                 ],
@@ -457,10 +393,10 @@ impl<D: BlockDevice> ChaosInjector<D> {
             let drop = matches!(self.plan.bursts[i].error, IoError::NoResponse);
             if drop {
                 self.stats.burst_drops += 1;
-                self.record(ChaosFault::BurstDrop, lba);
+                self.record("burst_drop", lba);
             } else {
                 self.stats.burst_errors += 1;
-                self.record(ChaosFault::BurstError, lba);
+                self.record("burst_error", lba);
             }
             error
         })
@@ -480,7 +416,7 @@ impl<D: BlockDevice> ChaosInjector<D> {
         }
         self.stats.delays += 1;
         self.stats.delay_total += d.extra;
-        self.record(ChaosFault::Delay, lba);
+        self.record("delay", lba);
     }
 
     /// Flips one seeded bit inside the `block`-th 512-byte block of
@@ -514,7 +450,7 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
                 if self.rng.chance(p) {
                     Self::flip_bit(&mut self.rng, buf, block);
                     self.stats.read_flips += 1;
-                    self.record(ChaosFault::ReadFlip, lba + block as u64);
+                    self.record("read_flip", lba + block as u64);
                 }
             }
         }
@@ -545,7 +481,7 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
             };
             let target = target.min(capacity.saturating_sub(blocks));
             self.stats.misdirected_writes += 1;
-            self.record(ChaosFault::MisdirectedWrite, target);
+            self.record("misdirected_write", target);
             return self.inner.write_blocks(target, buf);
         }
         // Torn: only a prefix of the blocks is written (possibly none),
@@ -560,7 +496,7 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
                 0
             };
             self.stats.torn_writes += 1;
-            self.record(ChaosFault::TornWrite, lba);
+            self.record("torn_write", lba);
             if keep == 0 {
                 return Ok(());
             }
@@ -579,7 +515,7 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
                     let data = corrupted.get_or_insert_with(|| buf.to_vec());
                     Self::flip_bit(&mut self.rng, data, block);
                     self.stats.write_flips += 1;
-                    self.record(ChaosFault::WriteFlip, lba + block as u64);
+                    self.record("write_flip", lba + block as u64);
                 }
             }
             if let Some(data) = corrupted {
@@ -623,6 +559,13 @@ mod tests {
         ChaosInjector::new(MemDisk::new(64), plan, SimRng::seeded(seed))
     }
 
+    /// Attaches an unbounded ring tracer to `d` and returns its handle.
+    fn traced(d: &mut ChaosInjector<MemDisk>) -> Tracer {
+        let tracer = Tracer::ring(usize::MAX);
+        d.set_tracer(tracer.clone());
+        tracer
+    }
+
     /// Reads the medium directly, bypassing chaos.
     fn raw(d: &mut ChaosInjector<MemDisk>, lba: u64) -> Vec<u8> {
         let mut out = vec![0u8; 512];
@@ -639,7 +582,6 @@ mod tests {
         d.read_blocks(3, &mut out).unwrap();
         assert_eq!(out, buf);
         assert_eq!(d.injected(), 0);
-        assert!(d.trace().is_empty());
     }
 
     #[test]
@@ -675,6 +617,7 @@ mod tests {
             let clock = Clock::new();
             let mut d = ChaosInjector::new(MemDisk::new(64), plan.clone(), SimRng::seeded(13))
                 .with_clock(clock.clone());
+            let tracer = traced(&mut d);
             let buf = vec![0xEE; 512 * 2];
             let mut out = vec![0u8; 512 * 2];
             for i in 0..2_000u64 {
@@ -686,7 +629,7 @@ mod tests {
                 let _ = d.read_blocks(lba, &mut out);
             }
             let medium = (d.inner().reads(), d.inner().writes());
-            (d.stats(), d.trace().to_vec(), clock.now(), medium)
+            (d.stats(), tracer.take(), clock.now(), medium)
         };
         let with = run(true);
         let stats = with.0;
@@ -845,34 +788,23 @@ mod tests {
         };
         let run = |seed: u64| {
             let mut d = dev(plan.clone(), seed);
+            let tracer = traced(&mut d);
             let buf = vec![0xEE; 512 * 2];
             let mut out = vec![0u8; 512 * 2];
             for i in 0..300u64 {
                 let _ = d.write_blocks(i % 32, &buf);
                 let _ = d.read_blocks(i % 32, &mut out);
             }
-            (d.stats(), d.trace().to_vec())
+            (d.stats(), tracer.take())
         };
         assert_eq!(run(5), run(5));
-        let (a, _) = run(5);
+        let (a, log) = run(5);
+        // One traced instant per counted fault, nothing dropped.
+        assert_eq!(log.events.len() as u64, a.total());
+        assert_eq!(log.dropped, 0);
         let (b, _) = run(6);
         assert!(a.total() > 0);
         assert_ne!((a, 0), (b, 0), "different seeds produced identical chaos");
-    }
-
-    #[test]
-    fn trace_is_capped_but_counters_keep_counting() {
-        let plan = ChaosPlan {
-            bursts: vec![medium_burst(1.0, 1_000_000, FaultScope::All)],
-            ..ChaosPlan::quiet()
-        };
-        let mut d = dev(plan, 2);
-        let buf = vec![0u8; 512];
-        for _ in 0..(MAX_TRACE_EVENTS + 50) {
-            let _ = d.write_blocks(0, &buf);
-        }
-        assert_eq!(d.trace().len(), MAX_TRACE_EVENTS);
-        assert!(d.injected() > MAX_TRACE_EVENTS as u64);
     }
 
     #[test]

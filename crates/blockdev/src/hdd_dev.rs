@@ -34,7 +34,6 @@ pub struct HddDisk {
     read_errors: u64,
     write_errors: u64,
     tracer: Tracer,
-    track: u32,
 }
 
 impl HddDisk {
@@ -46,7 +45,6 @@ impl HddDisk {
             read_errors: 0,
             write_errors: 0,
             tracer: Tracer::disabled(),
-            track: 0,
         }
     }
 
@@ -61,7 +59,6 @@ impl HddDisk {
             read_errors: self.read_errors,
             write_errors: self.write_errors,
             tracer: Tracer::disabled(),
-            track: 0,
         }
     }
 
@@ -95,14 +92,12 @@ impl HddDisk {
         self.write_errors
     }
 
-    /// Attaches a tracer; events carry `track` (the owning node's id).
-    /// Degraded I/O (retries, errors) lands on the `hdd` layer, request
+    /// Attaches a tracer (bound to the owning node's track). Degraded I/O (retries, errors) lands on the `hdd` layer, request
     /// failures on the `blockdev` layer. Timestamps are this device's
     /// private clock; the node's dispatch offset maps them onto the
     /// cluster timeline.
-    pub fn set_tracer(&mut self, tracer: Tracer, track: u32) {
+    pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self.track = track;
     }
 
     /// Residual off-track (nm) under the current vibration, `0.0` when
@@ -117,14 +112,13 @@ impl HddDisk {
     /// One degraded or failed mechanical op, as an hdd-layer span from
     /// dispatch to completion with the servo state that explains it.
     fn trace_io(&self, op: &'static str, t0: SimTime, retries: u64, outcome: &'static str) {
-        if !self.tracer.enabled(Layer::Hdd) {
+        if !self.tracer.is_enabled() {
             return;
         }
         let now = self.drive.clock().now();
         let offtrack_nm = self.residual_offtrack_nm();
         self.tracer.span(
             Layer::Hdd,
-            self.track,
             "degraded_io",
             t0,
             now.saturating_duration_since(t0),
@@ -139,12 +133,11 @@ impl HddDisk {
 
     /// A blockdev-layer instant for a request the drive failed.
     fn trace_error(&self, op: &'static str, lba: u64, error: IoError) {
-        if !self.tracer.enabled(Layer::Blockdev) {
+        if !self.tracer.is_enabled() {
             return;
         }
         self.tracer.instant(
             Layer::Blockdev,
-            self.track,
             "io_error",
             self.drive.clock().now(),
             vec![

@@ -40,9 +40,7 @@ pub mod raid;
 mod store;
 pub mod trace;
 
-pub use chaos::{
-    ChaosEvent, ChaosFault, ChaosInjector, ChaosPlan, ChaosStats, DelayPlan, ErrorBurst, FaultScope,
-};
+pub use chaos::{ChaosInjector, ChaosPlan, ChaosStats, DelayPlan, ErrorBurst, FaultScope};
 pub use device::{BlockDevice, BLOCK_SIZE};
 pub use error::{IoError, EIO};
 pub use hdd_dev::HddDisk;

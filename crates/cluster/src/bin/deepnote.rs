@@ -163,7 +163,47 @@ COMMANDS:
   all          everything above (except TSV dumps)
 ";
 
+/// The flags `cmd` takes (`None` for an unknown command).
+fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
+    Some(match cmd {
+        "table1" => &["seconds"],
+        "table2" => &["keys", "seconds"],
+        "fig2" | "heatmap" => &["tsv"],
+        "sweep" => &["distance-cm", "requests"],
+        "fleet" => &["drives", "spacing-cm"],
+        "cluster" => &[
+            "placement",
+            "seconds",
+            "clients",
+            "shards",
+            "seed",
+            "chaos",
+            "json",
+            "trace",
+            "metrics-interval",
+        ],
+        "trace-check" => &["trace", "report"],
+        "table3" | "defenses" | "ablations" | "stealth" | "redundancy" | "covert" | "all" => &[],
+        _ => return None,
+    })
+}
+
 fn run(cmd: &str, args: &Args) -> Result<(), String> {
+    if let Some(takes) = flags_of(cmd) {
+        if let Some((name, _)) = args
+            .flags
+            .iter()
+            .find(|(n, _)| !takes.contains(&n.as_str()))
+        {
+            let takes = match takes {
+                [] => "no flags".to_string(),
+                _ => format!("--{}", takes.join(", --")),
+            };
+            return Err(format!(
+                "unknown flag for {cmd}: --{name} ({cmd} takes {takes})"
+            ));
+        }
+    }
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     match cmd {
         "table1" => {
@@ -173,7 +213,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         "table2" => {
             let spec = BenchSpec {
                 num_keys: args.nonzero("keys", 20_000u64)?,
-                duration: SimDuration::from_secs(args.get("seconds", 10u64)?),
+                duration: SimDuration::from_secs(args.nonzero("seconds", 10u64)?),
                 ..BenchSpec::default()
             };
             print!("{}", report::render_table2(&range::table2(&spec)));

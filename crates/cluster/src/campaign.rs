@@ -21,6 +21,7 @@ use crate::cluster::{Cluster, ClusterConfig};
 use crate::error::ClusterError;
 use crate::integrity::IntegrityConfig;
 use crate::metrics::{ClusterMetrics, PhaseMetrics};
+use crate::node::StorageNode;
 use crate::placement::PlacementPolicy;
 use crate::report::{CampaignReport, EarlyWarning};
 use crate::timeline::AttackTimeline;
@@ -28,7 +29,7 @@ use crate::workload::{ClientPool, WorkloadSpec, THINK_TIME};
 use deepnote_core::parallel::try_run_all;
 use deepnote_sim::{EventQueue, SimDuration, SimRng, SimTime};
 use deepnote_telemetry::{
-    BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, Tracer, Value, CONTROL_TRACK,
+    BurnRateMonitor, Layer, MetricId, MetricKind, MetricsRegistry, Tracer, Value,
 };
 use serde::{Deserialize, Serialize};
 
@@ -405,10 +406,9 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             EvKind::PhaseChange(i) => {
                 metrics.enter_phase(i);
                 if let Some(p) = config.timeline.phases().get(i) {
-                    if tracer.enabled(Layer::Cluster) {
+                    if tracer.is_enabled() {
                         tracer.span(
                             Layer::Cluster,
-                            CONTROL_TRACK,
                             "phase",
                             at,
                             p.duration,
@@ -519,7 +519,11 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         integrity: cluster.integrity_stats(),
         scrub: cluster.scrub_stats(),
         chaos: cluster.chaos_stats(),
-        fault_traces: cluster.fault_traces(),
+        drive_faults: cluster
+            .nodes()
+            .iter()
+            .map(StorageNode::drive_faults)
+            .collect(),
         pending_repairs: cluster.pending_repairs(),
         alerts: burn.into_alerts(),
         series: scraper

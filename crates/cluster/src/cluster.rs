@@ -19,13 +19,13 @@ use crate::replication::{
 };
 use crate::workload::WorkloadSpec;
 use deepnote_acoustics::Frequency;
-use deepnote_blockdev::{ChaosEvent, ChaosStats};
+use deepnote_blockdev::ChaosStats;
 use deepnote_core::testbed::Testbed;
 use deepnote_core::threat::AttackParams;
 use deepnote_kv::DbConfig;
 use deepnote_sim::{SimDuration, SimRng, SimTime};
 use deepnote_structures::Scenario;
-use deepnote_telemetry::{Layer, Tracer, Value, CONTROL_TRACK};
+use deepnote_telemetry::{Layer, Tracer, Value};
 use serde::{Deserialize, Serialize};
 
 /// Everything needed to stand a cluster up.
@@ -182,30 +182,51 @@ impl Cluster {
         })
     }
 
-    /// Attaches a tracer to the control plane and every node's stack.
+    /// Attaches a tracer to the control plane (its own track, usually
+    /// [`deepnote_telemetry::CONTROL_TRACK`]) and every node's stack.
     pub fn set_tracer(&mut self, tracer: Tracer) {
         for node in &mut self.nodes {
-            node.set_tracer(tracer.clone());
+            node.set_tracer(&tracer);
         }
         self.tracer = tracer;
     }
 
-    /// A control-plane instant (cluster-timeline timestamps, never
-    /// offset-shifted).
-    fn trace_event(&self, name: &'static str, now: SimTime, args: Vec<(&'static str, Value)>) {
-        self.tracer
-            .instant(Layer::Cluster, CONTROL_TRACK, name, now, args);
+    /// Records one control-plane event: a line in the event log and a
+    /// cluster-layer trace instant `name` with `args`, both at `now`.
+    fn record(
+        &mut self,
+        now: SimTime,
+        what: String,
+        name: &'static str,
+        args: Vec<(&'static str, Value)>,
+    ) {
+        self.events
+            .push(format!("t={:7.1}s  {what}", now.as_secs_f64()));
+        self.tracer.instant(Layer::Cluster, name, now, args);
+    }
+
+    /// Records node `n` going down at `now` (`why` for the event log,
+    /// `reason` for the trace), remembers the first node ever down, and
+    /// cancels the repairs that target it.
+    fn node_down(&mut self, n: NodeId, now: SimTime, why: &str, reason: &'static str) {
+        self.record(
+            now,
+            format!("node {n} {why}"),
+            "node_down",
+            vec![
+                ("node", Value::U64(n as u64)),
+                ("reason", Value::Str(reason)),
+            ],
+        );
+        if self.first_down.is_none() {
+            self.first_down = Some((n, now));
+        }
+        self.repairs.cancel_target(n);
     }
 
     /// The first node ever marked down and when, if any node was.
     pub fn first_down(&self) -> Option<(NodeId, SimTime)> {
         self.first_down
-    }
-
-    fn mark_first_down(&mut self, n: NodeId, now: SimTime) {
-        if self.first_down.is_none() {
-            self.first_down = Some((n, now));
-        }
     }
 
     /// The configuration in effect.
@@ -291,7 +312,7 @@ impl Cluster {
                     .set(Some(tone.vibration_at(node.position()))),
                 None => self.testbed.stop_attack(node.vibration()),
             }
-            if !self.tracer.enabled(Layer::Acoustics) {
+            if !self.tracer.is_enabled() {
                 continue;
             }
             match &tone {
@@ -302,7 +323,6 @@ impl Cluster {
                     let offtrack_nm = node.probe().offtrack_nm;
                     self.tracer.instant(
                         Layer::Acoustics,
-                        CONTROL_TRACK,
                         "tone",
                         now,
                         vec![
@@ -315,7 +335,6 @@ impl Cluster {
                 }
                 None => self.tracer.instant(
                     Layer::Acoustics,
-                    CONTROL_TRACK,
                     "silence",
                     now,
                     vec![("node", Value::U64(n as u64))],
@@ -402,8 +421,9 @@ impl Cluster {
         if is_read && self.config.integrity.enabled {
             self.verify_read(key, now, &mut outcome);
         }
-        if !outcome.ok && self.tracer.enabled(Layer::Cluster) {
-            self.trace_event(
+        if !outcome.ok && self.tracer.is_enabled() {
+            self.tracer.instant(
+                Layer::Cluster,
                 "quorum_fail",
                 now,
                 vec![
@@ -418,17 +438,12 @@ impl Cluster {
 
     fn note_fatal(&mut self, n: NodeId, now: SimTime) {
         if self.monitor.mark_down(n, now) == Transition::WentDown {
-            self.note(now, format!("node {n} crashed (fatal storage error)"));
-            self.mark_first_down(n, now);
-            self.trace_event(
-                "node_down",
+            self.node_down(
+                n,
                 now,
-                vec![
-                    ("node", Value::U64(n as u64)),
-                    ("reason", Value::Str("fatal_storage_error")),
-                ],
+                "crashed (fatal storage error)",
+                "fatal_storage_error",
             );
-            self.repairs.cancel_target(n);
         }
     }
 
@@ -495,17 +510,12 @@ impl Cluster {
     pub fn report_breaker_trip(&mut self, node: NodeId, now: SimTime) {
         let miss = PROBE_TIMEOUT + SimDuration::from_millis(1);
         if self.monitor.observe_probe(node, now, miss, false) == Transition::WentDown {
-            self.note(now, format!("node {node} marked down (circuit breaker)"));
-            self.mark_first_down(node, now);
-            self.trace_event(
-                "node_down",
+            self.node_down(
+                node,
                 now,
-                vec![
-                    ("node", Value::U64(node as u64)),
-                    ("reason", Value::Str("circuit_breaker")),
-                ],
+                "marked down (circuit breaker)",
+                "circuit_breaker",
             );
-            self.repairs.cancel_target(node);
         }
     }
 
@@ -518,21 +528,15 @@ impl Cluster {
             let rtt = r.done.saturating_duration_since(now);
             match self.monitor.observe_probe(n, now, rtt, r.ok) {
                 Transition::WentDown => {
-                    self.note(now, format!("node {n} marked down (probe timeout)"));
-                    self.mark_first_down(n, now);
-                    self.trace_event(
-                        "node_down",
-                        now,
-                        vec![
-                            ("node", Value::U64(n as u64)),
-                            ("reason", Value::Str("probe_timeout")),
-                        ],
-                    );
-                    self.repairs.cancel_target(n);
+                    self.node_down(n, now, "marked down (probe timeout)", "probe_timeout");
                 }
                 Transition::CameUp => {
-                    self.note(now, format!("node {n} back up"));
-                    self.trace_event("node_up", now, vec![("node", Value::U64(n as u64))]);
+                    self.record(
+                        now,
+                        format!("node {n} back up"),
+                        "node_up",
+                        vec![("node", Value::U64(n as u64))],
+                    );
                     self.enqueue_catch_up(n);
                 }
                 Transition::None => {}
@@ -550,56 +554,37 @@ impl Cluster {
             {
                 continue;
             }
-            match self.nodes[n].try_restart(now) {
-                RestartOutcome::StillDead => {
-                    self.note(now, format!("node {n} reboot failed (medium unresponsive)"));
-                    self.trace_event(
-                        "reboot",
-                        now,
-                        vec![
-                            ("node", Value::U64(n as u64)),
-                            ("outcome", Value::Str("failed")),
-                        ],
-                    );
-                }
-                outcome => {
-                    if outcome == RestartOutcome::RecoveredBlank {
-                        self.note(now, format!("node {n} rebooted on a blank drive"));
-                    } else {
-                        self.note(now, format!("node {n} rebooted"));
-                    }
-                    self.trace_event(
-                        "reboot",
-                        now,
-                        vec![
-                            ("node", Value::U64(n as u64)),
-                            (
-                                "outcome",
-                                Value::Str(if outcome == RestartOutcome::RecoveredBlank {
-                                    "blank_drive"
-                                } else {
-                                    "ok"
-                                }),
-                            ),
-                        ],
-                    );
-                    // A swapped drive carries a fresh vibration input:
-                    // re-mount the ongoing attack, if any.
-                    if let Some(f) = self.current_attack {
-                        self.testbed.mount_attack(
-                            self.nodes[n].vibration(),
-                            AttackParams {
-                                frequency: f,
-                                distance: self.nodes[n].position(),
-                            },
-                        );
-                    }
-                    if self.monitor.observe_probe(n, now, SimDuration::ZERO, true)
-                        == Transition::CameUp
-                    {
-                        self.enqueue_catch_up(n);
-                    }
-                }
+            let outcome = self.nodes[n].try_restart(now);
+            let (what, traced) = match outcome {
+                RestartOutcome::StillDead => ("reboot failed (medium unresponsive)", "failed"),
+                RestartOutcome::RecoveredBlank => ("rebooted on a blank drive", "blank_drive"),
+                RestartOutcome::Recovered => ("rebooted", "ok"),
+            };
+            self.record(
+                now,
+                format!("node {n} {what}"),
+                "reboot",
+                vec![
+                    ("node", Value::U64(n as u64)),
+                    ("outcome", Value::Str(traced)),
+                ],
+            );
+            if outcome == RestartOutcome::StillDead {
+                continue;
+            }
+            // A swapped drive carries a fresh vibration input: re-mount
+            // the ongoing attack, if any.
+            if let Some(f) = self.current_attack {
+                self.testbed.mount_attack(
+                    self.nodes[n].vibration(),
+                    AttackParams {
+                        frequency: f,
+                        distance: self.nodes[n].position(),
+                    },
+                );
+            }
+            if self.monitor.observe_probe(n, now, SimDuration::ZERO, true) == Transition::CameUp {
+                self.enqueue_catch_up(n);
             }
         }
     }
@@ -627,13 +612,10 @@ impl Cluster {
                 }
                 self.repairs.enqueue(shard, target, RepairReason::Failover);
                 self.failovers += 1;
-                self.note(
+                self.record(
                     now,
                     format!("shard {shard} failed over from node {n} to node {target}"),
-                );
-                self.trace_event(
                     "failover",
-                    now,
                     vec![
                         ("shard", Value::U64(shard as u64)),
                         ("from", Value::U64(n as u64)),
@@ -723,7 +705,8 @@ impl Cluster {
                 for n in verdict.corrupt.iter().chain(verdict.missing.iter()) {
                     if self.repairs.enqueue(shard, *n, RepairReason::Scrub) {
                         self.scrubber.stats.repairs_enqueued += 1;
-                        self.trace_event(
+                        self.tracer.instant(
+                            Layer::Cluster,
                             "scrub_repair",
                             t,
                             vec![
@@ -763,11 +746,6 @@ impl Cluster {
         self.nodes.iter().map(StorageNode::chaos_stats).collect()
     }
 
-    /// Per-node device fault traces, in request order.
-    pub fn fault_traces(&self) -> Vec<Vec<ChaosEvent>> {
-        self.nodes.iter().map(StorageNode::fault_trace).collect()
-    }
-
     /// Shards currently below their write quorum (no write can succeed).
     pub fn unavailable_shards(&self, now: SimTime) -> usize {
         let deadline = now + self.config.replication.request_timeout;
@@ -782,11 +760,6 @@ impl Cluster {
                 serviceable < self.config.replication.write_quorum
             })
             .count()
-    }
-
-    fn note(&mut self, now: SimTime, what: String) {
-        self.events
-            .push(format!("t={:7.1}s  {what}", now.as_secs_f64()));
     }
 }
 
@@ -881,5 +854,62 @@ mod tests {
             "events: {:?}",
             c.events()
         );
+    }
+
+    #[test]
+    fn every_logged_event_is_also_one_trace_instant() {
+        let mut c = cluster(PlacementPolicy::CoLocated);
+        let tracer = Tracer::ring(1 << 16);
+        c.set_tracer(tracer.clone());
+        // Breaker trips mark a far node down.
+        for _ in 0..2 {
+            c.report_breaker_trip(8, SimTime::ZERO);
+        }
+        // The attack crashes near-rack engines; heartbeats during it see
+        // their reboots fail.
+        c.set_attack(Some(Frequency::from_hz(650.0)), SimTime::ZERO);
+        let spec = small_spec();
+        let mut t = SimTime::ZERO;
+        for i in 0..400u64 {
+            let key = spec.key(i % spec.num_keys);
+            let r = c.execute(false, &key, b"x", t);
+            t = t + r.latency + SimDuration::from_millis(10);
+        }
+        // A crashed node stays busy until its last blocked sync gives up.
+        for _ in 0..60 {
+            c.heartbeat(t);
+            t += SimDuration::from_secs(5);
+        }
+        let events = c.events().to_vec();
+        for wanted in [
+            "node 8 marked down (circuit breaker)",
+            "crashed (fatal storage error)",
+            "reboot failed (medium unresponsive)",
+        ] {
+            assert!(
+                events.iter().any(|e| e.contains(wanted)),
+                "{wanted}: {events:?}"
+            );
+        }
+        let log = tracer.take();
+        let traced: Vec<String> = log
+            .events
+            .iter()
+            .filter(|e| matches!(e.name, "node_down" | "node_up" | "reboot" | "failover"))
+            .map(|e| {
+                assert_eq!(e.track, deepnote_telemetry::CONTROL_TRACK);
+                format!("t={:7.1}s  {} {:?}", e.at.as_secs_f64(), e.name, e.args)
+            })
+            .collect();
+        assert_eq!(traced.len(), events.len(), "{traced:?}\n{events:?}");
+        for (line, instant) in events.iter().zip(&traced) {
+            assert_eq!(line[..10], instant[..10], "{line} / {instant}");
+        }
+        assert!(
+            traced[0].contains("Str(\"circuit_breaker\")"),
+            "{}",
+            traced[0]
+        );
+        assert!(traced.iter().any(|e| e.contains("Str(\"failed\")")));
     }
 }

@@ -19,7 +19,7 @@
 use crate::chaos::ChaosProfile;
 use crate::error::ClusterError;
 use deepnote_acoustics::Distance;
-use deepnote_blockdev::{BlockDevice, ChaosEvent, ChaosInjector, ChaosPlan, ChaosStats, HddDisk};
+use deepnote_blockdev::{BlockDevice, ChaosInjector, ChaosPlan, ChaosStats, HddDisk};
 use deepnote_hdd::VibrationInput;
 use deepnote_kv::{Db, DbConfig, DbError};
 use deepnote_sim::{Clock, SimDuration, SimRng, SimTime};
@@ -132,7 +132,8 @@ pub struct StorageNode {
     retired_chaos: ChaosStats,
     /// Distinct devices built, used to fork a fresh RNG stream per drive.
     devices_built: u64,
-    /// Shared trace sink; re-applied to the engine after every swap.
+    /// Shared trace sink on this node's track; re-applied to the engine
+    /// after every swap.
     tracer: Tracer,
 }
 
@@ -225,12 +226,10 @@ impl StorageNode {
         total
     }
 
-    /// The current drive's fault trace, in request order (a blank-swap
-    /// retires the trace along with the drive).
-    pub fn fault_trace(&self) -> Vec<ChaosEvent> {
-        self.device()
-            .map(|d| d.trace().to_vec())
-            .unwrap_or_default()
+    /// Faults injected by the current drive (a blank swap retires the
+    /// count along with the drive).
+    pub fn drive_faults(&self) -> u64 {
+        self.device().map_or(0, ChaosInjector::injected)
     }
 
     fn device(&self) -> Option<&ChaosDisk> {
@@ -244,8 +243,8 @@ impl StorageNode {
     /// Attaches a tracer to this node; every layer of the stack emits on
     /// track `id`. Survives engine crashes and drive swaps (the node
     /// re-applies the handle whenever the engine changes).
-    pub fn set_tracer(&mut self, tracer: Tracer) {
-        self.tracer = tracer;
+    pub fn set_tracer(&mut self, tracer: &Tracer) {
+        self.tracer = tracer.on_track(self.id as u32);
         self.apply_tracer();
     }
 
@@ -254,20 +253,16 @@ impl StorageNode {
         if !self.tracer.is_enabled() {
             return;
         }
-        let track = self.id as u32;
-        match &mut self.engine {
+        let dev = match &mut self.engine {
             Engine::Running(db) => {
-                db.set_tracer(self.tracer.clone(), track);
-                let dev = db.filesystem_mut().device_mut();
-                dev.set_tracer(self.tracer.clone(), track);
-                dev.inner_mut().set_tracer(self.tracer.clone(), track);
+                db.set_tracer(self.tracer.clone());
+                db.filesystem_mut().device_mut()
             }
-            Engine::Stopped(dev) => {
-                dev.set_tracer(self.tracer.clone(), track);
-                dev.inner_mut().set_tracer(self.tracer.clone(), track);
-            }
-            Engine::Swapping => {}
-        }
+            Engine::Stopped(dev) => dev,
+            Engine::Swapping => return,
+        };
+        dev.set_tracer(self.tracer.clone());
+        dev.inner_mut().set_tracer(self.tracer.clone());
     }
 
     /// Counters the campaign scrapes into metric series. Read-only: a
@@ -403,15 +398,11 @@ impl StorageNode {
             };
         };
         let t0 = self.clock.now();
-        if self.tracer.is_enabled() {
-            // Bridge this dispatch's private-clock window onto the
-            // cluster timeline: events the stack emits at private time
-            // `t` land at `start + (t - t0)`.
-            self.tracer.set_offset(
-                self.id as u32,
-                start.as_nanos() as i64 - t0.as_nanos() as i64,
-            );
-        }
+        // Bridge this dispatch's private-clock window onto the cluster
+        // timeline: events the stack emits at private time `t` land at
+        // `start + (t - t0)`.
+        self.tracer
+            .set_offset(start.as_nanos() as i64 - t0.as_nanos() as i64);
         let outcome = f(db);
         let service = self.clock.now().saturating_duration_since(t0);
         self.busy_until = start + service + RTT;
@@ -447,20 +438,12 @@ impl StorageNode {
             debug_assert!(false, "crash_engine on a node that is not running");
             return;
         }
-        let Engine::Running(mut db) = std::mem::replace(&mut self.engine, Engine::Swapping) else {
+        let Engine::Running(db) = std::mem::replace(&mut self.engine, Engine::Swapping) else {
             return; // checked above; keeps the move below panic-free
         };
-        // The dummy taking the real device's place needs no chaos: it
-        // drops with the dead Db.
-        let mut dev = ChaosInjector::new(
-            HddDisk::barracuda_500gb(self.clock.clone()),
-            ChaosPlan::quiet(),
-            SimRng::seeded(0),
-        );
-        std::mem::swap(db.filesystem_mut().device_mut(), &mut dev);
-        // `dev` now holds the real device (with its chaos state, stats,
-        // trace, and the wired vibration input).
-        self.engine = Engine::Stopped(dev);
+        // The device keeps its chaos state, stats, tracer and wired
+        // vibration input; what the process held in memory is lost.
+        self.engine = Engine::Stopped(db.into_device());
         self.counters.crashes += 1;
     }
 
@@ -485,12 +468,8 @@ impl StorageNode {
         };
         let start = self.busy_until.max(at);
         let t0 = self.clock.now();
-        if self.tracer.is_enabled() {
-            self.tracer.set_offset(
-                self.id as u32,
-                start.as_nanos() as i64 - t0.as_nanos() as i64,
-            );
-        }
+        self.tracer
+            .set_offset(start.as_nanos() as i64 - t0.as_nanos() as i64);
         let mut probe = [0u8; 512];
         if disk.read_blocks(0, &mut probe).is_err() {
             let spent = self.clock.now().saturating_duration_since(t0);
@@ -815,6 +794,8 @@ mod tests {
             extra: SimDuration::from_millis(1),
         });
         let mut n = chaos_node(&chaos, 3);
+        let tracer = Tracer::ring(usize::MAX);
+        n.set_tracer(&tracer);
         // Enough puts to force WAL syncs through the device (the WAL
         // buffers in memory between syncs, so one put may do no I/O).
         for i in 0..32u32 {
@@ -823,7 +804,15 @@ mod tests {
         }
         assert!(n.counters().injected_faults > 0);
         assert_eq!(n.chaos_stats().total(), n.counters().injected_faults);
-        assert!(!n.fault_trace().is_empty());
+        assert_eq!(n.drive_faults(), n.counters().injected_faults);
+        // Every injected fault is one traced instant on the node's track.
+        let log = tracer.take();
+        let traced = log
+            .events
+            .iter()
+            .filter(|e| e.name == "chaos_fault" && e.track == 0)
+            .count() as u64;
+        assert_eq!(traced, n.counters().injected_faults);
     }
 
     #[test]
@@ -856,6 +845,9 @@ mod tests {
         own.clock = clock;
         own.vibration = vibration;
         assert_eq!(own.clock.now(), replica.clock.now());
+        let traces = [Tracer::ring(usize::MAX), Tracer::ring(usize::MAX)];
+        replica.set_tracer(&traces[0]);
+        own.set_tracer(&traces[1]);
 
         let mut t = SimTime::ZERO;
         for i in 0..200u32 {
@@ -886,9 +878,10 @@ mod tests {
         assert_eq!(replica.chaos_stats(), own.chaos_stats());
         assert_eq!(replica.counters(), own.counters());
         assert_eq!(replica.probe(), own.probe());
-        assert_eq!(replica.fault_trace(), own.fault_trace());
+        let log = traces[0].take();
+        assert_eq!(log, traces[1].take());
         // The sequence exercised what the copies must carry over.
-        assert!(!replica.fault_trace().is_empty());
+        assert!(log.events.iter().any(|e| e.name == "chaos_fault"));
         assert!(replica.probe().seek_retries > 0);
     }
 

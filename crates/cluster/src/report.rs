@@ -6,7 +6,7 @@ use crate::metrics::{ClusterMetrics, OpClassMetrics, ResilienceStats};
 use crate::node::NodeCounters;
 use crate::placement::PlacementPolicy;
 use crate::replication::RepairStats;
-use deepnote_blockdev::{ChaosEvent, ChaosStats};
+use deepnote_blockdev::ChaosStats;
 use deepnote_telemetry::json::JsonWriter;
 use deepnote_telemetry::{MetricSeries, SloAlert, TraceLog};
 use serde::{Deserialize, Serialize};
@@ -67,8 +67,9 @@ pub struct CampaignReport {
     pub scrub: ScrubStats,
     /// Per-device fault-injection counters, in node-id order.
     pub chaos: Vec<ChaosStats>,
-    /// Per-device fault traces, in request order (bounded per device).
-    pub fault_traces: Vec<Vec<ChaosEvent>>,
+    /// Faults injected by each node's current drive, in node-id order
+    /// (a blank swap starts a new count).
+    pub drive_faults: Vec<u64>,
     /// Repair jobs still queued when the campaign ended.
     pub pending_repairs: usize,
     /// SLO burn-rate alert transitions, in time order.
@@ -353,9 +354,12 @@ impl CampaignReport {
             w.key("misdirected_writes").u64(s.misdirected_writes);
             w.end_obj();
         }
+        // Readers of this field expect a per-device fault-log length of
+        // at most 256 entries, one per fault; the faults themselves are
+        // in the trace.
         w.end_arr().key("fault_trace_lengths").begin_arr();
-        for t in &self.fault_traces {
-            w.u64(t.len() as u64);
+        for &n in &self.drive_faults {
+            w.u64(n.min(256));
         }
         w.end_arr().key("repair").begin_obj();
         w.key("jobs_done").u64(self.repair.jobs_done);
@@ -540,7 +544,7 @@ mod tests {
             integrity: IntegrityStats::default(),
             scrub: ScrubStats::default(),
             chaos: vec![ChaosStats::default(), ChaosStats::default()],
-            fault_traces: vec![Vec::new(), Vec::new()],
+            drive_faults: vec![0, 0],
             pending_repairs: 0,
             alerts: vec![SloAlert {
                 at: SimTime::from_secs(12),
@@ -657,6 +661,13 @@ mod tests {
         // The write phase had no successful ops: percentile present,
         // since attempts are recorded regardless of success.
         assert!(a.contains("\"p99_ms\":"));
+    }
+
+    #[test]
+    fn fault_trace_lengths_cap_drive_faults_at_256() {
+        let mut r = tiny_report();
+        r.drive_faults = vec![256, 257];
+        assert!(r.to_json().contains("\"fault_trace_lengths\":[256,256]"));
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! CLI contract of `deepnote`: the regenerators exit 0, and a zero
-//! count or duration, or a negative or non-finite distance, is a usage
-//! error (exit 1, one `error:` line), never a panic or a hang.
+//! CLI contract of `deepnote`: the regenerators exit 0, and a flag the
+//! command does not take, a zero count or duration, or a negative or
+//! non-finite distance, is a usage error (exit 1, one `error:` line),
+//! never a panic or a hang.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -81,6 +82,7 @@ fn bad_flags_are_usage_errors() {
         ("cluster", "metrics-interval", "0us"),
         ("table1", "seconds", "0"),
         ("table2", "keys", "0"),
+        ("table2", "seconds", "0"),
         ("fleet", "drives", "0"),
         ("sweep", "requests", "0"),
         ("sweep", "distance-cm", "-1"),
@@ -104,6 +106,37 @@ fn bad_flags_are_usage_errors() {
             !run.stderr.contains("panicked"),
             "deepnote {shown}: {}",
             run.stderr
+        );
+    }
+}
+
+#[test]
+fn unknown_flags_are_usage_errors() {
+    for (args, takes) in [
+        (&["table1", "--secnds", "1"][..], "(table1 takes --seconds)"),
+        (&["table3", "--seconds", "1"][..], "(table3 takes no flags)"),
+        (&["heatmap", "--keys", "5"][..], "(heatmap takes --tsv)"),
+        (&["cluster", "--tsv"][..], "takes --placement, --seconds,"),
+    ] {
+        let run = deepnote(args);
+        let shown = args.join(" ");
+        assert_eq!(run.code, Some(1), "deepnote {shown}: {}", run.stderr);
+        let flag = args[1];
+        assert!(
+            run.stderr
+                .starts_with(&format!("error: unknown flag for {}: {flag} ", args[0])),
+            "deepnote {shown}: {}",
+            run.stderr
+        );
+        assert!(
+            run.stderr.contains(takes),
+            "deepnote {shown}: {}",
+            run.stderr
+        );
+        assert!(
+            run.stdout.is_empty(),
+            "deepnote {shown} ran: {}",
+            run.stdout
         );
     }
 }

@@ -85,7 +85,6 @@ pub struct Filesystem<D: BlockDevice> {
     journal: Journal,
     state: FsState,
     tracer: Tracer,
-    track: u32,
 }
 
 impl<D: BlockDevice> Filesystem<D> {
@@ -227,7 +226,6 @@ impl<D: BlockDevice> Filesystem<D> {
                 journal,
                 state,
                 tracer: Tracer::disabled(),
-                track: 0,
             },
             replayed,
         ))
@@ -253,7 +251,6 @@ impl<D: BlockDevice> Filesystem<D> {
             journal: self.journal.clone(),
             state: self.state,
             tracer: Tracer::disabled(),
-            track: 0,
         }
     }
 
@@ -270,6 +267,14 @@ impl<D: BlockDevice> Filesystem<D> {
         self.sb.state = SbState::Clean;
         write_fs_block(&mut self.dev, 0, &self.sb.to_block())?;
         Ok(self.dev)
+    }
+
+    /// Returns the device without any I/O: nothing is committed, so the
+    /// platters keep whatever a crash at this instant would leave (the
+    /// next mount replays the journal). Unlike [`Filesystem::unmount`],
+    /// this cannot fail.
+    pub fn into_device(self) -> D {
+        self.dev
     }
 
     /// Current availability state.
@@ -293,11 +298,10 @@ impl<D: BlockDevice> Filesystem<D> {
         &self.clock
     }
 
-    /// Attaches a tracer; journal commits become fs-layer spans on
-    /// `track`, timestamped by this filesystem's clock.
-    pub fn set_tracer(&mut self, tracer: Tracer, track: u32) {
+    /// Attaches a tracer; journal commits become fs-layer spans on the
+    /// tracer's track, timestamped by this filesystem's clock.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
         self.tracer = tracer;
-        self.track = track;
     }
 
     /// Device-write failures absorbed by the journal's retry loop so far —
@@ -1015,12 +1019,10 @@ impl<D: BlockDevice> Filesystem<D> {
         let t0 = self.clock.now();
         let commits_before = self.journal.commits();
         let result = self.journal.commit(&mut self.dev, &self.clock, &data_runs);
-        if self.tracer.enabled(Layer::Fs)
-            && (self.journal.commits() > commits_before || result.is_err())
+        if self.tracer.is_enabled() && (self.journal.commits() > commits_before || result.is_err())
         {
             self.tracer.span(
                 Layer::Fs,
-                self.track,
                 "journal_commit",
                 t0,
                 self.clock.now().saturating_duration_since(t0),

@@ -135,7 +135,6 @@ pub struct Db<D: BlockDevice> {
     crashed: bool,
     stats: DbStats,
     tracer: Tracer,
-    track: u32,
 }
 
 impl<D: BlockDevice> Db<D> {
@@ -175,7 +174,6 @@ impl<D: BlockDevice> Db<D> {
             crashed: false,
             stats: DbStats::default(),
             tracer: Tracer::disabled(),
-            track: 0,
         };
         db.write_manifest()?;
         Ok(db)
@@ -218,7 +216,6 @@ impl<D: BlockDevice> Db<D> {
             crashed: false,
             stats: DbStats::default(),
             tracer: Tracer::disabled(),
-            track: 0,
         })
     }
 
@@ -240,7 +237,6 @@ impl<D: BlockDevice> Db<D> {
             crashed: self.crashed,
             stats: self.stats,
             tracer: Tracer::disabled(),
-            track: 0,
         }
     }
 
@@ -265,22 +261,20 @@ impl<D: BlockDevice> Db<D> {
     }
 
     /// Attaches a tracer to the store and its filesystem; WAL syncs,
-    /// memtable flushes, and compactions become kv-layer spans on
-    /// `track`, journal commits fs-layer spans.
-    pub fn set_tracer(&mut self, tracer: Tracer, track: u32) {
-        self.fs.set_tracer(tracer.clone(), track);
+    /// memtable flushes, and compactions become kv-layer spans on the
+    /// tracer's track, journal commits fs-layer spans.
+    pub fn set_tracer(&mut self, tracer: Tracer) {
+        self.fs.set_tracer(tracer.clone());
         self.tracer = tracer;
-        self.track = track;
     }
 
     /// One background-work span on this store's clock.
     fn trace_span(&self, name: &'static str, t0: deepnote_sim::SimTime, ok: bool, bytes: u64) {
-        if !self.tracer.enabled(Layer::Kv) {
+        if !self.tracer.is_enabled() {
             return;
         }
         self.tracer.span(
             Layer::Kv,
-            self.track,
             name,
             t0,
             self.clock.now().saturating_duration_since(t0),
@@ -658,6 +652,14 @@ impl<D: BlockDevice> Db<D> {
         self.flush()?;
         self.sync_wal()?;
         Ok(self.fs.unmount()?)
+    }
+
+    /// Returns the device without any I/O, as a process crash leaves it:
+    /// unsynced WAL bytes and the memtable are lost, and the next open
+    /// recovers from what reached the platters. Unlike [`Db::close`],
+    /// this cannot fail.
+    pub fn into_device(self) -> D {
+        self.fs.into_device()
     }
 }
 

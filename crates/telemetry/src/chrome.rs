@@ -90,16 +90,15 @@ mod tests {
 
     fn sample_log() -> TraceLog {
         let t = Tracer::ring(16);
-        t.instant(
+        let node = t.on_track(2);
+        node.instant(
             Layer::Acoustics,
-            2,
             "tone",
             SimTime::from_nanos(1_234_567),
             vec![("spl_db", Value::F64(130.5)), ("hz", Value::F64(650.0))],
         );
-        t.span(
+        node.span(
             Layer::Kv,
-            2,
             "wal_sync",
             SimTime::from_secs(1),
             SimDuration::from_micros(81),
@@ -107,7 +106,6 @@ mod tests {
         );
         t.instant(
             Layer::Cluster,
-            CONTROL_TRACK,
             "failover",
             SimTime::from_secs(2),
             vec![("shard", Value::U64(7)), ("why", Value::Str("down"))],
@@ -120,9 +118,8 @@ mod tests {
     /// the control track, and a ring that dropped an event.
     fn edge_log() -> TraceLog {
         let t = Tracer::ring(2);
-        t.instant(
+        t.on_track(0).instant(
             Layer::Hdd,
-            0,
             "odd",
             SimTime::from_nanos(5),
             vec![
@@ -133,13 +130,13 @@ mod tests {
         );
         t.span(
             Layer::Cluster,
-            CONTROL_TRACK,
             "quorum",
             SimTime::from_nanos(1_000_001),
             SimDuration::from_nanos(999),
             vec![("ok", Value::U64(0))],
         );
-        t.instant(Layer::Kv, 1, "lost", SimTime::from_secs(3), Vec::new());
+        t.on_track(1)
+            .instant(Layer::Kv, "lost", SimTime::from_secs(3), Vec::new());
         t.take()
     }
 

@@ -11,10 +11,10 @@
 //!
 //! Three pieces:
 //!
-//! * [`tracer`] — span/instant events with per-layer filtering, a
-//!   bounded ring buffer, and per-track time-offset mapping so events
-//!   emitted on a node's *private* virtual clock land on the cluster's
-//!   shared timeline.
+//! * [`tracer`] — span/instant events in a bounded ring buffer, through
+//!   handles each bound to one track (the control plane or a node), with
+//!   per-track time-offset mapping so events emitted on a node's
+//!   *private* virtual clock land on the cluster's shared timeline.
 //! * [`chrome`] — Chrome trace-event JSON export; the file loads in
 //!   Perfetto (`ui.perfetto.dev`) and shows tone arrivals,
 //!   servo excursions, device retries, quorum decisions, failovers, and

@@ -211,17 +211,15 @@ mod tests {
     fn trace_validator_accepts_the_exporter_output() {
         use crate::tracer::{Layer, Tracer, Value};
         use deepnote_sim::{SimDuration, SimTime};
-        let t = Tracer::ring(8);
+        let t = Tracer::ring(8).on_track(0);
         t.instant(
             Layer::Acoustics,
-            0,
             "tone",
             SimTime::ZERO,
             vec![("hz", Value::F64(650.0))],
         );
         t.span(
             Layer::Hdd,
-            0,
             "degraded_io",
             SimTime::from_secs(1),
             SimDuration::from_millis(45),

@@ -9,14 +9,17 @@
 //!
 //! # Tracks and time offsets
 //!
-//! Every node in the cluster is its own virtual-time world (a private
-//! [`deepnote_sim::Clock`]), embedded in the shared cluster timeline
-//! through its `busy_until` bridging. Layers below the node (device,
-//! filesystem, store) only know the private clock, so the tracer keeps a
-//! per-track offset: the node sets `offset = dispatch_start − private_now`
-//! before handing a request down, and every event emitted on that track
-//! is shifted onto the cluster timeline at push time. Control-plane
-//! emitters use [`CONTROL_TRACK`], whose offset is always zero.
+//! Every handle is bound to one track. [`Tracer::ring`] returns a handle
+//! on [`CONTROL_TRACK`]; [`Tracer::on_track`] returns one on a node's
+//! track that shares the same buffer. Every node in the cluster is its
+//! own virtual-time world (a private [`deepnote_sim::Clock`]), embedded
+//! in the shared cluster timeline through its `busy_until` bridging.
+//! Layers below the node (device, filesystem, store) only know the
+//! private clock, so the tracer keeps a per-track offset: the node sets
+//! `offset = dispatch_start − private_now` before handing a request
+//! down, and every event emitted on that track is shifted onto the
+//! cluster timeline at push time. The control track's offset is always
+//! zero.
 
 use deepnote_sim::{SimDuration, SimTime};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -39,16 +42,6 @@ pub enum Layer {
 }
 
 impl Layer {
-    /// Every layer, in filter-mask order.
-    pub const ALL: [Layer; 6] = [
-        Layer::Acoustics,
-        Layer::Hdd,
-        Layer::Blockdev,
-        Layer::Fs,
-        Layer::Kv,
-        Layer::Cluster,
-    ];
-
     /// The layer's stable name (the `cat` field of the Chrome export).
     pub fn name(self) -> &'static str {
         match self {
@@ -58,17 +51,6 @@ impl Layer {
             Layer::Fs => "fs",
             Layer::Kv => "kv",
             Layer::Cluster => "cluster",
-        }
-    }
-
-    fn bit(self) -> u8 {
-        match self {
-            Layer::Acoustics => 1,
-            Layer::Hdd => 1 << 1,
-            Layer::Blockdev => 1 << 2,
-            Layer::Fs => 1 << 3,
-            Layer::Kv => 1 << 4,
-            Layer::Cluster => 1 << 5,
         }
     }
 }
@@ -134,101 +116,87 @@ struct Ring {
     cap: usize,
     dropped: u64,
     /// Per-track nanosecond offsets private-clock → cluster timeline,
-    /// indexed by track id (tracks are small node ids in practice).
+    /// indexed by track id (tracks are small node ids in practice; the
+    /// control track never gets an entry, so its offset reads zero).
     offsets: Vec<i64>,
 }
 
 impl Ring {
-    fn offset(&self, track: u32) -> i64 {
-        if track == CONTROL_TRACK {
-            return 0;
-        }
-        self.offsets.get(track as usize).copied().unwrap_or(0)
-    }
-
     fn push(&mut self, mut ev: TraceEvent) {
         if self.events.len() >= self.cap {
             self.dropped += 1;
             return;
         }
-        let shifted = ev.at.as_nanos() as i64 + self.offset(ev.track);
+        let offset = self.offsets.get(ev.track as usize).copied().unwrap_or(0);
+        let shifted = ev.at.as_nanos() as i64 + offset;
         ev.at = SimTime::from_nanos(shifted.max(0) as u64);
         self.events.push(ev);
     }
 }
 
-#[derive(Debug)]
-struct Inner {
-    /// Bitmask of enabled layers.
-    filter: u8,
-    ring: Mutex<Ring>,
-}
-
-/// A handle events are emitted through. Clone freely; all clones share
-/// one buffer. The default handle is disabled and free to carry.
+/// A handle events are emitted through, bound to one track. Clone
+/// freely; all clones, and every handle [`Tracer::on_track`] derives,
+/// share one buffer. The default handle is disabled and free to carry.
 #[derive(Debug, Clone, Default)]
 pub struct Tracer {
-    inner: Option<Arc<Inner>>,
+    ring: Option<Arc<Mutex<Ring>>>,
+    track: u32,
 }
 
 impl Tracer {
     /// The no-op tracer: every emit returns immediately.
     pub fn disabled() -> Self {
-        Tracer { inner: None }
+        Self::default()
     }
 
-    /// A tracer collecting every layer into a ring of `cap` events.
+    /// A tracer on [`CONTROL_TRACK`] collecting into a ring of `cap`
+    /// events.
     pub fn ring(cap: usize) -> Self {
-        Self::with_layers(cap, &Layer::ALL)
-    }
-
-    /// A tracer collecting only the given layers.
-    pub fn with_layers(cap: usize, layers: &[Layer]) -> Self {
-        let filter = layers.iter().fold(0u8, |m, l| m | l.bit());
         Tracer {
-            inner: Some(Arc::new(Inner {
-                filter,
-                ring: Mutex::new(Ring {
-                    events: Vec::new(),
-                    cap,
-                    dropped: 0,
-                    offsets: Vec::new(),
-                }),
-            })),
+            ring: Some(Arc::new(Mutex::new(Ring {
+                events: Vec::new(),
+                cap,
+                dropped: 0,
+                offsets: Vec::new(),
+            }))),
+            track: CONTROL_TRACK,
         }
     }
 
-    /// Whether any collection is active at all.
-    pub fn is_enabled(&self) -> bool {
-        self.inner.is_some()
+    /// A handle on `track` sharing this tracer's buffer (disabled if
+    /// this one is).
+    pub fn on_track(&self, track: u32) -> Self {
+        Tracer {
+            ring: self.ring.clone(),
+            track,
+        }
     }
 
-    /// Whether events of `layer` would be collected. Callers use this
-    /// to skip building argument vectors on the fast path.
-    pub fn enabled(&self, layer: Layer) -> bool {
-        self.inner
-            .as_ref()
-            .is_some_and(|i| i.filter & layer.bit() != 0)
+    /// Whether any collection is active at all. Callers use this to skip
+    /// building argument vectors on the fast path.
+    pub fn is_enabled(&self) -> bool {
+        self.ring.is_some()
     }
 
     /// A poison-proof lock: a panicking emitter cannot exist (emits do
     /// not panic), but the serving path must not unwrap either way.
-    fn lock(inner: &Inner) -> MutexGuard<'_, Ring> {
-        match inner.ring.lock() {
+    fn lock(ring: &Mutex<Ring>) -> MutexGuard<'_, Ring> {
+        match ring.lock() {
             Ok(g) => g,
             Err(poisoned) => poisoned.into_inner(),
         }
     }
 
-    /// Sets the private-clock → cluster-timeline offset for `track`.
-    /// Nodes call this at every dispatch, before work enters the stack.
-    pub fn set_offset(&self, track: u32, offset_nanos: i64) {
-        let Some(inner) = &self.inner else { return };
-        if track == CONTROL_TRACK {
+    /// Sets this track's private-clock → cluster-timeline offset. Nodes
+    /// call this at every dispatch, before work enters the stack; on the
+    /// control track it does nothing.
+    pub fn set_offset(&self, offset_nanos: i64) {
+        let Some(ring) = &self.ring else { return };
+        if self.track == CONTROL_TRACK {
             return;
         }
-        let mut ring = Self::lock(inner);
-        let idx = track as usize;
+        let mut ring = Self::lock(ring);
+        let idx = self.track as usize;
         if ring.offsets.len() <= idx {
             ring.offsets.resize(idx + 1, 0);
         }
@@ -239,56 +207,41 @@ impl Tracer {
     pub fn instant(
         &self,
         layer: Layer,
-        track: u32,
         name: &'static str,
         at: SimTime,
         args: Vec<(&'static str, Value)>,
     ) {
-        self.emit(
-            layer,
-            track,
-            name,
-            at,
-            SimDuration::ZERO,
-            EventKind::Instant,
-            args,
-        );
+        self.emit(layer, name, at, SimDuration::ZERO, EventKind::Instant, args);
     }
 
     /// Emits a complete span `[at, at + dur]` (track-local time).
     pub fn span(
         &self,
         layer: Layer,
-        track: u32,
         name: &'static str,
         at: SimTime,
         dur: SimDuration,
         args: Vec<(&'static str, Value)>,
     ) {
-        self.emit(layer, track, name, at, dur, EventKind::Span, args);
+        self.emit(layer, name, at, dur, EventKind::Span, args);
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn emit(
         &self,
         layer: Layer,
-        track: u32,
         name: &'static str,
         at: SimTime,
         dur: SimDuration,
         kind: EventKind,
         args: Vec<(&'static str, Value)>,
     ) {
-        let Some(inner) = &self.inner else { return };
-        if inner.filter & layer.bit() == 0 {
-            return;
-        }
-        Self::lock(inner).push(TraceEvent {
+        let Some(ring) = &self.ring else { return };
+        Self::lock(ring).push(TraceEvent {
             at,
             dur,
             kind,
             layer,
-            track,
+            track: self.track,
             name,
             args,
         });
@@ -296,10 +249,10 @@ impl Tracer {
 
     /// Drains the collected log (events in emission order).
     pub fn take(&self) -> TraceLog {
-        let Some(inner) = &self.inner else {
+        let Some(ring) = &self.ring else {
             return TraceLog::default();
         };
-        let mut ring = Self::lock(inner);
+        let mut ring = Self::lock(ring);
         TraceLog {
             events: std::mem::take(&mut ring.events),
             dropped: std::mem::replace(&mut ring.dropped, 0),
@@ -315,24 +268,18 @@ mod tests {
     fn disabled_tracer_collects_nothing() {
         let t = Tracer::disabled();
         assert!(!t.is_enabled());
-        assert!(!t.enabled(Layer::Hdd));
-        t.instant(Layer::Hdd, 0, "x", SimTime::ZERO, Vec::new());
+        assert!(!t.on_track(0).is_enabled());
+        t.on_track(0)
+            .instant(Layer::Hdd, "x", SimTime::ZERO, Vec::new());
         assert_eq!(t.take(), TraceLog::default());
     }
 
     #[test]
     fn events_are_collected_in_emission_order() {
         let t = Tracer::ring(8);
-        t.instant(
-            Layer::Cluster,
-            CONTROL_TRACK,
-            "a",
-            SimTime::from_secs(1),
-            Vec::new(),
-        );
-        t.span(
+        t.instant(Layer::Cluster, "a", SimTime::from_secs(1), Vec::new());
+        t.on_track(0).span(
             Layer::Kv,
-            0,
             "b",
             SimTime::from_secs(2),
             SimDuration::from_millis(5),
@@ -341,7 +288,9 @@ mod tests {
         let log = t.take();
         assert_eq!(log.events.len(), 2);
         assert_eq!(log.events[0].name, "a");
+        assert_eq!(log.events[0].track, CONTROL_TRACK);
         assert_eq!(log.events[1].kind, EventKind::Span);
+        assert_eq!(log.events[1].track, 0);
         assert_eq!(log.events[1].args, vec![("n", Value::U64(3))]);
         assert_eq!(log.dropped, 0);
         // take() drained it.
@@ -349,28 +298,10 @@ mod tests {
     }
 
     #[test]
-    fn layer_filter_suppresses_other_layers() {
-        let t = Tracer::with_layers(8, &[Layer::Acoustics]);
-        assert!(t.enabled(Layer::Acoustics));
-        assert!(!t.enabled(Layer::Kv));
-        t.instant(Layer::Kv, 0, "kv", SimTime::ZERO, Vec::new());
-        t.instant(Layer::Acoustics, 0, "tone", SimTime::ZERO, Vec::new());
-        let log = t.take();
-        assert_eq!(log.events.len(), 1);
-        assert_eq!(log.events[0].name, "tone");
-    }
-
-    #[test]
     fn full_ring_keeps_the_earliest_window_and_counts_drops() {
         let t = Tracer::ring(2);
         for i in 0..5u64 {
-            t.instant(
-                Layer::Cluster,
-                CONTROL_TRACK,
-                "e",
-                SimTime::from_secs(i),
-                Vec::new(),
-            );
+            t.instant(Layer::Cluster, "e", SimTime::from_secs(i), Vec::new());
         }
         let log = t.take();
         assert_eq!(log.events.len(), 2);
@@ -382,17 +313,14 @@ mod tests {
     #[test]
     fn track_offsets_map_private_clocks_onto_the_shared_timeline() {
         let t = Tracer::ring(8);
+        let node = t.on_track(3);
         // Node 3's private clock reads 2 s when the cluster is at 10 s.
-        t.set_offset(3, 8_000_000_000);
-        t.instant(Layer::Fs, 3, "commit", SimTime::from_secs(2), Vec::new());
-        // Control events are never shifted.
-        t.instant(
-            Layer::Cluster,
-            CONTROL_TRACK,
-            "hb",
-            SimTime::from_secs(10),
-            Vec::new(),
-        );
+        node.set_offset(8_000_000_000);
+        node.instant(Layer::Fs, "commit", SimTime::from_secs(2), Vec::new());
+        // Control events are never shifted, and setting an offset on the
+        // control track does nothing.
+        t.set_offset(5_000_000_000);
+        t.instant(Layer::Cluster, "hb", SimTime::from_secs(10), Vec::new());
         let log = t.take();
         assert_eq!(log.events[0].at, SimTime::from_secs(10));
         assert_eq!(log.events[1].at, SimTime::from_secs(10));
@@ -400,9 +328,9 @@ mod tests {
 
     #[test]
     fn negative_offsets_saturate_at_zero() {
-        let t = Tracer::ring(8);
-        t.set_offset(0, -5_000_000_000);
-        t.instant(Layer::Hdd, 0, "io", SimTime::from_secs(1), Vec::new());
+        let t = Tracer::ring(8).on_track(0);
+        t.set_offset(-5_000_000_000);
+        t.instant(Layer::Hdd, "io", SimTime::from_secs(1), Vec::new());
         let log = t.take();
         assert_eq!(log.events[0].at, SimTime::ZERO);
     }

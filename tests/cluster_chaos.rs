@@ -12,7 +12,8 @@
 //!    hedging client completes strictly more operations than the
 //!    one-shot baseline.
 //! 3. **Determinism** — a chaos campaign is a pure function of its
-//!    seed: same config, byte-identical report, JSON, and fault traces.
+//!    seed: same config, byte-identical report and JSON, and the same
+//!    traced log and fault counters.
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
@@ -167,16 +168,20 @@ fn chaos_campaigns_are_byte_identical_per_seed() {
             &ChaosProfile::full(),
         );
         hardened.workload.num_keys = 400;
+        hardened.telemetry.trace = true;
         hardened
     };
     let a = run_campaign(&config).expect("campaign");
     let b = run_campaign(&config).expect("campaign");
     assert_eq!(a.render(), b.render(), "human report diverged");
     assert_eq!(a.to_json(), b.to_json(), "JSON artifact diverged");
-    assert_eq!(a.fault_traces, b.fault_traces, "fault traces diverged");
+    assert_eq!(a.trace, b.trace, "traced log diverged");
+    assert_eq!(a.chaos, b.chaos, "fault counters diverged");
     assert_eq!(a.events, b.events, "control-plane events diverged");
     assert!(
         a.total_injected_faults() > 0,
         "the full profile should inject device faults"
     );
+    let log = a.trace.expect("traced run");
+    assert!(log.events.iter().any(|e| e.name == "chaos_fault"));
 }

@@ -189,17 +189,20 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 
 /// Byte golden for the campaign event loop: the JSON report, the human
 /// report and the Chrome trace of two campaigns, pinned as FNV-1a 64
-/// digests. (a) is the co-located paper duel; (b) is a separated
+/// digests. (a) is the co-located paper duel, traced so its fatal
+/// `node_down` and `reboot` instants are pinned; (b) is a separated
 /// hardened cell under the full chaos profile with tracing and a 500 ms
 /// metrics scrape, so every event stream (phase, heartbeat, repair,
 /// scrub, sample, client, scrape) interleaves. A change to the queue's
 /// ordering, or to which stream wins at an equal instant, moves these.
+/// Tracing never moves the JSON or text digests.
 #[test]
 fn cluster_campaign_matches_its_golden() {
     let mut duel =
         CampaignConfig::paper_duel(PlacementPolicy::CoLocated, SimDuration::from_secs(30));
     duel.workload.num_keys = 240;
     duel.workload.clients = 4;
+    duel.telemetry.trace = true;
     let (mut chaos, _) = CampaignConfig::chaos_pair(
         PlacementPolicy::Separated,
         SimDuration::from_secs(20),
@@ -220,10 +223,13 @@ fn cluster_campaign_matches_its_golden() {
             trace,
         ]
     };
-    // (a) runs untraced, so it has no trace digest.
     assert_eq!(
         digests(&duel),
-        [0xdcd6_de14_ab45_78bd, 0x5b93_2ab9_a4fa_a098, 0],
+        [
+            0xdcd6_de14_ab45_78bd,
+            0x5b93_2ab9_a4fa_a098,
+            0x8a47_8191_9e34_4525
+        ],
         "co-located duel"
     );
     assert_eq!(
