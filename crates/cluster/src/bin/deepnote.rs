@@ -14,6 +14,8 @@
 //! deepnote fleet [--drives N] [--spacing-cm S]
 //! deepnote heatmap [--tsv]
 //! deepnote covert
+//! deepnote fio (--job FILE | --inline "k=v ...") [--attack-hz F] [--distance-cm D]
+//!              [--scenario 1|2|3]
 //! deepnote cluster [--placement P] [--seconds N] [--clients N] [--shards N] [--seed S]
 //!                  [--chaos C] [--json FILE] [--trace FILE] [--metrics-interval T]
 //! deepnote trace-check [--trace FILE] [--report FILE]
@@ -25,7 +27,7 @@
 use deepnote_acoustics::{Distance, SweepPlan};
 use deepnote_cluster::prelude::*;
 use deepnote_core::experiments::{
-    ablations, adaptive, covert, crash, frequency, heatmap, range, redundancy, stealth,
+    ablations, adaptive, covert, crash, fio, frequency, heatmap, range, redundancy, stealth,
 };
 use deepnote_core::fleet::Fleet;
 use deepnote_core::testbed::Testbed;
@@ -35,14 +37,20 @@ use deepnote_kv::bench::BenchSpec;
 use deepnote_sim::SimDuration;
 use deepnote_structures::Scenario;
 use deepnote_telemetry::{export_chrome_trace, schema, TraceLog};
+use std::ops::RangeInclusive;
 use std::process::ExitCode;
 
-/// The longest distance flag accepted, in centimetres (1 km): far past
+/// The distances a flag accepts, in centimetres: up to 1 km, far past
 /// where the attack fades, and short enough that every level along the
 /// path stays finite.
-const MAX_DISTANCE_CM: f64 = 100_000.0;
+const DISTANCE_CM: RangeInclusive<f64> = 0.0..=100_000.0;
 
-/// Minimal flag parsing: `--name value` pairs after the subcommand.
+/// The frequencies `--attack-hz` accepts, in Hz: the paper's sweep with
+/// room on either side. At 0 Hz the transfer path's gain is infinite.
+const FREQUENCY_HZ: RangeInclusive<f64> = 1.0..=100_000.0;
+
+/// Minimal flag parsing: `--name value` pairs after the subcommand, each
+/// name at most once.
 struct Args {
     flags: Vec<(String, String)>,
 }
@@ -52,25 +60,27 @@ impl Args {
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(a) = it.next() {
-            if a == "--tsv" {
-                flags.push((a[2..].to_string(), "true".to_string()));
-                continue;
-            }
             let Some(name) = a.strip_prefix("--") else {
                 return Err(format!("unexpected argument: {a}"));
             };
-            let Some(value) = it.next() else {
-                return Err(format!("flag --{name} needs a value"));
+            if flags.iter().any(|(n, _)| n == name) {
+                return Err(format!("flag --{name} given twice"));
+            }
+            let value = match name {
+                "tsv" => "true",
+                _ => it
+                    .next()
+                    .ok_or_else(|| format!("flag --{name} needs a value"))?,
             };
-            flags.push((name.to_string(), value.clone()));
+            flags.push((name.to_string(), value.to_string()));
         }
         Ok(Args { flags })
     }
 
     fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
-        match self.flags.iter().find(|(n, _)| n == name) {
+        match self.string(name) {
             None => Ok(default),
-            Some((_, v)) => v
+            Some(v) => v
                 .parse()
                 .map_err(|_| format!("bad value for --{name}: {v}")),
         }
@@ -89,21 +99,17 @@ impl Args {
         Ok(v)
     }
 
-    /// [`Args::get`] for a length in centimetres, from 0 to
-    /// [`MAX_DISTANCE_CM`].
-    fn distance_cm(&self, name: &str, default: f64) -> Result<Distance, String> {
-        let cm = self.get(name, default)?;
-        if !(0.0..=MAX_DISTANCE_CM).contains(&cm) {
+    /// [`Args::get`] for a number within `range` (NaN is within none).
+    fn bounded(&self, name: &str, default: f64, range: RangeInclusive<f64>) -> Result<f64, String> {
+        let v = self.get(name, default)?;
+        if !range.contains(&v) {
             let shown = self.string(name).unwrap_or_default();
+            let (lo, hi) = range.into_inner();
             return Err(format!(
-                "bad value for --{name}: {shown} (a distance from 0 to {MAX_DISTANCE_CM} cm)"
+                "bad value for --{name}: {shown} (from {lo} to {hi})"
             ));
         }
-        Ok(Distance::from_cm(cm))
-    }
-
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
+        Ok(v)
     }
 
     fn string(&self, name: &str) -> Option<&str> {
@@ -149,6 +155,10 @@ COMMANDS:
   fleet        blast radius on a drive column        [--drives N] [--spacing-cm S]
   heatmap      frequency x distance attack surface   [--tsv]
   covert       seek-noise exfiltration budget (DiskFiltration underwater)
+  fio          fio jobs on the victim drive, optionally under a tone
+               (--job FILE | --inline \"rw=write bs=4k runtime=5\")
+               [--attack-hz F] [--distance-cm D] [--scenario 1|2|3]
+               scenarios: 1 plastic/floor, 2 plastic/tower (default), 3 metal/tower
   cluster      replicated KV cluster vs attack timeline
                [--placement separated|colocated|both] [--seconds N]
                [--clients N] [--shards N] [--seed S]
@@ -160,7 +170,7 @@ COMMANDS:
                Chrome/Perfetto trace of every layer, --metrics-interval
                scrapes per-node series into the JSON report
   trace-check  validate telemetry artifacts            [--trace FILE] [--report FILE]
-  all          everything above (except TSV dumps)
+  all          everything above but fio and trace-check (no TSV dumps)
 ";
 
 /// The flags `cmd` takes (`None` for an unknown command).
@@ -183,6 +193,7 @@ fn flags_of(cmd: &str) -> Option<&'static [&'static str]> {
             "metrics-interval",
         ],
         "trace-check" => &["trace", "report"],
+        "fio" => &["job", "inline", "attack-hz", "distance-cm", "scenario"],
         "table3" | "defenses" | "ablations" | "stealth" | "redundancy" | "covert" | "all" => &[],
         _ => return None,
     })
@@ -224,7 +235,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         "fig2" => {
             let sweeps = frequency::figure2(Distance::from_cm(1.0), &SweepPlan::paper_sweep());
             print!("{}", report::render_figure2(&sweeps));
-            if args.has("tsv") {
+            if args.string("tsv").is_some() {
                 for sweep in &sweeps {
                     print!("{}", sweep.write.to_tsv());
                     print!("{}", sweep.read.to_tsv());
@@ -232,7 +243,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             }
         }
         "sweep" => {
-            let distance = args.distance_cm("distance-cm", 1.0)?;
+            let distance = Distance::from_cm(args.bounded("distance-cm", 1.0, DISTANCE_CM)?);
             let requests = args.nonzero("requests", 6u32)?;
             let d = adaptive::remote_frequency_discovery(
                 &testbed,
@@ -264,31 +275,14 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
                 report::render_tolerance(&ablations::tolerance_sensitivity())
             );
             println!("Tone vs band noise at equal power:");
-            for row in ablations::noise_vs_tone() {
-                println!(
-                    "  {:<42} residual {:>7.1} nm, write {:>5.1} MB/s",
-                    row.label, row.displacement_nm, row.write_mb_s
-                );
-            }
+            print!(
+                "{}",
+                report::render_noise_vs_tone(&ablations::noise_vs_tone())
+            );
             println!("Attacker depth vs reach (Lloyd mirror, target at 36 m):");
-            for row in ablations::attacker_depth() {
-                let reach = row
-                    .blackout_range_m
-                    .map(|m| format!("{m:.0} m"))
-                    .unwrap_or_else(|| "out of reach".to_string());
-                println!("  {:<26} blackout reach {reach}", row.label);
-            }
+            print!("{}", report::render_depth(&ablations::attacker_depth()));
             println!("Seasonal resonance drift (probe at 10 cm):");
-            for row in ablations::seasonal_drift() {
-                println!(
-                    "  {:<26} modes x{:.3}: stale 650 Hz -> {:>5.1} MB/s, retuned {:>5.0} Hz -> {:>5.1} MB/s",
-                    row.label,
-                    row.frequency_scale,
-                    row.write_at_stale_tuning_mb_s,
-                    row.retuned_best_hz,
-                    row.write_at_retuned_mb_s
-                );
-            }
+            print!("{}", report::render_seasons(&ablations::seasonal_drift()));
         }
         "stealth" => {
             print!("{}", stealth::render(&stealth::duty_cycle_sweep(&testbed)));
@@ -298,7 +292,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "fleet" => {
             let drives = args.nonzero("drives", 10usize)?;
-            let spacing = args.distance_cm("spacing-cm", 4.0)?;
+            let spacing = Distance::from_cm(args.bounded("spacing-cm", 4.0, DISTANCE_CM)?);
             let fleet = Fleet::new(testbed, Distance::from_cm(1.0), spacing, drives);
             let report = fleet.assess(AttackParams::paper_best());
             println!(
@@ -326,12 +320,41 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
                 Some(cm) => println!("operator exclusion radius (90% of nominal): {cm:.0} cm"),
                 None => println!("some frequency stays degraded at every sampled distance"),
             }
-            if args.has("tsv") {
+            if args.string("tsv").is_some() {
                 print!("{}", map.to_tsv());
             }
         }
         "covert" => {
             print!("{}", covert::render(&covert::exfiltration_study()));
+        }
+        "fio" => {
+            let scenario = match args.string("scenario").unwrap_or("2") {
+                "1" => Scenario::PlasticDirect,
+                "2" => Scenario::PlasticTower,
+                "3" => Scenario::MetalTower,
+                other => return Err(format!("bad value for --scenario: {other} (1, 2 or 3)")),
+            };
+            let distance_cm = args.bounded("distance-cm", 1.0, DISTANCE_CM)?;
+            let tone = match args.string("attack-hz") {
+                Some(_) => Some(fio::Tone {
+                    hz: args.bounded("attack-hz", 0.0, FREQUENCY_HZ)?,
+                    distance_cm,
+                    scenario,
+                }),
+                None => None,
+            };
+            let text = match (args.string("job"), args.string("inline")) {
+                (Some(path), None) => {
+                    std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?
+                }
+                // Space-separated key=value pairs make one job, `inline`.
+                (None, Some(pairs)) => {
+                    let lines: Vec<&str> = pairs.split_whitespace().collect();
+                    format!("[inline]\n{}\n", lines.join("\n"))
+                }
+                _ => return Err("fio takes one of --job FILE and --inline \"k=v ...\"".to_string()),
+            };
+            print!("{}", fio::run(&text, tone)?);
         }
         "cluster" => {
             let placement = args.get("placement", "both".to_string())?;
@@ -382,7 +405,7 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
                 reports.push(result.map_err(|e| format!("campaign failed: {e}"))?);
             }
             print!("{}", render_duel(&reports));
-            if let Some((_, path)) = args.flags.iter().find(|(n, _)| n == "json") {
+            if let Some(path) = args.string("json") {
                 let body = reports
                     .iter()
                     .map(CampaignReport::to_json)

@@ -25,7 +25,8 @@ pub const SEAL_BYTES: usize = 8;
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-fn fnv1a(key: &[u8], value: &[u8]) -> u64 {
+/// 64-bit FNV-1a over `key ‖ value`.
+pub(crate) fn fnv1a(key: &[u8], value: &[u8]) -> u64 {
     let mut h = FNV_OFFSET;
     for &b in key.iter().chain(value.iter()) {
         h ^= u64::from(b);

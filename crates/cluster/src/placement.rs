@@ -13,6 +13,7 @@
 //! * [`PlacementPolicy::Separated`] — one replica per rack, round-robin
 //!   (acoustic fault domains, the defensive layout).
 
+use crate::integrity::fnv1a;
 use deepnote_acoustics::Distance;
 use serde::{Deserialize, Serialize};
 
@@ -105,12 +106,7 @@ impl Topology {
 /// FNV-1a over the key bytes: stable, seed-free key → shard routing.
 pub fn shard_of(key: &[u8], num_shards: usize) -> ShardId {
     assert!(num_shards > 0, "cluster needs at least one shard");
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in key {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    (h % num_shards as u64) as usize
+    (fnv1a(key, &[]) % num_shards as u64) as usize
 }
 
 /// The replica assignment: for every shard, which nodes hold it.

@@ -19,6 +19,8 @@
 //!   operator's exclusion radius.
 //! * [`covert`] — the cited DiskFiltration threat, underwater: seek-noise
 //!   exfiltration budgets.
+//! * [`fio`] — any fio job file against the victim drive, optionally
+//!   under a tone (`deepnote fio`).
 //!
 //! All harnesses run on virtual time and are deterministic for a fixed
 //! seed; the full evaluation takes seconds of wall time.
@@ -27,6 +29,7 @@ pub mod ablations;
 pub mod adaptive;
 pub mod covert;
 pub mod crash;
+pub mod fio;
 pub mod frequency;
 pub mod heatmap;
 pub mod range;

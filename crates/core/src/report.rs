@@ -1,7 +1,9 @@
 //! Render experiment results as the paper's tables.
 
 use crate::defense::DefenseOutcome;
-use crate::experiments::ablations::{MaterialRow, PowerRow, ToleranceRow, WaterRow};
+use crate::experiments::ablations::{
+    DepthRow, MaterialRow, PowerRow, SeasonRow, SpectrumRow, ToleranceRow, WaterRow,
+};
 use crate::experiments::crash::CrashRow;
 use crate::experiments::frequency::FrequencySweep;
 use crate::experiments::range::{FioRangeRow, KvRangeRow};
@@ -149,6 +151,50 @@ pub fn render_power(rows: &[PowerRow]) -> String {
         ));
     }
     out
+}
+
+/// Renders the noise-vs-tone ablation's rows; the caller prints the
+/// heading.
+pub fn render_noise_vs_tone(rows: &[SpectrumRow]) -> String {
+    rows.iter()
+        .map(|r| {
+            format!(
+                "  {:<42} residual {:>7.1} nm, write {:>5.1} MB/s\n",
+                r.label, r.displacement_nm, r.write_mb_s
+            )
+        })
+        .collect()
+}
+
+/// Renders the attacker-depth ablation's rows; the caller prints the
+/// heading.
+pub fn render_depth(rows: &[DepthRow]) -> String {
+    rows.iter()
+        .map(|r| {
+            let reach = match r.blackout_range_m {
+                Some(m) => format!("{m:.0} m"),
+                None => "out of reach".to_string(),
+            };
+            format!("  {:<26} blackout reach {reach}\n", r.label)
+        })
+        .collect()
+}
+
+/// Renders the seasonal-drift ablation's rows; the caller prints the
+/// heading.
+pub fn render_seasons(rows: &[SeasonRow]) -> String {
+    rows.iter()
+        .map(|r| {
+            format!(
+                "  {:<26} modes x{:.3}: stale 650 Hz -> {:>5.1} MB/s, retuned {:>5.0} Hz -> {:>5.1} MB/s\n",
+                r.label,
+                r.frequency_scale,
+                r.write_at_stale_tuning_mb_s,
+                r.retuned_best_hz,
+                r.write_at_retuned_mb_s
+            )
+        })
+        .collect()
 }
 
 /// Renders the defense catalog evaluation.

@@ -170,6 +170,12 @@ impl JobSpec {
     pub fn span_units(&self) -> u64 {
         self.span_bytes / self.block_size as u64
     }
+
+    /// One past the last 512-byte block the job addresses: the job fits
+    /// a device of at least this many blocks.
+    pub fn end_block(&self) -> u64 {
+        self.start_offset_bytes / 512 + self.span_units() * (self.block_size / 512) as u64
+    }
 }
 
 #[cfg(test)]

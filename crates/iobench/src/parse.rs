@@ -57,8 +57,9 @@ fn parse_size(value: &str, line: usize) -> Result<u64, ParseError> {
     };
     digits
         .parse::<u64>()
-        .map(|n| n * mult)
-        .map_err(|_| err(line, format!("bad size: {value}")))
+        .ok()
+        .and_then(|n| n.checked_mul(mult))
+        .ok_or_else(|| err(line, format!("bad size: {value}")))
 }
 
 #[derive(Debug, Clone, Default)]
@@ -213,10 +214,11 @@ pub fn parse_jobfile(text: &str) -> Result<Vec<JobSpec>, ParseError> {
             }
             "bs" | "blocksize" => target.bs = Some(parse_size(value, line_no)?),
             "runtime" => {
-                let v = value.trim_end_matches('s');
+                // Whole seconds that still fit a nanosecond `SimDuration`.
+                let secs = value.trim_end_matches('s').parse::<u64>().ok();
                 target.runtime_s = Some(
-                    v.parse()
-                        .map_err(|_| err(line_no, format!("bad runtime: {value}")))?,
+                    secs.filter(|&s| s.checked_mul(1_000_000_000).is_some())
+                        .ok_or_else(|| err(line_no, format!("bad runtime: {value}")))?,
                 );
             }
             "size" => target.size = Some(parse_size(value, line_no)?),
@@ -316,6 +318,24 @@ size=1g
 
         let e = parse_jobfile("[broken\nrw=read").unwrap_err();
         assert_eq!(e.line, 1);
+
+        // Values whose byte or nanosecond count overflows a u64.
+        for (text, message) in [
+            (
+                "[j]\nrw=write\nsize=18014398509481988k",
+                "bad size: 18014398509481988k",
+            ),
+            ("[j]\noffset=17179869184g", "bad size: 17179869184g"),
+            ("[j]\nbs=18014398509481984k", "bad size: 18014398509481984k"),
+            (
+                "[j]\nrw=read\nruntime=18446744074",
+                "bad runtime: 18446744074",
+            ),
+        ] {
+            let e = parse_jobfile(text).unwrap_err();
+            assert_eq!(e.line, text.lines().count(), "{text}: {e}");
+            assert_eq!(e.message, message, "{text}");
+        }
     }
 
     #[test]

@@ -21,7 +21,7 @@ pub fn run_job(job: &JobSpec, device: &mut dyn BlockDevice, clock: &Clock) -> Jo
     let start_block = job.start_offset_bytes() / 512;
     let blocks_per_unit = (bs / 512) as u64;
     assert!(
-        start_block + span_units * blocks_per_unit <= device.num_blocks(),
+        job.end_block() <= device.num_blocks(),
         "job working set exceeds device capacity"
     );
 

@@ -10,55 +10,37 @@ use deepnote_core::report;
 
 fn main() {
     println!("== water conditions vs attack reach ==\n");
-    let rows = ablations::water_conditions();
-    print!("{}", report::render_water(&rows));
+    print!("{}", report::render_water(&ablations::water_conditions()));
 
     println!("\n== attacker power vs open-water reach ==\n");
-    let rows = ablations::attacker_power();
-    print!("{}", report::render_power(&rows));
+    print!("{}", report::render_power(&ablations::attacker_power()));
 
     println!("\n== enclosure materials ==\n");
-    let rows = ablations::materials();
-    print!("{}", report::render_materials(&rows));
+    print!("{}", report::render_materials(&ablations::materials()));
 
     println!("\n== off-track tolerance sensitivity ==\n");
-    let rows = ablations::tolerance_sensitivity();
-    print!("{}", report::render_tolerance(&rows));
+    print!(
+        "{}",
+        report::render_tolerance(&ablations::tolerance_sensitivity())
+    );
 
     println!("\n== tone vs band noise at equal power ==\n");
-    for row in ablations::noise_vs_tone() {
-        println!(
-            "  {:<42} residual {:>7.1} nm, write {:>5.1} MB/s",
-            row.label, row.displacement_nm, row.write_mb_s
-        );
-    }
+    print!(
+        "{}",
+        report::render_noise_vs_tone(&ablations::noise_vs_tone())
+    );
     println!("\nconcentrating power at the resonance is what makes the paper's");
     println!("sine sweep effective; spreading the same energy across the band");
     println!("dilutes the displacement below the fault thresholds.");
 
     println!("\n== attacker depth vs reach (Lloyd mirror, Natick at 36 m) ==\n");
-    for row in ablations::attacker_depth() {
-        let reach = row
-            .blackout_range_m
-            .map(|m| format!("{m:.0} m"))
-            .unwrap_or_else(|| "out of reach".to_string());
-        println!("  {:<26} blackout reach {reach}", row.label);
-    }
+    print!("{}", report::render_depth(&ablations::attacker_depth()));
     println!("\nthe phase-inverted surface reflection cancels low frequencies for");
     println!("shallow sources: attacking a deep data center from a surface vessel");
     println!("costs an order of magnitude in range — the attacker must dive.");
 
     println!("\n== seasonal resonance drift (probe at 10 cm) ==\n");
-    for row in ablations::seasonal_drift() {
-        println!(
-            "  {:<26} modes x{:.3}: stale 650 Hz -> {:>5.1} MB/s, retuned {:>5.0} Hz -> {:>5.1} MB/s",
-            row.label,
-            row.frequency_scale,
-            row.write_at_stale_tuning_mb_s,
-            row.retuned_best_hz,
-            row.write_at_retuned_mb_s
-        );
-    }
+    print!("{}", report::render_seasons(&ablations::seasonal_drift()));
     println!("\na frequency tuned in the paper's 21°C tank drifts with the seasons;");
     println!("the attacker must re-sweep, and a defender watching for sweeps gains");
     println!("a recurring detection opportunity.");
