@@ -190,26 +190,29 @@ fn schedule(q: &mut EventQueue<EvKind>, at: SimTime, kind: EvKind) {
     q.push(at, kind.priority(), kind);
 }
 
-/// Metric handles for one node, one per instrumented layer.
-struct NodeSeries {
-    spl_db: MetricId,
-    offtrack_nm: MetricId,
-    seek_retries: MetricId,
-    io_errors: MetricId,
-    injected_faults: MetricId,
-    wal_syncs: MetricId,
-    flushes: MetricId,
-    compactions: MetricId,
-    journal_commits: MetricId,
-    up: MetricId,
-}
+/// The series scraped from every node, in registration order: layer,
+/// name (prefixed `node{n}.`) and kind. [`Scraper::scrape`] records the
+/// probe values in this order.
+const NODE_SERIES: [(Layer, &str, MetricKind); 10] = [
+    (Layer::Acoustics, "spl_db", MetricKind::Gauge),
+    (Layer::Hdd, "offtrack_nm", MetricKind::Gauge),
+    (Layer::Hdd, "seek_retries", MetricKind::Counter),
+    (Layer::Blockdev, "io_errors", MetricKind::Counter),
+    (Layer::Blockdev, "injected_faults", MetricKind::Counter),
+    (Layer::Kv, "wal_syncs", MetricKind::Counter),
+    (Layer::Kv, "flushes", MetricKind::Counter),
+    (Layer::Kv, "compactions", MetricKind::Counter),
+    (Layer::Fs, "journal_commits", MetricKind::Counter),
+    (Layer::Cluster, "up", MetricKind::Gauge),
+];
 
 /// The unified registry plus every handle a campaign scrapes into it.
 /// Scraping is strictly read-only: it probes node state and records
 /// values, so enabling it cannot perturb the campaign.
 struct Scraper {
     registry: MetricsRegistry,
-    nodes: Vec<NodeSeries>,
+    /// Per node, one handle per [`NODE_SERIES`] entry.
+    nodes: Vec<[MetricId; NODE_SERIES.len()]>,
     pending_repairs: MetricId,
     unavailable_shards: MetricId,
     failovers: MetricId,
@@ -220,53 +223,11 @@ impl Scraper {
     fn new(num_nodes: usize) -> Self {
         let mut registry = MetricsRegistry::new();
         let nodes = (0..num_nodes)
-            .map(|n| NodeSeries {
-                spl_db: registry.register(
-                    Layer::Acoustics,
-                    format!("node{n}.spl_db"),
-                    MetricKind::Gauge,
-                ),
-                offtrack_nm: registry.register(
-                    Layer::Hdd,
-                    format!("node{n}.offtrack_nm"),
-                    MetricKind::Gauge,
-                ),
-                seek_retries: registry.register(
-                    Layer::Hdd,
-                    format!("node{n}.seek_retries"),
-                    MetricKind::Counter,
-                ),
-                io_errors: registry.register(
-                    Layer::Blockdev,
-                    format!("node{n}.io_errors"),
-                    MetricKind::Counter,
-                ),
-                injected_faults: registry.register(
-                    Layer::Blockdev,
-                    format!("node{n}.injected_faults"),
-                    MetricKind::Counter,
-                ),
-                wal_syncs: registry.register(
-                    Layer::Kv,
-                    format!("node{n}.wal_syncs"),
-                    MetricKind::Counter,
-                ),
-                flushes: registry.register(
-                    Layer::Kv,
-                    format!("node{n}.flushes"),
-                    MetricKind::Counter,
-                ),
-                compactions: registry.register(
-                    Layer::Kv,
-                    format!("node{n}.compactions"),
-                    MetricKind::Counter,
-                ),
-                journal_commits: registry.register(
-                    Layer::Fs,
-                    format!("node{n}.journal_commits"),
-                    MetricKind::Counter,
-                ),
-                up: registry.register(Layer::Cluster, format!("node{n}.up"), MetricKind::Gauge),
+            .map(|n| {
+                std::array::from_fn(|i| {
+                    let (layer, name, kind) = NODE_SERIES[i];
+                    registry.register(layer, format!("node{n}.{name}"), kind)
+                })
             })
             .collect();
         let pending_repairs =
@@ -294,22 +255,21 @@ impl Scraper {
                 continue;
             };
             let p = node.probe();
-            self.registry
-                .record(ids.spl_db, now, cluster.received_spl_db(n));
-            self.registry.record(ids.offtrack_nm, now, p.offtrack_nm);
-            self.registry
-                .record(ids.seek_retries, now, p.seek_retries as f64);
-            self.registry.record(ids.io_errors, now, p.io_errors as f64);
-            self.registry
-                .record(ids.injected_faults, now, p.injected_faults as f64);
-            self.registry.record(ids.wal_syncs, now, p.wal_syncs as f64);
-            self.registry.record(ids.flushes, now, p.flushes as f64);
-            self.registry
-                .record(ids.compactions, now, p.compactions as f64);
-            self.registry
-                .record(ids.journal_commits, now, p.journal_commits as f64);
-            self.registry
-                .record(ids.up, now, if p.running { 1.0 } else { 0.0 });
+            let values: [f64; NODE_SERIES.len()] = [
+                cluster.received_spl_db(n),
+                p.offtrack_nm,
+                p.seek_retries as f64,
+                p.io_errors as f64,
+                p.injected_faults as f64,
+                p.wal_syncs as f64,
+                p.flushes as f64,
+                p.compactions as f64,
+                p.journal_commits as f64,
+                if p.running { 1.0 } else { 0.0 },
+            ];
+            for (&id, value) in ids.iter().zip(values) {
+                self.registry.record(id, now, value);
+            }
         }
         let down = cluster.monitor().up_mask().iter().filter(|u| !**u).count();
         self.registry

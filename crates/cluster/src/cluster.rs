@@ -14,8 +14,8 @@ use crate::integrity::{self, IntegrityConfig, IntegrityStats, ScrubStats, Scrubb
 use crate::node::{commission, RestartOutcome, StorageNode};
 use crate::placement::{shard_of, NodeId, PlacementPolicy, RackSpec, ShardId, ShardMap, Topology};
 use crate::replication::{
-    quorum_execute, OpKind, QuorumOutcome, RepairQueue, RepairReason, RepairStats,
-    ReplicationConfig,
+    OpKind, QuorumOutcome, RepairQueue, RepairReason, RepairStats, ReplicaReply, ReplicationConfig,
+    REQUEST_TIMEOUT,
 };
 use crate::workload::WorkloadSpec;
 use deepnote_acoustics::Frequency;
@@ -90,14 +90,16 @@ impl ClusterConfig {
 /// The running cluster.
 #[derive(Debug)]
 pub struct Cluster {
-    config: ClusterConfig,
+    pub(crate) config: ClusterConfig,
     testbed: Testbed,
     topo: Topology,
-    nodes: Vec<StorageNode>,
-    map: ShardMap,
+    pub(crate) nodes: Vec<StorageNode>,
+    pub(crate) map: ShardMap,
     monitor: HealthMonitor,
-    repairs: RepairQueue,
-    shard_keys: Vec<Vec<Vec<u8>>>,
+    pub(crate) repairs: RepairQueue,
+    /// Every key each shard holds, in provisioning order: what repair
+    /// copies and the scrubber walks.
+    pub(crate) shard_keys: Vec<Vec<Vec<u8>>>,
     current_attack: Option<Frequency>,
     failovers: u64,
     events: Vec<String>,
@@ -376,10 +378,10 @@ impl Cluster {
 
     /// [`Cluster::execute`] with an optional client-side deny mask
     /// (circuit breakers): `denied[n]` suppresses dispatch to node `n`
-    /// on top of the health monitor's belief. With integrity on, writes
-    /// are sealed and every read ack is verified end-to-end; corrupt
-    /// acks are never served and are rewritten inline from the earliest
-    /// verified copy.
+    /// on top of serviceability. A successful read serves the copy
+    /// `integrity::classify` picks. With integrity on, writes are
+    /// sealed and every read ack is verified end-to-end; corrupt acks
+    /// are never served and are rewritten inline from the served copy.
     pub fn execute_masked(
         &mut self,
         is_read: bool,
@@ -389,14 +391,6 @@ impl Cluster {
         denied: Option<&[bool]>,
     ) -> QuorumOutcome {
         let shard = self.shard_for(key);
-        let mut up = self.monitor.up_mask();
-        if let Some(denied) = denied {
-            for (u, &d) in up.iter_mut().zip(denied) {
-                if d {
-                    *u = false;
-                }
-            }
-        }
         let kind = if is_read { OpKind::Read } else { OpKind::Write };
         let sealed;
         let payload = if !is_read && self.config.integrity.enabled {
@@ -405,23 +399,15 @@ impl Cluster {
         } else {
             value
         };
-        let mut outcome = quorum_execute(
-            &mut self.nodes,
-            self.map.replicas(shard),
-            &up,
-            kind,
-            key,
-            payload,
-            now,
-            &self.config.replication,
-        );
+        let mut outcome = self.dispatch(shard, kind, key, payload, now, denied);
         for &n in &outcome.fatalities.clone() {
             self.note_fatal(n, now);
         }
-        if is_read && self.config.integrity.enabled {
-            self.verify_read(key, now, &mut outcome);
+        if is_read && outcome.ok {
+            self.serve_read(key, now, &mut outcome);
         }
         if !outcome.ok && self.tracer.is_enabled() {
+            let acks = outcome.replies.iter().filter(|r| r.ok).count();
             self.tracer.instant(
                 Layer::Cluster,
                 "quorum_fail",
@@ -429,7 +415,7 @@ impl Cluster {
                 vec![
                     ("shard", Value::U64(shard as u64)),
                     ("op", Value::Str(if is_read { "read" } else { "write" })),
-                    ("acks", Value::U64(outcome.acks as u64)),
+                    ("acks", Value::U64(acks as u64)),
                 ],
             );
         }
@@ -447,58 +433,38 @@ impl Cluster {
         }
     }
 
-    /// End-to-end verification of a quorum read: serve only the
-    /// earliest verified copy, count corrupt acks, and rewrite them
-    /// inline. A read that acked a quorum but produced no
-    /// verifiable value is downgraded to a failure — serving bytes the
-    /// checksum rejects is exactly what this layer exists to prevent.
-    fn verify_read(&mut self, key: &[u8], now: SimTime, outcome: &mut QuorumOutcome) {
-        if !outcome.ok {
-            return;
-        }
-        let mut healthy: Option<Vec<u8>> = None;
-        let mut corrupt: Vec<NodeId> = Vec::new();
-        let mut saw_value = false;
-        for r in &outcome.replies {
-            if !r.ok {
-                continue;
-            }
-            let Some(v) = &r.value else { continue };
-            saw_value = true;
-            if integrity::verify(key, v) {
-                if healthy.is_none() {
-                    healthy = Some(v.clone());
-                }
-            } else {
-                corrupt.push(r.node);
-            }
-        }
-        self.integrity.corrupt_acks += corrupt.len() as u64;
-        match healthy {
-            Some(sealed_copy) => {
-                outcome.value = integrity::unseal(key, &sealed_copy).map(<[u8]>::to_vec);
-                for n in corrupt {
-                    let w = self.nodes[n].serve_put(now, key, &sealed_copy);
-                    if w.ok {
-                        self.integrity.read_repairs += 1;
-                    } else {
-                        self.integrity.read_repair_failures += 1;
-                        if w.fatal {
-                            self.note_fatal(n, now);
-                        }
-                    }
-                }
-            }
-            None if saw_value => {
-                // Every ack with a value was corrupt: refuse the read.
+    /// Fills a successful quorum read's value with the copy
+    /// [`integrity::classify`] serves. With integrity on, corrupt acks
+    /// are counted and rewritten inline from the served copy, and a read
+    /// whose every valued ack is corrupt is downgraded to a failure —
+    /// serving bytes the checksum rejects is exactly what this layer
+    /// exists to prevent. A genuine miss (no replica holds the key)
+    /// stands with nothing to serve.
+    fn serve_read(&mut self, key: &[u8], now: SimTime, outcome: &mut QuorumOutcome) {
+        let verify = self.config.integrity.enabled;
+        let verdict = integrity::classify(key, &outcome.replies, verify);
+        self.integrity.corrupt_acks += verdict.corrupt.len() as u64;
+        let Some((_, copy)) = verdict.served else {
+            if !verdict.corrupt.is_empty() {
                 self.integrity.unserveable_reads += 1;
                 outcome.ok = false;
-                outcome.value = None;
             }
-            None => {
-                // A genuine miss (no replica holds the key): the quorum
-                // stands, there is just nothing to serve.
-                outcome.value = None;
+            return;
+        };
+        outcome.value = if verify {
+            integrity::unseal(key, copy).map(<[u8]>::to_vec)
+        } else {
+            Some(copy.to_vec())
+        };
+        for &n in &verdict.corrupt {
+            let w = self.nodes[n].serve_put(now, key, copy);
+            if w.ok {
+                self.integrity.read_repairs += 1;
+            } else {
+                self.integrity.read_repair_failures += 1;
+                if w.fatal {
+                    self.note_fatal(n, now);
+                }
             }
         }
     }
@@ -634,21 +600,6 @@ impl Cluster {
         }
     }
 
-    /// Runs one bounded repair step; returns keys moved.
-    pub fn repair_step(&mut self, now: SimTime, batch: usize) -> u64 {
-        let up = self.monitor.up_mask();
-        self.repairs.step(
-            &mut self.nodes,
-            &self.map,
-            &up,
-            &self.shard_keys,
-            batch,
-            now,
-            &self.config.replication,
-            self.config.integrity.enabled,
-        )
-    }
-
     /// Pending repair jobs.
     pub fn pending_repairs(&self) -> usize {
         self.repairs.pending()
@@ -668,7 +619,7 @@ impl Cluster {
         if total_keys == 0 {
             return 0;
         }
-        let deadline = now + self.config.replication.request_timeout;
+        let deadline = now + REQUEST_TIMEOUT;
         let mut t = now;
         let mut scanned = 0u64;
         while scanned < budget as u64 {
@@ -678,26 +629,29 @@ impl Cluster {
             }
             let shard = self.scrubber.shard;
             let key = self.shard_keys[shard][self.scrubber.key].clone();
-            let replicas = self.map.replicas(shard).to_vec();
-            let mut reads: Vec<(NodeId, Option<Vec<u8>>)> = Vec::new();
-            for n in replicas {
-                if !self.monitor.is_up(n) || self.nodes[n].busy_until() > deadline {
+            // Every live replica is read; a failed read is ignored by
+            // the verdict (transient failure: next pass retries).
+            let mut replies = Vec::new();
+            for &n in self.map.replicas(shard) {
+                if !self.serviceable(n, deadline) {
                     continue;
                 }
                 let r = self.nodes[n].serve_get(t, &key);
                 t = r.done;
                 self.scrubber.stats.replicas_read += 1;
-                if !r.ok {
-                    continue; // transient failure: next pass retries
-                }
                 if let Some(v) = &r.value {
                     self.scrubber.stats.bytes_read += v.len() as u64;
                 }
-                reads.push((n, r.value));
+                replies.push(ReplicaReply {
+                    node: n,
+                    ok: r.ok,
+                    done: r.done,
+                    value: r.value,
+                });
             }
-            let verdict = Scrubber::classify(&key, &reads);
+            let verdict = integrity::classify(&key, &replies, true);
             self.scrubber.stats.corrupt_found += verdict.corrupt.len() as u64;
-            if verdict.healthy.is_some() {
+            if verdict.served.is_some() {
                 // Only count/repair missing copies when a sibling proves
                 // the key exists; and only enqueue repairs when there is
                 // something verified to copy from.
@@ -746,16 +700,24 @@ impl Cluster {
         self.nodes.iter().map(StorageNode::chaos_stats).collect()
     }
 
+    /// Whether node `n` can take a request due by `deadline`: the
+    /// monitor believes it up and its busy window ends by then. The one
+    /// reachability test quorum dispatch, repair, scrub and the
+    /// availability count share.
+    pub(crate) fn serviceable(&self, n: NodeId, deadline: SimTime) -> bool {
+        self.monitor.is_up(n) && self.nodes[n].busy_until() <= deadline
+    }
+
     /// Shards currently below their write quorum (no write can succeed).
     pub fn unavailable_shards(&self, now: SimTime) -> usize {
-        let deadline = now + self.config.replication.request_timeout;
+        let deadline = now + REQUEST_TIMEOUT;
         (0..self.map.shards())
             .filter(|&s| {
                 let serviceable = self
                     .map
                     .replicas(s)
                     .iter()
-                    .filter(|&&n| self.monitor.is_up(n) && self.nodes[n].busy_until() <= deadline)
+                    .filter(|&&n| self.serviceable(n, deadline))
                     .count();
                 serviceable < self.config.replication.write_quorum
             })
@@ -767,6 +729,7 @@ impl Cluster {
 mod tests {
     use super::*;
     use crate::workload::WorkloadSpec;
+    use deepnote_blockdev::{ChaosPlan, IoError, EIO};
 
     fn small_spec() -> WorkloadSpec {
         WorkloadSpec {
@@ -779,6 +742,121 @@ mod tests {
         let mut c = Cluster::new(ClusterConfig::three_racks(placement)).expect("launch");
         c.provision(&small_spec()).expect("provision");
         c
+    }
+
+    /// One rack of three nodes holding a single shard on all three,
+    /// with end-to-end integrity on and `device` chaos on every drive.
+    fn sealed_trio(device: ChaosPlan) -> Cluster {
+        let mut config = ClusterConfig::three_racks(PlacementPolicy::CoLocated);
+        config.racks.truncate(1);
+        config.num_shards = 1;
+        config.integrity = IntegrityConfig::full();
+        let chaos = ChaosProfile {
+            device,
+            ..ChaosProfile::off()
+        };
+        Cluster::with_chaos(config, &chaos, &mut SimRng::seeded(0)).expect("launch")
+    }
+
+    /// `sealed` with its first byte flipped.
+    fn corrupted(sealed: &[u8]) -> Vec<u8> {
+        let mut bad = sealed.to_vec();
+        bad[0] ^= 0x01;
+        bad
+    }
+
+    #[test]
+    fn a_read_whose_every_ack_is_corrupt_is_refused() {
+        let mut c = sealed_trio(ChaosPlan::quiet());
+        let key = b"k";
+        let bad = corrupted(&integrity::seal(key, b"payload"));
+        for n in 0..3 {
+            assert!(c.nodes[n].serve_put(SimTime::ZERO, key, &bad).ok);
+        }
+        let r = c.execute(true, key, b"", SimTime::from_secs(1));
+        assert!(!r.ok, "{r:?}");
+        assert_eq!(r.value, None);
+        let s = c.integrity_stats();
+        assert_eq!(s.unserveable_reads, 1);
+        assert_eq!(s.corrupt_acks, 3);
+        assert_eq!(s.read_repairs, 0);
+    }
+
+    #[test]
+    fn a_fatal_inline_rewrite_counts_a_failure_and_downs_the_node() {
+        // Every drive refuses writes; reads and buffered puts never
+        // reach them.
+        let mut c = sealed_trio(ChaosPlan::fail_writes(IoError::Medium { errno: EIO }));
+        let key = b"k";
+        let sealed = integrity::seal(key, b"payload");
+        let mut t = SimTime::ZERO;
+        for n in 1..3 {
+            assert!(c.nodes[n].serve_put(t, key, &sealed).ok);
+        }
+        // Node 0 holds the corrupt copy, one put short of a WAL group
+        // sync: the inline rewrite is the put that syncs.
+        let sync_every = ClusterConfig::node_db_config().wal_sync_every_ops;
+        for i in 0..sync_every - 2 {
+            let r = c.nodes[0].serve_put(t, format!("filler{i}").as_bytes(), b"x");
+            assert!(r.ok);
+            t = r.done;
+        }
+        let r = c.nodes[0].serve_put(t, key, &corrupted(&sealed));
+        assert!(r.ok);
+        t = r.done;
+        let r = c.execute(true, key, b"", t);
+        assert!(r.ok, "{r:?}");
+        assert_eq!(r.value.as_deref(), Some(&b"payload"[..]));
+        let s = c.integrity_stats();
+        assert_eq!(s.corrupt_acks, 1);
+        assert_eq!(s.read_repairs, 0);
+        assert_eq!(s.read_repair_failures, 1);
+        assert!(!c.monitor().is_up(0), "{:?}", c.events());
+        assert!(c.monitor().is_up(1) && c.monitor().is_up(2));
+    }
+
+    #[test]
+    fn fatal_replicas_go_down_in_dispatch_order() {
+        // Nodes 0 and 1 each sit one put short of a WAL group sync on
+        // drives that refuse writes, so the next write kills both. Node
+        // 0 is busier and dies last, but it is first in the replica list.
+        let mut c = sealed_trio(ChaosPlan::fail_writes(IoError::Medium { errno: EIO }));
+        let sync_every = ClusterConfig::node_db_config().wal_sync_every_ops;
+        for (n, start) in [
+            (0, SimTime::ZERO + SimDuration::from_millis(50)),
+            (1, SimTime::ZERO),
+        ] {
+            let mut t = start;
+            for i in 0..sync_every - 1 {
+                let r = c.nodes[n].serve_put(t, format!("filler{i}").as_bytes(), b"x");
+                assert!(r.ok);
+                t = r.done;
+            }
+        }
+        let w = c.execute(false, b"k", b"v", SimTime::ZERO);
+        assert!(!w.ok, "{w:?}");
+        let done = |n| w.replies.iter().find(|r| r.node == n).map(|r| r.done);
+        assert!(done(1) < done(0), "{w:?}");
+        assert_eq!(w.fatalities, vec![0, 1]);
+        assert_eq!(c.first_down().map(|(n, _)| n), Some(0));
+        let crashed: Vec<&String> = c
+            .events()
+            .iter()
+            .filter(|e| e.contains("crashed"))
+            .collect();
+        assert!(
+            crashed.len() == 2 && crashed[0].contains("node 0") && crashed[1].contains("node 1"),
+            "{crashed:?}"
+        );
+    }
+
+    #[test]
+    fn a_genuine_miss_stands_with_no_value() {
+        let mut c = sealed_trio(ChaosPlan::quiet());
+        let r = c.execute(true, b"never-written", b"", SimTime::ZERO);
+        assert!(r.ok, "{r:?}");
+        assert_eq!(r.value, None);
+        assert_eq!(c.integrity_stats(), IntegrityStats::default());
     }
 
     #[test]

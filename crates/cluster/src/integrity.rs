@@ -12,11 +12,13 @@
 //! into the digest also catches misdirected full records (a valid value
 //! stored under the wrong key).
 //!
-//! The [`Scrubber`] is a resumable cursor over `shard × key` that the
+//! `classify` is the one verdict on which replica's copy wins. The
+//! [`Scrubber`] is a resumable cursor over `shard × key` that the
 //! campaign advances during idle ticks with a per-tick key budget, so
 //! scrub bandwidth is bounded and accounted like any other traffic.
 
 use crate::placement::NodeId;
+use crate::replication::ReplicaReply;
 use serde::{Deserialize, Serialize};
 
 /// Bytes of checksum trailer appended by [`seal`].
@@ -143,36 +145,39 @@ impl Scrubber {
             }
         }
     }
-
-    /// Replica scan of one key: which replicas hold corrupt or missing
-    /// copies, given each live replica's sealed read result.
-    /// `None` entries are replicas that returned no record.
-    pub fn classify(key: &[u8], reads: &[(NodeId, Option<Vec<u8>>)]) -> ScrubVerdict {
-        let mut verdict = ScrubVerdict::default();
-        for (node, value) in reads {
-            match value {
-                Some(v) if verify(key, v) => {
-                    if verdict.healthy.is_none() {
-                        verdict.healthy = Some(*node);
-                    }
-                }
-                Some(_) => verdict.corrupt.push(*node),
-                None => verdict.missing.push(*node),
-            }
-        }
-        verdict
-    }
 }
 
-/// Outcome of scrubbing one key's replica set.
+/// One key's replica replies, judged: the copy served and the replicas
+/// that hold it wrong.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct ScrubVerdict {
-    /// First replica holding a verified copy, if any.
-    pub healthy: Option<NodeId>,
-    /// Replicas holding a record that fails verification.
+pub(crate) struct Verdict<'a> {
+    /// The served copy and the replica it came from.
+    pub served: Option<(NodeId, &'a [u8])>,
+    /// Replicas whose in-time copy fails verification.
     pub corrupt: Vec<NodeId>,
-    /// Replicas holding no record at all.
+    /// Replicas that answered in time without a record.
     pub missing: Vec<NodeId>,
+}
+
+/// Decides which copy of `key` a set of replica replies serves: the
+/// first in-time reply with a value or, with `verify`, the first whose
+/// sealed value verifies. Quorum reads, read repair, repair copies and
+/// the scrubber all take their copy from here. Replies that were not in
+/// time are ignored; without `verify` no copy counts as corrupt.
+pub(crate) fn classify<'a>(key: &[u8], replies: &'a [ReplicaReply], verify: bool) -> Verdict<'a> {
+    let mut verdict = Verdict::default();
+    for r in replies.iter().filter(|r| r.ok) {
+        match &r.value {
+            Some(v) if !verify || self::verify(key, v) => {
+                if verdict.served.is_none() {
+                    verdict.served = Some((r.node, v.as_slice()));
+                }
+            }
+            Some(_) => verdict.corrupt.push(r.node),
+            None => verdict.missing.push(r.node),
+        }
+    }
+    verdict
 }
 
 #[cfg(test)]
@@ -241,10 +246,29 @@ mod tests {
         let good = seal(key, b"value");
         let mut bad = good.clone();
         bad[0] ^= 0x80;
-        let reads = vec![(2usize, Some(bad)), (5usize, Some(good)), (7usize, None)];
-        let v = Scrubber::classify(key, &reads);
-        assert_eq!(v.healthy, Some(5));
+        let reply = |node, ok, value: Option<&Vec<u8>>| ReplicaReply {
+            node,
+            ok,
+            done: deepnote_sim::SimTime::ZERO,
+            value: value.cloned(),
+        };
+        let replies = vec![
+            reply(1, false, Some(&good)),
+            reply(2, true, Some(&bad)),
+            reply(5, true, Some(&good)),
+            reply(7, true, None),
+        ];
+        let v = classify(key, &replies, true);
+        assert_eq!(v.served, Some((5, &good[..])));
         assert_eq!(v.corrupt, vec![2]);
         assert_eq!(v.missing, vec![7]);
+        // Without verification the first in-time copy wins, whatever it
+        // holds, and nothing counts as corrupt.
+        let v = classify(key, &replies, false);
+        assert_eq!(v.served, Some((2, &bad[..])));
+        assert!(v.corrupt.is_empty());
+        assert_eq!(v.missing, vec![7]);
+        // No in-time reply: nothing served, nothing judged.
+        assert_eq!(classify(key, &replies[..1], true), Verdict::default());
     }
 }

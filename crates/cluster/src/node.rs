@@ -125,6 +125,8 @@ pub struct StorageNode {
     vibration: VibrationInput,
     busy_until: SimTime,
     db_config: DbConfig,
+    /// Lifecycle counters. `injected_faults` stays zero here:
+    /// `counters()` reads it from the devices.
     counters: NodeCounters,
     chaos: ChaosProfile,
     rng: SimRng,
@@ -214,7 +216,10 @@ impl StorageNode {
 
     /// Lifecycle counters.
     pub fn counters(&self) -> NodeCounters {
-        self.counters
+        NodeCounters {
+            injected_faults: self.chaos_stats().total(),
+            ..self.counters
+        }
     }
 
     /// Device-level chaos counters, including drives since retired.
@@ -303,11 +308,6 @@ impl StorageNode {
             compactions,
             journal_commits,
         }
-    }
-
-    /// Refreshes the injected-fault counter from the live device.
-    fn refresh_chaos_counters(&mut self) {
-        self.counters.injected_faults = self.chaos_stats().total();
     }
 
     /// Flips one seeded bit of `value` in place (no-op on empty values).
@@ -406,7 +406,7 @@ impl StorageNode {
         let outcome = f(db);
         let service = self.clock.now().saturating_duration_since(t0);
         self.busy_until = start + service + RTT;
-        let result = match outcome {
+        match outcome {
             Ok(value) => ServiceResult {
                 ok: true,
                 fatal: false,
@@ -425,9 +425,7 @@ impl StorageNode {
                     done: self.busy_until,
                 }
             }
-        };
-        self.refresh_chaos_counters();
-        result
+        }
     }
 
     /// Pulls the disk out of a dead engine so its platters survive the
@@ -476,7 +474,6 @@ impl StorageNode {
             self.busy_until = start + spent;
             self.engine = Engine::Stopped(disk);
             self.counters.failed_restarts += 1;
-            self.refresh_chaos_counters();
             return RestartOutcome::StillDead;
         }
         // `open_with` consumes the device; snapshot its chaos history
@@ -527,7 +524,6 @@ impl StorageNode {
                         self.counters.failed_restarts += 1;
                         let spent = self.clock.now().saturating_duration_since(t0);
                         self.busy_until = start + spent;
-                        self.refresh_chaos_counters();
                         return RestartOutcome::StillDead;
                     }
                 }
@@ -539,7 +535,6 @@ impl StorageNode {
         let spent = self.clock.now().saturating_duration_since(t0);
         self.busy_until = start + spent;
         self.counters.restarts += 1;
-        self.refresh_chaos_counters();
         outcome
     }
 }

@@ -238,6 +238,10 @@ fn fio_jobs_that_cannot_run_are_usage_errors() {
             "rw=write bs=4k runtime=18446744074",
             "error: job file: line 4: bad runtime: 18446744074",
         ),
+        (
+            "rw=read bs=4g runtime=1",
+            "error: job file: line 1: bs must be a positive multiple of 512 up to 64m",
+        ),
     ] {
         let run = deepnote(&["fio", "--inline", job]);
         assert_eq!(run.code, Some(1), "fio --inline {job:?}: {}", run.stderr);

@@ -22,6 +22,9 @@ use crate::job::{AccessPattern, JobSpec};
 use deepnote_sim::SimDuration;
 use std::fmt;
 
+/// Largest accepted `bs`: the runner allocates two buffers of this size.
+const MAX_BS: u64 = 64 << 20;
+
 /// A job-file parse failure, with the offending line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -95,10 +98,10 @@ impl RawJob {
         };
         let mut spec = JobSpec::new(self.name.clone(), pattern);
         if let Some(bs) = self.bs {
-            if bs == 0 || bs % 512 != 0 || bs > usize::MAX as u64 {
+            if bs == 0 || bs % 512 != 0 || bs > MAX_BS {
                 return Err(err(
                     line,
-                    format!("bs must be a positive multiple of 512, got {bs}"),
+                    format!("bs must be a positive multiple of 512 up to 64m, got {bs}"),
                 ));
             }
             spec = spec.with_block_size(bs as usize);
@@ -341,6 +344,8 @@ size=1g
     #[test]
     fn bad_values_rejected() {
         assert!(parse_jobfile("[j]\nbs=1000").is_err()); // not 512-multiple
+        assert!(parse_jobfile("[j]\nbs=64m").is_ok());
+        assert!(parse_jobfile("[j]\nbs=65m").is_err()); // above the ceiling
         assert!(parse_jobfile("[j]\nruntime=0").is_err());
         assert!(parse_jobfile("[j]\nrwmixread=150").is_err());
         assert!(parse_jobfile("[j]\nbs=4k\nsize=5000").is_err()); // not bs-multiple
