@@ -419,6 +419,15 @@ impl<D: BlockDevice> ChaosInjector<D> {
         self.record("delay", lba);
     }
 
+    /// The draws every read and write makes first: a burst fault (the
+    /// request's error), then a delay. The request is counted either way.
+    fn admit(&mut self, is_write: bool, lba: u64) -> Result<(), IoError> {
+        let fault = self.burst_fault(is_write, lba);
+        self.maybe_delay(lba);
+        self.requests += 1;
+        fault.map_or(Ok(()), Err)
+    }
+
     /// Flips one seeded bit inside the `block`-th 512-byte block of
     /// `buf`.
     fn flip_bit(rng: &mut SimRng, buf: &mut [u8], block: usize) {
@@ -436,12 +445,7 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
     }
 
     fn read_blocks(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let fault = self.burst_fault(false, lba);
-        self.maybe_delay(lba);
-        self.requests += 1;
-        if let Some(e) = fault {
-            return Err(e);
-        }
+        self.admit(false, lba)?;
         self.inner.read_blocks(lba, buf)?;
         let p = self.plan.read_flip_per_block;
         if p > 0.0 {
@@ -458,12 +462,7 @@ impl<D: BlockDevice> BlockDevice for ChaosInjector<D> {
     }
 
     fn write_blocks(&mut self, lba: u64, buf: &[u8]) -> Result<(), IoError> {
-        let fault = self.burst_fault(true, lba);
-        self.maybe_delay(lba);
-        self.requests += 1;
-        if let Some(e) = fault {
-            return Err(e);
-        }
+        self.admit(true, lba)?;
         let blocks = (buf.len() / BLOCK_SIZE) as u64;
         // Misdirect: the whole payload lands at a nearby wrong LBA and
         // the request lies about it.

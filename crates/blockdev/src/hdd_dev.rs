@@ -147,6 +147,34 @@ impl HddDisk {
             ],
         );
     }
+
+    /// Runs one request on the drive, which times it and may fail it.
+    /// Retries and failures are traced; a failure is counted and
+    /// returned.
+    fn request(&mut self, op: DiskOp) -> Result<(), IoError> {
+        let read = op.kind.is_read();
+        let name = if read { "read" } else { "write" };
+        let t0 = self.drive.clock().now();
+        match self.drive.execute(op) {
+            Ok(report) => {
+                if report.retries > 0 {
+                    self.trace_io(name, t0, u64::from(report.retries), "recovered");
+                }
+                Ok(())
+            }
+            Err(e) => {
+                if read {
+                    self.read_errors += 1;
+                } else {
+                    self.write_errors += 1;
+                }
+                self.trace_io(name, t0, 0, "error");
+                let io: IoError = e.into();
+                self.trace_error(name, op.lba, io);
+                Err(io)
+            }
+        }
+    }
 }
 
 impl BlockDevice for HddDisk {
@@ -155,43 +183,15 @@ impl BlockDevice for HddDisk {
     }
 
     fn read_blocks(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), IoError> {
-        let blocks = check_request(self.num_blocks(), lba, buf.len())?;
-        let t0 = self.drive.clock().now();
-        match self.drive.execute(DiskOp::read(lba, blocks)) {
-            Ok(report) => {
-                if report.retries > 0 {
-                    self.trace_io("read", t0, u64::from(report.retries), "recovered");
-                }
-            }
-            Err(e) => {
-                self.read_errors += 1;
-                self.trace_io("read", t0, 0, "error");
-                let io: IoError = e.into();
-                self.trace_error("read", lba, io);
-                return Err(io);
-            }
-        }
+        let sectors = check_request(self.num_blocks(), lba, buf.len())?;
+        self.request(DiskOp::read(lba, sectors))?;
         self.blocks.read(lba, buf);
         Ok(())
     }
 
     fn write_blocks(&mut self, lba: u64, buf: &[u8]) -> Result<(), IoError> {
-        let blocks = check_request(self.num_blocks(), lba, buf.len())?;
-        let t0 = self.drive.clock().now();
-        match self.drive.execute(DiskOp::write(lba, blocks)) {
-            Ok(report) => {
-                if report.retries > 0 {
-                    self.trace_io("write", t0, u64::from(report.retries), "recovered");
-                }
-            }
-            Err(e) => {
-                self.write_errors += 1;
-                self.trace_io("write", t0, 0, "error");
-                let io: IoError = e.into();
-                self.trace_error("write", lba, io);
-                return Err(io);
-            }
-        }
+        let sectors = check_request(self.num_blocks(), lba, buf.len())?;
+        self.request(DiskOp::write(lba, sectors))?;
         // The drive timed the request above; what is stored (zeros are
         // not) cannot change its virtual cost.
         self.blocks.write(lba, buf);

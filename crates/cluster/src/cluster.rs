@@ -14,7 +14,7 @@ use crate::integrity::{self, IntegrityConfig, IntegrityStats, ScrubStats, Scrubb
 use crate::node::{commission, RestartOutcome, StorageNode};
 use crate::placement::{shard_of, NodeId, PlacementPolicy, RackSpec, ShardId, ShardMap, Topology};
 use crate::replication::{
-    OpKind, QuorumOutcome, RepairQueue, RepairReason, RepairStats, ReplicaReply, ReplicationConfig,
+    OpKind, QuorumOutcome, RepairQueue, RepairStats, ReplicaReply, ReplicationConfig,
     REQUEST_TIMEOUT,
 };
 use crate::workload::WorkloadSpec;
@@ -576,7 +576,7 @@ impl Cluster {
                 if !self.map.reassign(shard, n, target) {
                     continue;
                 }
-                self.repairs.enqueue(shard, target, RepairReason::Failover);
+                self.repairs.enqueue(shard, target);
                 self.failovers += 1;
                 self.record(
                     now,
@@ -596,7 +596,7 @@ impl Cluster {
     /// copying from a peer that stayed up.
     fn enqueue_catch_up(&mut self, n: NodeId) {
         for shard in self.map.shards_on(n) {
-            self.repairs.enqueue(shard, n, RepairReason::CatchUp);
+            self.repairs.enqueue(shard, n);
         }
     }
 
@@ -657,7 +657,7 @@ impl Cluster {
                 // something verified to copy from.
                 self.scrubber.stats.missing_found += verdict.missing.len() as u64;
                 for n in verdict.corrupt.iter().chain(verdict.missing.iter()) {
-                    if self.repairs.enqueue(shard, *n, RepairReason::Scrub) {
+                    if self.repairs.enqueue(shard, *n) {
                         self.scrubber.stats.repairs_enqueued += 1;
                         self.tracer.instant(
                             Layer::Cluster,

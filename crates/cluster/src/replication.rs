@@ -99,17 +99,6 @@ pub struct ReplicaReply {
 /// replicas believed down): one coordinator round-trip.
 const FAIL_FAST: SimDuration = SimDuration::from_millis(1);
 
-/// Why a repair job exists.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum RepairReason {
-    /// A down replica's slot was reassigned to a new node.
-    Failover,
-    /// A restarted replica is catching up on missed writes.
-    CatchUp,
-    /// The scrubber found a corrupt or missing copy on the target.
-    Scrub,
-}
-
 /// One shard's pending re-replication onto a target node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RepairJob {
@@ -117,8 +106,6 @@ pub struct RepairJob {
     pub shard: ShardId,
     /// Node receiving the copy.
     pub target: NodeId,
-    /// Why the copy is needed.
-    pub reason: RepairReason,
     /// Next index into the shard's key list.
     cursor: usize,
 }
@@ -162,7 +149,7 @@ impl RepairQueue {
 
     /// Enqueues a copy of `shard` onto `target` unless an identical job
     /// is already pending; returns whether a new job was added.
-    pub fn enqueue(&mut self, shard: ShardId, target: NodeId, reason: RepairReason) -> bool {
+    pub fn enqueue(&mut self, shard: ShardId, target: NodeId) -> bool {
         if self
             .jobs
             .iter()
@@ -173,7 +160,6 @@ impl RepairQueue {
         self.jobs.push_back(RepairJob {
             shard,
             target,
-            reason,
             cursor: 0,
         });
         true
@@ -457,7 +443,7 @@ mod tests {
             t = r.done;
         }
         c.shard_keys = vec![keys.clone()];
-        c.repairs.enqueue(0, 2, RepairReason::Failover);
+        c.repairs.enqueue(0, 2);
         assert_eq!(c.pending_repairs(), 1);
         let mut total = 0;
         for _ in 0..8 {
@@ -479,7 +465,7 @@ mod tests {
     fn repair_waits_for_a_live_source() {
         let mut c = rack(2, 1, IntegrityConfig::off());
         c.shard_keys = vec![vec![b"k".to_vec()]];
-        c.repairs.enqueue(0, 1, RepairReason::Failover);
+        c.repairs.enqueue(0, 1);
         // The only source (node 0) is down: nothing moves, job stays.
         mark_down(&mut c, &[0]);
         assert_eq!(c.repair_step(SimTime::ZERO, 8), 0);
@@ -498,7 +484,7 @@ mod tests {
         assert!(c.nodes[0].serve_put(SimTime::ZERO, &key, &corrupt).ok);
         assert!(c.nodes[1].serve_put(SimTime::ZERO, &key, &sealed).ok);
         c.shard_keys = vec![vec![key.clone()]];
-        c.repairs.enqueue(0, 2, RepairReason::Scrub);
+        c.repairs.enqueue(0, 2);
         let mut t = SimTime::from_secs(1);
         let mut moved = 0;
         for _ in 0..4 {
@@ -525,7 +511,7 @@ mod tests {
             assert!(c.nodes[n].serve_put(SimTime::ZERO, &key, &sealed).ok);
         }
         c.shard_keys = vec![vec![key.clone()]];
-        c.repairs.enqueue(0, 3, RepairReason::Scrub);
+        c.repairs.enqueue(0, 3);
         let t = SimTime::from_secs(1);
         let idle = c.nodes[2].busy_until();
         assert_eq!(c.repair_step(t, 4), 1);
@@ -538,10 +524,10 @@ mod tests {
     #[test]
     fn duplicate_jobs_are_not_enqueued_and_targets_can_be_cancelled() {
         let mut q = RepairQueue::new();
-        q.enqueue(0, 1, RepairReason::Failover);
-        q.enqueue(0, 1, RepairReason::CatchUp);
+        q.enqueue(0, 1);
+        q.enqueue(0, 1);
         assert_eq!(q.pending(), 1);
-        q.enqueue(1, 1, RepairReason::CatchUp);
+        q.enqueue(1, 1);
         q.cancel_target(1);
         assert_eq!(q.pending(), 0);
     }

@@ -4,6 +4,7 @@
 //! journal like any other metadata block.
 
 use crate::error::FsError;
+use crate::layout::FS_BLOCK_SIZE;
 use serde::{Deserialize, Serialize};
 
 /// A simple first-fit bitmap allocator.
@@ -51,6 +52,19 @@ impl Bitmap {
     /// The raw bitmap bytes (for persistence).
     pub fn as_bytes(&self) -> &[u8] {
         &self.bits
+    }
+
+    /// The on-disk image of the bitmap's `i`-th filesystem block: its
+    /// share of the bytes, zero-padded to a whole block.
+    pub(crate) fn block_image(&self, i: u64) -> Vec<u8> {
+        let mut block = vec![0u8; FS_BLOCK_SIZE];
+        let bytes = self
+            .bits
+            .chunks(FS_BLOCK_SIZE)
+            .nth(i as usize)
+            .unwrap_or(&[]);
+        block[..bytes.len()].copy_from_slice(bytes);
+        block
     }
 
     /// Number of tracked items.

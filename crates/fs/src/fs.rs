@@ -123,21 +123,12 @@ impl<D: BlockDevice> Filesystem<D> {
         let mut inode_bitmap = Bitmap::new(sb.total_inodes);
         inode_bitmap.set(0);
         inode_bitmap.set(ROOT_INO);
-        let mut ib_block = vec![0u8; FS_BLOCK_SIZE];
-        ib_block[..inode_bitmap.as_bytes().len()].copy_from_slice(inode_bitmap.as_bytes());
-        write_fs_block(dev, sb.inode_bitmap_block, &ib_block)?;
+        write_fs_block(dev, sb.inode_bitmap_block, &inode_bitmap.block_image(0))?;
 
         // Block bitmap: all data blocks free.
         let block_bitmap = Bitmap::new(sb.data_blocks());
-        let bytes = block_bitmap.as_bytes();
         for i in 0..sb.block_bitmap_blocks {
-            let mut block = vec![0u8; FS_BLOCK_SIZE];
-            let start = (i as usize) * FS_BLOCK_SIZE;
-            if start < bytes.len() {
-                let n = (bytes.len() - start).min(FS_BLOCK_SIZE);
-                block[..n].copy_from_slice(&bytes[start..start + n]);
-            }
-            write_fs_block(dev, sb.block_bitmap_start + i, &block)?;
+            write_fs_block(dev, sb.block_bitmap_start + i, &block_bitmap.block_image(i))?;
         }
 
         // Inode table: zeroed, with root directory in slot 1.
@@ -422,23 +413,13 @@ impl<D: BlockDevice> Filesystem<D> {
 
     fn stage_bitmaps(&mut self) {
         if self.dirty_inode_bitmap {
-            let mut ib_block = vec![0u8; FS_BLOCK_SIZE];
-            let ib = self.inode_bitmap.as_bytes();
-            ib_block[..ib.len()].copy_from_slice(ib);
             let target = self.sb.inode_bitmap_block;
-            self.stage_and_cache(target, ib_block);
+            self.stage_and_cache(target, self.inode_bitmap.block_image(0));
             self.dirty_inode_bitmap = false;
         }
         for i in std::mem::take(&mut self.dirty_block_bitmap) {
-            let mut block = vec![0u8; FS_BLOCK_SIZE];
-            let bytes = self.block_bitmap.as_bytes();
-            let start = (i as usize) * FS_BLOCK_SIZE;
-            if start < bytes.len() {
-                let n = (bytes.len() - start).min(FS_BLOCK_SIZE);
-                block[..n].copy_from_slice(&bytes[start..start + n]);
-            }
             let target = self.sb.block_bitmap_start + i;
-            self.stage_and_cache(target, block);
+            self.stage_and_cache(target, self.block_bitmap.block_image(i));
         }
     }
 
@@ -457,6 +438,7 @@ impl<D: BlockDevice> Filesystem<D> {
         let idx = fs_block - self.sb.data_start;
         self.block_bitmap.free_item(idx);
         self.mark_block_bit_dirty(idx);
+        self.journal.unstage(fs_block);
         self.freed.push(fs_block);
     }
 
@@ -532,22 +514,27 @@ impl<D: BlockDevice> Filesystem<D> {
             return Ok(ptr);
         }
         let new = self.alloc_data_block()?;
-        let new_bytes = new.to_le_bytes();
-        match image {
-            Some(mut raw) => {
-                raw[at].copy_from_slice(&new_bytes);
-                self.stage_and_cache(target, raw);
-            }
-            None => self.patch_staged(target, at, &new_bytes),
-        }
+        self.patch(target, image, at, &new.to_le_bytes());
         Ok(new)
     }
 
-    /// Overwrites bytes `at` of a block already staged in the running
-    /// transaction, in place, and its page-cache mirror with it (a copy
-    /// of the staged image goes into the cache if the mirror was
-    /// evicted).
-    fn patch_staged(&mut self, fs_block: u64, at: std::ops::Range<usize>, bytes: &[u8]) {
+    /// Overwrites bytes `at` of `fs_block` in the running transaction.
+    /// `image` is the block's current image when it is not yet staged:
+    /// patched, it is staged. A block already staged is patched in
+    /// place, and its page-cache mirror with it (a copy of the staged
+    /// image goes into the cache if the mirror was evicted).
+    fn patch(
+        &mut self,
+        fs_block: u64,
+        image: Option<Vec<u8>>,
+        at: std::ops::Range<usize>,
+        bytes: &[u8],
+    ) {
+        if let Some(mut raw) = image {
+            raw[at].copy_from_slice(bytes);
+            self.stage_and_cache(fs_block, raw);
+            return;
+        }
         let Some(img) = self.journal.pending_image_mut(fs_block) else {
             return;
         };
@@ -564,30 +551,43 @@ impl<D: BlockDevice> Filesystem<D> {
         }
     }
 
-    fn read_inode_data(&mut self, inode: &Inode) -> Result<Vec<u8>, FsError> {
-        let mut inode = inode.clone();
-        let mut out = vec![0u8; inode.size as usize];
-        let blocks = Inode::blocks_for(inode.size);
-        for b in 0..blocks {
+    /// The entries of directory `inode`.
+    fn read_dir(&mut self, inode: &Inode) -> Result<Vec<DirEntry>, FsError> {
+        decode_entries(&self.read_range(inode.clone(), 0, inode.size)?)
+    }
+
+    /// Bytes `offset..end` of `inode`'s content (holes read as zeros),
+    /// read block by block.
+    fn read_range(&mut self, mut inode: Inode, offset: u64, end: u64) -> Result<Vec<u8>, FsError> {
+        let mut out = Vec::with_capacity((end - offset) as usize);
+        let mut pos = offset;
+        while pos < end {
+            let b = pos / FS_BLOCK_SIZE as u64;
             let fs_block = self.inode_block(&mut inode, b, false)?;
-            let start = (b as usize) * FS_BLOCK_SIZE;
-            let end = ((b as usize + 1) * FS_BLOCK_SIZE).min(out.len());
+            let block_start = b * FS_BLOCK_SIZE as u64;
+            let take = (end - pos).min(FS_BLOCK_SIZE as u64 - (pos - block_start)) as usize;
             if fs_block == NO_BLOCK {
-                out[start..end].fill(0);
+                out.extend(std::iter::repeat_n(0u8, take));
             } else {
-                let dst = &mut out[start..end];
-                self.with_block(fs_block, |raw| dst.copy_from_slice(&raw[..dst.len()]))?;
+                let off = (pos - block_start) as usize;
+                self.with_block(fs_block, |raw| out.extend_from_slice(&raw[off..off + take]))?;
             }
+            pos += take as u64;
         }
         Ok(out)
     }
 
-    /// Replaces a *directory's* content (journaled like metadata).
-    fn write_dir_data(&mut self, ino: u64, inode: &mut Inode, data: &[u8]) -> Result<(), FsError> {
+    /// Replaces the entries of directory `ino` (journaled like metadata).
+    fn write_dir(
+        &mut self,
+        ino: u64,
+        inode: &mut Inode,
+        entries: &[DirEntry],
+    ) -> Result<(), FsError> {
+        let data = encode_entries(entries);
         if data.len() as u64 > MAX_FILE_SIZE {
             return Err(FsError::FileTooLarge);
         }
-        let old_blocks = Inode::blocks_for(inode.size);
         let new_blocks = Inode::blocks_for(data.len() as u64);
         for b in 0..new_blocks {
             let fs_block = self.inode_block(inode, b, true)?;
@@ -597,42 +597,71 @@ impl<D: BlockDevice> Filesystem<D> {
             img[..end - start].copy_from_slice(&data[start..end]);
             self.stage_and_cache(fs_block, img);
         }
-        // Free any excess blocks.
-        for b in new_blocks..old_blocks {
-            let fs_block = self.inode_block(inode, b, false)?;
-            if fs_block != NO_BLOCK {
-                self.free_data_block(fs_block);
-                if b < DIRECT_POINTERS as u64 {
-                    inode.direct[b as usize] = NO_BLOCK;
-                }
-            }
-        }
+        self.free_blocks_from(inode, new_blocks)?;
         inode.size = data.len() as u64;
         self.stage_inode(ino, inode)?;
         self.stage_bitmaps();
         Ok(())
     }
 
+    /// Frees the blocks of `inode` from index `first` to its end of
+    /// file, in index order, and clears their pointers. The indirect
+    /// block is freed with them unless a slot of it survives (`first >
+    /// DIRECT_POINTERS`); then the dropped slots are cleared in its
+    /// staged image instead. Nothing is staged for a block it frees.
+    fn free_blocks_from(&mut self, inode: &mut Inode, first: u64) -> Result<(), FsError> {
+        let end = Inode::blocks_for(inode.size);
+        let direct = DIRECT_POINTERS as u64;
+        let mut dropped_slots = false;
+        for b in first..end {
+            let fs_block = self.inode_block(inode, b, false)?;
+            if fs_block != NO_BLOCK {
+                self.free_data_block(fs_block);
+                match inode.direct.get_mut(b as usize) {
+                    Some(slot) => *slot = NO_BLOCK,
+                    None => dropped_slots = true,
+                }
+            }
+        }
+        if inode.indirect == NO_BLOCK || first >= end {
+            return Ok(());
+        }
+        if first <= direct {
+            self.free_data_block(inode.indirect);
+            inode.indirect = NO_BLOCK;
+        } else if dropped_slots {
+            let target = inode.indirect;
+            let at = (first - direct) as usize * 8..(end - direct) as usize * 8;
+            let staged = self.journal.pending_image(target).is_some();
+            let image = (!staged).then(|| self.read_effective(target)).transpose()?;
+            self.patch(target, image, at.clone(), &vec![0u8; at.len()]);
+        }
+        Ok(())
+    }
+
     // ----- path resolution -------------------------------------------
 
-    fn resolve(&mut self, path: &str) -> Result<(u64, Inode), FsError> {
-        let parts = split_path(path)?;
+    /// Walks the path components `parts` down from the root directory.
+    fn walk(&mut self, parts: &[&str]) -> Result<(u64, Inode), FsError> {
         let mut ino = ROOT_INO;
         let mut inode = self.load_inode(ino)?;
         for part in parts {
             if inode.kind != InodeKind::Directory {
                 return Err(FsError::NotADirectory);
             }
-            let data = self.read_inode_data(&inode)?;
-            let entries = decode_entries(&data)?;
-            let entry = entries
+            let entries = self.read_dir(&inode)?;
+            ino = entries
                 .iter()
-                .find(|e| e.name == part)
-                .ok_or(FsError::NotFound)?;
-            ino = entry.ino;
+                .find(|e| e.name == *part)
+                .ok_or(FsError::NotFound)?
+                .ino;
             inode = self.load_inode(ino)?;
         }
         Ok((ino, inode))
+    }
+
+    fn resolve(&mut self, path: &str) -> Result<(u64, Inode), FsError> {
+        self.walk(&split_path(path)?)
     }
 
     fn resolve_parent<'p>(&mut self, path: &'p str) -> Result<(u64, Inode, &'p str), FsError> {
@@ -640,21 +669,7 @@ impl<D: BlockDevice> Filesystem<D> {
         let Some((name, parents)) = parts.split_last() else {
             return Err(FsError::InvalidPath); // root has no parent
         };
-        let mut ino = ROOT_INO;
-        let mut inode = self.load_inode(ino)?;
-        for part in parents {
-            if inode.kind != InodeKind::Directory {
-                return Err(FsError::NotADirectory);
-            }
-            let data = self.read_inode_data(&inode)?;
-            let entries = decode_entries(&data)?;
-            let entry = entries
-                .iter()
-                .find(|e| e.name == *part)
-                .ok_or(FsError::NotFound)?;
-            ino = entry.ino;
-            inode = self.load_inode(ino)?;
-        }
+        let (ino, inode) = self.walk(parents)?;
         if inode.kind != InodeKind::Directory {
             return Err(FsError::NotADirectory);
         }
@@ -673,8 +688,7 @@ impl<D: BlockDevice> Filesystem<D> {
     fn create_node(&mut self, path: &str, kind: InodeKind) -> Result<u64, FsError> {
         self.check_writable()?;
         let (parent_ino, mut parent, name) = self.resolve_parent(path)?;
-        let data = self.read_inode_data(&parent)?;
-        let mut entries = decode_entries(&data)?;
+        let mut entries = self.read_dir(&parent)?;
         if entries.iter().any(|e| e.name == name) {
             return Err(FsError::AlreadyExists);
         }
@@ -686,8 +700,7 @@ impl<D: BlockDevice> Filesystem<D> {
             ino,
             name: name.to_string(),
         });
-        let encoded = encode_entries(&entries);
-        self.write_dir_data(parent_ino, &mut parent, &encoded)?;
+        self.write_dir(parent_ino, &mut parent, &entries)?;
         Ok(ino)
     }
 
@@ -803,23 +816,7 @@ impl<D: BlockDevice> Filesystem<D> {
             return Ok(Vec::new());
         }
         let end = (offset + len as u64).min(inode.size);
-        let mut inode = inode;
-        let mut out = Vec::with_capacity((end - offset) as usize);
-        let mut pos = offset;
-        while pos < end {
-            let b = pos / FS_BLOCK_SIZE as u64;
-            let fs_block = self.inode_block(&mut inode, b, false)?;
-            let block_start = b * FS_BLOCK_SIZE as u64;
-            let take = (end - pos).min(FS_BLOCK_SIZE as u64 - (pos - block_start)) as usize;
-            if fs_block == NO_BLOCK {
-                out.extend(std::iter::repeat_n(0u8, take));
-            } else {
-                let off = (pos - block_start) as usize;
-                self.with_block(fs_block, |raw| out.extend_from_slice(&raw[off..off + take]))?;
-            }
-            pos += take as u64;
-        }
-        Ok(out)
+        self.read_range(inode, offset, end)
     }
 
     /// Lists a directory.
@@ -833,8 +830,7 @@ impl<D: BlockDevice> Filesystem<D> {
         if inode.kind != InodeKind::Directory {
             return Err(FsError::NotADirectory);
         }
-        let data = self.read_inode_data(&inode)?;
-        decode_entries(&data)
+        self.read_dir(&inode)
     }
 
     /// Returns the inode for a path.
@@ -877,8 +873,7 @@ impl<D: BlockDevice> Filesystem<D> {
         }
         let (from_parent_ino, mut from_parent, from_name) = self.resolve_parent(from)?;
         let from_name = from_name.to_string();
-        let data = self.read_inode_data(&from_parent)?;
-        let mut from_entries = decode_entries(&data)?;
+        let mut from_entries = self.read_dir(&from_parent)?;
         let idx = from_entries
             .iter()
             .position(|e| e.name == from_name)
@@ -893,13 +888,10 @@ impl<D: BlockDevice> Filesystem<D> {
                 return Err(FsError::AlreadyExists);
             }
             from_entries[idx].name = to_name;
-            let encoded = encode_entries(&from_entries);
-            self.write_dir_data(from_parent_ino, &mut from_parent, &encoded)?;
-            return Ok(());
+            return self.write_dir(from_parent_ino, &mut from_parent, &from_entries);
         }
         let mut to_parent = self.load_inode(to_parent_ino)?;
-        let to_data = self.read_inode_data(&to_parent)?;
-        let mut to_entries = decode_entries(&to_data)?;
+        let mut to_entries = self.read_dir(&to_parent)?;
         if to_entries.iter().any(|e| e.name == to_name) {
             return Err(FsError::AlreadyExists);
         }
@@ -908,14 +900,11 @@ impl<D: BlockDevice> Filesystem<D> {
             ino: moved.ino,
             name: to_name,
         });
-        let from_encoded = encode_entries(&from_entries);
-        self.write_dir_data(from_parent_ino, &mut from_parent, &from_encoded)?;
+        self.write_dir(from_parent_ino, &mut from_parent, &from_entries)?;
         // Reload the destination parent in case the source update staged
         // a fresher image of a shared ancestor block.
         to_parent = self.load_inode(to_parent_ino)?;
-        let to_encoded = encode_entries(&to_entries);
-        self.write_dir_data(to_parent_ino, &mut to_parent, &to_encoded)?;
-        Ok(())
+        self.write_dir(to_parent_ino, &mut to_parent, &to_entries)
     }
 
     /// Truncates (or shrinks) a file to `new_size` bytes, freeing any
@@ -934,17 +923,7 @@ impl<D: BlockDevice> Filesystem<D> {
         if inode.kind != InodeKind::File {
             return Err(FsError::IsADirectory);
         }
-        let old_blocks = Inode::blocks_for(inode.size);
-        let new_blocks = Inode::blocks_for(new_size);
-        for b in new_blocks..old_blocks {
-            let fs_block = self.inode_block(&mut inode, b, false)?;
-            if fs_block != NO_BLOCK {
-                self.free_data_block(fs_block);
-                if b < DIRECT_POINTERS as u64 {
-                    inode.direct[b as usize] = NO_BLOCK;
-                }
-            }
-        }
+        self.free_blocks_from(&mut inode, Inode::blocks_for(new_size))?;
         // Zero the tail of the last kept block so stale bytes cannot
         // reappear if the file grows again.
         if !new_size.is_multiple_of(FS_BLOCK_SIZE as u64) && new_size < inode.size {
@@ -972,38 +951,22 @@ impl<D: BlockDevice> Filesystem<D> {
     pub fn unlink(&mut self, path: &str) -> Result<(), FsError> {
         self.check_writable()?;
         let (parent_ino, mut parent, name) = self.resolve_parent(path)?;
-        let data = self.read_inode_data(&parent)?;
-        let mut entries = decode_entries(&data)?;
+        let mut entries = self.read_dir(&parent)?;
         let idx = entries
             .iter()
             .position(|e| e.name == name)
             .ok_or(FsError::NotFound)?;
         let ino = entries[idx].ino;
         let mut inode = self.load_inode(ino)?;
-        if inode.kind == InodeKind::Directory {
-            let contents = self.read_inode_data(&inode)?;
-            if !decode_entries(&contents)?.is_empty() {
-                return Err(FsError::DirectoryNotEmpty);
-            }
+        if inode.kind == InodeKind::Directory && !self.read_dir(&inode)?.is_empty() {
+            return Err(FsError::DirectoryNotEmpty);
         }
-        // Free data blocks.
-        let blocks = Inode::blocks_for(inode.size);
-        for b in 0..blocks {
-            let fs_block = self.inode_block(&mut inode, b, false)?;
-            if fs_block != NO_BLOCK {
-                self.free_data_block(fs_block);
-            }
-        }
-        if inode.indirect != NO_BLOCK {
-            self.free_data_block(inode.indirect);
-        }
+        self.free_blocks_from(&mut inode, 0)?;
         self.inode_bitmap.free_item(ino);
         self.dirty_inode_bitmap = true;
         self.stage_inode(ino, &Inode::empty(InodeKind::Free))?;
         entries.remove(idx);
-        let encoded = encode_entries(&entries);
-        self.write_dir_data(parent_ino, &mut parent, &encoded)?;
-        Ok(())
+        self.write_dir(parent_ino, &mut parent, &entries)
     }
 
     /// Forces a journal commit (fsync semantics).
@@ -1069,7 +1032,11 @@ impl<D: BlockDevice> Filesystem<D> {
     }
 
     /// Lightweight consistency check for tests: returns human-readable
-    /// problems (empty = consistent).
+    /// problems (empty = consistent). No allocated inode, the root
+    /// included, is free on disk or holds a block pointer past its end of
+    /// file; every block the others name (data, directory and indirect
+    /// blocks) is allocated and named once; every allocated block is
+    /// named.
     ///
     /// # Errors
     ///
@@ -1077,34 +1044,54 @@ impl<D: BlockDevice> Filesystem<D> {
     pub fn fsck(&mut self) -> Result<Vec<String>, FsError> {
         let mut problems = Vec::new();
         let mut used = std::collections::BTreeSet::new();
-        for ino in 0..self.sb.total_inodes {
-            if ino <= 1 || !self.inode_bitmap.is_set(ino) {
+        let direct = DIRECT_POINTERS as u64;
+        for ino in ROOT_INO..self.sb.total_inodes {
+            if !self.inode_bitmap.is_set(ino) {
                 continue;
             }
-            let mut inode = self.load_inode(ino)?;
+            let inode = self.load_inode(ino)?;
             if inode.kind == InodeKind::Free {
                 problems.push(format!("inode {ino} allocated but free on disk"));
                 continue;
             }
-            let blocks = Inode::blocks_for(inode.size);
-            for b in 0..blocks {
-                let fs_block = self.inode_block(&mut inode, b, false)?;
+            // (index, pointer) for every slot, the indirect block's as
+            // index `direct` (it exists for the blocks from there on).
+            let mut slots: Vec<(u64, u64)> = (0..direct).zip(inode.direct).collect();
+            if inode.indirect != NO_BLOCK {
+                slots.push((direct, inode.indirect));
+                let pointers = self.with_block(inode.indirect, |raw| {
+                    raw.chunks_exact(8)
+                        .map(|p| p.try_into().map_or(NO_BLOCK, u64::from_le_bytes))
+                        .collect::<Vec<_>>()
+                })?;
+                slots.extend((direct..).zip(pointers));
+            }
+            let end = Inode::blocks_for(inode.size);
+            for (index, fs_block) in slots {
                 if fs_block == NO_BLOCK {
+                    continue;
+                }
+                if index >= end {
+                    problems.push(format!(
+                        "inode {ino}: block {fs_block} at index {index} past end of file"
+                    ));
                     continue;
                 }
                 if !used.insert(fs_block) {
                     problems.push(format!("block {fs_block} multiply referenced"));
                 }
-                if !self.block_bitmap.is_set(fs_block - self.sb.data_start) {
+                let allocated = fs_block
+                    .checked_sub(self.sb.data_start)
+                    .is_some_and(|i| i < self.sb.data_blocks() && self.block_bitmap.is_set(i));
+                if !allocated {
                     problems.push(format!("block {fs_block} in use but free in bitmap"));
                 }
             }
-            if inode.indirect != NO_BLOCK
-                && !self
-                    .block_bitmap
-                    .is_set(inode.indirect - self.sb.data_start)
-            {
-                problems.push(format!("indirect block of inode {ino} free in bitmap"));
+        }
+        for i in 0..self.sb.data_blocks() {
+            let fs_block = self.sb.data_start + i;
+            if self.block_bitmap.is_set(i) && !used.contains(&fs_block) {
+                problems.push(format!("block {fs_block} allocated but unreferenced"));
             }
         }
         Ok(problems)
@@ -1270,14 +1257,78 @@ mod tests {
 
     #[test]
     fn truncate_to_zero_frees_everything() {
+        // 20 KB fits the direct pointers; 100 KiB also has an indirect
+        // block, which must go too.
+        for size in [20_000, 100 << 10] {
+            let mut fs = new_fs();
+            let free0 = fs.stats().free_blocks;
+            fs.create_file("/t").unwrap();
+            fs.write_file("/t", 0, &vec![1u8; size]).unwrap();
+            fs.truncate("/t", 0).unwrap();
+            // Only the root-directory content block remains allocated.
+            assert_eq!(free0 - fs.stats().free_blocks, 1, "{size} bytes");
+            assert_eq!(fs.stat("/t").unwrap().indirect, NO_BLOCK, "{size} bytes");
+            assert_eq!(fs.read_file("/t", 0, 10).unwrap(), Vec::<u8>::new());
+        }
+    }
+
+    #[test]
+    fn fsck_reports_pointers_past_eof_and_unreferenced_blocks() {
         let mut fs = new_fs();
-        let free0 = fs.stats().free_blocks;
-        fs.create_file("/t").unwrap();
-        fs.write_file("/t", 0, &vec![1u8; 20_000]).unwrap();
-        fs.truncate("/t", 0).unwrap();
-        // Only the root-directory content block remains allocated.
-        assert_eq!(free0 - fs.stats().free_blocks, 1);
-        assert_eq!(fs.read_file("/t", 0, 10).unwrap(), Vec::<u8>::new());
+        fs.create_file("/f").unwrap();
+        // 15 data blocks: 12 direct, 3 through the indirect block.
+        fs.write_file("/f", 0, &vec![1u8; 60 << 10]).unwrap();
+        assert_eq!(fs.fsck().unwrap(), Vec::<String>::new());
+        // Cut the size behind the filesystem's back: 11 direct slots, the
+        // indirect block and its 3 slots now lie past the end of file, and
+        // nothing references those 15 blocks.
+        let (ino, mut inode) = fs.resolve("/f").unwrap();
+        inode.size = 1;
+        fs.stage_inode(ino, &inode).unwrap();
+        let problems = fs.fsck().unwrap();
+        let count = |what: &str| problems.iter().filter(|p| p.contains(what)).count();
+        assert_eq!(count("past end of file"), 15, "{problems:?}");
+        assert_eq!(count("allocated but unreferenced"), 15, "{problems:?}");
+        assert_eq!(problems.len(), 30, "{problems:?}");
+    }
+
+    #[test]
+    fn a_freed_block_loses_its_staged_image() {
+        // Emptying the root directory frees its block while the block's
+        // new image is staged. The files written next wrap the 1,021-block
+        // allocator around to it: it must read back, and commit, as their
+        // data, not as the stale directory image.
+        let clock = Clock::new();
+        let mut fs = Filesystem::format(MemDisk::new(20_480), clock.clone()).unwrap();
+        fs.create_file("/a").unwrap();
+        fs.write_file("/a", 0, &vec![1u8; 60 << 10]).unwrap();
+        let freed = fs.load_inode(ROOT_INO).unwrap().direct[0];
+        fs.unlink("/a").unwrap();
+        let sizes = [1 << 20, 1 << 20, 1 << 20, 900 << 10, 60 << 10];
+        let files: Vec<(String, Vec<u8>)> = sizes
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| {
+                let data = (0..len).map(|j: u32| (j % 251) as u8 ^ i as u8).collect();
+                (format!("/f{i}"), data)
+            })
+            .collect();
+        let mut reused = false;
+        for (name, data) in &files {
+            fs.create_file(name).unwrap();
+            fs.write_file(name, 0, data).unwrap();
+            assert_eq!(&fs.read_file(name, 0, data.len()).unwrap(), data, "{name}");
+            let (_, mut inode) = fs.resolve(name).unwrap();
+            for b in 0..Inode::blocks_for(data.len() as u64) {
+                reused |= fs.inode_block(&mut inode, b, false).unwrap() == freed;
+            }
+        }
+        assert!(reused, "block {freed} was not reused");
+        let (mut fs, _) = Filesystem::mount(fs.unmount().unwrap(), clock).unwrap();
+        for (name, data) in &files {
+            let got = fs.read_file(name, 0, data.len()).unwrap();
+            assert_eq!(&got, data, "{name} after remount");
+        }
     }
 
     #[test]

@@ -46,6 +46,17 @@ pub(crate) fn write_fs_block(
     Ok(())
 }
 
+/// The journal superblock: everything up to sequence `clean_seq` is
+/// checkpointed, and the next record goes at region offset `head`.
+fn jsb_image(clean_seq: u64, head: u64) -> Vec<u8> {
+    let mut buf = vec![0u8; FS_BLOCK_SIZE];
+    let mut w = Writer::new(&mut buf);
+    w.u32(JSB_MAGIC);
+    w.u64(clean_seq);
+    w.u64(head);
+    buf
+}
+
 fn checksum(images: &BTreeMap<u64, Vec<u8>>) -> u32 {
     let mut sum: u32 = 0;
     for (no, img) in images {
@@ -130,6 +141,13 @@ impl Journal {
         self.txn.get_mut(&home_block).map(Vec::as_mut_slice)
     }
 
+    /// Drops the pending image of a home block freed by the running
+    /// transaction: checkpointed, it would overwrite whatever the block
+    /// holds once reused.
+    pub(crate) fn unstage(&mut self, home_block: u64) {
+        self.txn.remove(&home_block);
+    }
+
     /// Stages a metadata block image into the running transaction.
     ///
     /// # Panics
@@ -149,15 +167,6 @@ impl Journal {
     pub fn commit_due(&self, now: SimTime, extra_work: bool) -> bool {
         (!self.txn.is_empty() || extra_work)
             && now.saturating_duration_since(self.last_commit) >= COMMIT_INTERVAL
-    }
-
-    fn serialize_jsb(&self) -> Vec<u8> {
-        let mut buf = vec![0u8; FS_BLOCK_SIZE];
-        let mut w = Writer::new(&mut buf);
-        w.u32(JSB_MAGIC);
-        w.u64(self.clean_seq);
-        w.u64(self.head);
-        buf
     }
 
     /// Parses a journal superblock, returning `(clean_seq, head)`.
@@ -288,7 +297,7 @@ impl Journal {
         // paper calls out as the one that "cannot be updated".
         self.clean_seq = self.seq;
         self.head += needed;
-        let jsb = self.serialize_jsb();
+        let jsb = jsb_image(self.clean_seq, self.head);
         self.write_patiently(dev, clock, deadline, self.region_start, &jsb)?;
 
         self.seq += 1;
@@ -380,7 +389,7 @@ impl Journal {
         journal.seq = max_seq + 1;
         journal.clean_seq = max_seq;
         // Mark everything clean.
-        let jsb = journal.serialize_jsb();
+        let jsb = jsb_image(journal.clean_seq, journal.head);
         write_fs_block(dev, region_start, &jsb)?;
         Ok((journal, applied))
     }
@@ -396,15 +405,7 @@ impl Journal {
         region_blocks: u64,
     ) -> Result<(), FsError> {
         assert!(region_blocks >= 8, "journal region too small");
-        let jsb = {
-            let mut buf = vec![0u8; FS_BLOCK_SIZE];
-            let mut w = Writer::new(&mut buf);
-            w.u32(JSB_MAGIC);
-            w.u64(0); // clean_seq
-            w.u64(1); // head
-            buf
-        };
-        write_fs_block(dev, region_start, &jsb)?;
+        write_fs_block(dev, region_start, &jsb_image(0, 1))?;
         // Invalidate the first descriptor slot so stale journals are not
         // replayed.
         write_fs_block(dev, region_start + 1, &vec![0u8; FS_BLOCK_SIZE])?;
@@ -514,15 +515,7 @@ mod tests {
         // resetting the journal superblock's clean mark to 0.
         write_fs_block(&mut dev, 200, &image(0)).unwrap();
         write_fs_block(&mut dev, 201, &image(0)).unwrap();
-        let stale_jsb = {
-            let mut buf = vec![0u8; FS_BLOCK_SIZE];
-            let mut w = Writer::new(&mut buf);
-            w.u32(JSB_MAGIC);
-            w.u64(0);
-            w.u64(1);
-            buf
-        };
-        write_fs_block(&mut dev, REGION, &stale_jsb).unwrap();
+        write_fs_block(&mut dev, REGION, &jsb_image(0, 1)).unwrap();
 
         let (j2, applied) =
             Journal::recover(PATIENCE, &mut dev, REGION, RLEN, clock.now()).unwrap();
@@ -560,15 +553,7 @@ mod tests {
         write_fs_block(&mut dev, 400, &image(0)).unwrap();
         // Descriptor is at region offset 1; images at 2; commit at 3.
         write_fs_block(&mut dev, REGION + 3, &image(0)).unwrap();
-        let stale_jsb = {
-            let mut buf = vec![0u8; FS_BLOCK_SIZE];
-            let mut w = Writer::new(&mut buf);
-            w.u32(JSB_MAGIC);
-            w.u64(0);
-            w.u64(1);
-            buf
-        };
-        write_fs_block(&mut dev, REGION, &stale_jsb).unwrap();
+        write_fs_block(&mut dev, REGION, &jsb_image(0, 1)).unwrap();
         let (_, applied) = Journal::recover(PATIENCE, &mut dev, REGION, RLEN, clock.now()).unwrap();
         assert_eq!(applied, 0);
         assert_eq!(read_fs_block(&mut dev, 400).unwrap(), image(0));

@@ -375,6 +375,32 @@ fn regression_rename_then_write() {
 }
 
 #[test]
+fn regression_truncate_through_the_indirect_block() {
+    // A file shrunk below the 48 KiB of its direct pointers must not keep
+    // pointers to the blocks it freed: when it grows again, those slots
+    // would hand back blocks another file may now own, and its unlink
+    // would free them a second time.
+    let clock = Clock::new();
+    let mut fs = Filesystem::format(MemDisk::new(1 << 17), clock).unwrap();
+    let mut model = Model::new();
+    let ops = [
+        Op::CreateFile(0), // /a
+        Op::Write(0, 0, vec![1u8; 80 << 10]),
+        Op::Commit,
+        Op::Truncate(0, 8 << 10),
+        Op::Commit,
+        Op::Write(0, 52 << 10, vec![2u8; 4 << 10]),
+        Op::CreateFile(1), // /b
+        Op::Write(1, 0, vec![3u8; 80 << 10]),
+        Op::Unlink(0),
+    ];
+    for op in &ops {
+        apply(&mut fs, &mut model, op);
+    }
+    check_final_state(&mut fs, &model);
+}
+
+#[test]
 fn error_kinds_match_expectations() {
     let clock = Clock::new();
     let mut fs = Filesystem::format(MemDisk::new(1 << 17), clock).unwrap();

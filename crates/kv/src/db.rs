@@ -19,33 +19,32 @@ const DB_DIR: &str = "/db";
 const WAL_PATH: &str = "/db/wal";
 const MANIFEST_PATH: &str = "/db/MANIFEST";
 
+/// Compaction into L1 starts once L0 holds more tables than this.
+const L0_COMPACTION_TRIGGER: usize = 4;
+/// CPU cost charged per public operation (the in-memory work).
+const CPU_OP_COST: SimDuration = SimDuration::from_micros(8);
+
 /// Database tuning knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct DbConfig {
     /// Memtable flush threshold in bytes.
     pub memtable_limit_bytes: usize,
-    /// L0 file count that triggers compaction into L1.
-    pub l0_compaction_trigger: usize,
     /// Group-commit size: WAL is synced every this many mutations.
     pub wal_sync_every_ops: u64,
     /// How long WAL persistence may stay blocked before the store dies
     /// with [`DbError::WalSyncFailed`]. Calibrated to the paper's
     /// Table 3 (RocksDB crashes ≈ 81 s into the attack).
     pub wal_patience: SimDuration,
-    /// CPU cost charged per public operation (the in-memory work).
-    pub cpu_op_cost: SimDuration,
 }
 
 impl Default for DbConfig {
     fn default() -> Self {
         DbConfig {
             memtable_limit_bytes: 256 << 10,
-            l0_compaction_trigger: 4,
             // db_bench runs with sync=0: the WAL is written but only
             // group-synced occasionally, so syncs amortize over many ops.
             wal_sync_every_ops: 1024,
             wal_patience: SimDuration::from_secs(81),
-            cpu_op_cost: SimDuration::from_micros(8),
         }
     }
 }
@@ -310,6 +309,16 @@ impl<D: BlockDevice> Db<D> {
         Err(e)
     }
 
+    /// Fails background work (flush, compaction, journal commit): an I/O
+    /// error there is the WAL failure RocksDB reports, and any fatal
+    /// error crashes the store.
+    fn background_failure<T>(&mut self, e: DbError) -> Result<T, DbError> {
+        self.fatal(match e {
+            DbError::Fs(FsError::Io(_)) => DbError::WalSyncFailed,
+            e => e,
+        })
+    }
+
     // ----- manifest ----------------------------------------------------
 
     fn write_manifest(&mut self) -> Result<(), DbError> {
@@ -321,12 +330,7 @@ impl<D: BlockDevice> Db<D> {
             text.push_str(&format!("1 {}\n", slot.path));
         }
         text.push_str(&format!("next {}\n", self.next_file_no));
-        if self.fs.exists(MANIFEST_PATH) {
-            self.fs.unlink(MANIFEST_PATH)?;
-        }
-        self.fs.create_file(MANIFEST_PATH)?;
-        self.fs.write_file(MANIFEST_PATH, 0, text.as_bytes())?;
-        Ok(())
+        crate::wal::replace_file(&mut self.fs, MANIFEST_PATH, text.as_bytes())
     }
 
     fn read_manifest(fs: &mut Filesystem<D>) -> Result<(Vec<String>, Vec<String>, u64), DbError> {
@@ -396,7 +400,7 @@ impl<D: BlockDevice> Db<D> {
         if batch.is_empty() {
             return Ok(());
         }
-        self.clock.advance(self.config.cpu_op_cost);
+        self.clock.advance(CPU_OP_COST);
         let records = batch.into_records();
         // The whole batch is checked before any record reaches the WAL
         // buffer or the memtable: a refused batch leaves no trace.
@@ -416,14 +420,7 @@ impl<D: BlockDevice> Db<D> {
                 None => self.stats.deletes += 1,
             }
         }
-        self.ops_since_sync += records.len() as u64;
-        if self.ops_since_sync >= self.config.wal_sync_every_ops {
-            self.sync_wal()?;
-        }
-        if self.memtable.approx_bytes() >= self.config.memtable_limit_bytes {
-            self.flush()?;
-        }
-        Ok(())
+        self.after_mutations(records.len() as u64)
     }
 
     /// Returns all live key-value pairs with `start <= key < end`, in
@@ -435,7 +432,7 @@ impl<D: BlockDevice> Db<D> {
     /// [`DbError::Closed`] after a crash; I/O errors faulting tables in.
     pub fn scan(&mut self, start: &[u8], end: &[u8]) -> Result<Vec<KvPair>, DbError> {
         self.check_alive()?;
-        self.clock.advance(self.config.cpu_op_cost);
+        self.clock.advance(CPU_OP_COST);
         let mut merged: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
         // Oldest first so newer versions overwrite: L1, then L0 in age
         // order, then the memtable.
@@ -456,10 +453,16 @@ impl<D: BlockDevice> Db<D> {
 
     fn mutate(&mut self, key: &[u8], value: Option<&[u8]>) -> Result<(), DbError> {
         self.check_alive()?;
-        self.clock.advance(self.config.cpu_op_cost);
-        self.stats.user_bytes += (key.len() + value.map_or(0, <[u8]>::len)) as u64;
+        self.clock.advance(CPU_OP_COST);
         self.wal.append_encoded(self.memtable.insert(key, value)?);
-        self.ops_since_sync += 1;
+        self.stats.user_bytes += (key.len() + value.map_or(0, <[u8]>::len)) as u64;
+        self.after_mutations(1)
+    }
+
+    /// Counts `ops` accepted mutations toward the WAL group commit, then
+    /// syncs the WAL and flushes the memtable when they are due.
+    fn after_mutations(&mut self, ops: u64) -> Result<(), DbError> {
+        self.ops_since_sync += ops;
         if self.ops_since_sync >= self.config.wal_sync_every_ops {
             self.sync_wal()?;
         }
@@ -499,7 +502,7 @@ impl<D: BlockDevice> Db<D> {
     /// faulting in an SSTable.
     pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
         self.check_alive()?;
-        self.clock.advance(self.config.cpu_op_cost);
+        self.clock.advance(CPU_OP_COST);
         self.stats.gets += 1;
         if let Some(hit) = self.memtable.get(key) {
             return Ok(hit.map(|v| v.to_vec()));
@@ -554,25 +557,13 @@ impl<D: BlockDevice> Db<D> {
         match result {
             Ok(()) => {
                 self.stats.flushes += 1;
-                if self.level0.len() > self.config.l0_compaction_trigger {
+                if self.level0.len() > L0_COMPACTION_TRIGGER {
                     self.compact()?;
                 }
                 Ok(())
             }
             // Background flush failure is a hard error in RocksDB too.
-            Err(e) => {
-                let e = if e.is_fatal() || matches!(e, DbError::Fs(FsError::Io(_))) {
-                    self.crashed = true;
-                    if matches!(e, DbError::Fs(FsError::Io(_))) {
-                        DbError::WalSyncFailed
-                    } else {
-                        e
-                    }
-                } else {
-                    e
-                };
-                Err(e)
-            }
+            Err(e) => self.background_failure(e),
         }
     }
 
@@ -621,11 +612,7 @@ impl<D: BlockDevice> Db<D> {
                 self.stats.compactions += 1;
                 Ok(())
             }
-            Err(e) => self.fatal(if matches!(e, DbError::Fs(FsError::Io(_))) {
-                DbError::WalSyncFailed
-            } else {
-                e
-            }),
+            Err(e) => self.background_failure(e),
         }
     }
 
@@ -638,8 +625,7 @@ impl<D: BlockDevice> Db<D> {
         self.check_alive()?;
         match self.fs.tick(self.clock.now()) {
             Ok(()) => Ok(()),
-            Err(e @ FsError::JournalAborted { .. }) => self.fatal(DbError::Fs(e)),
-            Err(e) => Err(DbError::Fs(e)),
+            Err(e) => self.background_failure(e.into()),
         }
     }
 
@@ -672,7 +658,6 @@ mod tests {
     fn small_config() -> DbConfig {
         DbConfig {
             memtable_limit_bytes: 4 << 10,
-            l0_compaction_trigger: 2,
             wal_sync_every_ops: 8,
             ..DbConfig::default()
         }
@@ -851,6 +836,8 @@ mod tests {
             .put(b"ok2", b"2")
             .put(b"big", &vec![0u8; crate::record::MAX_LEN + 1]);
         assert_eq!(db.write(batch), Err(DbError::TooLarge));
+        let big = vec![0u8; crate::record::MAX_LEN + 1];
+        assert_eq!(db.put(b"big", &big), Err(DbError::TooLarge));
         db.put(b"after", b"x").unwrap();
         assert_eq!(db.stats().user_bytes, 6);
         assert_eq!((db.stats().puts, db.stats().deletes), (1, 0));
@@ -878,9 +865,10 @@ mod tests {
     fn scan_merges_all_levels_newest_wins() {
         let mut db = Db::create_with(MemDisk::new(1 << 18), Clock::new(), small_config()).unwrap();
         // Enough keys to force flushes and a compaction.
-        for i in 0..300 {
+        for i in 0..1_000 {
             db.put(&key(i), &val(i)).unwrap();
         }
+        assert!(db.stats().compactions > 0, "{:?}", db.stats());
         // Overwrites and deletes living in newer levels / the memtable.
         db.put(&key(10), b"newest").unwrap();
         db.delete(&key(11)).unwrap();
@@ -907,11 +895,12 @@ mod tests {
     fn write_amplification_accounted() {
         let mut db = Db::create_with(MemDisk::new(1 << 18), Clock::new(), small_config()).unwrap();
         assert_eq!(db.stats().write_amplification(), None);
-        for i in 0..500 {
+        // Enough puts for five flushes, so L0 passes its trigger of 4.
+        for i in 0..1_000 {
             db.put(&key(i), &val(i)).unwrap();
         }
         let s = db.stats();
-        assert_eq!(s.user_bytes, 500 * (key(0).len() + val(0).len()) as u64);
+        assert_eq!(s.user_bytes, 1_000 * (key(0).len() + val(0).len()) as u64);
         assert!(s.flush_bytes > 0, "{s:?}");
         assert!(s.compaction_bytes > 0, "{s:?}");
         let wa = s.write_amplification().unwrap();

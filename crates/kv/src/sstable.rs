@@ -97,12 +97,7 @@ impl SsTable {
     ///
     /// Filesystem errors.
     pub fn write<D: BlockDevice>(&self, fs: &mut Filesystem<D>) -> Result<(), DbError> {
-        if fs.exists(&self.path) {
-            fs.unlink(&self.path)?;
-        }
-        fs.create_file(&self.path)?;
-        fs.write_file(&self.path, 0, &self.bytes)?;
-        Ok(())
+        crate::wal::replace_file(fs, &self.path, &self.bytes)
     }
 
     /// Loads the table at `path`, verifying every record's checksum and

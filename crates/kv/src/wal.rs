@@ -10,7 +10,7 @@ use crate::error::DbError;
 use crate::record::Record;
 use deepnote_blockdev::BlockDevice;
 use deepnote_fs::{Filesystem, FsError};
-use deepnote_sim::{Clock, SimDuration};
+use deepnote_sim::{Clock, SimDuration, SimTime};
 
 /// The write-ahead log for one database.
 #[derive(Debug, Clone)]
@@ -67,35 +67,11 @@ impl Wal {
         }
         let deadline = clock.now() + self.patience;
         // Phase 1: get the bytes into the file (ordered-mode data write).
-        loop {
-            let before = clock.now();
-            match fs.write_file(&self.path, self.synced_len, &self.buffer) {
-                Ok(()) => break,
-                Err(FsError::JournalAborted { .. }) => return Err(DbError::WalSyncFailed),
-                Err(_) if clock.now() < deadline => {
-                    // If the device failed without burning time (ideal
-                    // device + injected fault), model the requeue delay.
-                    if clock.now() == before {
-                        clock.advance(SimDuration::from_millis(10));
-                    }
-                }
-                Err(_) => return Err(DbError::WalSyncFailed),
-            }
-        }
+        retry_until(clock, deadline, || {
+            fs.write_file(&self.path, self.synced_len, &self.buffer)
+        })?;
         // Phase 2: commit the metadata (fsync).
-        loop {
-            let before = clock.now();
-            match fs.commit() {
-                Ok(()) => break,
-                Err(FsError::JournalAborted { .. }) => return Err(DbError::WalSyncFailed),
-                Err(_) if clock.now() < deadline => {
-                    if clock.now() == before {
-                        clock.advance(SimDuration::from_millis(10));
-                    }
-                }
-                Err(_) => return Err(DbError::WalSyncFailed),
-            }
-        }
+        retry_until(clock, deadline, || fs.commit())?;
         self.synced_len += self.buffer.len() as u64;
         self.buffer.clear();
         Ok(())
@@ -108,10 +84,7 @@ impl Wal {
     ///
     /// Filesystem errors (fatal ones should crash the caller).
     pub fn reset<D: BlockDevice>(&mut self, fs: &mut Filesystem<D>) -> Result<(), DbError> {
-        if fs.exists(&self.path) {
-            fs.unlink(&self.path)?;
-        }
-        fs.create_file(&self.path)?;
+        replace_file(fs, &self.path, &[])?;
         self.synced_len = 0;
         self.buffer.clear();
         Ok(())
@@ -143,6 +116,46 @@ impl Wal {
         }
         Ok((records, offset as u64))
     }
+}
+
+/// Runs `op` until it succeeds, retrying failures until `deadline`; an
+/// aborted journal, or a failure past the deadline, is the WAL failure.
+fn retry_until(
+    clock: &Clock,
+    deadline: SimTime,
+    mut op: impl FnMut() -> Result<(), FsError>,
+) -> Result<(), DbError> {
+    loop {
+        let before = clock.now();
+        match op() {
+            Ok(()) => return Ok(()),
+            Err(FsError::JournalAborted { .. }) => return Err(DbError::WalSyncFailed),
+            Err(_) if clock.now() < deadline => {
+                // If the device failed without burning time (ideal
+                // device + injected fault), model the requeue delay.
+                if clock.now() == before {
+                    clock.advance(SimDuration::from_millis(10));
+                }
+            }
+            Err(_) => return Err(DbError::WalSyncFailed),
+        }
+    }
+}
+
+/// Replaces the file at `path` with a new one holding `bytes`.
+pub(crate) fn replace_file<D: BlockDevice>(
+    fs: &mut Filesystem<D>,
+    path: &str,
+    bytes: &[u8],
+) -> Result<(), DbError> {
+    if fs.exists(path) {
+        fs.unlink(path)?;
+    }
+    fs.create_file(path)?;
+    if !bytes.is_empty() {
+        fs.write_file(path, 0, bytes)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

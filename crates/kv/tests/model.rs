@@ -48,10 +48,8 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 fn tight_config() -> DbConfig {
     DbConfig {
         memtable_limit_bytes: 2 << 10, // flush constantly
-        l0_compaction_trigger: 2,
         wal_sync_every_ops: 16,
         wal_patience: SimDuration::from_secs(81),
-        cpu_op_cost: SimDuration::from_micros(1),
     }
 }
 

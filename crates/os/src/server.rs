@@ -16,6 +16,9 @@ pub const INSTALLED_COMMANDS: [&str; 4] = ["ls", "cat", "ps", "sshd"];
 /// Maximum buffered dirty writes before writers block on writeback.
 const DIRTY_LIMIT: usize = 1_024;
 
+/// How often buffered log appends are written back.
+const WRITEBACK_INTERVAL: SimDuration = SimDuration::from_secs(5);
+
 /// Availability state of the server.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum OsState {
@@ -79,7 +82,6 @@ pub struct ServerOs<D: BlockDevice> {
     state: OsState,
     /// Buffered (not yet written back) log appends: (path, offset, data).
     dirty: VecDeque<(String, u64, Vec<u8>)>,
-    writeback_interval: SimDuration,
     last_writeback: SimTime,
     log_cursor: u64,
     buffer_errors_seen: u64,
@@ -145,7 +147,6 @@ impl<D: BlockDevice> ServerOs<D> {
             klog,
             state: OsState::Running,
             dirty: VecDeque::new(),
-            writeback_interval: SimDuration::from_secs(5),
             last_writeback: now,
             log_cursor: 0,
             buffer_errors_seen: 0,
@@ -320,7 +321,7 @@ impl<D: BlockDevice> ServerOs<D> {
         self.services = manager;
 
         // Writeback daemon.
-        if now.saturating_duration_since(self.last_writeback) >= self.writeback_interval {
+        if now.saturating_duration_since(self.last_writeback) >= WRITEBACK_INTERVAL {
             self.last_writeback = now;
             let mut budget = self.dirty.len();
             while budget > 0 {
