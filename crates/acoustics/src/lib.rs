@@ -44,8 +44,8 @@ pub mod units;
 pub use absorption::absorption_db_per_km;
 pub use medium::{Medium, WaterConditions};
 pub use propagation::{
-    lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,
-    received_spl_with, transmission_loss_db, PropagationModel, TonePropagation,
+    lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd, PropagationModel,
+    TonePropagation,
 };
 pub use source::{AcousticEmission, Amplifier, SignalChain, SineSource, Speaker};
 pub use spl::{Spl, SplReference};
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::medium::{Medium, WaterConditions};
     pub use crate::propagation::{
         lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,
-        received_spl_with, transmission_loss_db, PropagationModel, TonePropagation,
+        PropagationModel, TonePropagation,
     };
     pub use crate::source::{AcousticEmission, Amplifier, SignalChain, SineSource, Speaker};
     pub use crate::spl::{Spl, SplReference};

@@ -66,45 +66,10 @@ impl PropagationModel {
     }
 }
 
-/// Total one-way transmission loss in dB: spreading + absorption.
-///
-/// # Example
-///
-/// ```
-/// use deepnote_acoustics::prelude::*;
-///
-/// let chain = SignalChain::paper_setup(Frequency::from_hz(650.0));
-/// let e = chain.emission();
-/// let water = WaterConditions::tank_freshwater();
-/// let tl_1cm = transmission_loss_db(&e, Distance::from_cm(1.0), &water,
-///                                   PropagationModel::Spherical);
-/// let tl_25cm = transmission_loss_db(&e, Distance::from_cm(25.0), &water,
-///                                    PropagationModel::Spherical);
-/// assert!(tl_25cm > tl_1cm);
-/// ```
-pub fn transmission_loss_db(
-    emission: &AcousticEmission,
-    range: Distance,
-    water: &WaterConditions,
-    model: PropagationModel,
-) -> f64 {
-    TonePropagation::new(emission, water, model).transmission_loss_db(range)
-}
-
 /// The SPL received at `range` from the emitting source, using spherical
-/// spreading. See [`received_spl_with`] to choose the spreading model.
+/// spreading. [`TonePropagation`] chooses the spreading model.
 pub fn received_spl(emission: &AcousticEmission, range: Distance, water: &WaterConditions) -> Spl {
-    received_spl_with(emission, range, water, PropagationModel::Spherical)
-}
-
-/// The SPL received at `range` with an explicit spreading model.
-pub fn received_spl_with(
-    emission: &AcousticEmission,
-    range: Distance,
-    water: &WaterConditions,
-    model: PropagationModel,
-) -> Spl {
-    TonePropagation::new(emission, water, model).received_spl(range)
+    TonePropagation::new(emission, water, PropagationModel::Spherical).received_spl(range)
 }
 
 /// One emission propagating through one water under one spreading law:
@@ -144,6 +109,19 @@ impl TonePropagation {
 
     /// Total one-way transmission loss in dB at `range`: spreading +
     /// absorption.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use deepnote_acoustics::prelude::*;
+    ///
+    /// let e = SignalChain::paper_setup(Frequency::from_hz(650.0)).emission();
+    /// let water = WaterConditions::tank_freshwater();
+    /// let tone = TonePropagation::new(&e, &water, PropagationModel::Spherical);
+    /// let tl_1cm = tone.transmission_loss_db(Distance::from_cm(1.0));
+    /// let tl_25cm = tone.transmission_loss_db(Distance::from_cm(25.0));
+    /// assert!(tl_25cm > tl_1cm);
+    /// ```
     pub fn transmission_loss_db(&self, range: Distance) -> f64 {
         let spreading = self
             .model
@@ -220,8 +198,7 @@ pub fn received_spl_lloyd(
         source_depth,
         target_depth,
     );
-    received_spl_with(emission, slant, water, PropagationModel::Spherical)
-        .plus_db(20.0 * factor.max(1e-9).log10())
+    received_spl(emission, slant, water).plus_db(20.0 * factor.max(1e-9).log10())
 }
 
 /// The maximum range (in metres, searched up to `max_m`) at which the
@@ -235,9 +212,8 @@ pub fn max_effective_range_m(
     max_m: f64,
 ) -> Option<f64> {
     assert!(max_m > 0.0, "search range must be positive");
-    let meets = |r_m: f64| {
-        received_spl_with(emission, Distance::from_m(r_m), water, model).db() >= required.db()
-    };
+    let tone = TonePropagation::new(emission, water, model);
+    let meets = |r_m: f64| tone.received_spl(Distance::from_m(r_m)).db() >= required.db();
     if !meets(0.0) {
         return None;
     }
@@ -272,7 +248,8 @@ mod tests {
     fn contact_has_no_loss() {
         let e = emission_650();
         let w = WaterConditions::tank_freshwater();
-        let tl = transmission_loss_db(&e, Distance::ZERO, &w, PropagationModel::Spherical);
+        let tl = TonePropagation::new(&e, &w, PropagationModel::Spherical)
+            .transmission_loss_db(Distance::ZERO);
         assert!(tl.abs() < 1e-9, "tl = {tl}");
         assert!((received_spl(&e, Distance::ZERO, &w).db() - 140.0).abs() < 1e-9);
     }
@@ -421,12 +398,8 @@ mod tests {
             source_level: Spl::water_db(200.0),
             ..emission_650()
         };
-        let free = received_spl_with(
-            &e,
-            Distance::from_m(10_000.0),
-            &w,
-            PropagationModel::Spherical,
-        );
+        let free = TonePropagation::new(&e, &w, PropagationModel::Spherical)
+            .received_spl(Distance::from_m(10_000.0));
         let mirrored = received_spl_lloyd(
             &e,
             &w,
@@ -454,8 +427,9 @@ mod tests {
         fn loss_monotone_in_range(r1 in 0.0f64..1_000.0, dr in 0.001f64..1_000.0) {
             let e = emission_650();
             let w = WaterConditions::natick_seawater();
-            let tl1 = transmission_loss_db(&e, Distance::from_m(r1), &w, PropagationModel::Spherical);
-            let tl2 = transmission_loss_db(&e, Distance::from_m(r1 + dr), &w, PropagationModel::Spherical);
+            let tone = TonePropagation::new(&e, &w, PropagationModel::Spherical);
+            let tl1 = tone.transmission_loss_db(Distance::from_m(r1));
+            let tl2 = tone.transmission_loss_db(Distance::from_m(r1 + dr));
             prop_assert!(tl2 > tl1);
         }
 

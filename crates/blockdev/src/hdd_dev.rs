@@ -106,7 +106,7 @@ impl HddDisk {
         let Some(v) = self.drive.vibration().current() else {
             return 0.0;
         };
-        self.drive.servo().residual_offtrack_nm(&v)
+        self.drive.model().servo.residual_offtrack_nm(&v)
     }
 
     /// One degraded or failed mechanical op, as an hdd-layer span from
@@ -179,7 +179,7 @@ impl HddDisk {
 
 impl BlockDevice for HddDisk {
     fn num_blocks(&self) -> u64 {
-        self.drive.geometry().total_sectors()
+        self.drive.model().geometry.total_sectors()
     }
 
     fn read_blocks(&mut self, lba: u64, buf: &mut [u8]) -> Result<(), IoError> {

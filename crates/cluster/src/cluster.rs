@@ -312,7 +312,7 @@ impl Cluster {
                 Some(tone) => node
                     .vibration()
                     .set(Some(tone.vibration_at(node.position()))),
-                None => self.testbed.stop_attack(node.vibration()),
+                None => node.vibration().clear(),
             }
             if !self.tracer.is_enabled() {
                 continue;

@@ -677,7 +677,7 @@ mod tests {
         assert_eq!(n.try_restart(t), RestartOutcome::StillDead);
 
         // Attack over: the node reboots and the preloaded key survived.
-        testbed.stop_attack(n.vibration());
+        n.vibration().clear();
         let outcome = n.try_restart(t);
         assert_eq!(outcome, RestartOutcome::Recovered);
         assert!(n.running());

@@ -11,9 +11,7 @@
 use crate::testbed::Testbed;
 use crate::threat::AttackParams;
 use deepnote_acoustics::Distance;
-use deepnote_hdd::{
-    steady_state, DiskOpKind, DriveGeometry, ServoModel, TimingModel, ToleranceModel,
-};
+use deepnote_hdd::{DiskOpKind, DriveModel};
 use serde::{Deserialize, Serialize};
 
 /// A deployable countermeasure.
@@ -111,19 +109,16 @@ pub struct DefenseOutcome {
 /// Applies `defense` to the testbed/drive and measures what is left of
 /// the attack.
 pub fn evaluate_defense(base: &Testbed, defense: Defense) -> DefenseOutcome {
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let tol = ToleranceModel::typical();
-
-    let (testbed, servo) = match defense {
-        Defense::None => (base.clone(), ServoModel::typical()),
+    let stock = DriveModel::barracuda_500gb();
+    let (testbed, drive) = match defense {
+        Defense::None => (base.clone(), stock),
         Defense::AcousticLiner { remaining_response } => (
             base.clone().with_vibration_path(
                 base.vibration_path()
                     .clone()
                     .with_structure_scaled(remaining_response),
             ),
-            ServoModel::typical(),
+            stock,
         ),
         Defense::VibrationDampers { isolation } => (
             base.clone().with_vibration_path(
@@ -131,18 +126,21 @@ pub fn evaluate_defense(base: &Testbed, defense: Defense) -> DefenseOutcome {
                     .clone()
                     .with_mount(base.vibration_path().mount().with_dampers(isolation)),
             ),
-            ServoModel::typical(),
+            stock,
         ),
         Defense::AugmentedServo { bandwidth_factor } => (
             base.clone(),
-            ServoModel::typical().with_bandwidth_scaled(bandwidth_factor),
+            DriveModel {
+                servo: stock.servo.with_bandwidth_scaled(bandwidth_factor),
+                ..stock
+            },
         ),
     };
 
     let params = AttackParams::paper_best();
     let write_at = |distance_cm: f64| {
         let v = testbed.vibration_at(params.frequency, Distance::from_cm(distance_cm));
-        steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write)
+        drive.steady_state(Some(&v), DiskOpKind::Write)
     };
 
     let at_point = write_at(1.0);

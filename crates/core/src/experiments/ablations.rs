@@ -15,9 +15,7 @@ use deepnote_acoustics::propagation::{max_effective_range_m, received_spl_lloyd}
 use deepnote_acoustics::{
     Celsius, Depth, Distance, Frequency, PropagationModel, Salinity, Spl, WaterConditions,
 };
-use deepnote_hdd::{
-    steady_state, DiskOpKind, DriveGeometry, ServoModel, TimingModel, ToleranceModel,
-};
+use deepnote_hdd::{DiskOpKind, DriveModel, ToleranceModel};
 use deepnote_structures::{Enclosure, Material, Scenario, VibrationPath};
 use serde::{Deserialize, Serialize};
 
@@ -41,15 +39,15 @@ pub fn blackout_threshold_spl(testbed: &Testbed) -> Spl {
     // Search the received level at which the residual off-track equals
     // the recovery-escalation point. We invert numerically over source
     // distance using the testbed's own path.
-    let geo = DriveGeometry::barracuda_500gb();
-    let servo = ServoModel::typical();
-    let tol = ToleranceModel::typical();
+    let drive = DriveModel::barracuda_500gb();
     let f = Frequency::from_hz(650.0);
     // Residual needed: read duty = escalation floor.
-    let tol_nm = tol.tolerance_nm(geo.track_pitch_nm(), true);
+    let tol_nm = drive
+        .tolerance
+        .tolerance_nm(drive.geometry.track_pitch_nm(), true);
     let needed_residual =
         tol_nm / (deepnote_hdd::drive::RECOVERY_ESCALATION_DUTY * std::f64::consts::PI / 2.0).sin();
-    let needed_displacement_um = needed_residual / servo.rejection(f) / 1_000.0;
+    let needed_displacement_um = needed_residual / drive.servo.rejection(f) / 1_000.0;
     // displacement = pressure × path_gain  ⇒  pressure = displacement / gain.
     let gain_per_pa = testbed.vibration_path().drive_displacement_um(
         f,
@@ -147,10 +145,7 @@ pub fn materials() -> Vec<MaterialRow> {
             0.025,
         ),
     ];
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let servo = ServoModel::typical();
-    let tol = ToleranceModel::typical();
+    let drive = DriveModel::barracuda_500gb();
     let params = AttackParams::paper_best();
 
     cases
@@ -167,7 +162,7 @@ pub fn materials() -> Vec<MaterialRow> {
             );
             let testbed = Testbed::paper_default(base).with_vibration_path(path);
             let v = testbed.vibration_at(params.frequency, params.distance);
-            let ss = steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write);
+            let ss = drive.steady_state(Some(&v), DiskOpKind::Write);
             MaterialRow {
                 label: label.to_string(),
                 surface_mass_kg_m2: surface_mass,
@@ -195,9 +190,7 @@ pub struct ToleranceRow {
 /// the mechanism behind the paper's read/write asymmetry.
 pub fn tolerance_sensitivity() -> Vec<ToleranceRow> {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let servo = ServoModel::typical();
+    let stock = DriveModel::barracuda_500gb();
     let distance = Distance::from_cm(1.0);
 
     let cases = [
@@ -210,14 +203,17 @@ pub fn tolerance_sensitivity() -> Vec<ToleranceRow> {
     cases
         .iter()
         .map(|&(read_fraction, write_fraction)| {
-            let tol = ToleranceModel::new(read_fraction, write_fraction);
+            let drive = DriveModel {
+                tolerance: ToleranceModel::new(read_fraction, write_fraction),
+                ..stock.clone()
+            };
             let mut write_band = 0.0;
             let mut read_band = 0.0;
             let mut hz = 100.0;
             while hz <= 16_900.0 {
                 let v = testbed.vibration_at(Frequency::from_hz(hz), distance);
-                let w = steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write);
-                let r = steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Read);
+                let w = drive.steady_state(Some(&v), DiskOpKind::Write);
+                let r = drive.steady_state(Some(&v), DiskOpKind::Read);
                 if w.throughput_mb_s < 1.0 {
                     write_band += 100.0;
                 }
@@ -318,10 +314,7 @@ pub struct SeasonRow {
 /// attack. Quantifies the §5 "Water Conditions" interaction the paper
 /// flags for future work.
 pub fn seasonal_drift() -> Vec<SeasonRow> {
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let servo = ServoModel::typical();
-    let tol = ToleranceModel::typical();
+    let drive = DriveModel::barracuda_500gb();
     let base = Scenario::PlasticTower;
     let calibration_temp_c = 21.0; // the paper's tank
     let stiffness_slope_per_c = -0.015;
@@ -344,7 +337,8 @@ pub fn seasonal_drift() -> Vec<SeasonRow> {
         let testbed = Testbed::paper_default(base).with_vibration_path(path);
         let write_at = |hz: f64| {
             let v = testbed.vibration_at(Frequency::from_hz(hz), Distance::from_cm(10.0));
-            steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write)
+            drive
+                .steady_state(Some(&v), DiskOpKind::Write)
                 .throughput_mb_s
         };
         // Stale tuning: the paper's 650 Hz (probed at 10 cm where the
@@ -392,10 +386,7 @@ pub struct SpectrumRow {
 pub fn noise_vs_tone() -> Vec<SpectrumRow> {
     use deepnote_hdd::VibrationState;
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let servo = ServoModel::typical();
-    let tol = ToleranceModel::typical();
+    let drive = DriveModel::barracuda_500gb();
     let distance = Distance::from_cm(1.0);
     let total_level = testbed
         .chain()
@@ -423,15 +414,7 @@ pub fn noise_vs_tone() -> Vec<SpectrumRow> {
             })
             .collect();
         let combined = VibrationState::combined(&tones).expect("non-empty");
-        let ss = steady_state(
-            &geo,
-            &timing,
-            &servo,
-            &tol,
-            Some(&combined),
-            8,
-            DiskOpKind::Write,
-        );
+        let ss = drive.steady_state(Some(&combined), DiskOpKind::Write);
         rows.push(SpectrumRow {
             label: if n == 1 {
                 "pure 650 Hz tone (the paper's attack)".to_string()
@@ -439,7 +422,7 @@ pub fn noise_vs_tone() -> Vec<SpectrumRow> {
                 format!("band noise over {n} tones, 300–1700 Hz")
             },
             tones: n,
-            displacement_nm: servo.residual_offtrack_nm(&combined),
+            displacement_nm: drive.servo.residual_offtrack_nm(&combined),
             write_mb_s: ss.throughput_mb_s,
         });
     }

@@ -9,6 +9,7 @@
 //! the frequency by the latency/timeout signal alone.
 
 use crate::testbed::Testbed;
+use crate::threat::AttackParams;
 use deepnote_acoustics::{Distance, Frequency, SweepPlan};
 use deepnote_blockdev::{BlockDevice, HddDisk};
 use deepnote_sim::Clock;
@@ -107,7 +108,13 @@ pub fn remote_frequency_discovery(
 
     let mut probes = Vec::new();
     let mut probe_fn = |f: Frequency| -> bool {
-        vibration.set(Some(testbed.vibration_at(f, distance)));
+        testbed.mount_attack(
+            &vibration,
+            AttackParams {
+                frequency: f,
+                distance,
+            },
+        );
         let mut latencies = Vec::new();
         let mut timeouts = 0;
         for _ in 0..requests_per_probe {

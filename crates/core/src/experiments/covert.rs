@@ -45,8 +45,8 @@ impl CovertTransmitter {
     /// The fixed bit period in seconds: [`SEEKS_PER_BIT`] full-stroke
     /// seeks plus a 5 % guard band.
     pub fn bit_period_s(&self) -> f64 {
-        let geo = self.disk.drive().geometry();
-        let timing = self.disk.drive().timing();
+        let drive = self.disk.drive().model();
+        let (geo, timing) = (&drive.geometry, &drive.timing);
         let per_seek = timing.seek_s(geo, 0, geo.tracks_per_surface() - 1)
             + timing.rotational_latency_s(geo)
             + timing.sequential_op_s(geo, 8, true);

@@ -10,10 +10,11 @@ use crate::testbed::Testbed;
 use crate::threat::AttackParams;
 use deepnote_blockdev::HddDisk;
 use deepnote_fs::{Filesystem, FsError};
+use deepnote_hdd::VibrationInput;
 use deepnote_kv::bench::{write_key, write_value, BenchSpec, KEY_SIZE, VALUE_SIZE};
 use deepnote_kv::{Db, DbError};
 use deepnote_os::{OsState, ServerOs};
-use deepnote_sim::{Clock, SimDuration};
+use deepnote_sim::{Clock, SimDuration, SimTime};
 use deepnote_structures::Scenario;
 use serde::{Deserialize, Serialize};
 
@@ -33,6 +34,36 @@ pub struct CrashRow {
     pub time_to_crash_s: Option<f64>,
     /// The error the application died with.
     pub error: String,
+}
+
+/// Mounts the paper's best attack at the clock's current instant and
+/// calls `step` until it reports the application's death (instant and
+/// error) or [`ATTACK_LIMIT`] passes; the row's time-to-crash is
+/// measured from the attack's start.
+fn attack_until_crash(
+    testbed: &Testbed,
+    clock: &Clock,
+    vibration: &VibrationInput,
+    (application, description): (&str, &str),
+    mut step: impl FnMut() -> Option<(SimTime, String)>,
+) -> CrashRow {
+    let attack_start = clock.now();
+    testbed.mount_attack(vibration, AttackParams::paper_best());
+    let deadline = attack_start + ATTACK_LIMIT;
+    let mut crash = None;
+    while crash.is_none() && clock.now() < deadline {
+        crash = step();
+    }
+    let (time_to_crash_s, error) = match crash {
+        Some((died_at, error)) => (Some((died_at - attack_start).as_secs_f64()), error),
+        None => (None, String::new()),
+    };
+    CrashRow {
+        application: application.to_string(),
+        description: description.to_string(),
+        time_to_crash_s,
+        error,
+    }
 }
 
 /// Ext4 under attack: an application appends to a log file while the
@@ -73,30 +104,17 @@ pub fn ext4_crash(testbed: &Testbed) -> CrashRow {
             break;
         }
     }
-    let attack_start = clock.now();
-    testbed.mount_attack(&vibration, AttackParams::paper_best());
-
-    let deadline = attack_start + ATTACK_LIMIT;
-    let mut error = String::new();
-    let mut crashed = None;
-    while clock.now() < deadline {
+    let victim = ("Ext4", "Journaling filesystem");
+    attack_until_crash(testbed, &clock, &vibration, victim, || {
         // The application may see transient EIO while the kernel's
         // journal thread keeps running — tick unconditionally.
         let _ = append(&mut fs);
-        let step = fs.tick(clock.now());
-        if let Err(e @ FsError::JournalAborted { .. }) = step {
-            crashed = Some((clock.now() - attack_start).as_secs_f64());
-            error = e.to_string();
-            break;
+        if let Err(e @ FsError::JournalAborted { .. }) = fs.tick(clock.now()) {
+            return Some((clock.now(), e.to_string()));
         }
         clock.advance(SimDuration::from_millis(100));
-    }
-    CrashRow {
-        application: "Ext4".to_string(),
-        description: "Journaling filesystem".to_string(),
-        time_to_crash_s: crashed,
-        error,
-    }
+        None
+    })
 }
 
 /// Ubuntu server under attack: syslog writes, periodic `ls`, writeback
@@ -113,28 +131,16 @@ pub fn ubuntu_crash(testbed: &Testbed) -> CrashRow {
         os.tick();
     }
     assert!(os.running(), "server must survive warm-up");
-    let attack_start = clock.now();
-    testbed.mount_attack(&vibration, AttackParams::paper_best());
-
-    let deadline = attack_start + ATTACK_LIMIT;
-    let mut crashed = None;
-    let mut error = String::new();
-    while clock.now() < deadline {
+    let victim = ("Ubuntu", "Ubuntu server 16.04");
+    attack_until_crash(testbed, &clock, &vibration, victim, || {
         let _ = os.write_log("request under attack");
         let _ = os.exec("ls");
         clock.advance(SimDuration::from_secs(1));
-        if let OsState::Crashed { at, reason } = os.tick() {
-            crashed = Some((*at - attack_start).as_secs_f64());
-            error = reason.clone();
-            break;
+        match os.tick() {
+            OsState::Crashed { at, reason } => Some((*at, reason.clone())),
+            _ => None,
         }
-    }
-    CrashRow {
-        application: "Ubuntu".to_string(),
-        description: "Ubuntu server 16.04".to_string(),
-        time_to_crash_s: crashed,
-        error,
-    }
+    })
 }
 
 /// RocksDB under attack: a `readwhilewriting` workload until the WAL can
@@ -162,13 +168,8 @@ pub fn rocksdb_crash(testbed: &Testbed) -> CrashRow {
         write_key(&mut key, rng.below(spec.num_keys), KEY_SIZE);
         let _ = db.get(&key).expect("healthy phase");
     }
-    let attack_start = clock.now();
-    testbed.mount_attack(&vibration, AttackParams::paper_best());
-
-    let deadline = attack_start + ATTACK_LIMIT;
-    let mut crashed = None;
-    let mut error = String::new();
-    while clock.now() < deadline {
+    let victim = ("RocksDB", "Key-value database");
+    attack_until_crash(testbed, &clock, &vibration, victim, || {
         let i = rng.below(spec.num_keys);
         write_key(&mut key, i, KEY_SIZE);
         write_value(&mut value, i, VALUE_SIZE);
@@ -179,20 +180,11 @@ pub fn rocksdb_crash(testbed: &Testbed) -> CrashRow {
                 db.get(&key).map(|_| ())
             })
             .and_then(|()| db.tick());
-        if let Err(e) = step {
-            if e.is_fatal() {
-                crashed = Some((clock.now() - attack_start).as_secs_f64());
-                error = e.to_string();
-                break;
-            }
+        match step {
+            Err(e) if e.is_fatal() => Some((clock.now(), e.to_string())),
+            _ => None,
         }
-    }
-    CrashRow {
-        application: "RocksDB".to_string(),
-        description: "Key-value database".to_string(),
-        time_to_crash_s: crashed,
-        error,
-    }
+    })
 }
 
 /// Regenerates Table 3 (Scenario 2, best parameters). Each victim is

@@ -48,7 +48,7 @@ pub fn run(text: &str, tone: Option<Tone>) -> Result<String, String> {
             disk.num_blocks()
         ));
     }
-    let mut out = format!("device: {}\n", disk.drive().geometry().name());
+    let mut out = format!("device: {}\n", disk.drive().model().geometry.name());
     if let Some(t) = tone {
         let v = Testbed::paper_default(t.scenario)
             .vibration_at(Frequency::from_hz(t.hz), Distance::from_cm(t.distance_cm));

@@ -11,11 +11,10 @@
 
 use crate::parallel::run_all;
 use crate::testbed::Testbed;
+use crate::threat::AttackParams;
 use deepnote_acoustics::{Distance, Frequency, SweepPlan};
 use deepnote_blockdev::HddDisk;
-use deepnote_hdd::{
-    steady_state, DiskOpKind, DriveGeometry, ServoModel, TimingModel, ToleranceModel,
-};
+use deepnote_hdd::{DiskOpKind, DriveModel};
 use deepnote_iobench::{run_job, JobSpec};
 use deepnote_sim::{Clock, SimDuration, TimeSeries};
 use deepnote_structures::Scenario;
@@ -48,17 +47,14 @@ impl FrequencySweep {
 /// Sweeps one scenario with the closed-form model (fast path).
 pub fn sweep_scenario(scenario: Scenario, distance: Distance, plan: &SweepPlan) -> FrequencySweep {
     let testbed = Testbed::paper_default(scenario);
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let servo = ServoModel::typical();
-    let tol = ToleranceModel::typical();
+    let drive = DriveModel::barracuda_500gb();
 
     let mut write = TimeSeries::new(format!("{scenario} seq write"), "Hz", "MB/s");
     let mut read = TimeSeries::new(format!("{scenario} seq read"), "Hz", "MB/s");
     for step in plan.coarse_steps() {
         let v = testbed.vibration_at(step.frequency, distance);
-        let w = steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write);
-        let r = steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Read);
+        let w = drive.steady_state(Some(&v), DiskOpKind::Write);
+        let r = drive.steady_state(Some(&v), DiskOpKind::Read);
         write.push(step.frequency.hz(), w.throughput_mb_s);
         read.push(step.frequency.hz(), r.throughput_mb_s);
     }
@@ -91,8 +87,13 @@ pub fn measure_point(
     let testbed = Testbed::paper_default(scenario);
     let clock = Clock::new();
     let mut disk = HddDisk::barracuda_500gb(clock.clone());
-    let vib = disk.vibration();
-    vib.set(Some(testbed.vibration_at(frequency, distance)));
+    testbed.mount_attack(
+        &disk.vibration(),
+        AttackParams {
+            frequency,
+            distance,
+        },
+    );
     let write = run_job(
         &JobSpec::seq_write("fig2-w").with_runtime(SimDuration::from_secs(seconds)),
         &mut disk,

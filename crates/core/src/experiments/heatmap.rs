@@ -9,9 +9,7 @@
 
 use crate::testbed::Testbed;
 use deepnote_acoustics::{Distance, Frequency};
-use deepnote_hdd::{
-    steady_state, DiskOpKind, DriveGeometry, ServoModel, TimingModel, ToleranceModel,
-};
+use deepnote_hdd::{DiskOpKind, DriveModel};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write;
 
@@ -86,10 +84,7 @@ pub fn compute(testbed: &Testbed, frequencies_hz: Vec<f64>, distances_cm: Vec<f6
         !frequencies_hz.is_empty() && !distances_cm.is_empty(),
         "heatmap axes must be non-empty"
     );
-    let geo = DriveGeometry::barracuda_500gb();
-    let timing = TimingModel::barracuda_500gb();
-    let servo = ServoModel::typical();
-    let tol = ToleranceModel::typical();
+    let drive = DriveModel::barracuda_500gb();
 
     let values = frequencies_hz
         .iter()
@@ -99,7 +94,8 @@ pub fn compute(testbed: &Testbed, frequencies_hz: Vec<f64>, distances_cm: Vec<f6
                 .iter()
                 .map(|&cm| {
                     let v = tone.vibration_at(Distance::from_cm(cm));
-                    steady_state(&geo, &timing, &servo, &tol, Some(&v), 8, DiskOpKind::Write)
+                    drive
+                        .steady_state(Some(&v), DiskOpKind::Write)
                         .throughput_mb_s
                 })
                 .collect()

@@ -68,7 +68,7 @@ fn run_layout(label: &str, mirror_distances_cm: [f64; 2]) -> RedundancyOutcome {
 
     // Attack ends; resync any failed mirrors.
     for v in &vibrations {
-        testbed.stop_attack(v);
+        v.clear();
     }
     let mut resynced = 0;
     for idx in 0..array.mirror_count() {

@@ -81,7 +81,7 @@ pub fn pulsed_attack(
                 testbed.mount_attack(&vibration, params);
             }
         } else if vibration.current().is_some() {
-            testbed.stop_attack(&vibration);
+            vibration.clear();
         }
 
         let obs = request(&mut disk, &mut cursor);
@@ -92,7 +92,7 @@ pub fn pulsed_attack(
             detected_after = Some((clock.now() - t0).as_secs_f64());
         }
     }
-    testbed.stop_attack(&vibration);
+    vibration.clear();
 
     let elapsed = (clock.now() - t0).as_secs_f64();
     let throughput = completed as f64 * 4096.0 / 1e6 / elapsed;

@@ -10,9 +10,7 @@ use crate::parallel::run_chunked;
 use crate::testbed::Testbed;
 use crate::threat::AttackParams;
 use deepnote_acoustics::Distance;
-use deepnote_hdd::{
-    steady_state, DiskOpKind, DriveGeometry, ServoModel, TimingModel, ToleranceModel,
-};
+use deepnote_hdd::{DiskOpKind, DriveModel};
 use serde::{Deserialize, Serialize};
 
 /// Impact classification for one drive.
@@ -113,12 +111,8 @@ impl Fleet {
     /// chunks on the experiment pool — the report is identical to a
     /// sequential walk down the line.
     pub fn assess(&self, params: AttackParams) -> FleetReport {
-        let geo = DriveGeometry::barracuda_500gb();
-        let timing = TimingModel::barracuda_500gb();
-        let servo = ServoModel::typical();
-        let tol = ToleranceModel::typical();
-        let baseline =
-            steady_state(&geo, &timing, &servo, &tol, None, 8, DiskOpKind::Write).throughput_mb_s;
+        let drive = DriveModel::barracuda_500gb();
+        let baseline = drive.steady_state(None, DiskOpKind::Write).throughput_mb_s;
         // One tone at every position: evaluate its frequency terms once.
         let tone = self.testbed.at_frequency(params.frequency);
 
@@ -127,10 +121,10 @@ impl Fleet {
             .iter()
             .enumerate()
             .map(|(index, &pos)| {
-                let (tone, geo, timing, servo, tol) = (&tone, &geo, &timing, &servo, &tol);
+                let (tone, drive) = (&tone, &drive);
                 move || {
                     let v = tone.vibration_at(pos);
-                    let ss = steady_state(geo, timing, servo, tol, Some(&v), 8, DiskOpKind::Write);
+                    let ss = drive.steady_state(Some(&v), DiskOpKind::Write);
                     let impact = Impact::classify(ss.responsive(), ss.throughput_mb_s, baseline);
                     DriveImpact {
                         index,

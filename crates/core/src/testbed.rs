@@ -3,7 +3,7 @@
 //! A [`Testbed`] is the assembled physics column: water conditions, the
 //! attacker's signal chain, the propagation law, and one of the three
 //! enclosure/mount scenarios. It converts attack parameters into the
-//! [`VibrationState`] the victim drive experiences, and can mount/stop
+//! [`VibrationState`] the victim drive experiences, and can mount
 //! attacks on any drive's [`VibrationInput`].
 
 use crate::threat::AttackParams;
@@ -34,28 +34,6 @@ impl Testbed {
             scenario,
             path: scenario.vibration_path(),
         }
-    }
-
-    /// Builds a custom testbed.
-    pub fn new(
-        water: WaterConditions,
-        chain: SignalChain,
-        propagation: PropagationModel,
-        scenario: Scenario,
-        path: VibrationPath,
-    ) -> Self {
-        Testbed {
-            water,
-            chain,
-            propagation,
-            scenario,
-            path,
-        }
-    }
-
-    /// The water in the tank (or ocean).
-    pub fn water(&self) -> &WaterConditions {
-        &self.water
     }
 
     /// The scenario under test.
@@ -126,14 +104,10 @@ impl Testbed {
         self.at_frequency(frequency).vibration_at(distance)
     }
 
-    /// Starts (or retunes) an attack on a drive's vibration input.
+    /// Starts (or retunes) an attack on a drive's vibration input;
+    /// [`VibrationInput::clear`] stops it.
     pub fn mount_attack(&self, input: &VibrationInput, params: AttackParams) {
         input.set(Some(self.vibration_at(params.frequency, params.distance)));
-    }
-
-    /// Stops any attack on the input.
-    pub fn stop_attack(&self, input: &VibrationInput) {
-        input.clear();
     }
 }
 
@@ -207,7 +181,7 @@ mod tests {
         let input = VibrationInput::quiescent();
         tb.mount_attack(&input, AttackParams::paper_best());
         assert!(input.current().is_some());
-        tb.stop_attack(&input);
+        input.clear();
         assert!(input.current().is_none());
     }
 

@@ -7,7 +7,7 @@
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
 use deepnote_blockdev::MemDisk;
-use deepnote_fs::{Filesystem, FsError};
+use deepnote_fs::{Filesystem, FsError, FS_BLOCK_SIZE};
 use deepnote_sim::Clock;
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -309,45 +309,107 @@ fn check_final_state(fs: &mut Filesystem<MemDisk>, model: &Model) {
     assert_eq!(fs.fsck().unwrap(), Vec::<String>::new(), "fsck problems");
 }
 
+/// Runs `ops` on `fs` and on `model`, which holds `fs`'s committed tree:
+/// the two never disagree; a crash recovers exactly the state of the last
+/// commit, and the final state survives a commit + remount.
+fn matches_model(mut fs: Filesystem<MemDisk>, clock: Clock, mut model: Model, ops: &[Op]) {
+    let mut committed = (model.clone(), 0);
+    for (i, op) in ops.iter().enumerate() {
+        apply(&mut fs, &mut model, op);
+        if matches!(op, Op::Commit) {
+            committed = (model.clone(), i + 1);
+        }
+    }
+    check_final_state(&mut fs, &model);
+
+    // Crash: take the device without a final commit. The remount must
+    // find the last committed state exactly, so no block freed since
+    // then may have been forgotten.
+    let (mut model, tail) = committed;
+    let (mut fs, _) = Filesystem::mount(fs.into_device(), clock.clone()).unwrap();
+    check_final_state(&mut fs, &model);
+
+    // Redo the uncommitted tail on the recovered filesystem, then
+    // remount: committed state must equal the model exactly (we commit
+    // first, so nothing is lost).
+    for op in &ops[tail..] {
+        apply(&mut fs, &mut model, op);
+    }
+    fs.commit().unwrap();
+    let dev = fs.unmount().unwrap();
+    let (mut fs2, _) = Filesystem::mount(dev, clock).unwrap();
+    check_final_state(&mut fs2, &model);
+}
+
+/// The smallest device the filesystem formats: 1,021 data blocks.
+const SMALL_DEVICE: u64 = 20_480;
+
+/// Wraps the allocator's rotating hint inside the running transaction,
+/// leaving the tree as it was: `STAGED` directory blocks are staged after
+/// the tree's blocks, fillers take every block after them, and all of it
+/// is unlinked again. The next allocations come round to the staged and
+/// freed blocks first.
+fn wrap_allocator(fs: &mut Filesystem<MemDisk>) {
+    const STAGED: usize = 16;
+    for i in 0..STAGED {
+        fs.create(&format!("/z{i}")).unwrap();
+        fs.create_file(&format!("/z{i}/f")).unwrap();
+    }
+    let mut fillers = Vec::new();
+    while fs.stats().free_blocks > 0 {
+        let name = format!("/fill{}", fillers.len());
+        fs.create_file(&name).unwrap();
+        // At most the 12 direct blocks: no indirect block to account for.
+        let blocks = fs.stats().free_blocks.min(12) as usize;
+        fs.write_file(&name, 0, &vec![0xEE; blocks * FS_BLOCK_SIZE])
+            .unwrap();
+        fillers.push(name);
+    }
+    for name in &fillers {
+        fs.unlink(name).unwrap();
+    }
+    for i in 0..STAGED {
+        fs.unlink(&format!("/z{i}/f")).unwrap();
+        fs.unlink(&format!("/z{i}")).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Random op sequences: the filesystem and the model never disagree;
-    /// a crash recovers exactly the state of the last commit, and the
-    /// final state survives a commit + remount.
+    /// Random op sequences on a roomy device.
     #[test]
     fn filesystem_matches_model(ops in proptest::collection::vec(op_strategy(), 1..60)) {
         let clock = Clock::new();
-        let mut fs = Filesystem::format(MemDisk::new(1 << 17), clock.clone()).unwrap();
+        let fs = Filesystem::format(MemDisk::new(1 << 17), clock.clone()).unwrap();
+        matches_model(fs, clock, Model::new(), &ops);
+    }
+
+    /// The same op sequences on the smallest device, from a committed
+    /// tree holding every pool path and with the allocator wrapped: the
+    /// first write to a file reuses a block its transaction freed, so a
+    /// freed block's staged image must not outlive it.
+    #[test]
+    fn filesystem_matches_model_after_the_allocator_wraps(
+        ops in proptest::collection::vec(op_strategy(), 1..60)
+    ) {
+        let clock = Clock::new();
+        let mut fs = Filesystem::format(MemDisk::new(SMALL_DEVICE), clock.clone()).unwrap();
         let mut model = Model::new();
-        let mut committed = (model.clone(), 0);
-        for (i, op) in ops.iter().enumerate() {
-            apply(&mut fs, &mut model, op);
-            if matches!(op, Op::Commit) {
-                committed = (model.clone(), i + 1);
-            }
-        }
-        check_final_state(&mut fs, &model);
-
-        // Crash: steal the device without a final commit. The remount
-        // must find the last committed state exactly, so no block freed
-        // since then may have been forgotten.
-        let (mut model, tail) = committed;
-        let dev = std::mem::replace(fs.device_mut(), MemDisk::new(1));
-        drop(fs);
-        let (mut fs, _) = Filesystem::mount(dev, clock.clone()).unwrap();
-        check_final_state(&mut fs, &model);
-
-        // Redo the uncommitted tail on the recovered filesystem, then
-        // remount: committed state must equal the model exactly (we
-        // commit first, so nothing is lost).
-        for op in &ops[tail..] {
+        let tree = [
+            Op::Mkdir(4), // /dir
+            Op::CreateFile(0),
+            Op::CreateFile(1),
+            Op::CreateFile(2),
+            Op::CreateFile(3),
+            Op::CreateFile(5),
+            Op::Commit,
+        ];
+        for op in &tree {
             apply(&mut fs, &mut model, op);
         }
-        fs.commit().unwrap();
-        let dev = fs.unmount().unwrap();
-        let (mut fs2, _) = Filesystem::mount(dev, clock).unwrap();
-        check_final_state(&mut fs2, &model);
+        wrap_allocator(&mut fs);
+        matches_model(fs, clock, model, &ops);
     }
 }
 

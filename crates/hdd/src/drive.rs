@@ -21,6 +21,7 @@
 
 use crate::geometry::DriveGeometry;
 use crate::servo::ServoModel;
+use crate::throughput::{steady_state, SteadyState};
 use crate::timing::TimingModel;
 use crate::vibration::{ToleranceModel, VibrationInput, VibrationState};
 use deepnote_sim::{Clock, SimDuration, SimRng, SimTime};
@@ -134,8 +135,68 @@ pub struct OpReport {
     pub retries: u32,
 }
 
-/// The mechanical drive: geometry + timing + servo + tolerances, driven by
-/// a shared clock and an externally imposed vibration.
+/// One drive design: geometry, timing, servo and off-track tolerances.
+/// The op engine ([`HardDiskDrive`]) holds one, and the closed-form
+/// experiments ask one for its [`DriveModel::steady_state`].
+#[derive(Debug, Clone, PartialEq)]
+pub struct DriveModel {
+    /// Platters, tracks, zones, spindle speed.
+    pub geometry: DriveGeometry,
+    /// Per-operation service times.
+    pub timing: TimingModel,
+    /// Track-following servo and shock sensor.
+    pub servo: ServoModel,
+    /// Read/write off-track tolerances.
+    pub tolerance: ToleranceModel,
+}
+
+impl DriveModel {
+    /// The paper's victim drive with typical servo and tolerances.
+    pub fn barracuda_500gb() -> Self {
+        DriveModel {
+            geometry: DriveGeometry::barracuda_500gb(),
+            timing: TimingModel::barracuda_500gb(),
+            servo: ServoModel::typical(),
+            tolerance: ToleranceModel::typical(),
+        }
+    }
+
+    /// A nearline enterprise drive with RV-compensating servo — the §5
+    /// "HDD types" comparison point. Data-center JBOD drives are built to
+    /// tolerate the rotational vibration of 90 neighbours, which also
+    /// blunts acoustic attacks.
+    pub fn nearline_4tb() -> Self {
+        DriveModel {
+            geometry: DriveGeometry::nearline_4tb(),
+            timing: TimingModel::nearline_4tb(),
+            servo: ServoModel::enterprise_rv(),
+            tolerance: ToleranceModel::typical(),
+        }
+    }
+
+    /// The expected steady state of 4 KiB (8-sector) sequential I/O under
+    /// `vibration` (`None` is the quiescent baseline): the closed form
+    /// [`steady_state`] on this model.
+    #[inline]
+    pub fn steady_state(
+        &self,
+        vibration: Option<&VibrationState>,
+        kind: DiskOpKind,
+    ) -> SteadyState {
+        steady_state(
+            &self.geometry,
+            &self.timing,
+            &self.servo,
+            &self.tolerance,
+            vibration,
+            8,
+            kind,
+        )
+    }
+}
+
+/// The mechanical drive: a [`DriveModel`] driven by a shared clock and an
+/// externally imposed vibration.
 ///
 /// # Example
 ///
@@ -156,10 +217,7 @@ pub struct OpReport {
 /// ```
 #[derive(Debug)]
 pub struct HardDiskDrive {
-    geometry: DriveGeometry,
-    timing: TimingModel,
-    servo: ServoModel,
-    tolerance: ToleranceModel,
+    model: DriveModel,
     clock: Clock,
     vibration: VibrationInput,
     rng: SimRng,
@@ -172,20 +230,10 @@ pub struct HardDiskDrive {
 }
 
 impl HardDiskDrive {
-    /// Builds a drive from parts.
-    pub fn new(
-        geometry: DriveGeometry,
-        timing: TimingModel,
-        servo: ServoModel,
-        tolerance: ToleranceModel,
-        clock: Clock,
-        rng: SimRng,
-    ) -> Self {
+    /// Builds a drive from its model.
+    pub fn new(model: DriveModel, clock: Clock, rng: SimRng) -> Self {
         HardDiskDrive {
-            geometry,
-            timing,
-            servo,
-            tolerance,
+            model,
             clock,
             vibration: VibrationInput::quiescent(),
             rng,
@@ -198,17 +246,14 @@ impl HardDiskDrive {
         }
     }
 
-    /// A copy of this drive on `clock`: same models, RNG state, head
+    /// A copy of this drive on `clock`: same model, RNG state, head
     /// position and op counters, so it serves the next op exactly as this
     /// drive would. The vibration input is a fresh quiescent one: the
     /// clock and vibration are shared handles, and a derived `Clone`
     /// would couple two drives' virtual time and attack.
     pub fn replica(&self, clock: Clock) -> Self {
         HardDiskDrive {
-            geometry: self.geometry.clone(),
-            timing: self.timing.clone(),
-            servo: self.servo,
-            tolerance: self.tolerance,
+            model: self.model.clone(),
             clock,
             vibration: VibrationInput::quiescent(),
             rng: self.rng.clone(),
@@ -221,51 +266,19 @@ impl HardDiskDrive {
         }
     }
 
-    /// The paper's victim drive with typical servo and tolerances.
+    /// [`DriveModel::barracuda_500gb`], the paper's victim.
     pub fn barracuda_500gb(clock: Clock) -> Self {
-        HardDiskDrive::new(
-            DriveGeometry::barracuda_500gb(),
-            TimingModel::barracuda_500gb(),
-            ServoModel::typical(),
-            ToleranceModel::typical(),
-            clock,
-            SimRng::new(),
-        )
+        HardDiskDrive::new(DriveModel::barracuda_500gb(), clock, SimRng::new())
     }
 
-    /// A nearline enterprise drive with RV-compensating servo — the §5
-    /// "HDD types" comparison point. Data-center JBOD drives are built to
-    /// tolerate the rotational vibration of 90 neighbours, which also
-    /// blunts acoustic attacks.
+    /// [`DriveModel::nearline_4tb`], the §5 enterprise comparison point.
     pub fn nearline_4tb(clock: Clock) -> Self {
-        HardDiskDrive::new(
-            DriveGeometry::nearline_4tb(),
-            TimingModel::nearline_4tb(),
-            ServoModel::enterprise_rv(),
-            ToleranceModel::typical(),
-            clock,
-            SimRng::new(),
-        )
+        HardDiskDrive::new(DriveModel::nearline_4tb(), clock, SimRng::new())
     }
 
-    /// Drive geometry.
-    pub fn geometry(&self) -> &DriveGeometry {
-        &self.geometry
-    }
-
-    /// Timing model.
-    pub fn timing(&self) -> &TimingModel {
-        &self.timing
-    }
-
-    /// Servo model.
-    pub fn servo(&self) -> &ServoModel {
-        &self.servo
-    }
-
-    /// Tolerance model.
-    pub fn tolerance(&self) -> &ToleranceModel {
-        &self.tolerance
+    /// The drive's geometry, timing, servo and tolerances.
+    pub fn model(&self) -> &DriveModel {
+        &self.model
     }
 
     /// The clock this drive advances while servicing ops.
@@ -302,14 +315,8 @@ impl HardDiskDrive {
         let Some(v) = self.vibration.current() else {
             return Some(1.0);
         };
-        attempt_probability(
-            &self.geometry,
-            &self.timing,
-            &self.servo,
-            &self.tolerance,
-            &v,
-            kind,
-        )
+        let m = &self.model;
+        attempt_probability(&m.geometry, &m.timing, &m.servo, &m.tolerance, &v, kind)
     }
 
     /// Executes one operation, advancing the shared clock by its service
@@ -330,7 +337,7 @@ impl HardDiskDrive {
         if op
             .lba
             .checked_add(op.sectors)
-            .is_none_or(|end| end > self.geometry.total_sectors())
+            .is_none_or(|end| end > self.model.geometry.total_sectors())
         {
             return Err(DriveError::OutOfRange);
         }
@@ -338,9 +345,9 @@ impl HardDiskDrive {
         // Shock parking: sustained over-threshold acceleration keeps the
         // heads unloaded.
         if let Some(v) = self.vibration.current() {
-            if self.servo.triggers_shock_park(&v) {
-                let until =
-                    self.clock.now() + SimDuration::from_secs_f64(self.servo.park_duration_s());
+            if self.model.servo.triggers_shock_park(&v) {
+                let until = self.clock.now()
+                    + SimDuration::from_secs_f64(self.model.servo.park_duration_s());
                 self.parked_until = Some(until);
             }
         }
@@ -363,14 +370,15 @@ impl HardDiskDrive {
         // positioning either (the media write still happens and can still
         // fail: the cache hides latency, not errors).
         let sequential = self.last_lba_end == Some(op.lba) || !read;
-        let target_cyl = self.geometry.cylinder_of(op.lba);
+        let target_cyl = self.model.geometry.cylinder_of(op.lba);
         if !sequential {
-            let seek_s = self
-                .timing
-                .seek_s(&self.geometry, self.current_cylinder, target_cyl);
+            let seek_s =
+                self.model
+                    .timing
+                    .seek_s(&self.model.geometry, self.current_cylinder, target_cyl);
             if seek_s > 0.0 {
                 self.clock.advance(SimDuration::from_secs_f64(
-                    seek_s + self.timing.rotational_latency_s(&self.geometry),
+                    seek_s + self.model.timing.rotational_latency_s(&self.model.geometry),
                 ));
             }
         }
@@ -378,14 +386,18 @@ impl HardDiskDrive {
         self.last_lba_end = Some(op.lba + op.sectors);
 
         // Command overhead.
-        self.clock
-            .advance(SimDuration::from_secs_f64(self.timing.overhead_s(read)));
+        self.clock.advance(SimDuration::from_secs_f64(
+            self.model.timing.overhead_s(read),
+        ));
 
         // Media transfer attempts.
-        let transfer =
-            SimDuration::from_secs_f64(self.timing.transfer_s(&self.geometry, op.sectors));
+        let transfer = SimDuration::from_secs_f64(
+            self.model
+                .timing
+                .transfer_s(&self.model.geometry, op.sectors),
+        );
         let p = self.attempt_success_probability(op.kind);
-        let retry_delay = SimDuration::from_secs_f64(self.timing.retry_delay_s(read));
+        let retry_delay = SimDuration::from_secs_f64(self.model.timing.retry_delay_s(read));
         let mut retries = 0u32;
         loop {
             let success = match p {
@@ -403,7 +415,7 @@ impl HardDiskDrive {
             retries += 1;
             self.retries_total += 1;
             self.clock.advance(retry_delay);
-            if retries >= self.timing.max_retries() {
+            if retries >= self.model.timing.max_retries() {
                 self.ops_failed += 1;
                 let burned = self.clock.now() - start;
                 return Err(DriveError::Unresponsive {
@@ -487,7 +499,7 @@ mod tests {
     fn random_ops_pay_seek_and_rotation() {
         let mut d = drive();
         d.execute(DiskOp::read(0, 8)).unwrap();
-        let far = d.geometry().total_sectors() - 8;
+        let far = d.model().geometry.total_sectors() - 8;
         let rep = d.execute(DiskOp::read(far, 8)).unwrap();
         // Full stroke (17 ms) + rotational latency (4.2 ms) + overhead.
         assert!(rep.duration.as_millis_f64() > 15.0, "{}", rep.duration);
@@ -534,7 +546,7 @@ mod tests {
         // write-degraded and read-fine there is a wide window: pick
         // residual 16 nm: duty_w ≈ 0.43 (slow, completes), duty_r ≈ 0.78.
         let d = drive();
-        let amp_um = 16.0 / d.servo().rejection(Frequency::from_hz(650.0)) / 1000.0;
+        let amp_um = 16.0 / d.model().servo.rejection(Frequency::from_hz(650.0)) / 1000.0;
         d.vibration()
             .set(Some(VibrationState::new(Frequency::from_hz(650.0), amp_um)));
         let p_read = d.attempt_success_probability(DiskOpKind::Read).unwrap();
@@ -567,7 +579,7 @@ mod tests {
             d.execute(DiskOp::read(0, 0)).unwrap_err(),
             DriveError::EmptyOp
         );
-        let max = d.geometry().total_sectors();
+        let max = d.model().geometry.total_sectors();
         assert_eq!(
             d.execute(DiskOp::read(max, 8)).unwrap_err(),
             DriveError::OutOfRange
@@ -604,8 +616,8 @@ mod tests {
     #[test]
     fn recovery_escalation_floors() {
         let d = drive();
-        let geo = d.geometry();
-        let (timing, servo, tol) = (d.timing(), d.servo(), d.tolerance());
+        let m = d.model();
+        let (geo, timing, servo, tol) = (&m.geometry, &m.timing, &m.servo, &m.tolerance);
         // Huge vibration: both kinds escalate.
         let big = VibrationState::new(Frequency::from_hz(650.0), 2.0);
         assert_eq!(

@@ -17,8 +17,12 @@
 //! * [`VibrationState`] / [`VibrationInput`] — the externally imposed
 //!   chassis vibration, shared with whatever drives the attack
 //!   ([`vibration`]).
-//! * [`HardDiskDrive`] — the op-level engine: submit reads/writes, get
-//!   durations or errors on virtual time ([`drive`]).
+//! * [`DriveModel`] — one drive design: geometry, timing, servo and
+//!   tolerances, with presets for the paper's victim and a nearline
+//!   enterprise drive ([`drive`]).
+//! * [`HardDiskDrive`] — the op-level engine over one [`DriveModel`]:
+//!   submit reads/writes, get durations or errors on virtual time
+//!   ([`drive`]).
 //! * [`throughput`] — closed-form steady-state throughput/latency under a
 //!   given vibration, used by the fast experiment sweeps.
 //!
@@ -41,7 +45,7 @@ pub mod throughput;
 pub mod timing;
 pub mod vibration;
 
-pub use drive::{DiskOp, DiskOpKind, DriveError, HardDiskDrive, OpReport};
+pub use drive::{DiskOp, DiskOpKind, DriveError, DriveModel, HardDiskDrive, OpReport};
 pub use geometry::DriveGeometry;
 pub use servo::ServoModel;
 pub use throughput::{steady_state, SteadyState};
@@ -50,7 +54,7 @@ pub use vibration::{ToleranceModel, VibrationInput, VibrationState};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
-    pub use crate::drive::{DiskOp, DiskOpKind, DriveError, HardDiskDrive, OpReport};
+    pub use crate::drive::{DiskOp, DiskOpKind, DriveError, DriveModel, HardDiskDrive, OpReport};
     pub use crate::geometry::DriveGeometry;
     pub use crate::servo::ServoModel;
     pub use crate::throughput::{steady_state, SteadyState};

@@ -34,9 +34,11 @@ impl SteadyState {
     }
 }
 
-/// Computes the expected steady state of 4 KiB-class sequential I/O.
-///
-/// `vibration = None` is the quiescent baseline.
+/// Computes the expected steady state of sequential I/O of `sectors`
+/// sectors; `vibration = None` is the quiescent baseline. Experiments
+/// call [`DriveModel::steady_state`](crate::DriveModel::steady_state),
+/// which fixes `sectors` at 8 to match [`attempt_probability`]'s
+/// transfer window.
 ///
 /// # Example
 ///
@@ -44,18 +46,17 @@ impl SteadyState {
 /// use deepnote_hdd::prelude::*;
 /// use deepnote_acoustics::Frequency;
 ///
-/// let geo = DriveGeometry::barracuda_500gb();
-/// let timing = TimingModel::barracuda_500gb();
-/// let servo = ServoModel::typical();
-/// let tol = ToleranceModel::typical();
-///
-/// let base = steady_state(&geo, &timing, &servo, &tol, None, 8, DiskOpKind::Write);
+/// let drive = DriveModel::barracuda_500gb();
+/// let base = drive.steady_state(None, DiskOpKind::Write);
 /// assert!((base.throughput_mb_s - 22.7).abs() < 0.1);
 ///
 /// let attack = VibrationState::new(Frequency::from_hz(650.0), 0.6);
-/// let hit = steady_state(&geo, &timing, &servo, &tol, Some(&attack), 8, DiskOpKind::Write);
+/// let hit = drive.steady_state(Some(&attack), DiskOpKind::Write);
 /// assert_eq!(hit.throughput_mb_s, 0.0);
 /// assert_eq!(hit.mean_latency_ms, None);
+/// let DriveModel { geometry, timing, servo, tolerance } = &drive;
+/// let kind = DiskOpKind::Write;
+/// assert_eq!(hit, steady_state(geometry, timing, servo, tolerance, Some(&attack), 8, kind));
 /// ```
 pub fn steady_state(
     geometry: &DriveGeometry,

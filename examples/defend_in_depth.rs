@@ -51,7 +51,7 @@ fn main() {
         "alarm after {requests_until_alarm} requests = {elapsed:.1} virtual seconds \
          (the crash would come at ~81 s — ample time to fail over)\n"
     );
-    testbed.stop_attack(&vibration);
+    vibration.clear();
 
     // 2. Redundancy: RAID-1 only helps if the mirrors don't share an
     //    acoustic fate.

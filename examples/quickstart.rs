@@ -17,7 +17,7 @@ fn main() {
     let vibration = disk.vibration();
 
     println!("== Deep Note quickstart ==");
-    println!("victim: {}", disk.drive().geometry().name());
+    println!("victim: {}", disk.drive().model().geometry.name());
     println!("scenario: {}", testbed.scenario());
 
     // Baseline: FIO-style sequential 4 KiB read and write.
@@ -77,7 +77,7 @@ fn main() {
     );
 
     // Stop the attack: the drive comes back.
-    testbed.stop_attack(&vibration);
+    vibration.clear();
     let write = run_job(
         &JobSpec::seq_write("recovered-write").with_runtime(SimDuration::from_secs(5)),
         &mut disk,

@@ -40,7 +40,7 @@ fn attack_propagates_from_speaker_to_fio() {
     assert_eq!(attacked.latency_cell(), "-");
 
     // Stop: full recovery.
-    testbed.stop_attack(&vibration);
+    vibration.clear();
     let recovered = run_job(
         &JobSpec::seq_write("w").with_runtime(SimDuration::from_secs(3)),
         &mut disk,
@@ -67,7 +67,7 @@ fn attack_aborts_filesystem_through_the_whole_stack() {
     assert!(matches!(fs.state(), FsState::Aborted { errno: -5 }));
 
     // The device itself recorded real failed mechanical operations.
-    testbed.stop_attack(&vibration);
+    vibration.clear();
     assert!(fs.device_mut().write_errors() > 0);
 }
 

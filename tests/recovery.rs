@@ -10,14 +10,6 @@ use deepnote_core::prelude::*;
 use deepnote_fs::{Filesystem, FsState};
 use deepnote_kv::{Db, DbConfig};
 
-/// Steals the device out of a filesystem without unmounting — a crash.
-fn crash_fs(mut fs: Filesystem<HddDisk>) -> HddDisk {
-    let clock = fs.clock().clone();
-    let mut out = HddDisk::barracuda_500gb(clock);
-    std::mem::swap(&mut out, fs.device_mut());
-    out
-}
-
 #[test]
 fn committed_data_survives_an_attack_crash() {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
@@ -38,10 +30,11 @@ fn committed_data_survives_an_attack_crash() {
         .unwrap();
     assert!(fs.commit().is_err());
     assert!(matches!(fs.state(), FsState::Aborted { .. }));
-    testbed.stop_attack(&vibration);
+    vibration.clear();
 
-    // "Replace the drive controller": remount the same device.
-    let dev = crash_fs(fs);
+    // "Replace the drive controller": take the device without
+    // unmounting (a crash) and remount it.
+    let dev = fs.into_device();
     let (mut fs2, _) = Filesystem::mount(dev, clock).unwrap();
     let content = fs2.read_file("/srv/durable", 0, 64).unwrap();
     assert_eq!(content, b"committed before attack");
@@ -63,7 +56,7 @@ fn unlinked_but_uncommitted_file_survives_a_crash() {
     fs.unlink("/kept").unwrap();
     assert!(!fs.exists("/kept"));
 
-    let dev = crash_fs(fs);
+    let dev = fs.into_device();
     let (mut fs2, _) = Filesystem::mount(dev, clock).unwrap();
     assert_eq!(fs2.read_file("/kept", 0, body.len() + 1).unwrap(), body);
     assert_eq!(fs2.fsck().unwrap(), Vec::<String>::new());
@@ -96,16 +89,10 @@ fn database_reopens_consistently_after_attack_crash() {
         }
     }
     assert!(died, "store must die under the attack");
-    testbed.stop_attack(&vibration);
+    vibration.clear();
 
     // Reopen on the same device: all synced keys are intact.
-    let dev = {
-        let clock2 = clock.clone();
-        let fs = db.filesystem_mut();
-        let mut out = HddDisk::barracuda_500gb(clock2);
-        std::mem::swap(&mut out, fs.device_mut());
-        out
-    };
+    let dev = db.into_device();
     let mut db2 = Db::open_with(dev, clock, DbConfig::default()).unwrap();
     for i in (0..500u32).step_by(37) {
         let got = db2.get(format!("key{i:05}").as_bytes()).unwrap();
@@ -130,7 +117,7 @@ fn repeated_attack_recover_cycles_are_stable() {
         // 2 s of attack (shorter than the 75 s patience)...
         testbed.mount_attack(&vibration, AttackParams::paper_best());
         clock.advance(SimDuration::from_secs(2));
-        testbed.stop_attack(&vibration);
+        vibration.clear();
         // ... then healthy I/O and an explicit fsync.
         let data = format!("pulse {pulse}\n").into_bytes();
         fs.write_file("/pulse", offset, &data).unwrap();
