@@ -290,11 +290,6 @@ impl<D: BlockDevice> ChaosInjector<D> {
         self
     }
 
-    /// The plan in effect.
-    pub fn plan(&self) -> &ChaosPlan {
-        &self.plan
-    }
-
     /// Replaces the plan mid-run; active bursts are cancelled.
     pub fn set_plan(&mut self, plan: ChaosPlan) {
         self.burst_left = vec![0; plan.bursts.len()];

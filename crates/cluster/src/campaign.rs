@@ -19,7 +19,7 @@ use crate::chaos::ChaosProfile;
 use crate::client::{ClientPolicy, ResilientClient};
 use crate::cluster::{Cluster, ClusterConfig};
 use crate::error::ClusterError;
-use crate::integrity::IntegrityConfig;
+use crate::integrity::{IntegrityConfig, IntegrityStats};
 use crate::metrics::{ClusterMetrics, PhaseMetrics};
 use crate::node::StorageNode;
 use crate::placement::PlacementPolicy;
@@ -206,21 +206,30 @@ const NODE_SERIES: [(Layer, &str, MetricKind); 10] = [
     (Layer::Cluster, "up", MetricKind::Gauge),
 ];
 
+/// The cluster-wide series, registered after every node's, in the
+/// order [`Scraper::scrape`] records them.
+const CLUSTER_SERIES: [(&str, MetricKind); 4] = [
+    ("pending_repairs", MetricKind::Gauge),
+    ("unavailable_shards", MetricKind::Gauge),
+    ("failovers", MetricKind::Counter),
+    ("nodes_down", MetricKind::Gauge),
+];
+
 /// The unified registry plus every handle a campaign scrapes into it.
 /// Scraping is strictly read-only: it probes node state and records
 /// values, so enabling it cannot perturb the campaign.
 struct Scraper {
     registry: MetricsRegistry,
+    /// Scrape period.
+    interval: SimDuration,
     /// Per node, one handle per [`NODE_SERIES`] entry.
     nodes: Vec<[MetricId; NODE_SERIES.len()]>,
-    pending_repairs: MetricId,
-    unavailable_shards: MetricId,
-    failovers: MetricId,
-    nodes_down: MetricId,
+    /// One handle per [`CLUSTER_SERIES`] entry.
+    cluster: [MetricId; CLUSTER_SERIES.len()],
 }
 
 impl Scraper {
-    fn new(num_nodes: usize) -> Self {
+    fn new(num_nodes: usize, interval: SimDuration) -> Self {
         let mut registry = MetricsRegistry::new();
         let nodes = (0..num_nodes)
             .map(|n| {
@@ -230,19 +239,15 @@ impl Scraper {
                 })
             })
             .collect();
-        let pending_repairs =
-            registry.register(Layer::Cluster, "pending_repairs", MetricKind::Gauge);
-        let unavailable_shards =
-            registry.register(Layer::Cluster, "unavailable_shards", MetricKind::Gauge);
-        let failovers = registry.register(Layer::Cluster, "failovers", MetricKind::Counter);
-        let nodes_down = registry.register(Layer::Cluster, "nodes_down", MetricKind::Gauge);
+        let cluster = std::array::from_fn(|i| {
+            let (name, kind) = CLUSTER_SERIES[i];
+            registry.register(Layer::Cluster, name, kind)
+        });
         Scraper {
             registry,
+            interval,
             nodes,
-            pending_repairs,
-            unavailable_shards,
-            failovers,
-            nodes_down,
+            cluster,
         }
     }
 
@@ -250,10 +255,7 @@ impl Scraper {
     /// counters restart from zero after a reboot — visible as cliffs in
     /// the series, which is the point.
     fn scrape(&mut self, cluster: &Cluster, now: SimTime) {
-        for (n, ids) in self.nodes.iter().enumerate() {
-            let Some(node) = cluster.nodes().get(n) else {
-                continue;
-            };
+        for (n, (ids, node)) in self.nodes.iter().zip(cluster.nodes()).enumerate() {
             let p = node.probe();
             let values: [f64; NODE_SERIES.len()] = [
                 cluster.received_spl_db(n),
@@ -272,16 +274,40 @@ impl Scraper {
             }
         }
         let down = cluster.monitor().up_mask().iter().filter(|u| !**u).count();
-        self.registry
-            .record(self.pending_repairs, now, cluster.pending_repairs() as f64);
-        self.registry.record(
-            self.unavailable_shards,
-            now,
+        let values: [f64; CLUSTER_SERIES.len()] = [
+            cluster.pending_repairs() as f64,
             cluster.unavailable_shards(now) as f64,
-        );
-        self.registry
-            .record(self.failovers, now, cluster.failovers() as f64);
-        self.registry.record(self.nodes_down, now, down as f64);
+            cluster.failovers() as f64,
+            down as f64,
+        ];
+        for (&id, value) in self.cluster.iter().zip(values) {
+            self.registry.record(id, now, value);
+        }
+    }
+}
+
+/// What a campaign watches as it serves: the service metrics, the
+/// burn-rate alerts, and the first window close that found a shard below
+/// write quorum.
+struct Watch {
+    metrics: ClusterMetrics,
+    burn: BurnRateMonitor,
+    first_quorum_loss: Option<SimTime>,
+}
+
+impl Watch {
+    /// Closes the availability window ending at `at`, in the phase `at`
+    /// falls in. Returns the shards below write quorum.
+    fn close_window(&mut self, at: SimTime, cluster: &Cluster, timeline: &AttackTimeline) -> usize {
+        self.metrics.sample_availability(at);
+        let unavailable = cluster.unavailable_shards(at);
+        let phase = &mut self.metrics.phases[timeline.phase_at(at)];
+        phase.max_unavailable = phase.max_unavailable.max(unavailable);
+        if unavailable > 0 && self.first_quorum_loss.is_none() {
+            self.first_quorum_loss = Some(at);
+        }
+        self.burn.tick(at);
+        unavailable
     }
 }
 
@@ -294,6 +320,7 @@ impl Scraper {
 /// those are results, captured in the report.
 pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterError> {
     let spec = config.workload;
+    let timeline = &config.timeline;
     let mut chaos_rng = SimRng::seeded(config.seed ^ CHAOS_SALT);
     let mut cluster = Cluster::with_chaos(config.cluster.clone(), &config.chaos, &mut chaos_rng)?;
     cluster.provision(&spec)?;
@@ -305,45 +332,40 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         Tracer::disabled()
     };
     cluster.set_tracer(tracer.clone());
-    let mut burn = BurnRateMonitor::default();
-    let mut scraper = config.telemetry.metrics_interval.map(|_| {
-        let n = cluster.nodes().len();
-        Scraper::new(n)
-    });
-    let mut first_quorum_loss: Option<SimTime> = None;
+    let num_nodes = cluster.nodes().len();
+    let mut scraper = config
+        .telemetry
+        .metrics_interval
+        .map(|interval| Scraper::new(num_nodes, interval));
     let mut rng = SimRng::seeded(config.seed);
     let mut pool = ClientPool::new(&spec, &mut rng);
-    let num_nodes = cluster.nodes().len();
     let mut driver = config
         .client
         .map(|_| ResilientClient::new(num_nodes, SimRng::seeded(config.seed ^ CLIENT_SALT)));
-    let mut oracle_checked = 0u64;
-    let mut oracle_wrong = 0u64;
+    let (mut oracle_checked, mut oracle_wrong) = (0u64, 0u64);
 
-    let phase_records: Vec<PhaseMetrics> = config
-        .timeline
+    let phase_records: Vec<PhaseMetrics> = timeline
         .phases()
         .iter()
         .enumerate()
         .map(|(i, p)| {
-            let start = config.timeline.phase_start(i);
+            let start = timeline.phase_start(i);
             PhaseMetrics::new(p.label.clone(), start, start + p.duration)
         })
         .collect();
-    let mut metrics = ClusterMetrics::new(phase_records);
-    let mut max_unavailable_by_phase = vec![0usize; config.timeline.phases().len()];
+    let mut watch = Watch {
+        metrics: ClusterMetrics::new(phase_records),
+        burn: BurnRateMonitor::default(),
+        first_quorum_loss: None,
+    };
 
-    let end = SimTime::ZERO + config.timeline.total();
+    let end = SimTime::ZERO + timeline.total();
     // Steady-state queue population: every phase change plus one slot
     // per recurring stream (heartbeat, repair, scrub, sample, scrape)
     // and one per client, so the heap never reallocates mid-loop.
-    let mut q = EventQueue::with_capacity(config.timeline.phases().len() + 5 + pool.len());
-    for i in 0..config.timeline.phases().len() {
-        schedule(
-            &mut q,
-            config.timeline.phase_start(i),
-            EvKind::PhaseChange(i),
-        );
+    let mut q = EventQueue::with_capacity(timeline.phases().len() + 5 + pool.len());
+    for i in 0..timeline.phases().len() {
+        schedule(&mut q, timeline.phase_start(i), EvKind::PhaseChange(i));
     }
     schedule(&mut q, SimTime::ZERO, EvKind::Heartbeat);
     schedule(&mut q, SimTime::ZERO + REPAIR_EVERY, EvKind::Repair);
@@ -351,7 +373,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         schedule(&mut q, SimTime::ZERO + SCRUB_EVERY, EvKind::Scrub);
     }
     schedule(&mut q, SimTime::ZERO + SAMPLE_EVERY, EvKind::Sample);
-    if config.telemetry.metrics_interval.is_some() {
+    if scraper.is_some() {
         schedule(&mut q, SimTime::ZERO, EvKind::Scrape);
     }
     for i in 0..pool.len() {
@@ -364,23 +386,21 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         }
         match kind {
             EvKind::PhaseChange(i) => {
-                metrics.enter_phase(i);
-                if let Some(p) = config.timeline.phases().get(i) {
-                    if tracer.is_enabled() {
-                        tracer.span(
-                            Layer::Cluster,
-                            "phase",
-                            at,
-                            p.duration,
-                            vec![("label", Value::Text(p.label.clone()))],
-                        );
-                    }
+                watch.metrics.enter_phase(i);
+                if let (Some(p), true) = (timeline.phases().get(i), tracer.is_enabled()) {
+                    tracer.span(
+                        Layer::Cluster,
+                        "phase",
+                        at,
+                        p.duration,
+                        vec![("label", Value::Text(p.label.clone()))],
+                    );
                 }
-                cluster.set_attack(config.timeline.frequency_at(at), at);
+                cluster.set_attack(timeline.frequency_at(at), at);
             }
             EvKind::Heartbeat => {
                 // Retune mid-sweep; a steady tone is a no-op here.
-                cluster.set_attack(config.timeline.frequency_at(at), at);
+                cluster.set_attack(timeline.frequency_at(at), at);
                 cluster.heartbeat(at);
                 schedule(&mut q, at + HEARTBEAT_EVERY, EvKind::Heartbeat);
             }
@@ -393,14 +413,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                 schedule(&mut q, at + SCRUB_EVERY, EvKind::Scrub);
             }
             EvKind::Sample => {
-                metrics.sample_availability(at);
-                let phase = config.timeline.phase_at(at);
-                let unavailable = cluster.unavailable_shards(at);
-                max_unavailable_by_phase[phase] = max_unavailable_by_phase[phase].max(unavailable);
-                if unavailable > 0 && first_quorum_loss.is_none() {
-                    first_quorum_loss = Some(at);
-                }
-                burn.tick(at);
+                watch.close_window(at, &cluster, timeline);
                 schedule(&mut q, at + SAMPLE_EVERY, EvKind::Sample);
             }
             EvKind::Client(i) => {
@@ -420,63 +433,43 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
                 if config.verify_responses && op.is_read && ok {
                     if let Some(got) = &served {
                         oracle_checked += 1;
-                        if *got != value {
-                            oracle_wrong += 1;
-                        }
+                        oracle_wrong += u64::from(*got != value);
                     }
                 }
-                metrics.record_op(op.is_read, ok, latency);
-                burn.record_op(at + latency, ok);
+                watch.metrics.record_op(op.is_read, ok, latency);
+                watch.burn.record_op(at + latency, ok);
                 schedule(&mut q, at + latency + THINK_TIME, EvKind::Client(i));
             }
             EvKind::Scrape => {
                 if let Some(s) = scraper.as_mut() {
                     s.scrape(&cluster, at);
-                }
-                if let Some(interval) = config.telemetry.metrics_interval {
-                    schedule(&mut q, at + interval, EvKind::Scrape);
+                    schedule(&mut q, at + s.interval, EvKind::Scrape);
                 }
             }
         }
     }
-    metrics.sample_availability(end);
-    let last_phase = config.timeline.phases().len() - 1;
-    let final_unavailable = cluster.unavailable_shards(end);
-    max_unavailable_by_phase[last_phase] =
-        max_unavailable_by_phase[last_phase].max(final_unavailable);
-    if final_unavailable > 0 && first_quorum_loss.is_none() {
-        first_quorum_loss = Some(end);
-    }
-    burn.tick(end);
+    // The last window closes at `end`, in the last phase.
+    let final_unavailable = watch.close_window(end, &cluster, timeline);
     if let Some(s) = scraper.as_mut() {
         s.scrape(&cluster, end);
     }
-
-    cluster.record_oracle(oracle_checked, oracle_wrong);
-
-    let early_warning = EarlyWarning {
-        first_node_down: cluster.first_down().map(|(n, t)| (n, t.as_secs_f64())),
-        first_alert_s: burn
-            .alerts()
-            .iter()
-            .find(|a| a.raised)
-            .map(|a| a.at.as_secs_f64()),
-        quorum_loss_s: first_quorum_loss.map(|t| t.as_secs_f64()),
-    };
 
     Ok(CampaignReport {
         label: config.label.clone(),
         placement: config.cluster.placement,
         seed: config.seed,
-        metrics,
+        metrics: watch.metrics,
         repair: cluster.repair_stats(),
         node_counters: cluster.nodes().iter().map(|n| n.counters()).collect(),
         failovers: cluster.failovers(),
-        max_unavailable_by_phase,
-        final_unavailable_shards: cluster.unavailable_shards(end),
+        final_unavailable_shards: final_unavailable,
         events: cluster.events().to_vec(),
         resilience: driver.as_ref().map(ResilientClient::stats),
-        integrity: cluster.integrity_stats(),
+        integrity: IntegrityStats {
+            oracle_checked,
+            oracle_wrong,
+            ..cluster.integrity_stats()
+        },
         scrub: cluster.scrub_stats(),
         chaos: cluster.chaos_stats(),
         drive_faults: cluster
@@ -485,16 +478,21 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             .map(StorageNode::drive_faults)
             .collect(),
         pending_repairs: cluster.pending_repairs(),
-        alerts: burn.into_alerts(),
+        early_warning: EarlyWarning {
+            first_node_down: cluster.first_down().map(|(n, t)| (n, t.as_secs_f64())),
+            first_alert_s: watch
+                .burn
+                .alerts()
+                .iter()
+                .find(|a| a.raised)
+                .map(|a| a.at.as_secs_f64()),
+            quorum_loss_s: watch.first_quorum_loss.map(|t| t.as_secs_f64()),
+        },
+        alerts: watch.burn.into_alerts(),
         series: scraper
             .map(|s| s.registry.into_series())
             .unwrap_or_default(),
-        early_warning,
-        trace: if tracer.is_enabled() {
-            Some(tracer.take())
-        } else {
-            None
-        },
+        trace: tracer.is_enabled().then(|| tracer.take()),
     })
 }
 

@@ -189,8 +189,6 @@ pub struct ClientOutcome {
     pub latency: SimDuration,
     /// Value served (reads).
     pub value: Option<Vec<u8>>,
-    /// Retries issued beyond the first attempt.
-    pub retries: u32,
 }
 
 /// The resilient driver: one per campaign, fronting every client.
@@ -316,30 +314,28 @@ impl ResilientClient {
                     ok: true,
                     latency: done.saturating_duration_since(at),
                     value: served,
-                    retries: attempt,
                 };
             }
             failed_once = true;
             attempt += 1;
             if attempt > MAX_RETRIES {
-                return self.give_up(at, done, attempt - 1);
+                return Self::give_up(at, done);
             }
             let next = done + backoff_delay(attempt, &mut self.rng);
             if next >= deadline {
                 self.stats.deadline_exhausted += 1;
-                return self.give_up(at, done, attempt - 1);
+                return Self::give_up(at, done);
             }
             self.stats.retries += 1;
             t = next;
         }
     }
 
-    fn give_up(&mut self, at: SimTime, done: SimTime, retries: u32) -> ClientOutcome {
+    fn give_up(at: SimTime, done: SimTime) -> ClientOutcome {
         ClientOutcome {
             ok: false,
             latency: done.saturating_duration_since(at),
             value: None,
-            retries,
         }
     }
 }

@@ -20,8 +20,7 @@ use crate::replication::{
 use crate::workload::WorkloadSpec;
 use deepnote_acoustics::Frequency;
 use deepnote_blockdev::ChaosStats;
-use deepnote_core::testbed::Testbed;
-use deepnote_core::threat::AttackParams;
+use deepnote_core::testbed::{Testbed, TestbedTone};
 use deepnote_kv::DbConfig;
 use deepnote_sim::{SimDuration, SimRng, SimTime};
 use deepnote_structures::Scenario;
@@ -100,7 +99,8 @@ pub struct Cluster {
     /// Every key each shard holds, in provisioning order: what repair
     /// copies and the scrubber walks.
     pub(crate) shard_keys: Vec<Vec<Vec<u8>>>,
-    current_attack: Option<Frequency>,
+    /// The tone the speaker transmits, if any.
+    tone: Option<TestbedTone>,
     failovers: u64,
     events: Vec<String>,
     integrity: IntegrityStats,
@@ -156,7 +156,6 @@ impl Cluster {
             .map(|n| {
                 StorageNode::launch_with(
                     n,
-                    topo.node_rack[n],
                     topo.node_distance[n],
                     &image,
                     chaos,
@@ -173,7 +172,7 @@ impl Cluster {
             monitor,
             repairs: RepairQueue::new(),
             shard_keys: vec![Vec::new(); config.num_shards],
-            current_attack: None,
+            tone: None,
             failovers: 0,
             events: Vec::new(),
             integrity: IntegrityStats::default(),
@@ -229,11 +228,6 @@ impl Cluster {
     /// The first node ever marked down and when, if any node was.
     pub fn first_down(&self) -> Option<(NodeId, SimTime)> {
         self.first_down
-    }
-
-    /// The configuration in effect.
-    pub fn config(&self) -> &ClusterConfig {
-        &self.config
     }
 
     /// The nodes (report access).
@@ -300,15 +294,14 @@ impl Cluster {
     /// attached, each node's received tone (SPL, residual off-track)
     /// lands on the acoustics layer.
     pub fn set_attack(&mut self, frequency: Option<Frequency>, now: SimTime) {
-        if frequency.map(|f| f.hz()) == self.current_attack.map(|f| f.hz()) {
+        if frequency.map(|f| f.hz()) == self.tone.map(|t| t.frequency().hz()) {
             return;
         }
-        self.current_attack = frequency;
         // One tone reaches every node: evaluate its frequency terms once.
-        let tone = frequency.map(|f| self.testbed.at_frequency(f));
+        self.tone = frequency.map(|f| self.testbed.at_frequency(f));
         for n in 0..self.nodes.len() {
             let node = &self.nodes[n];
-            match &tone {
+            match &self.tone {
                 Some(tone) => node
                     .vibration()
                     .set(Some(tone.vibration_at(node.position()))),
@@ -317,7 +310,7 @@ impl Cluster {
             if !self.tracer.is_enabled() {
                 continue;
             }
-            match &tone {
+            match &self.tone {
                 Some(tone) => {
                     let spl = tone.received_spl(node.position());
                     // The vibration input is already mounted: the probe
@@ -345,24 +338,11 @@ impl Cluster {
         }
     }
 
-    /// The frequency currently transmitted, if any.
-    pub fn current_attack(&self) -> Option<Frequency> {
-        self.current_attack
-    }
-
     /// Received sound pressure level at node `n` under the current
     /// tone, in dB (0 when the speaker is silent).
     pub fn received_spl_db(&self, n: NodeId) -> f64 {
-        match self.current_attack {
-            Some(f) => self
-                .testbed
-                .received_spl(AttackParams {
-                    frequency: f,
-                    distance: self.nodes[n].position(),
-                })
-                .db(),
-            None => 0.0,
-        }
+        self.tone
+            .map_or(0.0, |t| t.received_spl(self.nodes[n].position()).db())
     }
 
     /// Executes one client operation through the quorum coordinator.
@@ -540,14 +520,10 @@ impl Cluster {
             }
             // A swapped drive carries a fresh vibration input: re-mount
             // the ongoing attack, if any.
-            if let Some(f) = self.current_attack {
-                self.testbed.mount_attack(
-                    self.nodes[n].vibration(),
-                    AttackParams {
-                        frequency: f,
-                        distance: self.nodes[n].position(),
-                    },
-                );
+            if let Some(tone) = &self.tone {
+                let node = &self.nodes[n];
+                node.vibration()
+                    .set(Some(tone.vibration_at(node.position())));
             }
             if self.monitor.observe_probe(n, now, SimDuration::ZERO, true) == Transition::CameUp {
                 self.enqueue_catch_up(n);
@@ -687,12 +663,6 @@ impl Cluster {
     /// End-to-end integrity outcomes so far.
     pub fn integrity_stats(&self) -> IntegrityStats {
         self.integrity
-    }
-
-    /// Adds campaign-level oracle outcomes to the integrity counters.
-    pub fn record_oracle(&mut self, checked: u64, wrong: u64) {
-        self.integrity.oracle_checked += checked;
-        self.integrity.oracle_wrong += wrong;
     }
 
     /// Per-node device chaos counters (drives since retired included).

@@ -78,6 +78,9 @@ pub struct PhaseMetrics {
     pub reads: OpClassMetrics,
     /// Write-side counters.
     pub writes: OpClassMetrics,
+    /// Worst count of shards below write quorum seen at a window close
+    /// in this phase.
+    pub max_unavailable: usize,
 }
 
 impl PhaseMetrics {
@@ -89,6 +92,7 @@ impl PhaseMetrics {
             end,
             reads: OpClassMetrics::default(),
             writes: OpClassMetrics::default(),
+            max_unavailable: 0,
         }
     }
 
@@ -177,11 +181,6 @@ impl ClusterMetrics {
     pub fn enter_phase(&mut self, idx: usize) {
         assert!(idx < self.phases.len());
         self.current_phase = idx;
-    }
-
-    /// The phase currently attributed to.
-    pub fn current_phase(&self) -> &PhaseMetrics {
-        &self.phases[self.current_phase]
     }
 
     /// Records one client operation into the current phase.

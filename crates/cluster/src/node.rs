@@ -114,11 +114,29 @@ pub struct ServiceResult {
     pub done: SimTime,
 }
 
+impl Engine {
+    /// The drive, wherever it sits (none while in transit).
+    fn device(&self) -> Option<&ChaosDisk> {
+        match self {
+            Engine::Running(db) => Some(db.filesystem().device()),
+            Engine::Stopped(dev) => Some(dev),
+            Engine::Swapping => None,
+        }
+    }
+
+    fn device_mut(&mut self) -> Option<&mut ChaosDisk> {
+        match self {
+            Engine::Running(db) => Some(db.filesystem_mut().device_mut()),
+            Engine::Stopped(dev) => Some(dev),
+            Engine::Swapping => None,
+        }
+    }
+}
+
 /// One replica server.
 #[derive(Debug)]
 pub struct StorageNode {
     id: usize,
-    rack: usize,
     position: Distance,
     clock: Clock,
     engine: Engine,
@@ -146,52 +164,33 @@ impl StorageNode {
     /// from `rng`.
     pub fn launch_with(
         id: usize,
-        rack: usize,
         position: Distance,
         image: &Db<ChaosDisk>,
         chaos: &ChaosProfile,
-        mut rng: SimRng,
+        rng: SimRng,
     ) -> Self {
-        let clock = Clock::starting_at(image.clock().now());
-        let image_dev = image.filesystem().device();
-        // The drive's own RNG stream, forked exactly as `build_device`
-        // forks one for a drive this node formats itself.
-        let devices_built = 1;
-        let mut dev = image_dev.replica(
-            image_dev.inner().replica(clock.clone()),
-            rng.fork(devices_built),
-        );
-        // The image was formatted with the plan disarmed: injected faults
-        // are a serving-time phenomenon, and a commissioning burst would
-        // abort the whole campaign instead of degrading it.
-        dev.set_plan(chaos.device.clone());
-        let (dev, vibration) = wire_device(dev, &clock);
-        StorageNode {
+        let mut node = StorageNode {
             id,
-            rack,
             position,
-            engine: Engine::Running(Box::new(image.replica(dev, clock.clone()))),
-            clock,
-            vibration,
+            clock: Clock::starting_at(image.clock().now()),
+            engine: Engine::Swapping,
+            vibration: VibrationInput::quiescent(),
             busy_until: SimTime::ZERO,
             db_config: *image.config(),
             counters: NodeCounters::default(),
             chaos: chaos.clone(),
             rng,
             retired_chaos: ChaosStats::default(),
-            devices_built,
+            devices_built: 0,
             tracer: Tracer::disabled(),
-        }
+        };
+        node.engine = node.commission_drive(Some(image));
+        node
     }
 
     /// The node's id.
     pub fn id(&self) -> usize {
         self.id
-    }
-
-    /// The rack this node sits in.
-    pub fn rack(&self) -> usize {
-        self.rack
     }
 
     /// Distance from the attack point.
@@ -225,7 +224,7 @@ impl StorageNode {
     /// Device-level chaos counters, including drives since retired.
     pub fn chaos_stats(&self) -> ChaosStats {
         let mut total = self.retired_chaos;
-        if let Some(dev) = self.device() {
+        if let Some(dev) = self.engine.device() {
             total.merge(&dev.stats());
         }
         total
@@ -234,15 +233,7 @@ impl StorageNode {
     /// Faults injected by the current drive (a blank swap retires the
     /// count along with the drive).
     pub fn drive_faults(&self) -> u64 {
-        self.device().map_or(0, ChaosInjector::injected)
-    }
-
-    fn device(&self) -> Option<&ChaosDisk> {
-        match &self.engine {
-            Engine::Running(db) => Some(db.filesystem().device()),
-            Engine::Stopped(dev) => Some(dev),
-            Engine::Swapping => None,
-        }
+        self.engine.device().map_or(0, ChaosInjector::injected)
     }
 
     /// Attaches a tracer to this node; every layer of the stack emits on
@@ -258,16 +249,13 @@ impl StorageNode {
         if !self.tracer.is_enabled() {
             return;
         }
-        let dev = match &mut self.engine {
-            Engine::Running(db) => {
-                db.set_tracer(self.tracer.clone());
-                db.filesystem_mut().device_mut()
-            }
-            Engine::Stopped(dev) => dev,
-            Engine::Swapping => return,
-        };
-        dev.set_tracer(self.tracer.clone());
-        dev.inner_mut().set_tracer(self.tracer.clone());
+        if let Engine::Running(db) = &mut self.engine {
+            db.set_tracer(self.tracer.clone());
+        }
+        if let Some(dev) = self.engine.device_mut() {
+            dev.set_tracer(self.tracer.clone());
+            dev.inner_mut().set_tracer(self.tracer.clone());
+        }
     }
 
     /// Counters the campaign scrapes into metric series. Read-only: a
@@ -277,7 +265,7 @@ impl StorageNode {
     /// counters restart from zero after a reboot — both visible as
     /// cliffs in the series, which is the point.
     pub fn probe(&self) -> NodeProbe {
-        let (offtrack_nm, seek_retries, io_errors) = match self.device() {
+        let (offtrack_nm, seek_retries, io_errors) = match self.engine.device() {
             Some(dev) => (
                 dev.inner().residual_offtrack_nm(),
                 dev.inner().drive().retries_total(),
@@ -383,12 +371,13 @@ impl StorageNode {
         self.serve(at, |db| db.put(key, value).map(|()| None))
     }
 
+    /// Runs `f` on the store in a dispatch window that ends one network
+    /// round-trip after the service; a fatal error crashes the engine.
     fn serve<F>(&mut self, at: SimTime, f: F) -> ServiceResult
     where
-        F: FnOnce(&mut Db<ChaosDisk>) -> Result<Option<Vec<u8>>, deepnote_kv::DbError>,
+        F: FnOnce(&mut Db<ChaosDisk>) -> Result<Option<Vec<u8>>, DbError>,
     {
-        let start = self.busy_until.max(at);
-        let Engine::Running(db) = &mut self.engine else {
+        if !self.running() {
             // Process down: connection refused, a network round-trip.
             return ServiceResult {
                 ok: false,
@@ -396,56 +385,74 @@ impl StorageNode {
                 value: None,
                 done: at + RTT,
             };
-        };
-        let t0 = self.clock.now();
-        // Bridge this dispatch's private-clock window onto the cluster
-        // timeline: events the stack emits at private time `t` land at
-        // `start + (t - t0)`.
-        self.tracer
-            .set_offset(start.as_nanos() as i64 - t0.as_nanos() as i64);
-        let outcome = f(db);
-        let service = self.clock.now().saturating_duration_since(t0);
-        self.busy_until = start + service + RTT;
-        match outcome {
-            Ok(value) => ServiceResult {
-                ok: true,
-                fatal: false,
-                value,
-                done: self.busy_until,
-            },
-            Err(e) => {
-                let fatal = e.is_fatal();
-                if fatal {
-                    self.crash_engine();
-                }
-                ServiceResult {
-                    ok: false,
-                    fatal,
-                    value: None,
-                    done: self.busy_until,
-                }
-            }
+        }
+        let outcome = self.window(at, RTT, |node| match &mut node.engine {
+            Engine::Running(db) => f(db),
+            // Not reached (checked above); a stopped store refuses.
+            _ => Err(DbError::Closed),
+        });
+        let fatal = outcome.as_ref().is_err_and(DbError::is_fatal);
+        if fatal {
+            self.crash_engine();
+        }
+        ServiceResult {
+            ok: outcome.is_ok(),
+            fatal,
+            value: outcome.ok().flatten(),
+            done: self.busy_until,
         }
     }
 
-    /// Pulls the disk out of a dead engine so its platters survive the
-    /// process crash. On a node that is not running there is nothing to
-    /// crash and the call is a (debug-asserted) no-op.
-    fn crash_engine(&mut self) {
-        if !matches!(self.engine, Engine::Running(_)) {
-            debug_assert!(false, "crash_engine on a node that is not running");
-            return;
-        }
-        let Engine::Running(db) = std::mem::replace(&mut self.engine, Engine::Swapping) else {
-            return; // checked above; keeps the move below panic-free
+    /// Runs `work` in the node's next dispatch window, the one bridge
+    /// from its private clock to the cluster timeline: the window opens
+    /// at `start = max(busy_until, at)`, an event the stack emits at
+    /// private time `t` lands at `start + (t - t0)`, and `busy_until`
+    /// moves to `start` plus the private time `work` took plus `extra`.
+    fn window<R>(
+        &mut self,
+        at: SimTime,
+        extra: SimDuration,
+        work: impl FnOnce(&mut Self) -> R,
+    ) -> R {
+        let start = self.busy_until.max(at);
+        let t0 = self.clock.now();
+        self.tracer
+            .set_offset(start.as_nanos() as i64 - t0.as_nanos() as i64);
+        let out = work(self);
+        self.busy_until = start + self.clock.now().saturating_duration_since(t0) + extra;
+        out
+    }
+
+    /// Takes the engine out for a lifecycle change, leaving `Swapping`
+    /// until the caller puts the next one in. The engine must be running
+    /// if `running` is set and stopped if not; anything else is a bug,
+    /// debug-asserted, and returns `None`.
+    fn take_engine(&mut self, running: bool) -> Option<Engine> {
+        let ready = match self.engine {
+            Engine::Running(_) => running,
+            Engine::Stopped(_) => !running,
+            Engine::Swapping => false,
         };
-        // The device keeps its chaos state, stats, tracer and wired
-        // vibration input; what the process held in memory is lost.
+        if !ready {
+            debug_assert!(false, "engine taken in the wrong state");
+            return None;
+        }
+        Some(std::mem::replace(&mut self.engine, Engine::Swapping))
+    }
+
+    /// Pulls the disk out of a dead engine so its platters survive the
+    /// process crash. The device keeps its chaos state, stats, tracer and
+    /// wired vibration input; what the process held in memory is lost.
+    fn crash_engine(&mut self) {
+        let Some(Engine::Running(db)) = self.take_engine(true) else {
+            return;
+        };
         self.engine = Engine::Stopped(db.into_device());
         self.counters.crashes += 1;
     }
 
-    /// Attempts to reboot a crashed node at cluster time `at`.
+    /// Attempts to reboot a crashed node at cluster time `at`; its
+    /// dispatch window charges the reboot's time and no round-trip.
     ///
     /// A raw boot probe (one sector read) checks whether the medium
     /// responds before the journal replay risks the disk: an open that
@@ -456,24 +463,24 @@ impl StorageNode {
     /// Restarting a node that is not stopped is a (debug-asserted)
     /// no-op reported as [`RestartOutcome::StillDead`].
     pub fn try_restart(&mut self, at: SimTime) -> RestartOutcome {
-        if !matches!(self.engine, Engine::Stopped(_)) {
-            debug_assert!(false, "try_restart on a node that is not stopped");
+        let Some(Engine::Stopped(disk)) = self.take_engine(false) else {
             return RestartOutcome::StillDead;
-        }
-        let Engine::Stopped(mut disk) = std::mem::replace(&mut self.engine, Engine::Swapping)
-        else {
-            return RestartOutcome::StillDead; // checked above
         };
-        let start = self.busy_until.max(at);
-        let t0 = self.clock.now();
-        self.tracer
-            .set_offset(start.as_nanos() as i64 - t0.as_nanos() as i64);
+        let outcome = self.window(at, SimDuration::ZERO, |node| node.reboot(disk));
+        if outcome == RestartOutcome::StillDead {
+            self.counters.failed_restarts += 1;
+        } else {
+            self.counters.restarts += 1;
+        }
+        outcome
+    }
+
+    /// Probes `disk`, then reopens the store on it or swaps in a blank
+    /// drive (see [`StorageNode::try_restart`]).
+    fn reboot(&mut self, mut disk: ChaosDisk) -> RestartOutcome {
         let mut probe = [0u8; 512];
         if disk.read_blocks(0, &mut probe).is_err() {
-            let spent = self.clock.now().saturating_duration_since(t0);
-            self.busy_until = start + spent;
             self.engine = Engine::Stopped(disk);
-            self.counters.failed_restarts += 1;
             return RestartOutcome::StillDead;
         }
         // `open_with` consumes the device; snapshot its chaos history
@@ -485,57 +492,67 @@ impl StorageNode {
                 RestartOutcome::Recovered
             }
             Err(_) => {
-                // The open consumed the device; commission a blank drive
-                // (wrapped in a fresh chaos stream — new hardware, new
-                // luck) and retire the old one's counters.
+                // The open consumed the device: retire its counters and
+                // commission a blank drive (new hardware, new luck).
                 self.retired_chaos.merge(&old_stats);
-                // Format the replacement with its chaos plan disarmed
-                // (as at launch): commissioning happens on the bench,
-                // not in the blast zone. The plan arms once the engine
-                // is serving.
-                let (mut blank, vibration) = build_device(
-                    &self.clock,
-                    &self.chaos,
-                    &mut self.rng,
-                    &mut self.devices_built,
-                );
-                blank.set_plan(ChaosPlan::quiet());
-                self.vibration = vibration;
-                match Db::create_with(blank, self.clock.clone(), self.db_config) {
-                    Ok(mut db) => {
-                        db.filesystem_mut()
-                            .device_mut()
-                            .set_plan(self.chaos.device.clone());
-                        self.engine = Engine::Running(Box::new(db));
-                        RestartOutcome::RecoveredBlank
-                    }
-                    Err(_) => {
-                        // Even the blank drive refuses (attack resumed
-                        // mid-boot); stand the node down with another one.
-                        let (blank, vibration) = build_device(
-                            &self.clock,
-                            &self.chaos,
-                            &mut self.rng,
-                            &mut self.devices_built,
-                        );
-                        self.vibration = vibration;
-                        self.engine = Engine::Stopped(blank);
-                        self.apply_tracer();
-                        self.counters.failed_restarts += 1;
-                        let spent = self.clock.now().saturating_duration_since(t0);
-                        self.busy_until = start + spent;
-                        return RestartOutcome::StillDead;
-                    }
+                self.engine = self.commission_drive(None);
+                if self.running() {
+                    RestartOutcome::RecoveredBlank
+                } else {
+                    RestartOutcome::StillDead
                 }
             }
         };
         // A restart rebuilt the engine (and possibly the drive): the new
         // stack needs the tracer re-attached.
         self.apply_tracer();
-        let spent = self.clock.now().saturating_duration_since(t0);
-        self.busy_until = start + spent;
-        self.counters.restarts += 1;
         outcome
+    }
+
+    /// Commissions the node's next drive, a copy of `image` or a blank
+    /// drive formatted here, and returns the engine on it. The one place
+    /// of the commissioning rule (DESIGN.md §8): the store goes onto the
+    /// drive with its chaos plan disarmed, and the plan is armed before
+    /// the engine serves, since a commissioning burst would abort the
+    /// campaign instead of degrading it. A blank drive that will not
+    /// format leaves the node stopped on another blank drive.
+    fn commission_drive(&mut self, image: Option<&Db<ChaosDisk>>) -> Engine {
+        let mut engine = match image {
+            Some(image) => {
+                let dev = self.build_device(Some(image.filesystem().device()));
+                Engine::Running(Box::new(image.replica(dev, self.clock.clone())))
+            }
+            None => {
+                let dev = self.build_device(None);
+                match Db::create_with(dev, self.clock.clone(), self.db_config) {
+                    Ok(db) => Engine::Running(Box::new(db)),
+                    Err(_) => Engine::Stopped(self.build_device(None)),
+                }
+            }
+        };
+        if let Some(dev) = engine.device_mut() {
+            dev.set_plan(self.chaos.device.clone());
+        }
+        engine
+    }
+
+    /// Builds the node's next drive, disarmed, on its clock and RNG fork:
+    /// a copy of the `image` drive or a fresh one. The node's vibration
+    /// handle becomes the new drive's own input.
+    fn build_device(&mut self, image: Option<&ChaosDisk>) -> ChaosDisk {
+        self.devices_built += 1;
+        let rng = self.rng.fork(self.devices_built);
+        let dev = match image {
+            Some(image) => image.replica(image.inner().replica(self.clock.clone()), rng),
+            None => ChaosInjector::new(
+                HddDisk::barracuda_500gb(self.clock.clone()),
+                ChaosPlan::quiet(),
+                rng,
+            ),
+        };
+        self.vibration = dev.inner().vibration();
+        dev.with_clock(self.clock.clone())
+            .with_vibration(self.vibration.clone())
     }
 }
 
@@ -559,33 +576,6 @@ pub fn commission(db_config: DbConfig) -> Result<Db<ChaosDisk>, DbError> {
     Db::create_with(dev, clock, db_config)
 }
 
-/// Builds a fresh chaos-wrapped drive on `clock`, forking a dedicated
-/// RNG stream for it, and returns it with its vibration handle.
-fn build_device(
-    clock: &Clock,
-    chaos: &ChaosProfile,
-    rng: &mut SimRng,
-    devices_built: &mut u64,
-) -> (ChaosDisk, VibrationInput) {
-    *devices_built += 1;
-    let dev = ChaosInjector::new(
-        HddDisk::barracuda_500gb(clock.clone()),
-        chaos.device.clone(),
-        rng.fork(*devices_built),
-    );
-    wire_device(dev, clock)
-}
-
-/// Attaches `clock` and the drive's own vibration input to a node's
-/// injector, and returns it with that vibration handle.
-fn wire_device(dev: ChaosDisk, clock: &Clock) -> (ChaosDisk, VibrationInput) {
-    let vibration = dev.inner().vibration();
-    let dev = dev
-        .with_clock(clock.clone())
-        .with_vibration(vibration.clone());
-    (dev, vibration)
-}
-
 /// Modeled network round-trip added to every dispatched request.
 const RTT: SimDuration = SimDuration::from_micros(200);
 
@@ -600,7 +590,6 @@ mod tests {
         /// Brings up a node with a freshly formatted drive and no chaos.
         pub(crate) fn launch(
             id: usize,
-            rack: usize,
             position: Distance,
             db_config: DbConfig,
         ) -> Result<Self, ClusterError> {
@@ -608,7 +597,6 @@ mod tests {
                 .map_err(|source| ClusterError::NodeLaunch { node: id, source })?;
             Ok(Self::launch_with(
                 id,
-                rack,
                 position,
                 &image,
                 &ChaosProfile::off(),
@@ -626,7 +614,7 @@ mod tests {
     }
 
     fn node() -> StorageNode {
-        StorageNode::launch(0, 0, Distance::from_cm(1.0), quick_config()).expect("fresh launch")
+        StorageNode::launch(0, Distance::from_cm(1.0), quick_config()).expect("fresh launch")
     }
 
     #[test]
@@ -686,6 +674,101 @@ mod tests {
         assert_eq!(r.value.as_deref(), Some(&b"value"[..]));
     }
 
+    /// Mounts the paper tone on `n` and writes until a WAL group sync
+    /// kills the engine. Returns when the last reply came back.
+    fn crash_under_tone(n: &mut StorageNode) -> SimTime {
+        let testbed = Testbed::paper_default(Scenario::PlasticTower);
+        testbed.mount_attack(n.vibration(), AttackParams::paper_best());
+        let mut t = SimTime::ZERO;
+        for i in 0..64u32 {
+            let r = n.serve_put(t, format!("k{i}").as_bytes(), b"v");
+            t = r.done;
+            if r.fatal {
+                return t;
+            }
+        }
+        panic!("the tone never tripped a fatal sync");
+    }
+
+    /// Restarts `n` at `at` and checks what the restart charged: the
+    /// busy window ends the private-clock time the restart took after
+    /// `max(busy_until, at)`, with no network round-trip.
+    fn timed_restart(n: &mut StorageNode, at: SimTime) -> RestartOutcome {
+        let start = n.busy_until().max(at);
+        let t0 = n.clock.now();
+        let outcome = n.try_restart(at);
+        let spent = n.clock.now().saturating_duration_since(t0);
+        assert_eq!(n.busy_until(), start + spent, "{outcome:?}");
+        outcome
+    }
+
+    #[test]
+    fn a_restart_charges_its_private_time_and_counts_its_outcome() {
+        let mut n = node();
+        n.preload([(b"stable".as_slice(), b"value".as_slice())])
+            .expect("preload");
+        let t = crash_under_tone(&mut n);
+        assert_eq!(n.busy_until(), t);
+
+        // Under the tone the boot probe refuses and the platters stay.
+        assert_eq!(timed_restart(&mut n, t), RestartOutcome::StillDead);
+        assert!(!n.running());
+        let c = n.counters();
+        assert_eq!((c.crashes, c.restarts, c.failed_restarts), (1, 0, 1));
+        assert!(n.busy_until() > t, "the failed probe took no time");
+
+        // Tone off, restarted after the busy window: the store reopens
+        // from the surviving platters.
+        n.vibration().clear();
+        let later = n.busy_until() + SimDuration::from_secs(1);
+        assert_eq!(timed_restart(&mut n, later), RestartOutcome::Recovered);
+        assert!(n.running());
+        let c = n.counters();
+        assert_eq!((c.crashes, c.restarts, c.failed_restarts), (1, 1, 1));
+        assert!(n.busy_until() > later, "the reopen took no time");
+    }
+
+    #[test]
+    fn a_blank_swap_keeps_the_retired_counts_and_arms_the_new_drive() {
+        // Every block read comes back with one bit flipped: the boot
+        // probe passes, the flipped superblock does not mount, and the
+        // node rejoins on a blank drive. Every request is also delayed,
+        // so any device I/O the new drive serves shows in its count.
+        let mut chaos = ChaosProfile::off();
+        chaos.device.read_flip_per_block = 1.0;
+        chaos.device.delay = Some(deepnote_blockdev::DelayPlan {
+            per_request: 1.0,
+            extra: SimDuration::from_millis(1),
+        });
+        let mut n = chaos_node(&chaos, 11);
+        let t = crash_under_tone(&mut n);
+        n.vibration().clear();
+        let before = n.chaos_stats();
+
+        assert_eq!(timed_restart(&mut n, t), RestartOutcome::RecoveredBlank);
+        assert!(n.running());
+        let c = n.counters();
+        assert_eq!((c.crashes, c.restarts, c.failed_restarts), (1, 1, 0));
+        // The retired drive's count is kept, with the flips its probe
+        // and mount read; the blank drive was formatted disarmed.
+        let retired = n.chaos_stats();
+        assert!(retired.read_flips > before.read_flips, "{retired:?}");
+        assert_eq!(n.drive_faults(), 0);
+
+        // Armed now: the WAL group sync of the eighth put is delayed.
+        let mut at = n.busy_until();
+        for i in 0..8u32 {
+            let w = n.serve_put(at, &i.to_le_bytes(), b"v");
+            assert!(w.ok, "put {i}");
+            at = w.done;
+        }
+        assert!(n.drive_faults() > 0, "the new drive's plan never fired");
+        let now = n.chaos_stats();
+        assert_eq!(now.total(), retired.total() + n.drive_faults());
+        assert_eq!(now.read_flips, retired.read_flips);
+        assert_eq!(now.delays, retired.delays + n.drive_faults());
+    }
+
     #[test]
     fn stopped_node_refuses_fast() {
         let mut n = node();
@@ -715,7 +798,6 @@ mod tests {
     fn chaos_node_with(config: DbConfig, chaos: &ChaosProfile, seed: u64) -> StorageNode {
         let image = commission(config).expect("commission");
         StorageNode::launch_with(
-            0,
             0,
             Distance::from_cm(1.0),
             &image,
@@ -827,18 +909,11 @@ mod tests {
         // image: same RNG, one fork for the drive, plan armed after the
         // format.
         let mut own = chaos_node_with(config, &chaos, 9);
-        let mut rng = SimRng::seeded(9);
-        let mut devices_built = 0;
-        let clock = Clock::new();
-        let (mut dev, vibration) = build_device(&clock, &chaos, &mut rng, &mut devices_built);
-        dev.set_plan(ChaosPlan::quiet());
-        let mut db = Db::create_with(dev, clock.clone(), config).expect("format");
-        db.filesystem_mut()
-            .device_mut()
-            .set_plan(chaos.device.clone());
-        own.engine = Engine::Running(Box::new(db));
-        own.clock = clock;
-        own.vibration = vibration;
+        own.rng = SimRng::seeded(9);
+        own.devices_built = 0;
+        own.clock = Clock::new();
+        own.engine = own.commission_drive(None);
+        assert!(own.running());
         assert_eq!(own.clock.now(), replica.clock.now());
         let traces = [Tracer::ring(usize::MAX), Tracer::ring(usize::MAX)];
         replica.set_tracer(&traces[0]);
@@ -887,7 +962,6 @@ mod tests {
         let mut nodes: Vec<StorageNode> = (0..3)
             .map(|n| {
                 StorageNode::launch_with(
-                    n,
                     n,
                     Distance::from_cm(1.0),
                     &image,

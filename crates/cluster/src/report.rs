@@ -52,8 +52,6 @@ pub struct CampaignReport {
     pub node_counters: Vec<NodeCounters>,
     /// Shard failovers executed.
     pub failovers: u64,
-    /// Worst concurrently-unavailable shard count seen per phase.
-    pub max_unavailable_by_phase: Vec<usize>,
     /// Shards still below write quorum when the campaign ended.
     pub final_unavailable_shards: usize,
     /// Control-plane event log.
@@ -99,9 +97,10 @@ impl CampaignReport {
 
     /// The worst concurrently-unavailable shard count across all phases.
     pub fn worst_unavailable_shards(&self) -> usize {
-        self.max_unavailable_by_phase
+        self.metrics
+            .phases
             .iter()
-            .copied()
+            .map(|p| p.max_unavailable)
             .max()
             .unwrap_or(0)
     }
@@ -135,7 +134,7 @@ impl CampaignReport {
             "{:<10} {:>8} {:>10} {:>7} {:>7} {:>9} {:>9} {:>9} {:>7}",
             "phase", "ops", "goodput/s", "ok%", "slo%", "r_p50ms", "r_p99ms", "w_p99ms", "unavail"
         );
-        for (i, p) in self.metrics.phases.iter().enumerate() {
+        for p in &self.metrics.phases {
             let ops = p.reads.attempted + p.writes.attempted;
             let _ = writeln!(
                 out,
@@ -148,7 +147,7 @@ impl CampaignReport {
                 fmt_ms(p.reads.percentile_ms(50.0)),
                 fmt_ms(p.reads.percentile_ms(99.0)),
                 fmt_ms(p.writes.percentile_ms(99.0)),
-                self.max_unavailable_by_phase.get(i).copied().unwrap_or(0),
+                p.max_unavailable,
             );
         }
         if let Some(worst) = self.metrics.worst_availability() {
@@ -310,12 +309,11 @@ impl CampaignReport {
         w.key("placement").str(self.placement.label());
         w.key("seed").u64(self.seed);
         w.key("phases").begin_arr();
-        for (i, p) in self.metrics.phases.iter().enumerate() {
-            let unavailable = self.max_unavailable_by_phase.get(i).copied().unwrap_or(0);
+        for p in &self.metrics.phases {
             w.begin_obj().key("label").str(&p.label);
             w.key("goodput_ops_per_s").f64(p.goodput_ops_per_s());
             w.key("success_ratio").f64(p.success_ratio());
-            w.key("max_unavailable").u64(unavailable as u64);
+            w.key("max_unavailable").u64(p.max_unavailable as u64);
             op_class_json(w.key("reads"), &p.reads);
             op_class_json(w.key("writes"), &p.writes);
             w.end_obj();
@@ -521,6 +519,7 @@ mod tests {
         metrics.enter_phase(1);
         metrics.record_op(false, false, SimDuration::from_millis(250));
         metrics.sample_availability(SimTime::from_secs(20));
+        metrics.phases[1].max_unavailable = 3;
         CampaignReport {
             label: "test".into(),
             placement: PlacementPolicy::Separated,
@@ -537,7 +536,6 @@ mod tests {
                 NodeCounters::default(),
             ],
             failovers: 4,
-            max_unavailable_by_phase: vec![0, 3],
             final_unavailable_shards: 1,
             events: vec!["t=   12.0s  node 0 crashed".into()],
             resilience: None,

@@ -1,7 +1,8 @@
 //! One golden for every artifact `deepnote` writes: the stdout of each
-//! subcommand, plus the JSON report of `cluster --placement both
-//! --chaos full`, pinned as FNV-1a 64 digests in
-//! `tests/golden/artifacts.tsv`.
+//! subcommand, plus the JSON report and the Chrome trace of `cluster
+//! --placement both --chaos full`, and the stdout and JSON report (its
+//! scraped series included) of the same run with `--metrics-interval
+//! 500ms`, pinned as FNV-1a 64 digests in `tests/golden/artifacts.tsv`.
 //!
 //! The table has two digest columns. `reduced` is recomputed by every
 //! `cargo test` (debug build) at the small flags in [`outputs`]; two
@@ -119,17 +120,25 @@ fn outputs(flags: Flags) -> Vec<(&'static str, Vec<u8>)> {
             full
         }
     };
-    let json = std::env::temp_dir().join(format!(
-        "deepnote-artifacts-{}-{}.json",
-        std::process::id(),
-        if reduced { "reduced" } else { "default" }
-    ));
-    let json_arg = json.to_str().expect("utf-8 temp path");
+    let temp = |what: &str| {
+        std::env::temp_dir().join(format!(
+            "deepnote-artifacts-{}-{}-{what}",
+            std::process::id(),
+            if reduced { "reduced" } else { "default" }
+        ))
+    };
+    let (json, trace, metrics_json) = (temp("json"), temp("trace"), temp("metrics-json"));
+    let path_arg = |p: &PathBuf| p.to_str().expect("utf-8 temp path").to_string();
+    let (json_arg, trace_arg, metrics_json_arg) =
+        (path_arg(&json), path_arg(&trace), path_arg(&metrics_json));
     let mut cluster = vec!["cluster", "--placement", "both", "--chaos", "full"];
     if reduced {
         cluster.extend(["--seconds", "2"]);
     }
-    cluster.extend(["--json", json_arg]);
+    // The same campaigns again, scraping the metrics registry.
+    let mut metrics = cluster.clone();
+    metrics.extend(["--metrics-interval", "500ms", "--json", &metrics_json_arg]);
+    cluster.extend(["--json", &json_arg, "--trace", &trace_arg]);
 
     let runs: Vec<(&'static str, &[&str])> = vec![
         ("table1", pick(&["table1", "--seconds", "1"], &["table1"])),
@@ -147,6 +156,7 @@ fn outputs(flags: Flags) -> Vec<(&'static str, Vec<u8>)> {
         ("covert", &["covert"]),
         ("fio", &FIO),
         ("cluster", &cluster),
+        ("cluster-metrics", &metrics),
     ];
     let mut children: Vec<(&'static str, Child)> = runs
         .iter()
@@ -164,8 +174,14 @@ fn outputs(flags: Flags) -> Vec<(&'static str, Vec<u8>)> {
         .map(|(name, child)| (name, stdout_of(name, child)))
         .collect();
     out.extend(in_process.into_iter().flatten());
-    out.push(("cluster.json", std::fs::read(&json).expect("cluster JSON")));
-    std::fs::remove_file(&json).ok();
+    for (name, path) in [
+        ("cluster.json", &json),
+        ("cluster.trace", &trace),
+        ("cluster-metrics.json", &metrics_json),
+    ] {
+        out.push((name, std::fs::read(path).expect(name)));
+        std::fs::remove_file(path).ok();
+    }
     out.sort_by_key(|&(name, _)| name);
     out
 }
