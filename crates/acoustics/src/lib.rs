@@ -6,8 +6,8 @@
 //!
 //! * **Units** — strongly typed [`Frequency`], [`Spl`], [`Distance`],
 //!   [`Celsius`], [`Salinity`], [`Depth`] ([`units`]).
-//! * **Medium** — water conditions and Medwin's sound-speed equation,
-//!   plus air/nitrogen/water medium properties ([`medium`]).
+//! * **Medium** — water conditions and Medwin's sound-speed equation
+//!   ([`medium`]).
 //! * **Absorption** — the van Moll/Ainslie–McColm simplification of
 //!   Fisher & Simmons seawater absorption ([`absorption`]).
 //! * **SPL** — sound pressure levels with explicit reference pressures and
@@ -42,7 +42,7 @@ pub mod sweep;
 pub mod units;
 
 pub use absorption::absorption_db_per_km;
-pub use medium::{Medium, WaterConditions};
+pub use medium::WaterConditions;
 pub use propagation::{
     lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd, PropagationModel,
     TonePropagation,
@@ -55,7 +55,7 @@ pub use units::{Celsius, Depth, Distance, Frequency, Gain, Salinity};
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
     pub use crate::absorption::absorption_db_per_km;
-    pub use crate::medium::{Medium, WaterConditions};
+    pub use crate::medium::WaterConditions;
     pub use crate::propagation::{
         lloyd_mirror_factor, max_effective_range_m, received_spl, received_spl_lloyd,
         PropagationModel, TonePropagation,

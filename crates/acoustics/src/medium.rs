@@ -1,4 +1,4 @@
-//! Propagation media and water conditions.
+//! Water conditions.
 //!
 //! Sound speed in water follows Medwin's equation (paper ref. \[30\]):
 //!
@@ -12,30 +12,6 @@
 
 use crate::units::{Celsius, Depth, Salinity};
 use serde::{Deserialize, Serialize};
-
-/// A bulk propagation medium: an enclosure's fill gas, or water.
-///
-/// Used for the air/water speed comparison in the paper's §2.2.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum Medium {
-    /// Air at room temperature.
-    Air,
-    /// Dry nitrogen gas, the fill of Project Natick-style vessels.
-    Nitrogen,
-    /// Water with explicit conditions.
-    Water(WaterConditions),
-}
-
-impl Medium {
-    /// Sound speed in m/s.
-    pub fn sound_speed_m_s(&self) -> f64 {
-        match self {
-            Medium::Air => 343.0,
-            Medium::Nitrogen => 349.0,
-            Medium::Water(w) => w.sound_speed_m_s(),
-        }
-    }
-}
 
 /// The water state relevant to sound propagation: temperature, salinity,
 /// and depth.
@@ -143,9 +119,8 @@ mod tests {
     #[test]
     fn water_speed_about_4x_air() {
         // §2.2: "Sound wave travels approximately 4 times faster in water
-        // than air."
-        let ratio =
-            WaterConditions::tank_freshwater().sound_speed_m_s() / Medium::Air.sound_speed_m_s();
+        // than air." Air at room temperature carries sound at 343 m/s.
+        let ratio = WaterConditions::tank_freshwater().sound_speed_m_s() / 343.0;
         assert!((3.9..4.6).contains(&ratio), "ratio = {ratio}");
     }
 

@@ -249,9 +249,9 @@ mod tests {
         let e = emission_650();
         let w = WaterConditions::tank_freshwater();
         let tl = TonePropagation::new(&e, &w, PropagationModel::Spherical)
-            .transmission_loss_db(Distance::ZERO);
+            .transmission_loss_db(Distance::from_m(0.0));
         assert!(tl.abs() < 1e-9, "tl = {tl}");
-        assert!((received_spl(&e, Distance::ZERO, &w).db() - 140.0).abs() < 1e-9);
+        assert!((received_spl(&e, Distance::from_m(0.0), &w).db() - 140.0).abs() < 1e-9);
     }
 
     #[test]

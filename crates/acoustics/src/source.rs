@@ -95,18 +95,12 @@ impl Amplifier {
     pub fn amplify_db(&self, input_db: f64) -> f64 {
         (input_db + self.gain_db).min(self.max_output_db)
     }
-
-    /// The configured gain in dB.
-    pub fn gain_db(&self) -> f64 {
-        self.gain_db
-    }
 }
 
 /// An underwater loudspeaker: band limits, maximum source level, and an
 /// effective radiating radius used by near-field propagation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Speaker {
-    name: String,
     band_low: Frequency,
     band_high: Frequency,
     max_source_level: Spl,
@@ -121,7 +115,6 @@ impl Speaker {
     ///
     /// Panics if the band is empty or the rolloff is negative.
     pub fn new(
-        name: impl Into<String>,
         band_low: Frequency,
         band_high: Frequency,
         max_source_level: Spl,
@@ -134,7 +127,6 @@ impl Speaker {
         );
         assert!(rolloff_db_per_octave >= 0.0, "rolloff must be non-negative");
         Speaker {
-            name: name.into(),
             band_low,
             band_high,
             max_source_level,
@@ -148,7 +140,6 @@ impl Speaker {
     /// 140 dB re 1 µPa source level, ~20 cm diameter.
     pub fn aq339_diluvio() -> Self {
         Speaker::new(
-            "Clark Synthesis AQ339 Diluvio",
             Frequency::from_hz(20.0),
             Frequency::from_khz(17.0),
             Spl::water_db(140.0),
@@ -161,7 +152,6 @@ impl Speaker {
     /// discussion: far higher source level.
     pub fn military_projector() -> Self {
         Speaker::new(
-            "military-grade projector",
             Frequency::from_hz(10.0),
             Frequency::from_khz(40.0),
             Spl::water_db(200.0),
@@ -170,19 +160,9 @@ impl Speaker {
         )
     }
 
-    /// Model name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Effective radiating radius (sets the near-field boundary).
     pub fn radius(&self) -> Distance {
         self.radius
-    }
-
-    /// Maximum achievable source level inside the passband.
-    pub fn max_source_level(&self) -> Spl {
-        self.max_source_level
     }
 
     /// Frequency response in dB (≤ 0): flat in the passband, rolling off
@@ -269,22 +249,12 @@ impl SignalChain {
         )
     }
 
-    /// The transmitted frequency.
-    pub fn frequency(&self) -> Frequency {
-        self.source.frequency()
-    }
-
     /// Returns a copy of the chain retuned to a different frequency,
     /// keeping drive/amplifier/speaker.
     pub fn retuned(&self, frequency: Frequency) -> Self {
         let mut chain = self.clone();
         chain.source = SineSource::new(frequency).with_drive(self.source.drive());
         chain
-    }
-
-    /// The speaker in the chain.
-    pub fn speaker(&self) -> &Speaker {
-        &self.speaker
     }
 
     /// Computes the radiated emission.
@@ -375,7 +345,7 @@ mod tests {
             Speaker::aq339_diluvio(),
         );
         let retuned = chain.retuned(Frequency::from_hz(650.0));
-        assert_eq!(retuned.frequency().hz(), 650.0);
+        assert_eq!(retuned.source.frequency().hz(), 650.0);
         assert_eq!(
             retuned.emission().source_level,
             chain.emission().source_level
@@ -385,8 +355,8 @@ mod tests {
     #[test]
     fn military_projector_outguns_aq339() {
         assert!(
-            Speaker::military_projector().max_source_level().db()
-                > Speaker::aq339_diluvio().max_source_level().db() + 50.0
+            Speaker::military_projector().max_source_level.db()
+                > Speaker::aq339_diluvio().max_source_level.db() + 50.0
         );
     }
 

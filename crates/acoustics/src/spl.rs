@@ -50,7 +50,7 @@ impl fmt::Display for SplReference {
 ///
 /// // The paper's attack level: 140 dB SPL re 1 µPa underwater.
 /// let attack = Spl::water_db(140.0);
-/// assert_eq!(attack.reference(), SplReference::Water1uPa);
+/// assert_eq!(attack, Spl::new(140.0, SplReference::Water1uPa));
 /// // 140 dB re 1 µPa is exactly 10 Pa RMS.
 /// assert!((attack.pressure_pa() - 10.0).abs() < 1e-9);
 /// // The same pressure expressed on the in-air scale is ~26 dB lower.
@@ -79,14 +79,9 @@ impl Spl {
         Spl::new(db, SplReference::Water1uPa)
     }
 
-    /// The level in decibels (relative to [`Spl::reference`]).
+    /// The level in decibels, relative to the level's [`SplReference`].
     pub fn db(self) -> f64 {
         self.db
-    }
-
-    /// The reference pressure scale.
-    pub fn reference(self) -> SplReference {
-        self.reference
     }
 
     /// RMS acoustic pressure in pascals.

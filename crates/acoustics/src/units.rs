@@ -93,9 +93,6 @@ pub struct Distance {
 }
 
 impl Distance {
-    /// Zero distance (contact).
-    pub const ZERO: Distance = Distance { m: 0.0 };
-
     /// Creates a distance from metres.
     ///
     /// # Panics

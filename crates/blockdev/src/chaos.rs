@@ -316,11 +316,6 @@ impl<D: BlockDevice> ChaosInjector<D> {
         &mut self.inner
     }
 
-    /// Consumes the injector, returning the wrapped device.
-    pub fn into_inner(self) -> D {
-        self.inner
-    }
-
     /// The vibration-scaled effective probability for base rate `p`.
     fn scaled(&self, p: f64) -> f64 {
         if self.plan.vibration_boost <= 0.0 {
@@ -589,7 +584,7 @@ mod tests {
         d.read_blocks(2, &mut out).unwrap();
         assert_eq!(out, buf);
         assert_eq!(d.stats().total(), 0);
-        assert_eq!(d.into_inner().writes(), 1);
+        assert_eq!(d.inner.writes(), 1);
     }
 
     #[test]
@@ -688,7 +683,7 @@ mod tests {
         assert!(d.write_blocks(0, &buf).is_ok());
         d.set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         assert!(d.write_blocks(0, &buf).is_err());
-        assert_eq!(d.into_inner().writes(), 1);
+        assert_eq!(d.inner.writes(), 1);
     }
 
     #[test]

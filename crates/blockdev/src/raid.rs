@@ -43,7 +43,6 @@ pub struct Raid1<D> {
     failed: Vec<bool>,
     /// Blocks written while any mirror was failed (needed for resync).
     dirty_since_failure: BTreeSet<u64>,
-    writes_while_degraded: u64,
 }
 
 impl<D: BlockDevice> Raid1<D> {
@@ -64,7 +63,6 @@ impl<D: BlockDevice> Raid1<D> {
             mirrors,
             failed: vec![false; count],
             dirty_since_failure: BTreeSet::new(),
-            writes_while_degraded: 0,
         }
     }
 
@@ -92,20 +90,6 @@ impl<D: BlockDevice> Raid1<D> {
     /// Panics if `idx` is out of range.
     pub fn mirror_failed(&self, idx: usize) -> bool {
         self.failed[idx]
-    }
-
-    /// Access a mirror (e.g. to wire an attack to its vibration input).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    pub fn mirror(&self, idx: usize) -> &D {
-        &self.mirrors[idx]
-    }
-
-    /// Writes performed while the array was degraded.
-    pub fn writes_while_degraded(&self) -> u64 {
-        self.writes_while_degraded
     }
 
     /// Resyncs a previously failed mirror from a healthy one by copying
@@ -198,7 +182,6 @@ impl<D: BlockDevice> BlockDevice for Raid1<D> {
         }
         if any_ok {
             if self.state() != RaidState::Optimal {
-                self.writes_while_degraded += 1;
                 for b in lba..lba + blocks {
                     self.dirty_since_failure.insert(b);
                 }
@@ -277,7 +260,6 @@ mod tests {
         // Write marks mirror 0 failed, succeeds on mirror 1.
         a.write_blocks(1, &vec![2u8; 512]).unwrap();
         assert_eq!(a.state(), RaidState::Degraded { failed: 1 });
-        assert_eq!(a.writes_while_degraded(), 1);
         let mut out = vec![0u8; 512];
         a.read_blocks(1, &mut out).unwrap();
         assert_eq!(out, vec![2u8; 512]);
@@ -340,7 +322,7 @@ mod tests {
         assert!(a.mirror_failed(0));
         a.discard(4, 6);
         for i in 0..2 {
-            assert_eq!(a.mirror(i).inner().blocks_touched(), 0, "mirror {i}");
+            assert_eq!(a.mirrors[i].inner().blocks_touched(), 0, "mirror {i}");
         }
     }
 

@@ -108,16 +108,6 @@ impl<D: BlockDevice> TraceDevice<D> {
         self.ring.clear();
     }
 
-    /// The wrapped device.
-    pub fn inner(&self) -> &D {
-        &self.inner
-    }
-
-    /// Mutable access to the wrapped device.
-    pub fn inner_mut(&mut self) -> &mut D {
-        &mut self.inner
-    }
-
     /// The fraction of traced write requests that continue exactly where
     /// the previous write ended (sequentiality), or `None` with fewer
     /// than two writes.
@@ -188,8 +178,7 @@ mod tests {
         dev.write_blocks(1, &buf).unwrap();
         dev.read_blocks(1, &mut out).unwrap();
         dev.flush().unwrap();
-        dev.inner_mut()
-            .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
+        dev.inner.set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         let _ = dev.write_blocks(2, &buf);
         let t = dev.trace();
         assert_eq!(t.len(), 4);
@@ -207,7 +196,7 @@ mod tests {
         assert_eq!(dev.trace().len(), 1);
         assert_eq!(dev.dropped(), 0);
         // ... yet it reached the device.
-        assert_eq!(dev.inner().blocks_touched(), 0);
+        assert_eq!(dev.inner.blocks_touched(), 0);
     }
 
     #[test]

@@ -80,7 +80,6 @@ pub enum BreakerState {
 #[derive(Debug, Clone)]
 pub struct CircuitBreaker {
     state: BreakerState,
-    trips: u64,
 }
 
 impl Default for CircuitBreaker {
@@ -88,22 +87,11 @@ impl Default for CircuitBreaker {
     fn default() -> Self {
         CircuitBreaker {
             state: BreakerState::Closed { failures: 0 },
-            trips: 0,
         }
     }
 }
 
 impl CircuitBreaker {
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// Times this breaker has tripped open.
-    pub fn trips(&self) -> u64 {
-        self.trips
-    }
-
     /// Whether a dispatch to this node is allowed at `now`. An open
     /// breaker whose cooldown has expired moves to half-open and lets
     /// the request through as a trial.
@@ -155,7 +143,6 @@ impl CircuitBreaker {
         self.state = BreakerState::Open {
             until: now + OPEN_FOR,
         };
-        self.trips += 1;
     }
 }
 
@@ -378,17 +365,16 @@ mod tests {
             assert!(!b.record(false, t));
         }
         assert!(b.record(false, t), "fourth failure must trip");
-        assert_eq!(b.trips(), 1);
         // Open: refuses until the 2 s cooldown expires.
         assert!(!b.allows(t + SimDuration::from_millis(1_500)));
         // Cooldown over: half-open lets a trial through.
         let t2 = t + SimDuration::from_secs(2);
         assert!(b.allows(t2));
-        assert_eq!(b.state(), BreakerState::HalfOpen { oks: 0 });
+        assert_eq!(b.state, BreakerState::HalfOpen { oks: 0 });
         // Two successes close it.
         assert!(!b.record(true, t2));
         assert!(!b.record(true, t2));
-        assert_eq!(b.state(), BreakerState::Closed { failures: 0 });
+        assert_eq!(b.state, BreakerState::Closed { failures: 0 });
     }
 
     #[test]
@@ -402,7 +388,6 @@ mod tests {
         let t2 = t + SimDuration::from_secs(2);
         assert!(b.allows(t2));
         assert!(b.record(false, t2), "half-open failure must re-trip");
-        assert_eq!(b.trips(), 2);
         assert!(!b.allows(t2 + SimDuration::from_millis(10)));
     }
 

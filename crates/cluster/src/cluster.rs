@@ -118,16 +118,6 @@ const PROBE_KEY: &[u8] = b"__health_probe__";
 const FAILOVER_AFTER: SimDuration = SimDuration::from_secs(10);
 
 impl Cluster {
-    /// Builds and launches every node, healthy and silent.
-    ///
-    /// # Errors
-    ///
-    /// [`ClusterError::NodeLaunch`] if formatting the drive image the
-    /// nodes are copied from fails.
-    pub fn new(config: ClusterConfig) -> Result<Self, ClusterError> {
-        Self::with_chaos(config, &ChaosProfile::off(), &mut SimRng::seeded(0))
-    }
-
     /// Builds and launches every node with `chaos` injected into its
     /// drive and serving path, forking one RNG stream per node off
     /// `rng`. One drive image is formatted (see [`commission`]) and
@@ -709,7 +699,9 @@ mod tests {
     }
 
     fn cluster(placement: PlacementPolicy) -> Cluster {
-        let mut c = Cluster::new(ClusterConfig::three_racks(placement)).expect("launch");
+        let config = ClusterConfig::three_racks(placement);
+        let mut c = Cluster::with_chaos(config, &ChaosProfile::off(), &mut SimRng::seeded(0))
+            .expect("launch");
         c.provision(&small_spec()).expect("provision");
         c
     }

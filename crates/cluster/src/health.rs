@@ -62,11 +62,6 @@ impl HealthMonitor {
         }
     }
 
-    /// Current belief about `node`.
-    pub fn state(&self, node: usize) -> NodeHealth {
-        self.states[node]
-    }
-
     /// Whether `node` is believed serviceable.
     pub fn is_up(&self, node: usize) -> bool {
         !matches!(self.states[node], NodeHealth::Down { .. })
@@ -173,7 +168,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         let slow = SimDuration::from_secs(1);
         assert_eq!(m.observe_probe(0, t, slow, true), Transition::None);
-        assert_eq!(m.state(0), NodeHealth::Suspect { misses: 1 });
+        assert_eq!(m.states[0], NodeHealth::Suspect { misses: 1 });
         assert_eq!(m.observe_probe(0, t, slow, true), Transition::WentDown);
         assert!(!m.is_up(0));
         // Other nodes untouched.
@@ -188,7 +183,7 @@ mod tests {
         let slow = SimDuration::from_secs(1);
         m.observe_probe(0, t, slow, true);
         assert_eq!(m.observe_probe(0, t, fast, true), Transition::None);
-        assert_eq!(m.state(0), NodeHealth::Up);
+        assert_eq!(m.states[0], NodeHealth::Up);
         m.mark_down(0, t);
         assert_eq!(m.observe_probe(0, t, fast, true), Transition::CameUp);
         assert!(m.is_up(0));

@@ -50,15 +50,6 @@ impl OpClassMetrics {
         self.latency_us.record(latency.as_nanos() as f64 / 1_000.0);
     }
 
-    /// Fraction of attempts that succeeded (1.0 when idle).
-    pub fn success_ratio(&self) -> f64 {
-        if self.attempted == 0 {
-            1.0
-        } else {
-            self.ok as f64 / self.attempted as f64
-        }
-    }
-
     /// The `p`-th latency percentile in milliseconds, if any samples.
     pub fn percentile_ms(&self, p: f64) -> Option<f64> {
         self.latency_us.percentile(p).map(|us| us / 1_000.0)
@@ -259,7 +250,6 @@ mod tests {
         assert_eq!(c.attempted, 3);
         assert_eq!(c.ok, 2);
         assert_eq!(c.slo_ok, 1);
-        assert!((c.success_ratio() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

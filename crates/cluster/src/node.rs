@@ -188,11 +188,6 @@ impl StorageNode {
         node
     }
 
-    /// The node's id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
     /// Distance from the attack point.
     pub fn position(&self) -> Distance {
         self.position
@@ -982,7 +977,7 @@ mod tests {
         testbed.mount_attack(nodes[0].vibration(), AttackParams::paper_best());
         assert!(nodes[0].probe().offtrack_nm > 0.0);
         for n in &nodes[1..] {
-            assert_eq!(n.probe().offtrack_nm, 0.0, "node {}", n.id());
+            assert_eq!(n.probe().offtrack_nm, 0.0, "node {}", n.id);
         }
     }
 }

@@ -354,9 +354,11 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::ChaosProfile;
     use crate::cluster::ClusterConfig;
     use crate::integrity::IntegrityConfig;
     use crate::placement::PlacementPolicy;
+    use deepnote_sim::SimRng;
 
     /// One rack of `nodes` nodes holding a single shard on its first
     /// `replication` nodes.
@@ -367,7 +369,8 @@ mod tests {
         config.num_shards = 1;
         config.replication = ReplicationConfig::majority(replication);
         config.integrity = integrity;
-        let c = Cluster::new(config).expect("launch");
+        let c = Cluster::with_chaos(config, &ChaosProfile::off(), &mut SimRng::seeded(0))
+            .expect("launch");
         assert_eq!(c.map.replicas(0), &(0..replication).collect::<Vec<_>>()[..]);
         c
     }

@@ -61,18 +61,12 @@ pub struct AttackDetector {
     baseline: OnlineStats,
     window: VecDeque<bool>,
     anomalies_in_window: usize,
-    alarms: u64,
 }
 
 impl AttackDetector {
     /// The learned healthy mean latency (ms), once calibrated.
     pub fn baseline_ms(&self) -> Option<f64> {
         (self.baseline.count() >= CALIBRATION_SAMPLES as u64).then(|| self.baseline.mean())
-    }
-
-    /// Alarms raised so far.
-    pub fn alarms(&self) -> u64 {
-        self.alarms
     }
 
     /// Feeds one request observation: `Some(latency_ms)` for a completed
@@ -100,7 +94,6 @@ impl AttackDetector {
 
         let frac = self.anomalies_in_window as f64 / WINDOW as f64;
         if frac >= ALARM_FRACTION && self.window.len() == WINDOW {
-            self.alarms += 1;
             Verdict::UnderAttack
         } else if self.anomalies_in_window > 0 {
             Verdict::Suspicious
@@ -145,7 +138,6 @@ mod tests {
             }
         }
         assert_ne!(worst, Verdict::UnderAttack);
-        assert_eq!(d.alarms(), 0);
     }
 
     #[test]

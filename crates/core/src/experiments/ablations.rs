@@ -10,7 +10,7 @@
 //!   effective range (§5 "Effective Range").
 
 use crate::testbed::Testbed;
-use crate::threat::{AttackObjective, AttackParams, Attacker};
+use crate::threat::{AttackParams, Attacker};
 use deepnote_acoustics::propagation::{max_effective_range_m, received_spl_lloyd};
 use deepnote_acoustics::{
     Celsius, Depth, Distance, Frequency, PropagationModel, Salinity, Spl, WaterConditions,
@@ -62,7 +62,7 @@ pub fn blackout_threshold_spl(testbed: &Testbed) -> Spl {
 pub fn water_conditions() -> Vec<WaterRow> {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     let threshold = blackout_threshold_spl(&testbed);
-    let attacker = Attacker::military_attacker(AttackObjective::ThroughputLoss);
+    let attacker = Attacker::military_attacker();
     let emission = attacker
         .chain()
         .retuned(Frequency::from_hz(650.0))
@@ -253,7 +253,7 @@ pub fn attacker_depth() -> Vec<DepthRow> {
     let threshold = blackout_threshold_spl(&testbed);
     let water = WaterConditions::natick_seawater();
     let target_depth_m = 36.0; // Project Natick
-    let emission = Attacker::military_attacker(AttackObjective::ThroughputLoss)
+    let emission = Attacker::military_attacker()
         .chain()
         .retuned(Frequency::from_hz(650.0))
         .emission();
@@ -446,29 +446,26 @@ pub fn attacker_power() -> Vec<PowerRow> {
     let testbed = Testbed::paper_default(Scenario::PlasticTower);
     let threshold = blackout_threshold_spl(&testbed);
     let water = WaterConditions::natick_seawater();
-    [
-        Attacker::paper_attacker(AttackObjective::ThroughputLoss),
-        Attacker::military_attacker(AttackObjective::ThroughputLoss),
-    ]
-    .into_iter()
-    .map(|attacker| {
-        let emission = attacker
-            .chain()
-            .retuned(Frequency::from_hz(650.0))
-            .emission();
-        PowerRow {
-            label: attacker.name().to_string(),
-            source_level_db: emission.source_level.db(),
-            blackout_range_m: max_effective_range_m(
-                &emission,
-                threshold,
-                &water,
-                PropagationModel::Spherical,
-                1e6,
-            ),
-        }
-    })
-    .collect()
+    [Attacker::paper_attacker(), Attacker::military_attacker()]
+        .into_iter()
+        .map(|attacker| {
+            let emission = attacker
+                .chain()
+                .retuned(Frequency::from_hz(650.0))
+                .emission();
+            PowerRow {
+                label: attacker.name().to_string(),
+                source_level_db: emission.source_level.db(),
+                blackout_range_m: max_effective_range_m(
+                    &emission,
+                    threshold,
+                    &water,
+                    PropagationModel::Spherical,
+                    1e6,
+                ),
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]

@@ -26,15 +26,6 @@ pub struct Heatmap {
 }
 
 impl Heatmap {
-    /// The value at `(row, col)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics out of range.
-    pub fn at(&self, row: usize, col: usize) -> f64 {
-        self.values[row][col]
-    }
-
     /// The safe standoff per frequency: the smallest sampled distance at
     /// which throughput is at least `fraction` of nominal, or `None` if
     /// even the farthest sample is degraded.
@@ -133,10 +124,10 @@ mod tests {
         // 650 is not on the 100 Hz grid; use 600 and 700 instead.
         assert!(row_650.is_none());
         let row_600 = m.frequencies_hz.iter().position(|&f| f == 600.0).unwrap();
-        assert_eq!(m.at(row_600, 0), 0.0); // 1 cm
-                                           // Far column recovered.
+        assert_eq!(m.values[row_600][0], 0.0); // 1 cm
+                                               // Far column recovered.
         let last_col = m.distances_cm.len() - 1;
-        assert!((m.at(row_600, last_col) - 22.7).abs() < 0.1);
+        assert!((m.values[row_600][last_col] - 22.7).abs() < 0.1);
         // Out-of-band row never degraded.
         let row_4k = m.frequencies_hz.iter().position(|&f| f == 4_000.0).unwrap();
         assert!(m.values[row_4k].iter().all(|&v| (v - 22.7).abs() < 0.1));

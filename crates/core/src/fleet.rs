@@ -101,11 +101,6 @@ impl Fleet {
         Fleet { testbed, positions }
     }
 
-    /// The drive positions.
-    pub fn positions(&self) -> &[Distance] {
-        &self.positions
-    }
-
     /// Classifies every drive under the given attack. Drives are
     /// independent operating points, so large fleets are assessed in
     /// chunks on the experiment pool — the report is identical to a

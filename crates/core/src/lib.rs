@@ -49,7 +49,7 @@ pub use defense::{Defense, DefenseOutcome};
 pub use detect::{AttackDetector, Verdict};
 pub use fleet::{Fleet, FleetReport};
 pub use testbed::{Testbed, TestbedTone};
-pub use threat::{AttackObjective, AttackParams, Attacker};
+pub use threat::{AttackParams, Attacker};
 
 /// Convenience re-exports: everything needed to script an attack study.
 pub mod prelude {
@@ -58,7 +58,7 @@ pub mod prelude {
     pub use crate::experiments;
     pub use crate::fleet::{Fleet, FleetReport};
     pub use crate::testbed::{Testbed, TestbedTone};
-    pub use crate::threat::{AttackObjective, AttackParams, Attacker};
+    pub use crate::threat::{AttackParams, Attacker};
     pub use deepnote_acoustics::prelude::*;
     pub use deepnote_blockdev::{BlockDevice, HddDisk};
     pub use deepnote_hdd::prelude::*;

@@ -7,19 +7,8 @@
 //! controlled throughput loss, and prolonged attacks that crash crucial
 //! processes.
 
-use deepnote_acoustics::{Distance, Frequency, SignalChain, Speaker, SweepPlan};
+use deepnote_acoustics::{Distance, Frequency, SignalChain, Speaker};
 use serde::{Deserialize, Serialize};
-
-/// What the adversary is trying to achieve (§3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum AttackObjective {
-    /// Induce a controlled throughput loss for a bounded time, delaying
-    /// applications and processes.
-    ThroughputLoss,
-    /// Sustain the attack until crucial processes (filesystem, OS,
-    /// database) crash.
-    Crash,
-}
 
 /// The tunable attack parameters: what to transmit and from where.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -50,45 +39,33 @@ impl AttackParams {
     }
 }
 
-/// The adversary: equipment plus methodology (frequency sweep).
+/// The adversary's equipment: a labelled signal chain.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Attacker {
     name: String,
     chain: SignalChain,
-    sweep: SweepPlan,
-    objective: AttackObjective,
 }
 
 impl Attacker {
     /// Builds an attacker from equipment.
-    pub fn new(
-        name: impl Into<String>,
-        chain: SignalChain,
-        sweep: SweepPlan,
-        objective: AttackObjective,
-    ) -> Self {
+    pub fn new(name: impl Into<String>, chain: SignalChain) -> Self {
         Attacker {
             name: name.into(),
             chain,
-            sweep,
-            objective,
         }
     }
 
-    /// The paper's attacker: a commercial AQ339 + TOA amplifier rig with
-    /// the §4.1 sweep methodology.
-    pub fn paper_attacker(objective: AttackObjective) -> Self {
+    /// The paper's attacker: a commercial AQ339 + TOA amplifier rig.
+    pub fn paper_attacker() -> Self {
         Attacker::new(
             "commercial rig (AQ339 + BG-2120)",
             SignalChain::paper_setup(Frequency::from_hz(650.0)),
-            SweepPlan::paper_sweep(),
-            objective,
         )
     }
 
     /// A better-funded adversary with a military-grade projector (§5
     /// "Effective Range").
-    pub fn military_attacker(objective: AttackObjective) -> Self {
+    pub fn military_attacker() -> Self {
         Attacker::new(
             "military-grade projector",
             SignalChain::new(
@@ -96,8 +73,6 @@ impl Attacker {
                 deepnote_acoustics::Amplifier::toa_bg2120(),
                 Speaker::military_projector(),
             ),
-            SweepPlan::paper_sweep(),
-            objective,
         )
     }
 
@@ -109,16 +84,6 @@ impl Attacker {
     /// The signal chain (retune with [`SignalChain::retuned`]).
     pub fn chain(&self) -> &SignalChain {
         &self.chain
-    }
-
-    /// The sweep methodology.
-    pub fn sweep(&self) -> &SweepPlan {
-        &self.sweep
-    }
-
-    /// The stated objective.
-    pub fn objective(&self) -> AttackObjective {
-        self.objective
     }
 }
 
@@ -144,11 +109,10 @@ mod tests {
 
     #[test]
     fn attackers_differ_in_power() {
-        let commercial = Attacker::paper_attacker(AttackObjective::Crash);
-        let military = Attacker::military_attacker(AttackObjective::Crash);
+        let commercial = Attacker::paper_attacker();
+        let military = Attacker::military_attacker();
         let c_level = commercial.chain().emission().source_level.db();
         let m_level = military.chain().emission().source_level.db();
         assert!(m_level > c_level + 40.0);
-        assert_eq!(commercial.objective(), AttackObjective::Crash);
     }
 }

@@ -49,11 +49,6 @@ impl Bitmap {
         bm
     }
 
-    /// The raw bitmap bytes (for persistence).
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bits
-    }
-
     /// The on-disk image of the bitmap's `i`-th filesystem block: its
     /// share of the bytes, zero-padded to a whole block.
     pub(crate) fn block_image(&self, i: u64) -> Vec<u8> {
@@ -65,16 +60,6 @@ impl Bitmap {
             .unwrap_or(&[]);
         block[..bytes.len()].copy_from_slice(bytes);
         block
-    }
-
-    /// Number of tracked items.
-    pub fn capacity(&self) -> u64 {
-        self.capacity
-    }
-
-    /// Number of allocated items.
-    pub fn allocated(&self) -> u64 {
-        self.allocated
     }
 
     /// Number of free items.
@@ -147,9 +132,9 @@ mod tests {
         let a = bm.alloc().unwrap();
         let b = bm.alloc().unwrap();
         assert_ne!(a, b);
-        assert_eq!(bm.allocated(), 2);
+        assert_eq!(bm.allocated, 2);
         bm.free_item(a);
-        assert_eq!(bm.allocated(), 1);
+        assert_eq!(bm.allocated, 1);
         assert!(!bm.is_set(a));
         assert!(bm.is_set(b));
     }
@@ -180,8 +165,8 @@ mod tests {
             bm.alloc().unwrap();
         }
         bm.free_item(5);
-        let restored = Bitmap::from_bytes(100, bm.as_bytes());
-        assert_eq!(restored.allocated(), bm.allocated());
+        let restored = Bitmap::from_bytes(100, &bm.bits);
+        assert_eq!(restored.allocated, bm.allocated);
         for i in 0..100 {
             assert_eq!(restored.is_set(i), bm.is_set(i), "bit {i}");
         }
@@ -192,16 +177,16 @@ mod tests {
         // 13 items: the second byte's top three bits are outside the map.
         let on_disk = [0b1000_0001u8, 0b1111_0101];
         let bm = Bitmap::from_bytes(13, &on_disk);
-        assert_eq!(bm.allocated(), 2 + 3);
+        assert_eq!(bm.allocated, 2 + 3);
         assert_eq!(bm.free(), 13 - 5);
-        assert_eq!(bm.as_bytes(), on_disk.as_slice());
+        assert_eq!(bm.bits.as_slice(), on_disk.as_slice());
         // A whole number of bytes has no partial tail.
         let full = Bitmap::from_bytes(16, &on_disk);
-        assert_eq!(full.allocated(), 2 + 6);
+        assert_eq!(full.allocated, 2 + 6);
         // Short input leaves the rest free.
         let short = Bitmap::from_bytes(100, &on_disk[..1]);
-        assert_eq!(short.allocated(), 2);
-        assert_eq!(short.as_bytes().len(), 13);
+        assert_eq!(short.allocated, 2);
+        assert_eq!(short.bits.len(), 13);
     }
 
     #[test]
@@ -209,7 +194,7 @@ mod tests {
         let mut bm = Bitmap::new(8);
         bm.set(3);
         bm.set(3);
-        assert_eq!(bm.allocated(), 1);
+        assert_eq!(bm.allocated, 1);
     }
 
     proptest! {
@@ -223,7 +208,7 @@ mod tests {
                 prop_assert!(seen.insert(idx));
                 prop_assert!(idx < 200);
             }
-            prop_assert_eq!(bm.allocated(), n);
+            prop_assert_eq!(bm.allocated, n);
         }
     }
 }

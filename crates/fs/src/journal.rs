@@ -114,11 +114,6 @@ impl Journal {
         }
     }
 
-    /// Whether the journal has aborted, and with what errno.
-    pub fn aborted(&self) -> Option<i32> {
-        self.aborted
-    }
-
     /// Number of successful commits so far.
     pub fn commits(&self) -> u64 {
         self.commits
@@ -491,7 +486,7 @@ mod tests {
         let t0 = clock.now();
         let err = j.commit(&mut dev, &clock, &[]).unwrap_err();
         assert_eq!(err, FsError::JournalAborted { errno: -5 });
-        assert_eq!(j.aborted(), Some(-5));
+        assert_eq!(j.aborted, Some(-5));
         let waited = (clock.now() - t0).as_secs_f64();
         assert!((74.0..80.0).contains(&waited), "waited {waited}s");
         // And it stays aborted.
@@ -522,7 +517,7 @@ mod tests {
         assert_eq!(applied, 1);
         assert_eq!(read_fs_block(&mut dev, 200).unwrap(), image(0x11));
         assert_eq!(read_fs_block(&mut dev, 201).unwrap(), image(0x22));
-        assert!(j2.aborted().is_none());
+        assert!(j2.aborted.is_none());
     }
 
     #[test]

@@ -296,11 +296,6 @@ impl HardDiskDrive {
         self.ops_completed
     }
 
-    /// Operations that failed since construction.
-    pub fn ops_failed(&self) -> u64 {
-        self.ops_failed
-    }
-
     /// Retry attempts burned across all operations since construction —
     /// the leading indicator of acoustic degradation (retries climb well
     /// before ops start failing outright).
@@ -534,7 +529,7 @@ mod tests {
             }
             other => panic!("expected Unresponsive, got {other:?}"),
         }
-        assert_eq!(d.ops_failed(), 1);
+        assert_eq!(d.ops_failed, 1);
     }
 
     #[test]

@@ -17,7 +17,7 @@ pub const SECTOR_SIZE: u64 = 512;
 /// use deepnote_hdd::DriveGeometry;
 ///
 /// let geo = DriveGeometry::barracuda_500gb();
-/// assert_eq!(geo.rpm(), 7200);
+/// assert!((geo.revolution_s() - 60.0 / 7200.0).abs() < 1e-12); // 7200 RPM
 /// assert!(geo.total_sectors() * 512 >= 500_000_000_000);
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -102,26 +102,6 @@ impl DriveGeometry {
         &self.name
     }
 
-    /// Spindle speed in revolutions per minute.
-    pub fn rpm(&self) -> u32 {
-        self.rpm
-    }
-
-    /// Number of platters.
-    pub fn platters(&self) -> u32 {
-        self.platters
-    }
-
-    /// Number of read/write heads (recording surfaces).
-    pub fn heads(&self) -> u32 {
-        self.heads
-    }
-
-    /// Average sectors per track.
-    pub fn sectors_per_track(&self) -> u64 {
-        self.sectors_per_track
-    }
-
     /// Tracks per recording surface.
     pub fn tracks_per_surface(&self) -> u64 {
         self.tracks_per_surface
@@ -135,11 +115,6 @@ impl DriveGeometry {
     /// Total addressable sectors.
     pub fn total_sectors(&self) -> u64 {
         self.sectors_per_track * self.tracks_per_surface * self.heads as u64
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> u64 {
-        self.total_sectors() * SECTOR_SIZE
     }
 
     /// One full revolution, in seconds.
@@ -172,14 +147,14 @@ mod tests {
     #[test]
     fn barracuda_capacity_is_500gb_class() {
         let geo = DriveGeometry::barracuda_500gb();
-        let gb = geo.capacity_bytes() as f64 / 1e9;
+        let gb = (geo.total_sectors() * SECTOR_SIZE) as f64 / 1e9;
         assert!((490.0..520.0).contains(&gb), "capacity = {gb} GB");
     }
 
     #[test]
     fn nearline_capacity_is_4tb_class() {
         let geo = DriveGeometry::nearline_4tb();
-        let tb = geo.capacity_bytes() as f64 / 1e12;
+        let tb = (geo.total_sectors() * SECTOR_SIZE) as f64 / 1e12;
         assert!((3.8..4.2).contains(&tb), "capacity = {tb} TB");
         assert!(geo.track_pitch_nm() < DriveGeometry::barracuda_500gb().track_pitch_nm());
     }
@@ -200,7 +175,7 @@ mod tests {
     #[test]
     fn cylinder_mapping_is_serpentine() {
         let geo = DriveGeometry::barracuda_500gb();
-        let per_cyl = geo.sectors_per_track() * geo.heads() as u64;
+        let per_cyl = geo.sectors_per_track * geo.heads as u64;
         assert_eq!(geo.cylinder_of(0), 0);
         assert_eq!(geo.cylinder_of(per_cyl - 1), 0);
         assert_eq!(geo.cylinder_of(per_cyl), 1);

@@ -116,21 +116,6 @@ impl ServoModel {
         self
     }
 
-    /// The RV feed-forward cancellation fraction.
-    pub fn rv_compensation(&self) -> f64 {
-        self.rv_compensation
-    }
-
-    /// Loop bandwidth in Hz.
-    pub fn bandwidth_hz(&self) -> f64 {
-        self.bandwidth_hz
-    }
-
-    /// Shock-sensor parking threshold in g.
-    pub fn shock_threshold_g(&self) -> f64 {
-        self.shock_threshold_g
-    }
-
     /// How long the heads stay parked after a shock event.
     pub fn park_duration_s(&self) -> f64 {
         self.park_duration_s
@@ -228,7 +213,7 @@ mod tests {
         let e = enterprise.residual_offtrack_nm(&v);
         // RV feed-forward (85 %) plus higher bandwidth: at least ~8x less.
         assert!(e < d / 8.0, "desktop {d} nm vs enterprise {e} nm");
-        assert!((enterprise.rv_compensation() - 0.85).abs() < 1e-12);
+        assert!((enterprise.rv_compensation - 0.85).abs() < 1e-12);
     }
 
     #[test]

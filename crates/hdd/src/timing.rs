@@ -9,7 +9,6 @@
 //! seek/rotation model for random access.
 
 use crate::geometry::{DriveGeometry, SECTOR_SIZE};
-use deepnote_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
 /// Raw service-time inputs for [`TimingModel::new`], named so call sites
@@ -177,11 +176,6 @@ impl TimingModel {
     /// Maximum attempts before the drive gives up on an op.
     pub fn max_retries(&self) -> u32 {
         self.max_retries
-    }
-
-    /// Convenience: a [`SimDuration`] from fractional seconds.
-    pub fn duration(s: f64) -> SimDuration {
-        SimDuration::from_secs_f64(s)
     }
 }
 

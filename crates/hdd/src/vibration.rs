@@ -162,16 +162,6 @@ impl ToleranceModel {
         ToleranceModel::new(0.15, 0.10)
     }
 
-    /// Read tolerance as a fraction of track pitch.
-    pub fn read_fraction(&self) -> f64 {
-        self.read_fraction
-    }
-
-    /// Write tolerance as a fraction of track pitch.
-    pub fn write_fraction(&self) -> f64 {
-        self.write_fraction
-    }
-
     /// Absolute tolerance in nm for the given track pitch.
     pub fn tolerance_nm(&self, track_pitch_nm: f64, read: bool) -> f64 {
         assert!(track_pitch_nm > 0.0, "track pitch must be positive");

@@ -151,11 +151,6 @@ impl JobSpec {
         self.runtime
     }
 
-    /// Working-set span in bytes (getter).
-    pub fn span_bytes(&self) -> u64 {
-        self.span_bytes
-    }
-
     /// Working-set start offset in bytes (getter).
     pub fn start_offset_bytes(&self) -> u64 {
         self.start_offset_bytes
@@ -175,6 +170,14 @@ impl JobSpec {
     /// a device of at least this many blocks.
     pub fn end_block(&self) -> u64 {
         self.start_offset_bytes / 512 + self.span_units() * (self.block_size / 512) as u64
+    }
+}
+
+#[cfg(test)]
+impl JobSpec {
+    /// Working-set span in bytes, for tests outside this module.
+    pub(crate) fn span_bytes(&self) -> u64 {
+        self.span_bytes
     }
 }
 

@@ -28,11 +28,6 @@ pub struct JobReport {
 }
 
 impl JobReport {
-    /// Whether the device served any I/O at all during the run.
-    pub fn responsive(&self) -> bool {
-        self.ops_completed > 0
-    }
-
     /// Renders latency the way the paper's Table 1 does: a number, or "-"
     /// when the drive gave no response.
     pub fn latency_cell(&self) -> String {
@@ -82,13 +77,6 @@ mod tests {
             mean_latency_ms: mean,
             p99_latency_ms: mean,
         }
-    }
-
-    #[test]
-    fn responsive_means_some_op_completed() {
-        assert!(report(100, 0, Some(0.2)).responsive());
-        assert!(!report(0, 50, None).responsive());
-        assert!(!report(0, 0, None).responsive());
     }
 
     #[test]

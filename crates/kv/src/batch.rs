@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// batch.put(b"account:alice", b"90");
 /// batch.put(b"account:bob", b"110");
 /// batch.delete(b"pending:transfer");
-/// assert_eq!(batch.len(), 3);
+/// assert_eq!(batch.into_records().len(), 3);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct WriteBatch {
@@ -40,19 +40,9 @@ impl WriteBatch {
         self
     }
 
-    /// Number of mutations in the batch.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
     /// Whether the batch is empty.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
-    }
-
-    /// The records, in insertion order.
-    pub fn records(&self) -> &[Record] {
-        &self.records
     }
 
     /// Consumes the batch into its records.
@@ -69,10 +59,10 @@ mod tests {
     fn builds_in_order() {
         let mut b = WriteBatch::new();
         b.put(b"a", b"1").delete(b"b").put(b"c", b"3");
-        assert_eq!(b.len(), 3);
+        assert_eq!(b.records.len(), 3);
         assert!(!b.is_empty());
-        assert_eq!(b.records()[0], Record::put("a", "1"));
-        assert_eq!(b.records()[1], Record::delete("b"));
+        assert_eq!(b.records[0], Record::put("a", "1"));
+        assert_eq!(b.records[1], Record::delete("b"));
         let records = b.into_records();
         assert_eq!(records.len(), 3);
     }
@@ -80,6 +70,6 @@ mod tests {
     #[test]
     fn empty_batch() {
         assert!(WriteBatch::new().is_empty());
-        assert_eq!(WriteBatch::default().len(), 0);
+        assert_eq!(WriteBatch::default().records.len(), 0);
     }
 }

@@ -26,17 +26,6 @@ impl Memtable {
         Memtable::default()
     }
 
-    /// Applies a put.
-    pub fn put(&mut self, key: &[u8], value: &[u8]) {
-        // A record too large to encode was refused by the WAL first.
-        let _ = self.insert(key, Some(value));
-    }
-
-    /// Applies a delete (records a tombstone).
-    pub fn delete(&mut self, key: &[u8]) {
-        let _ = self.insert(key, None);
-    }
-
     /// Applies a record.
     pub fn apply(&mut self, rec: Record) {
         let _ = self.insert(&rec.key, rec.value.as_deref());
@@ -184,9 +173,9 @@ mod tests {
     #[test]
     fn put_get_delete() {
         let mut m = Memtable::new();
-        m.put(b"a", b"1");
+        m.insert(b"a", Some(b"1")).unwrap();
         assert_eq!(m.get(b"a"), Some(Some(b"1".as_ref())));
-        m.delete(b"a");
+        m.insert(b"a", None).unwrap();
         assert_eq!(m.get(b"a"), Some(None)); // tombstone
         assert_eq!(m.get(b"b"), None); // unknown
         assert_eq!(m.len(), 1);
@@ -195,8 +184,8 @@ mod tests {
     #[test]
     fn overwrite_keeps_latest() {
         let mut m = Memtable::new();
-        m.put(b"k", b"old");
-        m.put(b"k", b"new");
+        m.insert(b"k", Some(b"old")).unwrap();
+        m.insert(b"k", Some(b"new")).unwrap();
         assert_eq!(m.get(b"k"), Some(Some(b"new".as_ref())));
         assert_eq!(m.len(), 1);
     }
@@ -204,9 +193,9 @@ mod tests {
     #[test]
     fn drain_is_sorted_and_empties() {
         let mut m = Memtable::new();
-        m.put(b"c", b"3");
-        m.put(b"a", b"1");
-        m.delete(b"b");
+        m.insert(b"c", Some(b"3")).unwrap();
+        m.insert(b"a", Some(b"1")).unwrap();
+        m.insert(b"b", None).unwrap();
         let table = m.drain_sorted().finish("t");
         let recs: Vec<Record> = table.iter().map(|r| r.to_record()).collect();
         assert_eq!(
@@ -224,10 +213,10 @@ mod tests {
     #[test]
     fn flushes_only_the_newest_version() {
         let mut m = Memtable::new();
-        m.put(b"k", b"old");
-        m.delete(b"k");
-        m.put(b"k", b"new");
-        m.put(b"j", b"1");
+        m.insert(b"k", Some(b"old")).unwrap();
+        m.insert(b"k", None).unwrap();
+        m.insert(b"k", Some(b"new")).unwrap();
+        m.insert(b"j", Some(b"1")).unwrap();
         let mut expected = Vec::new();
         Record::put("j", "1").encode_into(&mut expected).unwrap();
         Record::put("k", "new").encode_into(&mut expected).unwrap();
@@ -239,9 +228,9 @@ mod tests {
         // Each insert adds its encoded size and takes back the value
         // it replaced.
         let mut m = Memtable::new();
-        m.put(b"key", b"12345");
+        m.insert(b"key", Some(b"12345")).unwrap();
         assert_eq!(m.approx_bytes(), Record::put("key", "12345").encoded_len());
-        m.delete(b"key");
+        m.insert(b"key", None).unwrap();
         let after =
             Record::put("key", "12345").encoded_len() + Record::delete("key").encoded_len() - 5;
         assert_eq!(m.approx_bytes(), after);
@@ -257,9 +246,9 @@ mod tests {
     fn range_is_half_open_and_keeps_tombstones() {
         let mut m = Memtable::new();
         for k in [b"a", b"b", b"c", b"d"] {
-            m.put(k, b"v");
+            m.insert(k, Some(b"v")).unwrap();
         }
-        m.delete(b"c");
+        m.insert(b"c", None).unwrap();
         let got: Vec<_> = m.range(b"b", b"d").collect();
         assert_eq!(
             got,
@@ -272,7 +261,7 @@ mod tests {
     fn size_accounting_grows() {
         let mut m = Memtable::new();
         assert_eq!(m.approx_bytes(), 0);
-        m.put(b"key", &[0u8; 100]);
+        m.insert(b"key", Some(&[0u8; 100])).unwrap();
         assert!(m.approx_bytes() >= 100);
     }
 

@@ -58,15 +58,6 @@ impl Record {
         self.key.len() + self.value.as_ref().map_or(0, |v| v.len())
     }
 
-    /// Appends the encoded record to `out`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::TooLarge`] if key or value exceeds [`MAX_LEN`].
-    pub fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), DbError> {
-        encode_into(&self.key, self.value.as_deref(), out)
-    }
-
     /// Decodes one record from the front of `buf`, returning it and the
     /// number of bytes consumed.
     ///
@@ -224,6 +215,14 @@ pub(crate) fn checksum(body: &[u8]) -> u32 {
         hash = step(hash, u32::from_le_bytes(word));
     }
     hash
+}
+
+#[cfg(test)]
+impl Record {
+    /// Appends the encoded record to `out`, for tests outside this module.
+    pub(crate) fn encode_into(&self, out: &mut Vec<u8>) -> Result<(), DbError> {
+        encode_into(&self.key, self.value.as_deref(), out)
+    }
 }
 
 #[cfg(test)]

@@ -139,21 +139,6 @@ impl SsTable {
         &self.path
     }
 
-    /// The file image: the records' encodings, concatenated.
-    pub fn as_bytes(&self) -> &[u8] {
-        &self.bytes
-    }
-
-    /// Number of records (including tombstones).
-    pub fn len(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// Whether the table has no records.
-    pub fn is_empty(&self) -> bool {
-        self.offsets.is_empty()
-    }
-
     /// The record at offset `at` in the file image.
     fn record(&self, at: u32) -> RecordRef<'_> {
         RecordRef::parse(self.bytes.get(at as usize..).unwrap_or_default())
@@ -263,6 +248,14 @@ pub(crate) fn compact(runs: &[Vec<&SsTable>]) -> Vec<TableBuilder> {
 }
 
 #[cfg(test)]
+impl SsTable {
+    /// The file image, for tests outside this module.
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::memtable::Memtable;
@@ -306,7 +299,7 @@ mod tests {
         let mut fs = fs();
         let records = vec![rec("a", "1"), Record::delete("b"), rec("c", "3")];
         let written = write(&mut fs, "/db/sst_0_1", &records);
-        assert_eq!(written.len(), 3);
+        assert_eq!(written.offsets.len(), 3);
         let loaded = SsTable::load(&mut fs, "/db/sst_0_1").unwrap();
         assert_eq!(loaded, written);
         assert_eq!(owned(&loaded), records);
@@ -362,12 +355,9 @@ mod tests {
             r.encode_into(&mut expected).unwrap();
         }
         let t = write(&mut fs, "/db/s", &records);
-        assert_eq!(t.as_bytes(), expected.as_slice());
+        assert_eq!(t.bytes, expected);
         assert_eq!(fs.read_file("/db/s", 0, 4096).unwrap(), expected);
-        assert_eq!(
-            SsTable::load(&mut fs, "/db/s").unwrap().as_bytes(),
-            expected
-        );
+        assert_eq!(SsTable::load(&mut fs, "/db/s").unwrap().bytes, expected);
     }
 
     #[test]
@@ -376,7 +366,7 @@ mod tests {
         write(&mut fs, "/db/s", &[rec("old", "x")]);
         write(&mut fs, "/db/s", &[rec("new", "y")]);
         let loaded = SsTable::load(&mut fs, "/db/s").unwrap();
-        assert_eq!(loaded.len(), 1);
+        assert_eq!(loaded.offsets.len(), 1);
         assert_eq!(loaded.get(b"new"), Some(Some(b"y".as_ref())));
     }
 

@@ -35,16 +35,6 @@ impl Wal {
         }
     }
 
-    /// The WAL file path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Durable length of the log file.
-    pub fn synced_len(&self) -> u64 {
-        self.synced_len
-    }
-
     /// Appends one record that is already encoded (no I/O).
     pub fn append_encoded(&mut self, encoded: &[u8]) {
         self.buffer.extend_from_slice(encoded);
@@ -187,12 +177,12 @@ mod tests {
         let (mut fs, mut wal, clock) = fs_with_wal();
         append(&mut wal, &Record::put("k1", "v1"));
         append(&mut wal, &Record::delete("k2"));
-        assert_eq!(wal.synced_len(), 0);
+        assert_eq!(wal.synced_len, 0);
         wal.sync(&mut fs, &clock).unwrap();
-        assert!(wal.synced_len() > 0);
+        assert!(wal.synced_len > 0);
         let (records, len) = Wal::load("/db/wal", &mut fs).unwrap();
         assert_eq!(records, vec![Record::put("k1", "v1"), Record::delete("k2")]);
-        assert_eq!(len, wal.synced_len());
+        assert_eq!(len, wal.synced_len);
     }
 
     #[test]
@@ -209,7 +199,7 @@ mod tests {
         append(&mut wal, &Record::put("k", "v"));
         wal.sync(&mut fs, &clock).unwrap();
         wal.reset(&mut fs).unwrap();
-        assert_eq!(wal.synced_len(), 0);
+        assert_eq!(wal.synced_len, 0);
         let (records, _) = Wal::load("/db/wal", &mut fs).unwrap();
         assert!(records.is_empty());
     }
@@ -220,11 +210,11 @@ mod tests {
         append(&mut wal, &Record::put("good", "record"));
         wal.sync(&mut fs, &clock).unwrap();
         // Simulate a torn append: garbage bytes after the good record.
-        fs.write_file("/db/wal", wal.synced_len(), &[0xFF, 0x00, 0x13])
+        fs.write_file("/db/wal", wal.synced_len, &[0xFF, 0x00, 0x13])
             .unwrap();
         let (records, len) = Wal::load("/db/wal", &mut fs).unwrap();
         assert_eq!(records, vec![Record::put("good", "record")]);
-        assert_eq!(len, wal.synced_len());
+        assert_eq!(len, wal.synced_len);
     }
 
     #[test]

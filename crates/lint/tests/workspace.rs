@@ -113,3 +113,20 @@ fn json_output_carries_schema_and_findings() {
     });
     assert_eq!(depth, 0);
 }
+
+/// The repository itself lints clean, so tier-1 fails on a dead `pub`
+/// item, a `HashMap` in a determinism crate or a serving-path `unwrap`,
+/// not only CI's lint job.
+#[test]
+fn repository_lints_clean() {
+    let root = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let report = check_workspace(&root).expect("scan repository");
+    assert!(report.files_scanned > 100, "{}", report.files_scanned);
+    let findings: Vec<String> = report.findings.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        (report.errors(), report.warnings()),
+        (0, 0),
+        "deepnote-lint findings:\n{}",
+        findings.join("\n")
+    );
+}

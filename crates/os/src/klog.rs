@@ -87,21 +87,6 @@ impl KernelLog {
         });
     }
 
-    /// All retained entries, oldest first.
-    pub fn entries(&self) -> impl Iterator<Item = &LogEntry> {
-        self.entries.iter()
-    }
-
-    /// Number of retained entries.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// Entries evicted due to capacity.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -148,7 +133,7 @@ mod tests {
             LogLevel::Error,
             "Buffer I/O error on dev sda1, logical block 8",
         );
-        assert_eq!(log.len(), 3);
+        assert_eq!(log.entries.len(), 3);
         assert_eq!(log.count_containing("Buffer I/O error"), 2);
     }
 
@@ -158,7 +143,7 @@ mod tests {
         log.log(SimTime::ZERO, LogLevel::Info, "one");
         log.log(SimTime::ZERO, LogLevel::Info, "two");
         log.log(SimTime::ZERO, LogLevel::Info, "three");
-        assert_eq!(log.len(), 2);
+        assert_eq!(log.entries.len(), 2);
         assert_eq!(log.dropped(), 1);
         assert_eq!(log.count_containing("one"), 0);
         assert_eq!(log.count_containing("three"), 1);

@@ -154,11 +154,6 @@ impl<D: BlockDevice> ServerOs<D> {
         })
     }
 
-    /// Current availability state.
-    pub fn state(&self) -> &OsState {
-        &self.state
-    }
-
     /// Whether the server is still running.
     pub fn running(&self) -> bool {
         matches!(self.state, OsState::Running)
@@ -167,16 +162,6 @@ impl<D: BlockDevice> ServerOs<D> {
     /// The kernel log.
     pub fn klog(&self) -> &KernelLog {
         &self.klog
-    }
-
-    /// The root filesystem (attack wiring, inspection).
-    pub fn filesystem_mut(&mut self) -> &mut Filesystem<D> {
-        &mut self.fs
-    }
-
-    /// The service supervisor's view of the system's daemons.
-    pub fn services(&self) -> &ServiceManager {
-        &self.services
     }
 
     fn check_running(&self) -> Result<(), OsError> {
@@ -419,10 +404,7 @@ mod tests {
         clock.advance(SimDuration::from_secs(6));
         os.tick();
         assert!(os.running());
-        let content = os
-            .filesystem_mut()
-            .read_file("/var/log/syslog", 0, 4_096)
-            .unwrap();
+        let content = os.fs.read_file("/var/log/syslog", 0, 4_096).unwrap();
         let text = String::from_utf8(content).unwrap();
         assert!(
             text.contains("service started\nrequest handled\n"),
@@ -442,7 +424,7 @@ mod tests {
         os.write_log("healthy").unwrap();
         clock.advance(SimDuration::from_secs(6));
         os.tick();
-        os.filesystem_mut()
+        os.fs
             .device_mut()
             .set_plan(ChaosPlan::fail_writes(IoError::NoResponse));
         let t0 = clock.now();
@@ -484,7 +466,7 @@ mod tests {
         // drop to a fresh boot: re-mount from the device.
         let dev = {
             let fs = std::mem::replace(
-                os.filesystem_mut(),
+                &mut os.fs,
                 deepnote_fs::Filesystem::format(
                     ChaosInjector::new(
                         MemDisk::new(1 << 17),
@@ -498,8 +480,8 @@ mod tests {
             fs.unmount().unwrap()
         };
         let (fs2, _) = deepnote_fs::Filesystem::mount(dev, clock.clone()).unwrap();
-        *os.filesystem_mut() = fs2;
-        os.filesystem_mut()
+        os.fs = fs2;
+        os.fs
             .device_mut()
             .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         let err = os.exec("ls").unwrap_err();
@@ -525,10 +507,10 @@ mod tests {
             clock.advance(SimDuration::from_secs(1));
             os.tick();
         }
-        assert_eq!(os.services().census(), (3, 0, 0), "{:?}", os.services());
+        assert_eq!(os.services.census(), (3, 0, 0), "{:?}", os.services);
 
         // The attack: all I/O (reads included — cold binary reloads) dies.
-        os.filesystem_mut()
+        os.fs
             .device_mut()
             .set_plan(ChaosPlan::fail_all(IoError::NoResponse));
         let mut dead_seen = 0;
@@ -539,7 +521,7 @@ mod tests {
                 break;
             }
             os.tick();
-            let (_, _, dead) = os.services().census();
+            let (_, _, dead) = os.services.census();
             dead_seen = dead_seen.max(dead);
         }
         // With binaries evicted by the log churn, cold re-execs fail and
@@ -548,13 +530,13 @@ mod tests {
         assert!(
             dead_seen > 0 || !os.running(),
             "services: {:?}, state: {:?}",
-            os.services(),
-            os.state()
+            os.services,
+            os.state
         );
         if dead_seen > 0 {
             assert!(os.klog().count_containing("systemd[1]") > 0);
             assert!(os
-                .services()
+                .services
                 .services()
                 .iter()
                 .any(|s| s.state == ServiceState::Dead || s.restarts > 0));

@@ -103,24 +103,6 @@ impl ServiceManager {
         &self.services
     }
 
-    /// A service by name.
-    pub fn service(&self, name: &str) -> Option<&Service> {
-        self.services.iter().find(|s| s.name == name)
-    }
-
-    /// Number of services in each state: `(running, failed, dead)`.
-    pub fn census(&self) -> (usize, usize, usize) {
-        let mut counts = (0, 0, 0);
-        for s in &self.services {
-            match s.state {
-                ServiceState::Running => counts.0 += 1,
-                ServiceState::Failed => counts.1 += 1,
-                ServiceState::Dead => counts.2 += 1,
-            }
-        }
-        counts
-    }
-
     /// Runs one supervision round. `exec` attempts a unit of work (or a
     /// restart) for a command and reports success. Returns the events
     /// that occurred, in service order.
@@ -165,6 +147,28 @@ impl ServiceManager {
             }
         }
         events
+    }
+}
+
+#[cfg(test)]
+impl ServiceManager {
+    /// A service by name, for tests.
+    pub(crate) fn service(&self, name: &str) -> Option<&Service> {
+        self.services.iter().find(|s| s.name == name)
+    }
+
+    /// Number of services in each state: `(running, failed, dead)`, for
+    /// tests.
+    pub(crate) fn census(&self) -> (usize, usize, usize) {
+        let mut counts = (0, 0, 0);
+        for s in &self.services {
+            match s.state {
+                ServiceState::Running => counts.0 += 1,
+                ServiceState::Failed => counts.1 += 1,
+                ServiceState::Dead => counts.2 += 1,
+            }
+        }
+        counts
     }
 }
 

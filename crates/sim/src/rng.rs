@@ -4,9 +4,8 @@
 //! phase, retry jitter) flows through [`SimRng`], a seeded PRNG with a few
 //! domain helpers. Two runs with the same seed produce identical results.
 
-use rand::distributions::Distribution;
 use rand::rngs::StdRng;
-use rand::{Rng, RngCore, SeedableRng};
+use rand::{Rng, SeedableRng};
 
 /// The workspace-wide default seed, used when an experiment does not care.
 pub const DEFAULT_SEED: u64 = 0x5EED_D339; // "AQ339", the paper's speaker.
@@ -24,7 +23,7 @@ pub const DEFAULT_SEED: u64 = 0x5EED_D339; // "AQ339", the paper's speaker.
 ///
 /// let mut a = SimRng::seeded(42);
 /// let mut b = SimRng::seeded(42);
-/// assert_eq!(a.next_u64(), b.next_u64());
+/// assert_eq!(a.below(1 << 32), b.below(1 << 32));
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimRng {
@@ -66,16 +65,6 @@ impl SimRng {
         self.inner.gen_range(0..n)
     }
 
-    /// A uniform integer in `[lo, hi)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `lo >= hi`.
-    pub fn range(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        self.inner.gen_range(lo..hi)
-    }
-
     /// Bernoulli trial: `true` with probability `p` (clamped to `[0, 1]`).
     pub fn chance(&mut self, p: f64) -> bool {
         if p <= 0.0 {
@@ -85,27 +74,6 @@ impl SimRng {
         } else {
             self.inner.gen::<f64>() < p
         }
-    }
-
-    /// A uniform phase in `[0, 2π)`, used to randomize vibration phase
-    /// relative to sector windows.
-    pub fn phase(&mut self) -> f64 {
-        self.inner.gen::<f64>() * std::f64::consts::TAU
-    }
-
-    /// Samples from an arbitrary `rand` distribution.
-    pub fn sample<T, D: Distribution<T>>(&mut self, dist: &D) -> T {
-        dist.sample(&mut self.inner)
-    }
-
-    /// Fills `buf` with deterministic pseudo-random bytes.
-    pub fn fill_bytes(&mut self, buf: &mut [u8]) {
-        self.inner.fill_bytes(buf);
-    }
-
-    /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
-        self.inner.next_u64()
     }
 }
 
@@ -118,13 +86,14 @@ impl Default for SimRng {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::RngCore;
 
     #[test]
     fn same_seed_same_stream() {
         let mut a = SimRng::seeded(7);
         let mut b = SimRng::seeded(7);
         for _ in 0..100 {
-            assert_eq!(a.next_u64(), b.next_u64());
+            assert_eq!(a.inner.next_u64(), b.inner.next_u64());
         }
     }
 
@@ -132,7 +101,9 @@ mod tests {
     fn different_seeds_differ() {
         let mut a = SimRng::seeded(1);
         let mut b = SimRng::seeded(2);
-        let same = (0..16).filter(|_| a.next_u64() == b.next_u64()).count();
+        let same = (0..16)
+            .filter(|_| a.inner.next_u64() == b.inner.next_u64())
+            .count();
         assert!(same < 4);
     }
 
@@ -142,9 +113,9 @@ mod tests {
         let mut root2 = SimRng::seeded(9);
         let mut c1 = root1.fork(1);
         let mut c2 = root2.fork(1);
-        assert_eq!(c1.next_u64(), c2.next_u64());
+        assert_eq!(c1.inner.next_u64(), c2.inner.next_u64());
         let mut other = root1.fork(2);
-        assert_ne!(c1.next_u64(), other.next_u64());
+        assert_ne!(c1.inner.next_u64(), other.inner.next_u64());
     }
 
     #[test]
@@ -152,8 +123,6 @@ mod tests {
         let mut r = SimRng::seeded(3);
         for _ in 0..1000 {
             assert!(r.below(10) < 10);
-            let v = r.range(5, 8);
-            assert!((5..8).contains(&v));
         }
     }
 
@@ -171,14 +140,5 @@ mod tests {
         let mut r = SimRng::seeded(5);
         let hits = (0..10_000).filter(|_| r.chance(0.3)).count();
         assert!((2_700..3_300).contains(&hits), "hits={hits}");
-    }
-
-    #[test]
-    fn phase_in_range() {
-        let mut r = SimRng::seeded(8);
-        for _ in 0..1000 {
-            let p = r.phase();
-            assert!((0.0..std::f64::consts::TAU).contains(&p));
-        }
     }
 }

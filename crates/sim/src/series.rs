@@ -48,11 +48,6 @@ impl TimeSeries {
         }
     }
 
-    /// The series name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Appends a point.
     ///
     /// # Panics
@@ -73,16 +68,6 @@ impl TimeSeries {
     /// The recorded points in order.
     pub fn points(&self) -> &[(f64, f64)] {
         &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// Returns `true` if the series has no points.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
     }
 
     /// `y` at the sample closest to `x`, or `None` if empty.

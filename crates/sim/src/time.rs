@@ -40,8 +40,6 @@ pub struct SimDuration {
 impl SimDuration {
     /// The zero-length duration.
     pub const ZERO: SimDuration = SimDuration { nanos: 0 };
-    /// The maximum representable duration (~584 years).
-    pub const MAX: SimDuration = SimDuration { nanos: u64::MAX };
 
     /// Creates a duration from whole nanoseconds.
     pub const fn from_nanos(nanos: u64) -> Self {
@@ -103,11 +101,6 @@ impl SimDuration {
         self.nanos
     }
 
-    /// Whole seconds in this duration (truncating).
-    pub const fn as_secs(self) -> u64 {
-        self.nanos / NANOS_PER_SEC
-    }
-
     /// This duration in fractional seconds.
     pub fn as_secs_f64(self) -> f64 {
         self.nanos as f64 / NANOS_PER_SEC as f64
@@ -121,21 +114,6 @@ impl SimDuration {
     /// Returns `true` if this duration is zero.
     pub const fn is_zero(self) -> bool {
         self.nanos == 0
-    }
-
-    /// Saturating subtraction: returns zero instead of underflowing.
-    pub const fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
-        SimDuration {
-            nanos: self.nanos.saturating_sub(rhs.nanos),
-        }
-    }
-
-    /// Checked addition; `None` on overflow.
-    pub const fn checked_add(self, rhs: SimDuration) -> Option<SimDuration> {
-        match self.nanos.checked_add(rhs.nanos) {
-            Some(nanos) => Some(SimDuration { nanos }),
-            None => None,
-        }
     }
 
     /// Multiplies the duration by a fractional factor.
@@ -247,8 +225,6 @@ pub struct SimTime {
 impl SimTime {
     /// The start of the simulation.
     pub const ZERO: SimTime = SimTime { nanos: 0 };
-    /// The farthest representable instant.
-    pub const MAX: SimTime = SimTime { nanos: u64::MAX };
 
     /// Creates an instant `nanos` nanoseconds after the start of the
     /// simulation.
@@ -296,14 +272,6 @@ impl SimTime {
     pub const fn saturating_duration_since(self, earlier: SimTime) -> SimDuration {
         SimDuration {
             nanos: self.nanos.saturating_sub(earlier.nanos),
-        }
-    }
-
-    /// Checked addition of a duration; `None` on overflow.
-    pub const fn checked_add(self, d: SimDuration) -> Option<SimTime> {
-        match self.nanos.checked_add(d.as_nanos()) {
-            Some(nanos) => Some(SimTime { nanos }),
-            None => None,
         }
     }
 }
@@ -379,7 +347,6 @@ mod tests {
         assert_eq!(a - b, SimDuration::from_millis(1));
         assert_eq!(a * 4, SimDuration::from_millis(12));
         assert_eq!(a / 3, SimDuration::from_millis(1));
-        assert_eq!(b.saturating_sub(a), SimDuration::ZERO);
     }
 
     #[test]
@@ -409,7 +376,7 @@ mod tests {
         let t0 = SimTime::ZERO;
         let t1 = SimTime::from_nanos(1);
         assert!(t0 < t1);
-        assert!(t1 <= SimTime::MAX);
+        assert!(t1 <= SimTime::from_nanos(u64::MAX));
     }
 
     #[test]
@@ -424,19 +391,6 @@ mod tests {
     #[test]
     fn mul_f64_scales() {
         let d = SimDuration::from_secs(10).mul_f64(0.5);
-        assert_eq!(d.as_secs(), 5);
-    }
-
-    #[test]
-    fn checked_ops_catch_overflow() {
-        assert!(SimDuration::MAX
-            .checked_add(SimDuration::from_nanos(1))
-            .is_none());
-        assert!(SimTime::MAX
-            .checked_add(SimDuration::from_nanos(1))
-            .is_none());
-        assert!(SimTime::ZERO
-            .checked_add(SimDuration::from_secs(1))
-            .is_some());
+        assert_eq!(d, SimDuration::from_secs(5));
     }
 }

@@ -66,16 +66,6 @@ impl Enclosure {
         Enclosure::new(Material::aluminum(), 0.003)
     }
 
-    /// Wall material.
-    pub fn material(&self) -> &Material {
-        &self.material
-    }
-
-    /// Wall thickness in metres.
-    pub fn wall_thickness_m(&self) -> f64 {
-        self.wall_thickness_m
-    }
-
     /// Wall surface mass `m_s = ρ·t` in kg/m².
     pub fn surface_mass_kg_m2(&self) -> f64 {
         self.material.density_kg_m3() * self.wall_thickness_m

@@ -7,7 +7,7 @@
 //! the drive chassis jostles the read/write head. This crate models that
 //! chain:
 //!
-//! * [`Material`] — wall/structure materials with density and damping
+//! * [`Material`] — wall/structure materials, by density
 //!   ([`material`]).
 //! * [`Enclosure`] — a submerged container: wall surface mass sets how
 //!   much the wall moves per pascal of incident pressure ([`enclosure`]).

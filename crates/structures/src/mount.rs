@@ -27,26 +27,19 @@ use serde::{Deserialize, Serialize};
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mount {
-    name: String,
     bank: ResonatorBank,
 }
 
 impl Mount {
-    /// Creates a mount from a name and transfer bank.
-    pub fn new(name: impl Into<String>, bank: ResonatorBank) -> Self {
-        Mount {
-            name: name.into(),
-            bank,
-        }
+    /// Creates a mount from its transfer bank.
+    pub fn new(bank: ResonatorBank) -> Self {
+        Mount { bank }
     }
 
     /// Drive resting directly on the container floor (Scenario 1): decent
     /// broadband contact coupling, one mild slab mode.
     pub fn direct_on_floor() -> Self {
-        Mount::new(
-            "direct on container floor",
-            ResonatorBank::new(0.55).with_mode(Resonator::new(450.0, 1.6, 0.9)),
-        )
+        Mount::new(ResonatorBank::new(0.55).with_mode(Resonator::new(450.0, 1.6, 0.9)))
     }
 
     /// A Supermicro CSE-M35TQB 5-in-3 hot-swap tower (Scenarios 2–3),
@@ -60,22 +53,11 @@ impl Mount {
         assert!(slot < 5, "CSE-M35TQB has 5 bays (slot 0..=4), got {slot}");
         let sway = 1.0 + 0.06 * slot as f64;
         Mount::new(
-            format!("Supermicro CSE-M35TQB tower, slot {slot}"),
             ResonatorBank::new(0.45)
                 .with_mode(Resonator::new(380.0, 1.9, 1.1 * sway))
                 .with_mode(Resonator::new(700.0, 1.7, 1.5 * sway))
                 .with_mode(Resonator::new(1_250.0, 2.2, 0.9 * sway)),
         )
-    }
-
-    /// Mount name.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The mount's resonator bank.
-    pub fn bank(&self) -> &ResonatorBank {
-        &self.bank
     }
 
     /// Mechanical transfer gain at `f`.
@@ -94,10 +76,7 @@ impl Mount {
             (0.0..1.0).contains(&isolation),
             "isolation must be in [0, 1), got {isolation}"
         );
-        Mount {
-            name: format!("{} + dampers({isolation:.2})", self.name),
-            bank: self.bank.scaled(1.0 - isolation),
-        }
+        Mount::new(self.bank.scaled(1.0 - isolation))
     }
 }
 
@@ -135,7 +114,6 @@ mod tests {
         let damped = raw.with_dampers(0.8);
         let f = Frequency::from_hz(700.0);
         assert!((damped.transfer(f) / raw.transfer(f) - 0.2).abs() < 1e-9);
-        assert!(damped.name().contains("dampers"));
     }
 
     #[test]

@@ -64,24 +64,9 @@ impl VibrationPath {
         }
     }
 
-    /// The enclosure.
-    pub fn enclosure(&self) -> &Enclosure {
-        &self.enclosure
-    }
-
-    /// The container's structural mode bank.
-    pub fn container_modes(&self) -> &ResonatorBank {
-        &self.container_modes
-    }
-
     /// The drive mount.
     pub fn mount(&self) -> &Mount {
         &self.mount
-    }
-
-    /// Coupling efficiency `η`.
-    pub fn coupling_efficiency(&self) -> f64 {
-        self.coupling_efficiency
     }
 
     /// Replaces the mount (e.g. to fit dampers).
@@ -219,7 +204,7 @@ mod tests {
         let plastic = simple_path();
         let steel = VibrationPath::new(
             Enclosure::new(Material::steel(), 0.025),
-            plastic.container_modes().clone(),
+            plastic.container_modes.clone(),
             plastic.mount().clone(),
             1.0,
         );

@@ -50,21 +50,6 @@ impl Resonator {
         Resonator { f0_hz, q, gain }
     }
 
-    /// Centre frequency in Hz.
-    pub fn f0_hz(&self) -> f64 {
-        self.f0_hz
-    }
-
-    /// Quality factor.
-    pub fn q(&self) -> f64 {
-        self.q
-    }
-
-    /// Peak gain (response at `f0`).
-    pub fn gain(&self) -> f64 {
-        self.gain
-    }
-
     /// Magnitude response at `f`, equal to `gain` at `f0`.
     pub fn response(&self, f: Frequency) -> f64 {
         let r = f.hz() / self.f0_hz;
@@ -112,16 +97,6 @@ impl ResonatorBank {
     pub fn with_mode(mut self, mode: Resonator) -> Self {
         self.modes.push(mode);
         self
-    }
-
-    /// The modes in the bank.
-    pub fn modes(&self) -> &[Resonator] {
-        &self.modes
-    }
-
-    /// The broadband floor gain.
-    pub fn floor(&self) -> f64 {
-        self.floor
     }
 
     /// Total magnitude response at `f`: floor + Σ mode responses.
@@ -206,7 +181,7 @@ mod tests {
             .with_mode(Resonator::new(800.0, 2.0, 2.0));
         let at_400 = bank.response(Frequency::from_hz(400.0));
         assert!(at_400 > 3.5, "at_400 = {at_400}"); // 0.5 floor + 3 peak + tail
-        assert_eq!(bank.modes().len(), 2);
+        assert_eq!(bank.modes.len(), 2);
     }
 
     #[test]
@@ -223,8 +198,8 @@ mod tests {
             .with_mode(Resonator::new(400.0, 3.0, 2.0))
             .with_mode(Resonator::new(700.0, 3.0, 5.0));
         let shifted = bank.with_frequencies_scaled(0.9);
-        assert!((shifted.modes()[0].f0_hz() - 360.0).abs() < 1e-9);
-        assert!((shifted.modes()[1].f0_hz() - 630.0).abs() < 1e-9);
+        assert!((shifted.modes[0].f0_hz - 360.0).abs() < 1e-9);
+        assert!((shifted.modes[1].f0_hz - 630.0).abs() < 1e-9);
         // Peak gains preserved at the new centres.
         assert!(
             (shifted.response(Frequency::from_hz(630.0))

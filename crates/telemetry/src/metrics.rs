@@ -90,16 +90,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Number of registered series.
-    pub fn len(&self) -> usize {
-        self.series.len()
-    }
-
-    /// Whether nothing has been registered.
-    pub fn is_empty(&self) -> bool {
-        self.series.is_empty()
-    }
-
     /// Consumes the registry into its series, in registration order.
     pub fn into_series(self) -> Vec<MetricSeries> {
         self.series
@@ -115,7 +105,7 @@ mod tests {
         let mut r = MetricsRegistry::new();
         let spl = r.register(Layer::Acoustics, "node0/spl_db", MetricKind::Gauge);
         let retries = r.register(Layer::Hdd, "node0/seek_retries", MetricKind::Counter);
-        assert_eq!(r.len(), 2);
+        assert_eq!(r.series.len(), 2);
         r.record(spl, SimTime::from_secs(1), 120.0);
         r.record(retries, SimTime::from_secs(1), 3.0);
         r.record(spl, SimTime::from_secs(2), 131.5);
@@ -131,6 +121,6 @@ mod tests {
     fn recording_into_a_bogus_id_is_a_no_op() {
         let mut r = MetricsRegistry::new();
         r.record(MetricId(99), SimTime::ZERO, 1.0);
-        assert!(r.is_empty());
+        assert!(r.series.is_empty());
     }
 }
