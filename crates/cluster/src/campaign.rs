@@ -454,7 +454,7 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
         s.scrape(&cluster, end);
     }
 
-    Ok(CampaignReport {
+    let report = CampaignReport {
         label: config.label.clone(),
         placement: config.cluster.placement,
         seed: config.seed,
@@ -493,7 +493,15 @@ pub fn run_campaign(config: &CampaignConfig) -> Result<CampaignReport, ClusterEr
             .map(|s| s.registry.into_series())
             .unwrap_or_default(),
         trace: tracer.is_enabled().then(|| tracer.take()),
-    })
+    };
+    debug_assert_eq!(
+        report.violations(),
+        Vec::new(),
+        "campaign {:?} (seed {}) breaks its report invariants",
+        report.label,
+        report.seed
+    );
+    Ok(report)
 }
 
 /// Runs a batch of campaigns on parallel OS threads (each is its own

@@ -48,13 +48,16 @@ pub fn seal(key: &[u8], value: &[u8]) -> Vec<u8> {
 /// Verifies a sealed record and returns the payload, or `None` if the
 /// trailer is missing or does not match `key ‖ value`.
 pub fn unseal<'a>(key: &[u8], sealed: &'a [u8]) -> Option<&'a [u8]> {
-    if sealed.len() < SEAL_BYTES {
-        return None;
-    }
-    let (value, trailer) = sealed.split_at(sealed.len() - SEAL_BYTES);
-    let mut want = [0u8; SEAL_BYTES];
-    want.copy_from_slice(trailer);
-    (fnv1a(key, value).to_le_bytes() == want).then_some(value)
+    let (value, trailer) = sealed.split_at_checked(sealed.len().checked_sub(SEAL_BYTES)?)?;
+    (fnv1a(key, value).to_le_bytes() == trailer).then_some(value)
+}
+
+/// The payload of a sealed record already verified, without checking
+/// it again: its bytes before the trailer.
+pub(crate) fn payload(sealed: &[u8]) -> &[u8] {
+    sealed
+        .get(..sealed.len().saturating_sub(SEAL_BYTES))
+        .unwrap_or_default()
 }
 
 /// Whether a sealed record verifies against its key.
@@ -164,17 +167,28 @@ pub(crate) struct Verdict<'a> {
 /// sealed value verifies. Quorum reads, read repair, repair copies and
 /// the scrubber all take their copy from here. Replies that were not in
 /// time are ignored; without `verify` no copy counts as corrupt.
+///
+/// Each seal is checked once per distinct copy: a reply whose bytes
+/// equal the copy already served verified with it and is not hashed
+/// again. A copy that fails is hashed again in each reply that holds
+/// it, so identical bad copies each count as corrupt.
 pub(crate) fn classify<'a>(key: &[u8], replies: &'a [ReplicaReply], verify: bool) -> Verdict<'a> {
     let mut verdict = Verdict::default();
     for r in replies.iter().filter(|r| r.ok) {
-        match &r.value {
-            Some(v) if !verify || self::verify(key, v) => {
-                if verdict.served.is_none() {
-                    verdict.served = Some((r.node, v.as_slice()));
+        let Some(v) = &r.value else {
+            verdict.missing.push(r.node);
+            continue;
+        };
+        match verdict.served {
+            Some((_, served)) => {
+                if verify && served != v.as_slice() && !self::verify(key, v) {
+                    verdict.corrupt.push(r.node);
                 }
             }
-            Some(_) => verdict.corrupt.push(r.node),
-            None => verdict.missing.push(r.node),
+            None if !verify || self::verify(key, v) => {
+                verdict.served = Some((r.node, v.as_slice()));
+            }
+            None => verdict.corrupt.push(r.node),
         }
     }
     verdict
@@ -270,5 +284,75 @@ mod tests {
         assert_eq!(v.missing, vec![7]);
         // No in-time reply: nothing served, nothing judged.
         assert_eq!(classify(key, &replies[..1], true), Verdict::default());
+    }
+
+    /// `classify` as it reads without the once-per-copy shortcut: every
+    /// in-time copy's seal is checked.
+    fn classify_verifying_all<'a>(
+        key: &[u8],
+        replies: &'a [ReplicaReply],
+        verify: bool,
+    ) -> Verdict<'a> {
+        let mut verdict = Verdict::default();
+        for r in replies.iter().filter(|r| r.ok) {
+            match &r.value {
+                Some(v) if !verify || self::verify(key, v) => {
+                    if verdict.served.is_none() {
+                        verdict.served = Some((r.node, v.as_slice()));
+                    }
+                }
+                Some(_) => verdict.corrupt.push(r.node),
+                None => verdict.missing.push(r.node),
+            }
+        }
+        verdict
+    }
+
+    #[test]
+    fn classify_matches_verifying_every_copy() {
+        // Every sequence of up to five replies over six kinds, so every
+        // mix appears in every order: a good copy, a second good copy of
+        // another value, two copies corrupt in the same byte, one
+        // corrupt elsewhere, a missing record, and a late good copy.
+        let key = b"0000000000000042";
+        let good = seal(key, b"value");
+        let other = seal(key, b"another value");
+        let mut bad = good.clone();
+        bad[0] ^= 0x80;
+        let mut worse = good.clone();
+        worse[3] ^= 0x01;
+        let kinds: [(bool, Option<&Vec<u8>>); 6] = [
+            (true, Some(&good)),
+            (true, Some(&other)),
+            (true, Some(&bad)),
+            (true, Some(&worse)),
+            (true, None),
+            (false, Some(&good)),
+        ];
+        let mut sets = 0;
+        for len in 0..=5u32 {
+            for code in 0..6usize.pow(len) {
+                let replies: Vec<ReplicaReply> = (0..len as usize)
+                    .map(|node| {
+                        let (ok, value) = kinds[code / 6usize.pow(node as u32) % 6];
+                        ReplicaReply {
+                            node,
+                            ok,
+                            done: deepnote_sim::SimTime::ZERO,
+                            value: value.cloned(),
+                        }
+                    })
+                    .collect();
+                for verify in [true, false] {
+                    assert_eq!(
+                        classify(key, &replies, verify),
+                        classify_verifying_all(key, &replies, verify),
+                        "verify {verify}, replies {replies:?}"
+                    );
+                }
+                sets += 1;
+            }
+        }
+        assert_eq!(sets, 1 + 6 + 36 + 216 + 1_296 + 7_776);
     }
 }

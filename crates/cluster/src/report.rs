@@ -35,6 +35,16 @@ impl EarlyWarning {
     }
 }
 
+/// One invariant a report's numbers break: see
+/// [`CampaignReport::violations`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Violation {
+    /// The invariant, as written in the field doc it restates.
+    pub check: &'static str,
+    /// Where it broke, and the numbers that break it.
+    pub detail: String,
+}
+
 /// Everything a finished campaign produced.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CampaignReport {
@@ -117,6 +127,90 @@ impl CampaignReport {
     /// Total device faults injected across the cluster.
     pub fn total_injected_faults(&self) -> u64 {
         self.total_chaos().total()
+    }
+
+    /// Every invariant the report's own numbers break, each with the
+    /// numbers involved; empty for a consistent report. Each check
+    /// restates a field doc:
+    /// - per phase and op class, `slo_ok <= ok <= attempted`
+    ///   ([`OpClassMetrics::record`]);
+    /// - every availability ratio is in [0, 1] (a window's successes
+    ///   over its attempts);
+    /// - `recovered_by_retry <= retries` and `hedges_won <= hedges`
+    ///   ([`ResilienceStats`]: only a retried operation recovers, only a
+    ///   hedge issued wins);
+    /// - `oracle_wrong <= oracle_checked` ([`IntegrityStats`]);
+    /// - `corrupt_found + missing_found <= replicas_read` ([`ScrubStats`]:
+    ///   each finding is one replica read);
+    /// - per node, `restarts <= crashes` ([`NodeCounters`]: only a
+    ///   crashed engine is restarted).
+    pub fn violations(&self) -> Vec<Violation> {
+        let mut found = Vec::new();
+        let mut check = |holds: bool, check: &'static str, detail: String| {
+            if !holds {
+                found.push(Violation { check, detail });
+            }
+        };
+        for p in &self.metrics.phases {
+            for (class, m) in [("reads", &p.reads), ("writes", &p.writes)] {
+                check(
+                    m.slo_ok <= m.ok && m.ok <= m.attempted,
+                    "slo_ok <= ok <= attempted",
+                    format!(
+                        "phase {} {class}: slo_ok {}, ok {}, attempted {}",
+                        p.label, m.slo_ok, m.ok, m.attempted
+                    ),
+                );
+            }
+        }
+        for s in &self.metrics.availability {
+            check(
+                (0.0..=1.0).contains(&s.ratio),
+                "availability ratio in [0, 1]",
+                format!("window ending at {} s: ratio {}", s.at_s, s.ratio),
+            );
+        }
+        if let Some(r) = &self.resilience {
+            check(
+                r.recovered_by_retry <= r.retries,
+                "recovered_by_retry <= retries",
+                format!(
+                    "recovered_by_retry {}, retries {}",
+                    r.recovered_by_retry, r.retries
+                ),
+            );
+            check(
+                r.hedges_won <= r.hedges,
+                "hedges_won <= hedges",
+                format!("hedges_won {}, hedges {}", r.hedges_won, r.hedges),
+            );
+        }
+        let i = &self.integrity;
+        check(
+            i.oracle_wrong <= i.oracle_checked,
+            "oracle_wrong <= oracle_checked",
+            format!(
+                "oracle_wrong {}, oracle_checked {}",
+                i.oracle_wrong, i.oracle_checked
+            ),
+        );
+        let s = &self.scrub;
+        check(
+            s.corrupt_found + s.missing_found <= s.replicas_read,
+            "corrupt_found + missing_found <= replicas_read",
+            format!(
+                "corrupt_found {}, missing_found {}, replicas_read {}",
+                s.corrupt_found, s.missing_found, s.replicas_read
+            ),
+        );
+        for (n, c) in self.node_counters.iter().enumerate() {
+            check(
+                c.restarts <= c.crashes,
+                "restarts <= crashes",
+                format!("node {n}: restarts {}, crashes {}", c.restarts, c.crashes),
+            );
+        }
+        found
     }
 
     /// Renders the full report as fixed-width text.
@@ -625,6 +719,100 @@ mod tests {
             r#""events":["t=   12.0s  node 0 crashed","quote \" newline \n ctrl \u0001 end"]}"#,
         );
         assert_eq!(null_branch_report().to_json(), golden);
+    }
+
+    /// The checks `r` breaks.
+    fn broken(r: &CampaignReport) -> Vec<&'static str> {
+        r.violations().iter().map(|v| v.check).collect()
+    }
+
+    #[test]
+    fn a_consistent_report_has_no_violations() {
+        assert_eq!(tiny_report().violations(), Vec::new());
+        let mut r = null_branch_report();
+        r.resilience = Some(ResilienceStats {
+            retries: 2,
+            recovered_by_retry: 2,
+            hedges: 1,
+            hedges_won: 1,
+            ..ResilienceStats::default()
+        });
+        r.integrity.oracle_checked = 5;
+        r.integrity.oracle_wrong = 5;
+        r.scrub.replicas_read = 3;
+        r.scrub.corrupt_found = 2;
+        r.scrub.missing_found = 1;
+        assert_eq!(r.violations(), Vec::new());
+    }
+
+    #[test]
+    fn violations_catch_slo_ok_above_ok_and_ok_above_attempted() {
+        let mut r = tiny_report();
+        r.metrics.phases[0].reads.slo_ok = 2;
+        let v = r.violations();
+        assert_eq!(v.len(), 1);
+        assert_eq!(v[0].check, "slo_ok <= ok <= attempted");
+        assert_eq!(
+            v[0].detail,
+            "phase baseline reads: slo_ok 2, ok 1, attempted 1"
+        );
+        let mut r = tiny_report();
+        r.metrics.phases[1].writes.ok = 2;
+        assert_eq!(broken(&r), vec!["slo_ok <= ok <= attempted"]);
+    }
+
+    #[test]
+    fn violations_catch_an_availability_ratio_outside_0_1() {
+        for ratio in [1.5, -0.25, f64::NAN] {
+            let mut r = tiny_report();
+            r.metrics.availability[0].ratio = ratio;
+            assert_eq!(broken(&r), vec!["availability ratio in [0, 1]"], "{ratio}");
+        }
+    }
+
+    #[test]
+    fn violations_catch_resilience_wins_without_tries() {
+        let mut r = tiny_report();
+        r.resilience = Some(ResilienceStats {
+            retries: 1,
+            recovered_by_retry: 2,
+            ..ResilienceStats::default()
+        });
+        assert_eq!(broken(&r), vec!["recovered_by_retry <= retries"]);
+        r.resilience = Some(ResilienceStats {
+            hedges: 3,
+            hedges_won: 4,
+            ..ResilienceStats::default()
+        });
+        assert_eq!(broken(&r), vec!["hedges_won <= hedges"]);
+    }
+
+    #[test]
+    fn violations_catch_more_oracle_verdicts_wrong_than_checked() {
+        let mut r = tiny_report();
+        r.integrity.oracle_wrong = 1;
+        assert_eq!(broken(&r), vec!["oracle_wrong <= oracle_checked"]);
+    }
+
+    #[test]
+    fn violations_catch_more_scrub_findings_than_reads() {
+        let mut r = tiny_report();
+        r.scrub.replicas_read = 2;
+        r.scrub.corrupt_found = 2;
+        r.scrub.missing_found = 1;
+        assert_eq!(
+            broken(&r),
+            vec!["corrupt_found + missing_found <= replicas_read"]
+        );
+    }
+
+    #[test]
+    fn violations_catch_a_restart_without_a_crash() {
+        let mut r = tiny_report();
+        r.node_counters[1].restarts = 1;
+        let v = r.violations();
+        assert_eq!(broken(&r), vec!["restarts <= crashes"]);
+        assert_eq!(v[0].detail, "node 1: restarts 1, crashes 0");
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The database: open/recover, reads, writes, flush, and compaction.
 
 use crate::error::DbError;
+use crate::index::HashedKey;
 use crate::memtable::Memtable;
 use crate::record::{check_len, Record, RecordRef};
 use crate::sstable::{compact, SsTable};
@@ -504,21 +505,23 @@ impl<D: BlockDevice> Db<D> {
         self.check_alive()?;
         self.clock.advance(CPU_OP_COST);
         self.stats.gets += 1;
-        if let Some(hit) = self.memtable.get(key) {
+        // One hash serves every index the key is looked up in.
+        let hashed = HashedKey::new(key);
+        if let Some(hit) = self.memtable.get(hashed) {
             return Ok(hit.map(|v| v.to_vec()));
         }
         // Tables fault in lazily, newest L0 first, then L1 in key order
         // up to the first table that holds the key. On a reopened store
         // that order decides which device reads happen, and when.
         for slot in self.level0.iter_mut().rev() {
-            if let Some(hit) = slot.load(&mut self.fs)?.get(key) {
+            if let Some(hit) = slot.load(&mut self.fs)?.get(hashed) {
                 return Ok(hit.map(|v| v.to_vec()));
             }
         }
         for slot in &mut self.level1 {
             let t = slot.load(&mut self.fs)?;
             if t.min_key().is_some_and(|mk| key >= mk) && t.max_key().is_some_and(|mk| key <= mk) {
-                if let Some(hit) = t.get(key) {
+                if let Some(hit) = t.get(hashed) {
                     return Ok(hit.map(|v| v.to_vec()));
                 }
             }

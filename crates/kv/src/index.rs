@@ -7,7 +7,8 @@
 //! `u32` (0 marks an empty slot), kept at most half full. Keys are not
 //! copied: a probe compares the wanted key with the key bytes in the
 //! buffer, in place, so a lookup is one hash and, almost always, one key
-//! comparison.
+//! comparison. A [`HashedKey`] carries that hash, so a read that probes
+//! the memtable and several tables hashes its key once.
 //!
 //! The hash is fixed and unseeded, so the slot layout is a pure function
 //! of the keys inserted. Nothing observable depends on it: the callers
@@ -17,6 +18,24 @@ use crate::record::RecordRef;
 
 /// Slots of the smallest non-empty index.
 const MIN_SLOTS: usize = 16;
+
+/// A key with its hash, computed once and handed to every index the
+/// key is looked up in.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct HashedKey<'a> {
+    key: &'a [u8],
+    hash: u64,
+}
+
+impl<'a> HashedKey<'a> {
+    /// Hashes `key`.
+    pub(crate) fn new(key: &'a [u8]) -> Self {
+        HashedKey {
+            key,
+            hash: hash(key),
+        }
+    }
+}
 
 /// A hash index from keys to the offsets of their records in one
 /// encoded buffer. Every call must pass the same buffer (grown, never
@@ -55,7 +74,7 @@ impl KeyIndex {
     }
 
     /// The offset in `buf` of the record holding `key`.
-    pub(crate) fn get(&self, buf: &[u8], key: &[u8]) -> Option<u32> {
+    pub(crate) fn find(&self, buf: &[u8], key: HashedKey<'_>) -> Option<u32> {
         let (_, id) = self.probe(buf, key)?;
         id.checked_sub(1)
     }
@@ -64,6 +83,7 @@ impl KeyIndex {
     /// offset it pointed at before, if any. Callers keep every record
     /// within the first `u32::MAX` bytes, so `at + 1` fits a slot.
     pub(crate) fn insert(&mut self, buf: &[u8], key: &[u8], at: u32) -> Option<u32> {
+        let key = HashedKey::new(key);
         let mut found = self.probe(buf, key);
         if found.is_none_or(|(_, id)| id == 0) && (self.len + 1) * 2 > self.slots.len() {
             self.grow(buf);
@@ -85,13 +105,13 @@ impl KeyIndex {
 
     /// The slot holding `key`, or the empty slot where it would go, with
     /// the slot's contents; `None` for an index with no slots.
-    fn probe(&self, buf: &[u8], key: &[u8]) -> Option<(usize, u32)> {
-        let mut i = home(key, self.slots.len())?;
+    fn probe(&self, buf: &[u8], key: HashedKey<'_>) -> Option<(usize, u32)> {
+        let mut i = home(key.hash, self.slots.len())?;
         loop {
             // At most half the slots are taken: the walk meets an empty
             // one.
             let id = self.slots.get(i).copied().unwrap_or(0);
-            if id == 0 || key_at(buf, id - 1) == key {
+            if id == 0 || key_at(buf, id - 1) == key.key {
                 return Some((i, id));
             }
             i = next(i, self.slots.len());
@@ -112,7 +132,7 @@ impl KeyIndex {
     /// yet in the index.
     fn place(&mut self, key: &[u8], id: u32) {
         let n = self.slots.len();
-        let mut i = home(key, n).unwrap_or(0);
+        let mut i = home(hash(key), n).unwrap_or(0);
         while let Some(slot) = self.slots.get_mut(i) {
             if *slot == 0 {
                 *slot = id;
@@ -123,11 +143,12 @@ impl KeyIndex {
     }
 }
 
-/// The slot where the walk for `key` starts among `n` (none if `n` is
-/// 0): the hash scaled to `0..n` by a widening multiply, so any slot
-/// count works and a table needs no power-of-two padding.
-fn home(key: &[u8], n: usize) -> Option<usize> {
-    (n > 0).then(|| ((u128::from(hash(key)) * n as u128) >> 64) as usize)
+/// The slot where the walk for a key with hash `h` starts among `n`
+/// (none if `n` is 0): the hash scaled to `0..n` by a widening
+/// multiply, so any slot count works and a table needs no power-of-two
+/// padding.
+fn home(h: u64, n: usize) -> Option<usize> {
+    (n > 0).then(|| ((u128::from(h) * n as u128) >> 64) as usize)
 }
 
 /// The slot after `i` among `n`, wrapping around.
@@ -204,10 +225,10 @@ mod tests {
         }
         assert_eq!(index.len(), keys.len());
         for (k, &at) in keys.iter().zip(&offsets) {
-            assert_eq!(index.get(&buf, k), Some(at));
+            assert_eq!(index.find(&buf, HashedKey::new(k)), Some(at));
         }
-        assert_eq!(index.get(&buf, b"0000000000005000"), None);
-        assert_eq!(index.get(&buf, b""), None);
+        assert_eq!(index.find(&buf, HashedKey::new(b"0000000000005000")), None);
+        assert_eq!(index.find(&buf, HashedKey::new(b"")), None);
         let mut all: Vec<u32> = index.offsets().collect();
         all.sort_unstable();
         assert_eq!(all, offsets);
@@ -222,13 +243,14 @@ mod tests {
         index.insert(&buf, b"j", offsets[1]);
         assert_eq!(index.insert(&buf, b"k", offsets[2]), Some(offsets[0]));
         assert_eq!(index.len(), 2);
-        assert_eq!(index.get(&buf, b"k"), Some(offsets[2]));
+        assert_eq!(index.find(&buf, HashedKey::new(b"k")), Some(offsets[2]));
     }
 
     #[test]
     fn empty_index_misses() {
-        assert_eq!(KeyIndex::default().get(&[], b"k"), None);
-        assert_eq!(KeyIndex::of_distinct(&[], &[]).get(&[], b""), None);
+        assert_eq!(KeyIndex::default().find(&[], HashedKey::new(b"k")), None);
+        let empty = KeyIndex::of_distinct(&[], &[]);
+        assert_eq!(empty.find(&[], HashedKey::new(b"")), None);
     }
 
     #[test]
@@ -249,7 +271,7 @@ mod tests {
         let (buf, offsets) = log(&keys);
         let index = KeyIndex::of_distinct(&buf, &offsets);
         for (k, &at) in keys.iter().zip(&offsets) {
-            assert_eq!(index.get(&buf, k), Some(at));
+            assert_eq!(index.find(&buf, HashedKey::new(k)), Some(at));
         }
         let mut longest = 0;
         let mut run = 0;

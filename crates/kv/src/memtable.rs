@@ -1,7 +1,7 @@
 //! The in-memory write buffer.
 
 use crate::error::DbError;
-use crate::index::KeyIndex;
+use crate::index::{HashedKey, KeyIndex};
 use crate::record::{encode_into, Record, RecordRef};
 use crate::sstable::TableBuilder;
 
@@ -67,9 +67,9 @@ impl Memtable {
 
     /// Looks up a key. `Some(None)` means "deleted here" (tombstone);
     /// `None` means "not present in this memtable".
-    pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
+    pub(crate) fn get(&self, key: HashedKey<'_>) -> Option<Option<&[u8]>> {
         self.index
-            .get(&self.log, key)
+            .find(&self.log, key)
             .map(|at| self.record(at).value)
     }
 
@@ -174,10 +174,10 @@ mod tests {
     fn put_get_delete() {
         let mut m = Memtable::new();
         m.insert(b"a", Some(b"1")).unwrap();
-        assert_eq!(m.get(b"a"), Some(Some(b"1".as_ref())));
+        assert_eq!(m.get(HashedKey::new(b"a")), Some(Some(b"1".as_ref())));
         m.insert(b"a", None).unwrap();
-        assert_eq!(m.get(b"a"), Some(None)); // tombstone
-        assert_eq!(m.get(b"b"), None); // unknown
+        assert_eq!(m.get(HashedKey::new(b"a")), Some(None)); // tombstone
+        assert_eq!(m.get(HashedKey::new(b"b")), None); // unknown
         assert_eq!(m.len(), 1);
     }
 
@@ -186,7 +186,7 @@ mod tests {
         let mut m = Memtable::new();
         m.insert(b"k", Some(b"old")).unwrap();
         m.insert(b"k", Some(b"new")).unwrap();
-        assert_eq!(m.get(b"k"), Some(Some(b"new".as_ref())));
+        assert_eq!(m.get(HashedKey::new(b"k")), Some(Some(b"new".as_ref())));
         assert_eq!(m.len(), 1);
     }
 
@@ -314,7 +314,7 @@ mod tests {
             prop_assert_eq!(m.approx_bytes(), approx);
             for key in model.keys().chain(&probes) {
                 prop_assert_eq!(
-                    m.get(key),
+                    m.get(HashedKey::new(key)),
                     model.get(key).map(|v| v.as_deref()),
                     "key {:?}", key
                 );

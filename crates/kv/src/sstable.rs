@@ -14,7 +14,7 @@
 //! them.
 
 use crate::error::DbError;
-use crate::index::KeyIndex;
+use crate::index::{HashedKey, KeyIndex};
 use crate::record::RecordRef;
 use deepnote_blockdev::BlockDevice;
 use deepnote_fs::Filesystem;
@@ -160,8 +160,8 @@ impl SsTable {
     }
 
     /// Looks a key up in the index. `Some(None)` is a tombstone hit.
-    pub fn get(&self, key: &[u8]) -> Option<Option<&[u8]>> {
-        let at = self.index.get(&self.bytes, key)?;
+    pub(crate) fn get(&self, key: HashedKey<'_>) -> Option<Option<&[u8]>> {
+        let at = self.index.find(&self.bytes, key)?;
         Some(self.record(at).value)
     }
 }
@@ -303,10 +303,10 @@ mod tests {
         let loaded = SsTable::load(&mut fs, "/db/sst_0_1").unwrap();
         assert_eq!(loaded, written);
         assert_eq!(owned(&loaded), records);
-        assert_eq!(loaded.get(b"a"), Some(Some(b"1".as_ref())));
-        assert_eq!(loaded.get(b"b"), Some(None)); // tombstone
-        assert_eq!(loaded.get(b"x"), None);
-        assert_eq!(loaded.get(b"0"), None);
+        assert_eq!(loaded.get(HashedKey::new(b"a")), Some(Some(b"1".as_ref())));
+        assert_eq!(loaded.get(HashedKey::new(b"b")), Some(None)); // tombstone
+        assert_eq!(loaded.get(HashedKey::new(b"x")), None);
+        assert_eq!(loaded.get(HashedKey::new(b"0")), None);
         assert_eq!(loaded.min_key(), Some(b"a".as_ref()));
         assert_eq!(loaded.max_key(), Some(b"c".as_ref()));
     }
@@ -324,7 +324,12 @@ mod tests {
             .collect();
         let t = table("t", &records);
         for r in &records {
-            assert_eq!(t.get(&r.key), Some(r.value.as_deref()), "{:?}", r.key);
+            assert_eq!(
+                t.get(HashedKey::new(&r.key)),
+                Some(r.value.as_deref()),
+                "{:?}",
+                r.key
+            );
         }
         // 1 000 absent keys: same first 16 bytes with another tail, the
         // bare 16-byte prefix, and odd numbers never stored.
@@ -336,7 +341,7 @@ mod tests {
         absent.extend((0..200).map(|i| format!("{:016}-{i:07}", 2 * i + 1)));
         assert_eq!(absent.len(), 1_000);
         for k in &absent {
-            assert_eq!(t.get(k.as_bytes()), None, "{k}");
+            assert_eq!(t.get(HashedKey::new(k.as_bytes())), None, "{k}");
         }
     }
 
@@ -367,7 +372,10 @@ mod tests {
         write(&mut fs, "/db/s", &[rec("new", "y")]);
         let loaded = SsTable::load(&mut fs, "/db/s").unwrap();
         assert_eq!(loaded.offsets.len(), 1);
-        assert_eq!(loaded.get(b"new"), Some(Some(b"y".as_ref())));
+        assert_eq!(
+            loaded.get(HashedKey::new(b"new")),
+            Some(Some(b"y".as_ref()))
+        );
     }
 
     #[test]

@@ -109,7 +109,7 @@ impl JsonWriter {
 
     /// Writes an unsigned integer.
     pub fn u64(&mut self, n: u64) -> &mut Self {
-        let _ = write!(self.value(), "{n}");
+        push_digits(self.value(), n);
         self
     }
 
@@ -127,8 +127,28 @@ impl JsonWriter {
 
     /// Writes a float in its shortest round-trip form (`2`, `0.25`);
     /// NaN and the infinities become `null`.
+    ///
+    /// Most floats in the reports are whole or half numbers (window
+    /// ends, scrape times, counters). Those, below 2^52 in magnitude,
+    /// are written from integers: the sign, the integer digits and an
+    /// optional `.5`, the same bytes `{x}` prints. Every other float
+    /// goes through `{x}`.
     pub fn f64(&mut self, x: f64) -> &mut Self {
-        if x.is_finite() {
+        /// 2^53: every integer below it is exact as an `f64`.
+        const EXACT: f64 = 9_007_199_254_740_992.0;
+        let twice = x * 2.0;
+        if twice.abs() < EXACT && twice.trunc() == twice {
+            let halves = twice.abs() as u64;
+            let out = self.value();
+            if x.is_sign_negative() {
+                out.push('-');
+            }
+            push_digits(out, halves >> 1);
+            if halves & 1 == 1 {
+                out.push_str(".5");
+            }
+            self
+        } else if x.is_finite() {
             let _ = write!(self.value(), "{x}");
             self
         } else {
@@ -150,6 +170,21 @@ impl JsonWriter {
         let _ = write!(self.value(), "{}.{:03}", nanos / 1_000, nanos % 1_000);
         self
     }
+}
+
+/// Appends the decimal digits of `n`.
+fn push_digits(out: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    out.push_str(std::str::from_utf8(&digits[start..]).unwrap_or_default());
 }
 
 /// Appends `s` as a JSON string literal: quotes, backslashes and
@@ -484,6 +519,110 @@ mod tests {
              \\u0018\\u0019\\u001a\\u001b\\u001c\\u001d\\u001e\\u001f\""
         );
         assert_eq!(parse(&out), Ok(Json::Str(all)));
+    }
+
+    /// What the writer emits for one float.
+    fn written_f64(x: f64) -> String {
+        let mut w = JsonWriter::with_capacity(32);
+        w.f64(x);
+        w.finish()
+    }
+
+    /// Asserts that the writer prints `x` as `{x}` does (`null` for the
+    /// non-finite).
+    fn assert_f64_as_display(x: f64) {
+        let want = if x.is_finite() {
+            format!("{x}")
+        } else {
+            "null".to_owned()
+        };
+        assert_eq!(written_f64(x), want, "bits {:#018x}", x.to_bits());
+    }
+
+    fn assert_u64_as_display(n: u64) {
+        let mut w = JsonWriter::with_capacity(32);
+        w.u64(n);
+        assert_eq!(w.finish(), n.to_string());
+    }
+
+    /// Whole and half numbers around `h / 2` for `h` within `spread` of
+    /// each of `centres`, both signs, plus `draws` random floats of
+    /// every kind: random bits, random whole numbers and random halves.
+    fn sweep_f64(centres: &[i64], spread: i64, draws: u32, rng: &mut TestRng) {
+        for &c in centres {
+            for h in c.saturating_sub(spread)..=c.saturating_add(spread) {
+                assert_f64_as_display(h as f64 / 2.0);
+                assert_f64_as_display(-(h as f64) / 2.0);
+            }
+        }
+        for _ in 0..draws {
+            let bits = rng.next_u64();
+            assert_f64_as_display(f64::from_bits(bits));
+            let whole = (bits >> 11) as f64;
+            assert_f64_as_display(whole);
+            assert_f64_as_display(-whole / 2.0);
+            assert_f64_as_display((bits >> rng.below(64)) as f64 / 2.0);
+        }
+    }
+
+    /// `h` at every power of two up to 2^55, where the fast path for
+    /// whole and half numbers ends (at `|2x| = 2^53`) and beyond.
+    fn powers_of_two() -> Vec<i64> {
+        (0..56).map(|k| 1i64 << k).collect()
+    }
+
+    #[test]
+    fn floats_print_as_display_does() {
+        for x in [0.0, -0.0, 0.5, -0.5, 1.0, 0.25, -0.25, 1e-7, 0.1, 1.5e300] {
+            assert_f64_as_display(x);
+        }
+        for x in [
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ] {
+            assert_f64_as_display(x);
+        }
+        assert_f64_as_display(f64::MIN_POSITIVE);
+        assert_f64_as_display(-f64::from_bits(1));
+        assert_eq!(written_f64(-0.0), "-0");
+        assert_eq!(written_f64(2.5), "2.5");
+        // The last half number the fast path takes, and the first whole
+        // one it leaves to `{x}`.
+        assert_eq!(written_f64(4_503_599_627_370_495.5), "4503599627370495.5");
+        assert_eq!(written_f64(4_503_599_627_370_496.0), "4503599627370496");
+        let mut rng = TestRng::for_test("floats_print_as_display_does");
+        sweep_f64(&powers_of_two(), 300, 20_000, &mut rng);
+        sweep_f64(&[0], 20_000, 0, &mut rng);
+    }
+
+    #[test]
+    fn integers_print_as_display_does() {
+        for n in [0, 1, 9, 10, 99, 100, u64::MAX, u64::MAX - 1, 1 << 63] {
+            assert_u64_as_display(n);
+        }
+        let mut rng = TestRng::for_test("integers_print_as_display_does");
+        for _ in 0..20_000 {
+            let n = rng.next_u64();
+            assert_u64_as_display(n >> rng.below(64));
+        }
+    }
+
+    /// The larger sweep: millions of floats and integers. Run in
+    /// release: `cargo test --release -p deepnote-telemetry --lib --
+    /// --ignored numbers_print_as_display_does_at_scale`.
+    #[test]
+    #[ignore = "a release-mode sweep of millions of numbers"]
+    fn numbers_print_as_display_does_at_scale() {
+        let mut rng = TestRng::for_test("numbers_print_as_display_does_at_scale");
+        sweep_f64(&powers_of_two(), 100_000, 5_000_000, &mut rng);
+        sweep_f64(&[0], 5_000_000, 0, &mut rng);
+        for _ in 0..5_000_000 {
+            let n = rng.next_u64();
+            assert_u64_as_display(n >> rng.below(64));
+        }
     }
 
     /// Random value trees: every leaf kind, strings over all control
