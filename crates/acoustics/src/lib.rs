@@ -50,7 +50,7 @@ pub use propagation::{
 pub use source::{AcousticEmission, Amplifier, SignalChain, SineSource, Speaker};
 pub use spl::{Spl, SplReference};
 pub use sweep::{SweepPlan, SweepStep};
-pub use units::{Celsius, Depth, Distance, Frequency, Gain, Salinity};
+pub use units::{Celsius, Depth, Distance, Frequency, Gain, OutOfRange, Salinity};
 
 /// Convenience re-exports for downstream crates.
 pub mod prelude {
@@ -63,5 +63,5 @@ pub mod prelude {
     pub use crate::source::{AcousticEmission, Amplifier, SignalChain, SineSource, Speaker};
     pub use crate::spl::{Spl, SplReference};
     pub use crate::sweep::{SweepPlan, SweepStep};
-    pub use crate::units::{Celsius, Depth, Distance, Frequency, Gain, Salinity};
+    pub use crate::units::{Celsius, Depth, Distance, Frequency, Gain, OutOfRange, Salinity};
 }

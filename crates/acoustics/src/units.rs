@@ -5,7 +5,7 @@
 //! validate ranges; accessors expose raw `f64`s for math.
 
 use core::fmt;
-use core::ops::{Add, Div, Mul, Sub};
+use core::ops::{Add, Div, Mul, RangeInclusive, Sub};
 use serde::{Deserialize, Serialize};
 
 macro_rules! assert_finite {
@@ -16,6 +16,40 @@ macro_rules! assert_finite {
             $v
         )
     };
+}
+
+/// A number outside the range a checked constructor admits
+/// ([`Frequency::checked_hz`], [`Distance::checked_cm`]). NaN is outside
+/// every range.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct OutOfRange {
+    /// The number given.
+    pub value: f64,
+    /// The smallest number admitted.
+    pub min: f64,
+    /// The largest number admitted.
+    pub max: f64,
+}
+
+impl fmt::Display for OutOfRange {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} is outside {} to {}", self.value, self.min, self.max)
+    }
+}
+
+impl std::error::Error for OutOfRange {}
+
+/// `value` if `range` holds it.
+fn within(value: f64, range: RangeInclusive<f64>) -> Result<f64, OutOfRange> {
+    if range.contains(&value) {
+        Ok(value)
+    } else {
+        Err(OutOfRange {
+            value,
+            min: *range.start(),
+            max: *range.end(),
+        })
+    }
 }
 
 /// An acoustic frequency.
@@ -35,6 +69,21 @@ pub struct Frequency {
 }
 
 impl Frequency {
+    /// The frequencies the transfer path from speaker to drive can
+    /// evaluate, in Hz: the paper's sweep with room on either side. At
+    /// 0 Hz the path's gain is infinite, and just above it the drive's
+    /// displacement is not a number.
+    pub const CHECKED_HZ: RangeInclusive<f64> = 1.0..=100_000.0;
+
+    /// A frequency of `hz` hertz, if [`Frequency::CHECKED_HZ`] holds it.
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfRange`] for any other number, NaN included.
+    pub fn checked_hz(hz: f64) -> Result<Self, OutOfRange> {
+        within(hz, Self::CHECKED_HZ).map(Self::from_hz)
+    }
+
     /// Creates a frequency from hertz.
     ///
     /// # Panics
@@ -93,6 +142,21 @@ pub struct Distance {
 }
 
 impl Distance {
+    /// The distances the transfer path can evaluate, in centimetres: up
+    /// to 1 km, far past where the attack fades, and short enough that
+    /// every level along the path stays finite.
+    pub const CHECKED_CM: RangeInclusive<f64> = 0.0..=100_000.0;
+
+    /// A distance of `cm` centimetres, if [`Distance::CHECKED_CM`] holds
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// [`OutOfRange`] for any other number, NaN included.
+    pub fn checked_cm(cm: f64) -> Result<Self, OutOfRange> {
+        within(cm, Self::CHECKED_CM).map(Self::from_cm)
+    }
+
     /// Creates a distance from metres.
     ///
     /// # Panics
@@ -309,6 +373,35 @@ mod tests {
     #[should_panic(expected = "non-negative")]
     fn frequency_rejects_negative() {
         Frequency::from_hz(-1.0);
+    }
+
+    #[test]
+    fn checked_constructors_admit_only_their_range() {
+        assert_eq!(Frequency::checked_hz(650.0), Ok(Frequency::from_hz(650.0)));
+        assert_eq!(Frequency::checked_hz(1.0).map(Frequency::hz), Ok(1.0));
+        assert_eq!(Frequency::checked_hz(1e5).map(Frequency::hz), Ok(1e5));
+        for hz in [
+            0.0,
+            1e-300,
+            0.999,
+            100_000.5,
+            -650.0,
+            f64::NAN,
+            f64::INFINITY,
+        ] {
+            let err = Frequency::checked_hz(hz).unwrap_err();
+            assert_eq!((err.min, err.max), (1.0, 100_000.0), "{hz}");
+        }
+        assert_eq!(Distance::checked_cm(25.0), Ok(Distance::from_cm(25.0)));
+        assert_eq!(Distance::checked_cm(0.0).map(Distance::m), Ok(0.0));
+        assert_eq!(Distance::checked_cm(1e5).map(Distance::m), Ok(1_000.0));
+        for cm in [-1.0, 1e308, 100_000.5, f64::NAN, f64::NEG_INFINITY] {
+            assert!(Distance::checked_cm(cm).is_err(), "{cm}");
+        }
+        assert_eq!(
+            Distance::checked_cm(-3.0).unwrap_err().to_string(),
+            "-3 is outside 0 to 100000"
+        );
     }
 
     #[test]

@@ -24,7 +24,7 @@
 
 #![allow(clippy::unwrap_used, clippy::expect_used)]
 
-use deepnote_acoustics::{Distance, SweepPlan};
+use deepnote_acoustics::{Distance, Frequency, OutOfRange, SweepPlan};
 use deepnote_cluster::prelude::*;
 use deepnote_core::experiments::{
     ablations, adaptive, covert, crash, fio, frequency, heatmap, range, redundancy, stealth,
@@ -37,17 +37,7 @@ use deepnote_kv::bench::BenchSpec;
 use deepnote_sim::SimDuration;
 use deepnote_structures::Scenario;
 use deepnote_telemetry::{export_chrome_trace, schema, TraceLog};
-use std::ops::RangeInclusive;
 use std::process::ExitCode;
-
-/// The distances a flag accepts, in centimetres: up to 1 km, far past
-/// where the attack fades, and short enough that every level along the
-/// path stays finite.
-const DISTANCE_CM: RangeInclusive<f64> = 0.0..=100_000.0;
-
-/// The frequencies `--attack-hz` accepts, in Hz: the paper's sweep with
-/// room on either side. At 0 Hz the transfer path's gain is infinite.
-const FREQUENCY_HZ: RangeInclusive<f64> = 1.0..=100_000.0;
 
 /// Minimal flag parsing: `--name value` pairs after the subcommand, each
 /// name at most once.
@@ -99,14 +89,20 @@ impl Args {
         Ok(v)
     }
 
-    /// [`Args::get`] for a number within `range` (NaN is within none).
-    fn bounded(&self, name: &str, default: f64, range: RangeInclusive<f64>) -> Result<f64, String> {
+    /// [`Args::get`] for a number that `checked`, a unit's checked
+    /// constructor, admits (it admits no NaN).
+    fn bounded<T>(
+        &self,
+        name: &str,
+        default: f64,
+        checked: fn(f64) -> Result<T, OutOfRange>,
+    ) -> Result<f64, String> {
         let v = self.get(name, default)?;
-        if !range.contains(&v) {
+        if let Err(e) = checked(v) {
             let shown = self.string(name).unwrap_or_default();
-            let (lo, hi) = range.into_inner();
             return Err(format!(
-                "bad value for --{name}: {shown} (from {lo} to {hi})"
+                "bad value for --{name}: {shown} (from {} to {})",
+                e.min, e.max
             ));
         }
         Ok(v)
@@ -243,7 +239,8 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
             }
         }
         "sweep" => {
-            let distance = Distance::from_cm(args.bounded("distance-cm", 1.0, DISTANCE_CM)?);
+            let distance =
+                Distance::from_cm(args.bounded("distance-cm", 1.0, Distance::checked_cm)?);
             let requests = args.nonzero("requests", 6u32)?;
             let d = adaptive::remote_frequency_discovery(
                 &testbed,
@@ -292,7 +289,8 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
         }
         "fleet" => {
             let drives = args.nonzero("drives", 10usize)?;
-            let spacing = Distance::from_cm(args.bounded("spacing-cm", 4.0, DISTANCE_CM)?);
+            let spacing =
+                Distance::from_cm(args.bounded("spacing-cm", 4.0, Distance::checked_cm)?);
             let fleet = Fleet::new(testbed, Distance::from_cm(1.0), spacing, drives);
             let report = fleet.assess(AttackParams::paper_best());
             println!(
@@ -334,10 +332,10 @@ fn run(cmd: &str, args: &Args) -> Result<(), String> {
                 "3" => Scenario::MetalTower,
                 other => return Err(format!("bad value for --scenario: {other} (1, 2 or 3)")),
             };
-            let distance_cm = args.bounded("distance-cm", 1.0, DISTANCE_CM)?;
+            let distance_cm = args.bounded("distance-cm", 1.0, Distance::checked_cm)?;
             let tone = match args.string("attack-hz") {
                 Some(_) => Some(fio::Tone {
-                    hz: args.bounded("attack-hz", 0.0, FREQUENCY_HZ)?,
+                    hz: args.bounded("attack-hz", 0.0, Frequency::checked_hz)?,
                     distance_cm,
                     scenario,
                 }),

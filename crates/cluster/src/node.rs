@@ -340,7 +340,7 @@ impl StorageNode {
     /// chaos rate, a returned value may be transiently corrupted (the
     /// stored copy stays fine).
     pub fn serve_get(&mut self, at: SimTime, key: &[u8]) -> ServiceResult {
-        let mut r = self.serve(at, |db| db.get(key));
+        let mut r = self.serve(at, |db| Ok(db.get(key)?.map(<[u8]>::to_vec)));
         if r.ok && self.chaos.get_flip > 0.0 {
             if let Some(v) = r.value.as_mut() {
                 if self.rng.chance(self.chaos.get_flip) {

@@ -7,6 +7,7 @@ use crate::node::NodeCounters;
 use crate::placement::PlacementPolicy;
 use crate::replication::RepairStats;
 use deepnote_blockdev::ChaosStats;
+use deepnote_sim::SimTime;
 use deepnote_telemetry::json::JsonWriter;
 use deepnote_telemetry::{MetricSeries, SloAlert, TraceLog};
 use serde::{Deserialize, Serialize};
@@ -133,7 +134,15 @@ impl CampaignReport {
     /// numbers involved; empty for a consistent report. Each check
     /// restates a field doc:
     /// - per phase and op class, `slo_ok <= ok <= attempted`
-    ///   ([`OpClassMetrics::record`]);
+    ///   ([`OpClassMetrics::record`]), and the latency histogram holds
+    ///   one sample per attempted operation
+    ///   ([`OpClassMetrics::latency_us`]);
+    /// - the phases tile the run: the first starts at 0, and each ends
+    ///   where the next starts ([`PhaseMetrics`](crate::metrics::PhaseMetrics)
+    ///   `start` and `end`);
+    /// - the phases' `attempted` counts sum to the availability samples'
+    ///   (every operation is recorded into one phase and one sampling
+    ///   window);
     /// - every availability ratio is in [0, 1] (a window's successes
     ///   over its attempts);
     /// - `recovered_by_retry <= retries` and `hedges_won <= hedges`
@@ -161,8 +170,45 @@ impl CampaignReport {
                         p.label, m.slo_ok, m.ok, m.attempted
                     ),
                 );
+                check(
+                    m.latency_us.count() == m.attempted,
+                    "latency_us.count() == attempted",
+                    format!(
+                        "phase {} {class}: {} latency samples, attempted {}",
+                        p.label,
+                        m.latency_us.count(),
+                        m.attempted
+                    ),
+                );
             }
         }
+        let mut end = SimTime::ZERO;
+        for p in &self.metrics.phases {
+            check(
+                p.start == end && p.start <= p.end,
+                "phases tile the run",
+                format!(
+                    "phase {} runs {} s to {} s, after a phase ending at {} s",
+                    p.label,
+                    p.start.as_secs_f64(),
+                    p.end.as_secs_f64(),
+                    end.as_secs_f64()
+                ),
+            );
+            end = p.end;
+        }
+        let by_phase: u64 = self
+            .metrics
+            .phases
+            .iter()
+            .map(|p| p.reads.attempted + p.writes.attempted)
+            .sum();
+        let by_window: u64 = self.metrics.availability.iter().map(|s| s.attempted).sum();
+        check(
+            by_phase == by_window,
+            "phase attempted sum == availability attempted sum",
+            format!("phases attempted {by_phase}, availability samples attempted {by_window}"),
+        );
         for s in &self.metrics.availability {
             check(
                 (0.0..=1.0).contains(&s.ratio),
@@ -759,6 +805,51 @@ mod tests {
         let mut r = tiny_report();
         r.metrics.phases[1].writes.ok = 2;
         assert_eq!(broken(&r), vec!["slo_ok <= ok <= attempted"]);
+    }
+
+    #[test]
+    fn violations_catch_a_latency_histogram_off_its_attempts() {
+        let mut r = tiny_report();
+        r.metrics.phases[0].reads.latency_us.record(1.0);
+        let v = r.violations();
+        assert_eq!(broken(&r), vec!["latency_us.count() == attempted"]);
+        assert_eq!(
+            v[0].detail,
+            "phase baseline reads: 2 latency samples, attempted 1"
+        );
+    }
+
+    #[test]
+    fn violations_catch_phases_that_do_not_tile_the_run() {
+        let mut r = tiny_report();
+        r.metrics.phases[1].start = SimTime::from_secs(11);
+        let v = r.violations();
+        assert_eq!(broken(&r), vec!["phases tile the run"]);
+        assert_eq!(
+            v[0].detail,
+            "phase attack runs 11 s to 20 s, after a phase ending at 10 s"
+        );
+        let mut r = tiny_report();
+        r.metrics.phases[0].start = SimTime::from_secs(1);
+        assert_eq!(broken(&r), vec!["phases tile the run"]);
+        let mut r = tiny_report();
+        r.metrics.phases[1].end = SimTime::from_secs(5);
+        assert_eq!(broken(&r), vec!["phases tile the run"]);
+    }
+
+    #[test]
+    fn violations_catch_phase_attempts_off_the_window_attempts() {
+        let mut r = tiny_report();
+        r.metrics.availability[0].attempted = 3;
+        let v = r.violations();
+        assert_eq!(
+            broken(&r),
+            vec!["phase attempted sum == availability attempted sum"]
+        );
+        assert_eq!(
+            v[0].detail,
+            "phases attempted 2, availability samples attempted 3"
+        );
     }
 
     #[test]

@@ -28,14 +28,9 @@ pub struct Tone {
 ///
 /// # Errors
 ///
-/// A job-file parse error, or a job whose working set runs past the end
-/// of the drive; no job runs in either case.
-///
-/// # Panics
-///
-/// Panics on a tone the acoustic model cannot evaluate: a frequency at
-/// or near 0 Hz, or a negative or non-finite number (`deepnote fio`
-/// accepts 1 Hz to 100 kHz and 0 to 1 km).
+/// A job-file parse error, a job whose working set runs past the end of
+/// the drive, or a tone outside [`Frequency::CHECKED_HZ`] or
+/// [`Distance::CHECKED_CM`]; no job runs in any of these cases.
 pub fn run(text: &str, tone: Option<Tone>) -> Result<String, String> {
     let jobs = parse_jobfile(text).map_err(|e| format!("job file: {e}"))?;
     let clock = Clock::new();
@@ -50,8 +45,11 @@ pub fn run(text: &str, tone: Option<Tone>) -> Result<String, String> {
     }
     let mut out = format!("device: {}\n", disk.drive().model().geometry.name());
     if let Some(t) = tone {
-        let v = Testbed::paper_default(t.scenario)
-            .vibration_at(Frequency::from_hz(t.hz), Distance::from_cm(t.distance_cm));
+        let frequency =
+            Frequency::checked_hz(t.hz).map_err(|e| format!("tone frequency: {e} Hz"))?;
+        let distance =
+            Distance::checked_cm(t.distance_cm).map_err(|e| format!("tone distance: {e} cm"))?;
+        let v = Testbed::paper_default(t.scenario).vibration_at(frequency, distance);
         out += &format!(
             "attack: {} Hz at {} cm ({}) -> chassis {:.0} nm\n",
             t.hz,
@@ -65,4 +63,27 @@ pub fn run(text: &str, tone: Option<Tone>) -> Result<String, String> {
         out += &format!("\n{}\n", run_job(job, &mut disk, &clock));
     }
     Ok(out)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_tone_the_transfer_path_cannot_evaluate_is_an_error() {
+        let job = "[j]\nrw=write\nbs=4k\nruntime=1\n";
+        for (hz, distance_cm, what) in [
+            (0.0, 10.0, "tone frequency: 0 is outside 1 to 100000 Hz"),
+            (1e-300, 10.0, "tone frequency: 0.000"),
+            (650.0, -1.0, "tone distance: -1 is outside 0 to 100000 cm"),
+        ] {
+            let tone = Tone {
+                hz,
+                distance_cm,
+                scenario: Scenario::PlasticTower,
+            };
+            let err = run(job, Some(tone)).unwrap_err();
+            assert!(err.starts_with(what), "{hz} Hz at {distance_cm} cm: {err}");
+        }
+    }
 }

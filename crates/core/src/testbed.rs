@@ -143,6 +143,7 @@ mod tests {
     use super::*;
     use deepnote_acoustics::Distance;
     use deepnote_structures::Scenario;
+    use proptest::prelude::*;
 
     #[test]
     fn received_level_falls_with_distance() {
@@ -204,6 +205,41 @@ mod tests {
                     tb.received_spl(params).db().to_bits()
                 );
             }
+        }
+    }
+
+    /// The corners of the checked range, and the two tones it keeps
+    /// out that the transfer path cannot evaluate.
+    #[test]
+    fn checked_range_corners_evaluate_and_its_low_end_is_closed() {
+        for scenario in Scenario::ALL {
+            let tb = Testbed::paper_default(scenario);
+            for hz in [1.0, 100_000.0] {
+                for cm in [0.0, 100_000.0] {
+                    let f = Frequency::checked_hz(hz).unwrap();
+                    let v = tb.vibration_at(f, Distance::checked_cm(cm).unwrap());
+                    assert!(v.displacement_um().is_finite(), "{hz} Hz at {cm} cm");
+                }
+            }
+        }
+        assert!(Frequency::checked_hz(0.0).is_err());
+        assert!(Frequency::checked_hz(1e-300).is_err());
+    }
+
+    proptest! {
+        /// Every tone the checked constructors admit gives a finite
+        /// vibration, in every scenario.
+        #[test]
+        fn vibration_is_finite_over_the_checked_range(
+            log_hz in 0.0f64..5.0,
+            log_cm in 0.0f64..5.0,
+            scenario in 0usize..3,
+        ) {
+            let f = Frequency::checked_hz(10f64.powf(log_hz)).unwrap();
+            let d = Distance::checked_cm(10f64.powf(log_cm) - 1.0).unwrap();
+            let v = Testbed::paper_default(Scenario::ALL[scenario]).vibration_at(f, d);
+            prop_assert!(v.displacement_um().is_finite(), "{} Hz at {} cm", f.hz(), d.cm());
+            prop_assert!(v.acceleration_g().is_finite(), "{} Hz at {} cm", f.hz(), d.cm());
         }
     }
 

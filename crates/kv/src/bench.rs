@@ -237,10 +237,10 @@ mod tests {
         let mut db = Db::create(MemDisk::new(1 << 19), Clock::new()).unwrap();
         let spec = quick_spec();
         fill_seq(&mut db, &spec).unwrap();
-        assert_eq!(db.get(&spec.key(0)).unwrap(), Some(spec.value(0)));
+        assert_eq!(db.get(&spec.key(0)).unwrap(), Some(&spec.value(0)[..]));
         assert_eq!(
             db.get(&spec.key(spec.num_keys - 1)).unwrap(),
-            Some(spec.value(spec.num_keys - 1))
+            Some(&spec.value(spec.num_keys - 1)[..])
         );
     }
 

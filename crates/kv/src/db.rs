@@ -108,11 +108,10 @@ impl TableSlot {
 
     /// The table, read from `fs` on first access.
     fn load<D: BlockDevice>(&mut self, fs: &mut Filesystem<D>) -> Result<&SsTable, DbError> {
-        let table = match self.table.take() {
-            Some(table) => table,
-            None => SsTable::load(fs, self.path.as_str())?,
-        };
-        Ok(self.table.insert(table))
+        match &mut self.table {
+            Some(table) => Ok(table),
+            absent => Ok(absent.insert(SsTable::load(fs, self.path.as_str())?)),
+        }
     }
 }
 
@@ -495,34 +494,35 @@ impl<D: BlockDevice> Db<D> {
         }
     }
 
-    /// Reads a key.
+    /// Reads a key. The value is borrowed from the memtable or the
+    /// table that holds it; a caller that keeps it copies it.
     ///
     /// # Errors
     ///
     /// [`DbError::Closed`] after a crash; I/O or corruption errors while
     /// faulting in an SSTable.
-    pub fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, DbError> {
+    pub fn get(&mut self, key: &[u8]) -> Result<Option<&[u8]>, DbError> {
         self.check_alive()?;
         self.clock.advance(CPU_OP_COST);
         self.stats.gets += 1;
         // One hash serves every index the key is looked up in.
         let hashed = HashedKey::new(key);
         if let Some(hit) = self.memtable.get(hashed) {
-            return Ok(hit.map(|v| v.to_vec()));
+            return Ok(hit);
         }
         // Tables fault in lazily, newest L0 first, then L1 in key order
         // up to the first table that holds the key. On a reopened store
         // that order decides which device reads happen, and when.
         for slot in self.level0.iter_mut().rev() {
             if let Some(hit) = slot.load(&mut self.fs)?.get(hashed) {
-                return Ok(hit.map(|v| v.to_vec()));
+                return Ok(hit);
             }
         }
         for slot in &mut self.level1 {
             let t = slot.load(&mut self.fs)?;
             if t.min_key().is_some_and(|mk| key >= mk) && t.max_key().is_some_and(|mk| key <= mk) {
                 if let Some(hit) = t.get(hashed) {
-                    return Ok(hit.map(|v| v.to_vec()));
+                    return Ok(hit);
                 }
             }
         }
@@ -678,7 +678,7 @@ mod tests {
     fn put_get_delete_roundtrip() {
         let mut db = Db::create(MemDisk::new(1 << 17), Clock::new()).unwrap();
         db.put(b"k", b"v").unwrap();
-        assert_eq!(db.get(b"k").unwrap(), Some(b"v".to_vec()));
+        assert_eq!(db.get(b"k").unwrap(), Some(&b"v"[..]));
         db.delete(b"k").unwrap();
         assert_eq!(db.get(b"k").unwrap(), None);
         assert_eq!(db.get(b"absent").unwrap(), None);
@@ -695,7 +695,7 @@ mod tests {
         assert!(db.stats().flushes > 0, "{:?}", db.stats());
         assert!(db.stats().compactions > 0, "{:?}", db.stats());
         for i in (0..1_000).step_by(97) {
-            assert_eq!(db.get(&key(i)).unwrap(), Some(val(i)), "key {i}");
+            assert_eq!(db.get(&key(i)).unwrap(), Some(&val(i)[..]), "key {i}");
         }
     }
 
@@ -718,8 +718,8 @@ mod tests {
             let got = db.get(&key(i)).unwrap();
             match i % 3 {
                 0 => assert_eq!(got, None, "key {i}"),
-                1 => assert_eq!(got, Some(b"updated".to_vec()), "key {i}"),
-                _ => assert_eq!(got, Some(val(i)), "key {i}"),
+                1 => assert_eq!(got, Some(&b"updated"[..]), "key {i}"),
+                _ => assert_eq!(got, Some(&val(i)[..]), "key {i}"),
             }
         }
     }
@@ -736,7 +736,7 @@ mod tests {
         let dev = db.close().unwrap();
         let mut db2 = Db::open(dev, clock).unwrap();
         for i in (0..500).step_by(41) {
-            assert_eq!(db2.get(&key(i)).unwrap(), Some(val(i)), "key {i}");
+            assert_eq!(db2.get(&key(i)).unwrap(), Some(&val(i)[..]), "key {i}");
         }
     }
 
@@ -758,7 +758,7 @@ mod tests {
         };
         let mut db2 = Db::open_with(dev, clock, small_config()).unwrap();
         for i in 0..100 {
-            assert_eq!(db2.get(&key(i)).unwrap(), Some(val(i)), "key {i}");
+            assert_eq!(db2.get(&key(i)).unwrap(), Some(&val(i)[..]), "key {i}");
         }
     }
 
@@ -822,8 +822,8 @@ mod tests {
             out
         };
         let mut db2 = Db::open_with(dev, clock, small_config()).unwrap();
-        assert_eq!(db2.get(b"alice").unwrap(), Some(b"90".to_vec()));
-        assert_eq!(db2.get(b"bob").unwrap(), Some(b"110".to_vec()));
+        assert_eq!(db2.get(b"alice").unwrap(), Some(&b"90"[..]));
+        assert_eq!(db2.get(b"bob").unwrap(), Some(&b"110"[..]));
         assert_eq!(db2.get(b"pending").unwrap(), None);
         let s = db2.stats();
         assert_eq!((s.puts, s.deletes), (0, 0)); // fresh stats after open
@@ -854,7 +854,7 @@ mod tests {
         let mut db2 = Db::open_with(dev, clock, small_config()).unwrap();
         assert_eq!(db2.get(b"ok1").unwrap(), None);
         assert_eq!(db2.get(b"ok2").unwrap(), None);
-        assert_eq!(db2.get(b"after").unwrap(), Some(b"x".to_vec()));
+        assert_eq!(db2.get(b"after").unwrap(), Some(&b"x"[..]));
     }
 
     #[test]

@@ -162,7 +162,7 @@ fn next(i: usize, n: usize) -> usize {
 
 /// The key of the record at offset `at` in `buf`.
 fn key_at(buf: &[u8], at: u32) -> &[u8] {
-    RecordRef::parse(buf.get(at as usize..).unwrap_or_default()).key
+    RecordRef::key_of(buf.get(at as usize..).unwrap_or_default())
 }
 
 /// A fixed 64-bit hash: the key folded in 8-byte words, then murmur3's

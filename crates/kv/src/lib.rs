@@ -31,7 +31,7 @@
 //! let clock = Clock::new();
 //! let mut db = Db::create(MemDisk::new(1 << 17), clock)?;
 //! db.put(b"key", b"value")?;
-//! assert_eq!(db.get(b"key")?, Some(b"value".to_vec()));
+//! assert_eq!(db.get(b"key")?, Some(&b"value"[..]));
 //! db.delete(b"key")?;
 //! assert_eq!(db.get(b"key")?, None);
 //! # Ok::<(), deepnote_kv::DbError>(())

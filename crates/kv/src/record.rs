@@ -176,6 +176,15 @@ impl<'a> RecordRef<'a> {
         }
     }
 
+    /// The key of the already-verified record at the front of `buf`, the
+    /// same slice [`RecordRef::parse`] gives, read from the key length
+    /// alone: an index walk compares keys and never needs the value.
+    pub(crate) fn key_of(buf: &'a [u8]) -> &'a [u8] {
+        let klen = le_u32(buf, 4).unwrap_or(0) as usize;
+        let key = buf.get(12..).unwrap_or_default();
+        key.get(..klen).unwrap_or(key)
+    }
+
     /// An owned copy.
     pub fn to_record(&self) -> Record {
         Record {
@@ -286,6 +295,23 @@ mod tests {
         Record::put("key", "value").encode_into(&mut buf).unwrap();
         assert!(Record::decode_from(&buf[..buf.len() - 1]).is_err());
         assert!(Record::decode_from(&buf[..5]).is_err());
+    }
+
+    #[test]
+    fn key_of_is_the_parsed_key_on_every_prefix() {
+        let mut buf = Vec::new();
+        Record::put("alpha", "one").encode_into(&mut buf).unwrap();
+        Record::delete("beta").encode_into(&mut buf).unwrap();
+        for end in 0..=buf.len() {
+            for start in [0, Record::put("alpha", "one").encoded_len()] {
+                let rec = buf.get(start..end).unwrap_or_default();
+                assert_eq!(
+                    RecordRef::key_of(rec),
+                    RecordRef::parse(rec).key,
+                    "{start}..{end}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ fn apply(db: &mut Db<MemDisk>, model: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: &Op) 
         }
         Op::Get(k) => {
             let got = db.get(&key(*k)).unwrap();
-            assert_eq!(got.as_ref(), model.get(&key(*k)), "get({k})");
+            assert_eq!(got, model.get(&key(*k)).map(Vec::as_slice), "get({k})");
         }
         Op::Batch(entries) => {
             let mut batch = WriteBatch::new();
@@ -98,7 +98,7 @@ fn apply(db: &mut Db<MemDisk>, model: &mut BTreeMap<Vec<u8>, Vec<u8>>, op: &Op) 
 
 fn check_all(db: &mut Db<MemDisk>, model: &BTreeMap<Vec<u8>, Vec<u8>>) {
     for (k, v) in model {
-        assert_eq!(db.get(k).unwrap().as_ref(), Some(v), "final get {k:?}");
+        assert_eq!(db.get(k).unwrap(), Some(v.as_slice()), "final get {k:?}");
     }
     // Full scan equals the model.
     let got = db.scan(b"key000", b"key999").unwrap();

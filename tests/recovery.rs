@@ -96,7 +96,7 @@ fn database_reopens_consistently_after_attack_crash() {
     let mut db2 = Db::open_with(dev, clock, DbConfig::default()).unwrap();
     for i in (0..500u32).step_by(37) {
         let got = db2.get(format!("key{i:05}").as_bytes()).unwrap();
-        assert_eq!(got, Some(format!("value{i}").into_bytes()), "key{i}");
+        assert_eq!(got, Some(format!("value{i}").as_bytes()), "key{i}");
     }
 }
 
